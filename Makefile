@@ -39,18 +39,23 @@ staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@2024.1.1)"; fi
 
+# BENCH_PKGS are the packages whose benchmarks the regression gate runs:
+# the end-to-end suite at the root and the scheduler layer pair.
+BENCH_PKGS = . ./internal/sched
+
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
+	$(GO) test -bench=. -benchmem -run=^$$ $(BENCH_PKGS)
 
 # bench-baseline refreshes the committed regression baseline from a fresh
 # 3-count run; benchdiff gates the current tree against it.
 bench-baseline:
-	$(GO) test -bench=. -benchmem -benchtime=1x -count=3 -run=^$$ . | $(GO) run ./cmd/benchdiff -write -note "make bench-baseline"
+	$(GO) test -bench=. -benchmem -benchtime=1x -count=3 -run=^$$ $(BENCH_PKGS) | $(GO) run ./cmd/benchdiff -write -note "make bench-baseline"
 
 benchdiff:
-	$(GO) test -bench=. -benchmem -benchtime=1x -count=3 -run=^$$ . | $(GO) run ./cmd/benchdiff -src . -trend \
+	$(GO) test -bench=. -benchmem -benchtime=1x -count=3 -run=^$$ $(BENCH_PKGS) | $(GO) run ./cmd/benchdiff -src . -trend \
 		-ratio-max BenchmarkSimulateFastForwardXalanRate2:BenchmarkSimulateDenseXalanRate2:0.5 \
-		-ratio-max BenchmarkKolmogorovSmirnov:BenchmarkKolmogorovSmirnovInsertionSort:0.25
+		-ratio-max BenchmarkKolmogorovSmirnov:BenchmarkKolmogorovSmirnovInsertionSort:0.25 \
+		-ratio-max BenchmarkBaselineTickQ64:BenchmarkBaselineTickQ64Reference:0.5
 
 # chaos runs the fault-injection campaign against every scheduler; it exits
 # non-zero if any Fixed Service variant lets a fault through undetected.

@@ -296,9 +296,13 @@ func BenchmarkSimulate4ChColored(b *testing.B) { benchFabric(b, addr.RouteColore
 // fabric.
 func BenchmarkSimulate4ChInterleaved(b *testing.B) { benchFabric(b, addr.RouteInterleaved) }
 
-// benchObserved runs the BenchmarkSimulatorThroughput workload with the
-// given observability options (nil = tracing compiled in but disabled).
-func benchObserved(b *testing.B, o *ObserveOptions) {
+// BenchmarkSimulateTraceOn runs the BenchmarkSimulatorThroughput workload
+// with a live ring-buffer tracer and metrics snapshot, bounding the cost of
+// full observation. BenchmarkSimulatorThroughput itself is the trace-off
+// reference: the tracer hooks are compiled in there but nil, so its time
+// and allocation count pin the observability layer's zero-cost-when-off
+// claim.
+func BenchmarkSimulateTraceOn(b *testing.B) {
 	mix, err := workload.Rate("milc", 8)
 	if err != nil {
 		b.Fatal(err)
@@ -307,9 +311,7 @@ func benchObserved(b *testing.B, o *ObserveOptions) {
 	for i := 0; i < b.N; i++ {
 		cfg := sim.DefaultConfig(mix, sim.Baseline)
 		cfg.TargetReads = 5000
-		if o != nil {
-			Observe(&cfg, *o)
-		}
+		Observe(&cfg, ObserveOptions{TraceCap: 1 << 14})
 		res, err := sim.Simulate(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -317,17 +319,6 @@ func benchObserved(b *testing.B, o *ObserveOptions) {
 		cycles = res.Run.BusCycles
 	}
 	b.ReportMetric(float64(cycles), "bus_cycles/run")
-}
-
-// BenchmarkSimulateTraceOff is BenchmarkSimulatorThroughput with the tracer
-// hooks present but nil — the observability layer's zero-cost-when-off
-// claim. Its time must track BenchmarkSimulatorThroughput within noise.
-func BenchmarkSimulateTraceOff(b *testing.B) { benchObserved(b, nil) }
-
-// BenchmarkSimulateTraceOn runs the same workload with a live ring-buffer
-// tracer and metrics snapshot, bounding the cost of full observation.
-func BenchmarkSimulateTraceOn(b *testing.B) {
-	benchObserved(b, &ObserveOptions{TraceCap: 1 << 14})
 }
 
 // BenchmarkWeightedIPCMetric exercises the statistics path.

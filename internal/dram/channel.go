@@ -234,7 +234,7 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) error {
 		return reject(explain, cmd, cycle, "tRFC (refresh in progress)", rk.refreshUntil)
 	}
 
-	p := ch.P
+	p := &ch.P
 	der := ch.der(cmd.Rank)
 	switch cmd.Kind {
 	case KindActivate:
@@ -359,7 +359,7 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) error {
 // scheduled transfers: bursts must not overlap, and transfers on different
 // ranks must be separated by tRTRS.
 func (ch *Channel) checkDataBus(cmd Command, cycle, dataStart int64, explain bool) error {
-	p := ch.P
+	p := &ch.P
 	end := dataStart + int64(p.TBURST)
 	for _, s := range ch.dataOcc {
 		gap := int64(0)
@@ -390,7 +390,7 @@ func (ch *Channel) IssueEx(cmd Command, cycle int64, suppressed bool) error {
 	if err := ch.CanIssue(cmd, cycle); err != nil {
 		return err
 	}
-	p := ch.P
+	p := &ch.P
 	rk := &ch.ranks[cmd.Rank]
 	ch.lastCmdCycle = cycle
 	if cycle > ch.now {

@@ -9,7 +9,7 @@ package dram
 
 // BankGroup returns the bank-group index of a bank (0 when bank groups are
 // disabled).
-func (p Params) BankGroup(bank int) int {
+func (p *Params) BankGroup(bank int) int {
 	if p.BankGroups <= 1 {
 		return 0
 	}
@@ -18,8 +18,8 @@ func (p Params) BankGroup(bank int) int {
 
 // CCDSame / CCDOther return the CAS-to-CAS spacing within and across bank
 // groups.
-func (p Params) CCDSame() int { return p.TCCD }
-func (p Params) CCDOther() int {
+func (p *Params) CCDSame() int { return p.TCCD }
+func (p *Params) CCDOther() int {
 	if p.BankGroups <= 1 {
 		return p.TCCD
 	}
@@ -28,8 +28,8 @@ func (p Params) CCDOther() int {
 
 // RRDSame / RRDOther return the ACT-to-ACT spacing within and across bank
 // groups.
-func (p Params) RRDSame() int { return p.TRRD }
-func (p Params) RRDOther() int {
+func (p *Params) RRDSame() int { return p.TRRD }
+func (p *Params) RRDOther() int {
 	if p.BankGroups <= 1 {
 		return p.TRRD
 	}
@@ -38,8 +38,8 @@ func (p Params) RRDOther() int {
 
 // WTRSame / WTROther return the write-data-end-to-read-CAS spacing within
 // and across bank groups.
-func (p Params) WTRSame() int { return p.TWTR }
-func (p Params) WTROther() int {
+func (p *Params) WTRSame() int { return p.TWTR }
+func (p *Params) WTROther() int {
 	if p.BankGroups <= 1 {
 		return p.TWTR
 	}

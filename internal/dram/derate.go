@@ -43,12 +43,16 @@ func (ch *Channel) SetDerate(rank int, d Derate) {
 	}
 }
 
-// der returns the rank's derate (zero when none installed).
-func (ch *Channel) der(rank int) Derate {
+// noDerate is the shared zero derate der hands out when none is installed.
+var noDerate Derate
+
+// der returns the rank's derate (zero when none installed) by pointer, so
+// the per-probe timing checks read it in place instead of copying it.
+func (ch *Channel) der(rank int) *Derate {
 	if ch.derate == nil || rank < 0 || rank >= len(ch.derate) {
-		return Derate{}
+		return &noDerate
 	}
-	return ch.derate[rank]
+	return &ch.derate[rank]
 }
 
 // SetDerate installs additive timing margins on the checker's shadow

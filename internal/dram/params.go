@@ -132,10 +132,10 @@ func (p Params) ReadToWriteGap() int { return p.TCAS + p.TBURST - p.TCWD }
 func (p Params) WriteToReadGap() int { return p.TCWD + p.TBURST + p.TWTR }
 
 // ReadDataStart returns the offset from a READ CAS to its first data beat.
-func (p Params) ReadDataStart() int { return p.TCAS }
+func (p *Params) ReadDataStart() int { return p.TCAS }
 
 // WriteDataStart returns the offset from a WRITE CAS to its first data beat.
-func (p Params) WriteDataStart() int { return p.TCWD }
+func (p *Params) WriteDataStart() int { return p.TCWD }
 
 // TotalBanks returns the number of banks in one channel.
 func (p Params) TotalBanks() int { return p.RanksPerChan * p.BanksPerRank }

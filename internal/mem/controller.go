@@ -127,6 +127,12 @@ type Controller struct {
 	ReadQ  [][]*Request // per-domain demand reads, arrival order
 	WriteQ [][]*Request // per-domain write-backs, arrival order
 
+	// ageReads/ageWrites hold every queued request of their class across
+	// domains, ordered by Arrive then Domain (a stable sort of the
+	// per-domain queues concatenated in domain order). They are kept
+	// incrementally by the enqueue/pop/remove paths; see ByAge.
+	ageReads, ageWrites []*Request
+
 	Dom []stats.Domain
 	// LatHist collects per-domain demand-read latency distributions.
 	LatHist []*stats.Histogram
@@ -169,6 +175,8 @@ func NewController(p dram.Params, cfg Config, sched Scheduler) *Controller {
 	}
 	c.ReadQ = make([][]*Request, cfg.Domains)
 	c.WriteQ = make([][]*Request, cfg.Domains)
+	c.ageReads = make([]*Request, 0, cfg.Domains*cfg.ReadCap)
+	c.ageWrites = make([]*Request, 0, cfg.Domains*cfg.WriteCap)
 	return c
 }
 
@@ -217,9 +225,9 @@ func (c *Controller) EnqueueRead(domain int, a dram.Address, done func()) bool {
 		return false
 	}
 	c.Obs.Enqueue(domain, a, c.Cycle)
-	c.ReadQ[domain] = append(c.ReadQ[domain], &Request{
-		Domain: domain, Addr: a, Arrive: c.Cycle, FirstCmd: -1, DataEnd: -1, done: done,
-	})
+	r := &Request{Domain: domain, Addr: a, Arrive: c.Cycle, FirstCmd: -1, DataEnd: -1, done: done}
+	c.ReadQ[domain] = append(c.ReadQ[domain], r)
+	c.ageReads = insertByAge(c.ageReads, r)
 	return true
 }
 
@@ -231,10 +239,47 @@ func (c *Controller) EnqueueWrite(domain int, a dram.Address) bool {
 		c.Obs.QueueFull(domain, c.Cycle, true)
 		return false
 	}
-	c.WriteQ[domain] = append(c.WriteQ[domain], &Request{
-		Domain: domain, Write: true, Addr: a, Arrive: c.Cycle, FirstCmd: -1, DataEnd: -1,
-	})
+	r := &Request{Domain: domain, Write: true, Addr: a, Arrive: c.Cycle, FirstCmd: -1, DataEnd: -1}
+	c.WriteQ[domain] = append(c.WriteQ[domain], r)
+	c.ageWrites = insertByAge(c.ageWrites, r)
 	return true
+}
+
+// insertByAge places r after every request that arrived before it, or at
+// the same cycle from a domain at or below its own. Requests arrive at the
+// current cycle, so the backward scan almost always stops at the tail.
+func insertByAge(s []*Request, r *Request) []*Request {
+	i := len(s)
+	for i > 0 && (s[i-1].Arrive > r.Arrive || s[i-1].Arrive == r.Arrive && s[i-1].Domain > r.Domain) {
+		i--
+	}
+	s = append(s, nil)
+	copy(s[i+1:], s[i:])
+	s[i] = r
+	return s
+}
+
+// deleteByAge removes r from an age view it is known to be in.
+func deleteByAge(s []*Request, r *Request) []*Request {
+	for i, x := range s {
+		if x == r {
+			copy(s[i:], s[i+1:])
+			s[len(s)-1] = nil
+			return s[:len(s)-1]
+		}
+	}
+	return s
+}
+
+// ByAge returns every queued read (or, with writes set, every buffered
+// write) across domains, oldest first: ordered by arrival cycle, ties
+// broken by lower domain, then by enqueue order within a domain. The slice
+// is the controller's own and is valid only until the queues next change.
+func (c *Controller) ByAge(writes bool) []*Request {
+	if writes {
+		return c.ageWrites
+	}
+	return c.ageReads
 }
 
 // NextPrefetch pops a high-confidence prefetch candidate for the domain, or
@@ -451,6 +496,7 @@ func (c *Controller) PopRead(domain int) *Request {
 		return nil
 	}
 	c.ReadQ[domain] = q[1:]
+	c.ageReads = deleteByAge(c.ageReads, q[0])
 	return q[0]
 }
 
@@ -461,19 +507,28 @@ func (c *Controller) PopWrite(domain int) *Request {
 		return nil
 	}
 	c.WriteQ[domain] = q[1:]
+	c.ageWrites = deleteByAge(c.ageWrites, q[0])
 	return q[0]
 }
 
 // RemoveRead deletes the request from its domain's read queue, returning a
 // CodeQueue error if it is not there.
 func (c *Controller) RemoveRead(req *Request) error {
-	return c.removeFrom(c.ReadQ, req, "mem.RemoveRead")
+	if err := c.removeFrom(c.ReadQ, req, "mem.RemoveRead"); err != nil {
+		return err
+	}
+	c.ageReads = deleteByAge(c.ageReads, req)
+	return nil
 }
 
 // RemoveWrite deletes the request from its domain's write queue, returning
 // a CodeQueue error if it is not there.
 func (c *Controller) RemoveWrite(req *Request) error {
-	return c.removeFrom(c.WriteQ, req, "mem.RemoveWrite")
+	if err := c.removeFrom(c.WriteQ, req, "mem.RemoveWrite"); err != nil {
+		return err
+	}
+	c.ageWrites = deleteByAge(c.ageWrites, req)
+	return nil
 }
 
 func (c *Controller) removeFrom(qs [][]*Request, req *Request, op string) error {
@@ -495,22 +550,10 @@ func (c *Controller) removeFrom(qs [][]*Request, req *Request, op string) error 
 }
 
 // PendingReads returns the total queued demand reads across domains.
-func (c *Controller) PendingReads() int {
-	n := 0
-	for _, q := range c.ReadQ {
-		n += len(q)
-	}
-	return n
-}
+func (c *Controller) PendingReads() int { return len(c.ageReads) }
 
 // PendingWrites returns the total buffered writes across domains.
-func (c *Controller) PendingWrites() int {
-	n := 0
-	for _, q := range c.WriteQ {
-		n += len(q)
-	}
-	return n
-}
+func (c *Controller) PendingWrites() int { return len(c.ageWrites) }
 
 // Drained reports whether no work remains anywhere in the controller.
 func (c *Controller) Drained() bool {

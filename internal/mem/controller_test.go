@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"fsmem/internal/dram"
@@ -205,5 +207,85 @@ func TestDrained(t *testing.T) {
 	c.EnqueueRead(0, addr(0, 0, 1), nil)
 	if c.Drained() {
 		t.Fatal("queued read should block drained")
+	}
+}
+
+// TestAgeViewMatchesStableSort checks the incrementally kept age views
+// against their definition: after every step of a random sequence of
+// enqueues (several domains per cycle, in shuffled domain order), full-queue
+// rejects, prefetch-buffer hits that never enqueue, pops and removes
+// (including failed removes), ByAge must equal a stable sort by Arrive of
+// the per-domain queues concatenated in domain order.
+func TestAgeViewMatchesStableSort(t *testing.T) {
+	const domains = 4
+	c := NewController(dram.DDR3_1600(), Config{Domains: domains, ReadCap: 4, WriteCap: 4, PrefetchBufCap: 8}, nopSched{})
+	c.EnablePrefetch(func(int) *prefetch.Sandbox { return prefetch.New(c.P) })
+	rng := rand.New(rand.NewPCG(3, 11))
+	want := func(qs [][]*Request) []*Request {
+		var out []*Request
+		for _, q := range qs {
+			out = append(out, q...)
+		}
+		slices.SortStableFunc(out, func(a, b *Request) int { return int(a.Arrive - b.Arrive) })
+		return out
+	}
+	randAddr := func() dram.Address { return addr(rng.IntN(2), rng.IntN(8), rng.IntN(16)) }
+	var rejects, pfHits int64
+	for step := 0; step < 20000; step++ {
+		d := rng.IntN(domains)
+		switch op := rng.IntN(10); {
+		case op < 3:
+			if !c.EnqueueRead(d, randAddr(), nil) {
+				rejects++
+			}
+		case op < 5:
+			if !c.EnqueueWrite(d, randAddr()) {
+				rejects++
+			}
+		case op == 5:
+			// Fill the prefetch buffer, then read the line: a buffer hit
+			// completes at once and must not enter the age view.
+			a := randAddr()
+			c.CompleteAt(&Request{Domain: d, Prefetch: true, Addr: a}, c.Cycle)
+			c.Tick()
+			before := c.Dom[d].UsefulPrefetches
+			c.EnqueueRead(d, a, nil)
+			pfHits += c.Dom[d].UsefulPrefetches - before
+		case op == 6:
+			if rng.IntN(2) == 0 {
+				c.PopRead(d)
+			} else {
+				c.PopWrite(d)
+			}
+		case op == 7:
+			qs, remove := c.ReadQ, c.RemoveRead
+			if rng.IntN(2) == 0 {
+				qs, remove = c.WriteQ, c.RemoveWrite
+			}
+			if q := qs[d]; len(q) > 0 {
+				if err := remove(q[rng.IntN(len(q))]); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := remove(&Request{Domain: d}); err == nil {
+				t.Fatal("removing a request that is not queued succeeded")
+			}
+		default:
+			c.Tick()
+		}
+		for _, writes := range []bool{false, true} {
+			qs := c.ReadQ
+			if writes {
+				qs = c.WriteQ
+			}
+			if got, exp := c.ByAge(writes), want(qs); !slices.Equal(got, exp) {
+				t.Fatalf("step %d: ByAge(writes=%v) has %d requests out of order or missing; want %d", step, writes, len(got), len(exp))
+			}
+		}
+		if c.PendingReads() != len(want(c.ReadQ)) || c.PendingWrites() != len(want(c.WriteQ)) {
+			t.Fatalf("step %d: pending counts disagree with the queues", step)
+		}
+	}
+	if rejects == 0 || pfHits == 0 {
+		t.Fatalf("sequence never hit a full queue (%d) or the prefetch buffer (%d)", rejects, pfHits)
 	}
 }

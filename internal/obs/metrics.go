@@ -10,7 +10,8 @@
 //     happen outside the cycle loop.
 //   - Everything costs nothing when disabled: every Tracer method nil-checks
 //     its receiver first, so an unobserved run pays one predictable branch
-//     per instrumentation point (verified by BenchmarkSimulateTraceOff).
+//     per instrumentation point (pinned by BenchmarkSimulatorThroughput,
+//     which runs with every hook nil).
 //   - Output is deterministic: snapshots are sorted by name, traces replay
 //     in recording order, and the exporters emit hand-formatted lines so a
 //     run's trace is byte-identical across worker counts and repeat runs.

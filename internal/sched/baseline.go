@@ -27,9 +27,19 @@ type Baseline struct {
 	RefreshEnabled  bool
 	refreshDeadline []int64
 
-	// scratch backs gather's age-ordered view, reused across ticks.
-	scratch []*mem.Request
+	// Per-bank scratch for serve, indexed rank*BanksPerRank+bank: blocked
+	// memoizes the probe kinds that already failed this call, wantsOpen
+	// marks banks whose open row some queued request targets.
+	blocked   []uint8
+	wantsOpen []bool
 }
+
+// Probe kinds recorded in Baseline.blocked.
+const (
+	blockedCAS uint8 = 1 << iota
+	blockedACT
+	blockedPRE
+)
 
 // NewBaseline builds the baseline policy for the given parameters and
 // per-domain controller configuration.
@@ -40,6 +50,8 @@ func NewBaseline(p dram.Params, cfg mem.Config) *Baseline {
 		hi: total * 3 / 4,
 		lo: total / 4,
 	}
+	b.blocked = make([]uint8, p.TotalBanks())
+	b.wantsOpen = make([]bool, p.TotalBanks())
 	b.refreshDeadline = make([]int64, p.RanksPerChan)
 	for r := range b.refreshDeadline {
 		b.refreshDeadline[r] = int64(p.TREFI)
@@ -105,79 +117,87 @@ func (b *Baseline) Tick(c *mem.Controller) {
 //  2. activate for the oldest request to a closed bank,
 //  3. precharge for a bank whose oldest request is a row conflict and no
 //     queued request still wants the open row.
+//
+// Channel.Ready depends only on a command's kind, rank, bank and the
+// cycle, never on its row, column or domain, so once a probe of one kind
+// fails for a bank every later probe of that kind to the bank in the same
+// call would fail too: blocked skips them. Every command that does issue
+// still goes through Controller.TryIssue's full check.
 func (b *Baseline) serve(c *mem.Controller, writes bool) bool {
-	reqs := b.gather(c, writes)
+	reqs := c.ByAge(writes)
 	if len(reqs) == 0 {
 		return false
 	}
+	clear(b.blocked)
 
 	// 1. Row hits, oldest first.
 	for _, r := range reqs {
-		if c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) == r.Addr.Row {
-			if b.issueCAS(c, r, writes) {
-				return true
-			}
+		k := b.bankIndex(r)
+		if b.blocked[k]&blockedCAS != 0 || c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) != r.Addr.Row {
+			continue
 		}
+		if b.issueCAS(c, r, writes) {
+			return true
+		}
+		b.blocked[k] |= blockedCAS
 	}
 	// 2. Activates for closed banks, oldest first.
 	for _, r := range reqs {
-		if c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) == dram.ClosedRow {
-			cmd := dram.Command{Kind: dram.KindActivate, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Row: r.Addr.Row, Domain: r.Domain}
-			if c.TryIssue(cmd) {
-				c.RecordFirstCommand(r)
-				r.Acted = true
-				return true
-			}
+		k := b.bankIndex(r)
+		if b.blocked[k]&blockedACT != 0 || c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) != dram.ClosedRow {
+			continue
 		}
+		cmd := dram.Command{Kind: dram.KindActivate, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Row: r.Addr.Row, Domain: r.Domain}
+		if c.TryIssue(cmd) {
+			c.RecordFirstCommand(r)
+			r.Acted = true
+			return true
+		}
+		b.blocked[k] |= blockedACT
 	}
 	// 3. Precharge row conflicts with no remaining hits to the open row.
+	swept := false
 	for _, r := range reqs {
+		k := b.bankIndex(r)
+		if b.blocked[k]&blockedPRE != 0 {
+			continue
+		}
 		open := c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank)
 		if open == dram.ClosedRow || open == r.Addr.Row {
 			continue
 		}
-		if b.anyWantsRow(c, r.Addr.Rank, r.Addr.Bank, open) {
+		if !swept {
+			b.markOpenRowDemand(c)
+			swept = true
+		}
+		if b.wantsOpen[k] {
 			continue
 		}
 		cmd := dram.Command{Kind: dram.KindPrecharge, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Domain: r.Domain}
 		if c.TryIssue(cmd) {
 			return true
 		}
+		b.blocked[k] |= blockedPRE
 	}
 	return false
 }
 
-// gather flattens per-domain queues into a single age-ordered view.
-func (b *Baseline) gather(c *mem.Controller, writes bool) []*mem.Request {
-	qs := c.ReadQ
-	if writes {
-		qs = c.WriteQ
-	}
-	out := b.scratch[:0]
-	for _, q := range qs {
-		out = append(out, q...)
-	}
-	// Insertion sort by arrival: queues are individually ordered and small.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Arrive < out[j-1].Arrive; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	b.scratch = out
-	return out
+// bankIndex locates a request's bank in the per-bank scratch slices.
+func (b *Baseline) bankIndex(r *mem.Request) int {
+	return r.Addr.Rank*b.p.BanksPerRank + r.Addr.Bank
 }
 
-func (b *Baseline) anyWantsRow(c *mem.Controller, rank, bank, row int) bool {
-	for _, qs := range [][][]*mem.Request{c.ReadQ, c.WriteQ} {
-		for _, q := range qs {
-			for _, r := range q {
-				if r.Addr.Rank == rank && r.Addr.Bank == bank && r.Addr.Row == row {
-					return true
-				}
+// markOpenRowDemand sets wantsOpen for every bank whose open row a queued
+// read or write targets, in one pass over both request classes.
+func (b *Baseline) markOpenRowDemand(c *mem.Controller) {
+	clear(b.wantsOpen)
+	for _, reqs := range [2][]*mem.Request{c.ByAge(false), c.ByAge(true)} {
+		for _, r := range reqs {
+			if c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) == r.Addr.Row {
+				b.wantsOpen[b.bankIndex(r)] = true
 			}
 		}
 	}
-	return false
 }
 
 func (b *Baseline) issueCAS(c *mem.Controller, r *mem.Request, write bool) bool {
