@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"fsmem/internal/addr"
 	"fsmem/internal/dram"
@@ -147,6 +148,9 @@ type FS struct {
 	Violations int64
 
 	pending []plannedCmd
+	// reads and writes are planReorderedInterval's per-interval scratch,
+	// kept so planning an interval does not allocate.
+	reads, writes []*mem.Request
 	// rngs holds one generator per domain: a domain's dummy-address draws
 	// must never perturb another domain's, or the draws themselves would
 	// become a cross-domain channel.
@@ -376,7 +380,10 @@ func (f *FS) Tick(c *mem.Controller) {
 
 	for len(f.pending) > 0 && f.pending[0].cycle <= c.Cycle {
 		pc := f.pending[0]
-		f.pending = f.pending[1:]
+		// Delete in place: pending holds a few entries, and popping by
+		// reslicing would lose the array's front capacity, making
+		// insertPending reallocate on nearly every command.
+		f.pending = slices.Delete(f.pending, 0, 1)
 		f.issue(c, pc)
 	}
 }
@@ -578,7 +585,7 @@ func (f *FS) selectRequest(c *mem.Controller, domain int, elig func(a dram.Addre
 	}
 	// Prefetch into the otherwise-dummy slot.
 	if a, ok := c.NextPrefetch(domain); ok && f.spaces[domain].Contains(a.Rank, a.Bank) && elig(a, false) {
-		return &mem.Request{Domain: domain, Addr: a, Arrive: c.Cycle, Prefetch: true}
+		return c.NewRequest(mem.Request{Domain: domain, Addr: a, Arrive: c.Cycle, Prefetch: true})
 	}
 	return nil
 }
@@ -664,12 +671,12 @@ func (f *FS) dummyRequest(c *mem.Controller, domain, group int, elig func(a dram
 		if !elig(dram.Address{Rank: rank, Bank: bank}, false) {
 			continue
 		}
-		return &mem.Request{
+		return c.NewRequest(mem.Request{
 			Domain: domain,
 			Addr:   dram.Address{Rank: rank, Bank: bank, Row: rng.Intn(f.p.RowsPerBank), Col: rng.Intn(f.p.ColsPerRow)},
 			Arrive: c.Cycle,
 			Dummy:  true,
-		}
+		})
 	}
 	return nil
 }
@@ -779,8 +786,7 @@ func (f *FS) planReorderedInterval(c *mem.Controller, interval int64) {
 	// later, which relaxes the minimum-gap guards).
 	checkAnchor := base + dataLead
 	lastAnchor := base + dataLead + int64(f.domains-1)*slotSpacing
-	reads := make([]*mem.Request, 0, f.domains)
-	writes := make([]*mem.Request, 0, f.domains)
+	reads, writes := f.reads[:0], f.writes[:0]
 	for d := 0; d < f.domains; d++ {
 		readAnchor := base + dataLead + int64(len(reads))*slotSpacing
 		writeAnchor := base + dataLead + int64(len(reads)+len(writes))*slotSpacing
@@ -807,6 +813,7 @@ func (f *FS) planReorderedInterval(c *mem.Controller, interval int64) {
 			reads = append(reads, req)
 		}
 	}
+	f.reads, f.writes = reads, writes
 
 	// En-masse release cycle: after the last possible data transfer.
 	releaseReads := base + dataLead + slotSpacing*int64(f.domains-1) + int64(f.p.TBURST)

@@ -69,8 +69,8 @@ func RecordPipeline(p dram.Params, cfg Config, writes []bool, intervals int) ([]
 }
 
 // VerifyPipeline replays a recorded command stream through an independent
-// checker and returns its violations (empty means provably conflict-free
-// under the full DDR3 timing model).
+// checker and returns its first violations, at most 32 (empty means
+// provably conflict-free under the full DDR3 timing model).
 func VerifyPipeline(p dram.Params, cmds []TimedCommand) []error {
 	ck := dram.NewChecker(p)
 	for _, tc := range cmds {

@@ -7,6 +7,7 @@ package cpu
 
 import (
 	"math"
+	"slices"
 
 	"fsmem/internal/dram"
 	"fsmem/internal/stats"
@@ -38,7 +39,10 @@ type Core struct {
 
 	fetchIdx  int64 // next instruction index to fetch
 	retireIdx int64 // next instruction index to retire
-	reads     []pendingRead
+	// reads lists outstanding reads in instruction order. Entries are
+	// deleted in place (slices.Delete), never resliced off the front, so
+	// issueRef's append reuses the array instead of reallocating.
+	reads []pendingRead
 
 	ref      trace.Ref
 	refAt    int64 // instruction index of the next memory reference
@@ -82,7 +86,7 @@ func (c *Core) Cycle() {
 			if !c.reads[0].done {
 				break
 			}
-			c.reads = c.reads[1:]
+			c.reads = slices.Delete(c.reads, 0, 1)
 		}
 		c.retireIdx++
 		c.stats.Instructions++
@@ -203,7 +207,7 @@ func (c *Core) Skip(n int64) {
 	for pop < len(c.reads) && c.reads[pop].idx < nr {
 		pop++ // retirement passed it, so it was complete: Cycle would have popped it
 	}
-	c.reads = c.reads[pop:]
+	c.reads = slices.Delete(c.reads, 0, pop)
 }
 
 // ffScan runs the retire/fetch arithmetic of up to n interaction-free CPU

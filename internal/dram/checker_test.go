@@ -78,3 +78,26 @@ func TestCheckerDerate(t *testing.T) {
 		t.Fatalf("rank-0 derate leaked into rank 1: %v", ranked.Violations())
 	}
 }
+
+// TestCheckerCapsStoredViolations: a long faulted stream keeps counting
+// violations but stores only the first 32, so the checker's memory stays
+// bounded; Feed returns each violation as it happens.
+func TestCheckerCapsStoredViolations(t *testing.T) {
+	c := NewChecker(DDR3_1600())
+	const n = 10000
+	bad := Command{Kind: KindRead, Rank: 0, Bank: 0} // the bank is closed
+	for i := 0; i < n; i++ {
+		if err := c.Feed(bad, int64(i)); err == nil {
+			t.Fatalf("command %d: read of a closed bank accepted", i)
+		}
+	}
+	if got := len(c.Violations()); got > 32 {
+		t.Errorf("stored %d violations, want at most 32", got)
+	}
+	if c.count != n || c.Ok() {
+		t.Errorf("count = %d, Ok() = %v; want %d, false", c.count, c.Ok(), n)
+	}
+	if err := c.Feed(Command{Kind: KindActivate, Rank: 0, Bank: 0, Row: 1}, n); err != nil {
+		t.Errorf("legal ACT rejected after the storm: %v", err)
+	}
+}

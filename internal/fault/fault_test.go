@@ -185,3 +185,25 @@ func TestJitterStreamShiftsOnlyTargets(t *testing.T) {
 		}
 	}
 }
+
+// TestMonitorCountsPastViolationCap: every shadow-checker rejection counts
+// toward TimingViolations, while the checker and the report each store only
+// their first 32 errors.
+func TestMonitorCountsPastViolationCap(t *testing.T) {
+	m := NewMonitor(dram.DDR3_1600(), 1)
+	const n = 10000
+	bad := dram.Command{Kind: dram.KindRead, Rank: 0, Bank: 0, Domain: 0} // the bank is closed
+	for i := 0; i < n; i++ {
+		m.Applied(bad, int64(i), false)
+	}
+	rep := m.Finalize(nil)
+	if rep.TimingViolations != n {
+		t.Errorf("TimingViolations = %d, want %d", rep.TimingViolations, n)
+	}
+	if got := len(rep.Violations); got > maxStoredViolations {
+		t.Errorf("report stored %d violations, want at most %d", got, maxStoredViolations)
+	}
+	if got := len(m.checker.Violations()); got > maxStoredViolations {
+		t.Errorf("checker stored %d violations, want at most %d", got, maxStoredViolations)
+	}
+}

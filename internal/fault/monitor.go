@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"slices"
+
 	"fsmem/internal/dram"
 	"fsmem/internal/fsmerr"
 )
@@ -98,11 +100,13 @@ func foldTrace(h uint64, cycle int64, kind dram.Kind) uint64 {
 // bus command against the stream the scheduler planned.
 type Monitor struct {
 	checker *dram.Checker
-	checked int // checker violations already converted into the report
 
 	domains       int
 	scheduleCheck bool
-	intended      []TimedCommand
+	// intended holds planned commands not yet seen on the bus (0-1 in a
+	// healthy run). It pops by deleting in place, keeping its capacity, so
+	// Intended does not allocate per command.
+	intended []TimedCommand
 
 	rep Report
 }
@@ -157,13 +161,9 @@ func (m *Monitor) Intended(cmd dram.Command, cycle int64) {
 // command against the planned stream.
 func (m *Monitor) Applied(cmd dram.Command, cycle int64, suppressed bool) {
 	m.rep.Commands++
-	m.checker.Feed(cmd, cycle)
-	if v := m.checker.Violations(); len(v) > m.checked {
-		for _, err := range v[m.checked:] {
-			m.rep.TimingViolations++
-			m.violation(fsmerr.At(fsmerr.CodeTiming, "fault.monitor", cycle, cmd, err))
-		}
-		m.checked = len(v)
+	if err := m.checker.Feed(cmd, cycle); err != nil {
+		m.rep.TimingViolations++
+		m.violation(fsmerr.At(fsmerr.CodeTiming, "fault.monitor", cycle, cmd, err))
 	}
 	if cmd.Domain >= 0 && cmd.Domain < m.domains {
 		m.rep.DomainBusTraces[cmd.Domain] = foldTrace(m.rep.DomainBusTraces[cmd.Domain], cycle, cmd.Kind)
@@ -178,14 +178,14 @@ func (m *Monitor) Applied(cmd dram.Command, cycle int64, suppressed bool) {
 	// dropped (or delayed past this point): flag them, then match.
 	for len(m.intended) > 0 && m.intended[0].Cycle < cycle && m.intended[0].Cmd != cmd {
 		p := m.intended[0]
-		m.intended = m.intended[1:]
+		m.intended = slices.Delete(m.intended, 0, 1)
 		m.rep.ScheduleViolations++
 		m.violation(fsmerr.At(fsmerr.CodeSchedule, "fault.monitor", p.Cycle, p.Cmd,
 			fsmerr.New(fsmerr.CodeSchedule, "fault.monitor", "planned command never reached the bus")))
 	}
 	if len(m.intended) > 0 && m.intended[0].Cmd == cmd {
 		p := m.intended[0]
-		m.intended = m.intended[1:]
+		m.intended = slices.Delete(m.intended, 0, 1)
 		if p.Cycle != cycle {
 			m.rep.ScheduleViolations++
 			m.violation(fsmerr.At(fsmerr.CodeSchedule, "fault.monitor", cycle, cmd,

@@ -7,6 +7,8 @@
 package mem
 
 import (
+	"slices"
+
 	"fsmem/internal/dram"
 	"fsmem/internal/fault"
 	"fsmem/internal/fsmerr"
@@ -151,6 +153,11 @@ type Controller struct {
 	sched       Scheduler
 	completions completionHeap
 
+	// free holds retired requests for NewRequest to reuse. finish returns a
+	// request only after its completion callback has run, and nothing in
+	// the simulator keeps a *Request past that point.
+	free []*Request
+
 	mon *fault.Monitor  // always-on runtime verifier (nil in bare tests)
 	inj *fault.Injector // command-stream fault injector (nil when unfaulted)
 
@@ -175,6 +182,12 @@ func NewController(p dram.Params, cfg Config, sched Scheduler) *Controller {
 	}
 	c.ReadQ = make([][]*Request, cfg.Domains)
 	c.WriteQ = make([][]*Request, cfg.Domains)
+	// Queues are sized to their caps up front, and pops and removes delete
+	// in place (slices.Delete), so an enqueue never reallocates.
+	for d := range c.ReadQ {
+		c.ReadQ[d] = make([]*Request, 0, cfg.ReadCap)
+		c.WriteQ[d] = make([]*Request, 0, cfg.WriteCap)
+	}
 	c.ageReads = make([]*Request, 0, cfg.Domains*cfg.ReadCap)
 	c.ageWrites = make([]*Request, 0, cfg.Domains*cfg.WriteCap)
 	return c
@@ -204,6 +217,21 @@ func lineKey(a dram.Address) uint64 {
 		uint64(a.Row)<<12 | uint64(a.Col)
 }
 
+// NewRequest returns a request holding a copy of r, reusing a retired one
+// when the controller has any. Schedulers that inject their own
+// transactions (dummies, prefetches) allocate them here, so the requests
+// recycle once they complete.
+func (c *Controller) NewRequest(r Request) *Request {
+	var p *Request
+	if n := len(c.free); n > 0 {
+		p, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		p = new(Request)
+	}
+	*p = r
+	return p
+}
+
 // EnqueueRead submits a demand read; done runs when data is delivered.
 // Returns false when the domain's read queue is full.
 func (c *Controller) EnqueueRead(domain int, a dram.Address, done func()) bool {
@@ -213,9 +241,9 @@ func (c *Controller) EnqueueRead(domain int, a dram.Address, done func()) bool {
 			delete(c.pfBuf[domain], lineKey(a))
 			c.Dom[domain].UsefulPrefetches++
 			// Serviced from the prefetch buffer: near-immediate completion.
-			c.completions.push(completion{cycle: c.Cycle + 1, req: &Request{
+			c.completions.push(completion{cycle: c.Cycle + 1, req: c.NewRequest(Request{
 				Domain: domain, Addr: a, Arrive: c.Cycle, done: done,
-			}})
+			})})
 			return true
 		}
 	}
@@ -225,7 +253,7 @@ func (c *Controller) EnqueueRead(domain int, a dram.Address, done func()) bool {
 		return false
 	}
 	c.Obs.Enqueue(domain, a, c.Cycle)
-	r := &Request{Domain: domain, Addr: a, Arrive: c.Cycle, FirstCmd: -1, DataEnd: -1, done: done}
+	r := c.NewRequest(Request{Domain: domain, Addr: a, Arrive: c.Cycle, FirstCmd: -1, DataEnd: -1, done: done})
 	c.ReadQ[domain] = append(c.ReadQ[domain], r)
 	c.ageReads = insertByAge(c.ageReads, r)
 	return true
@@ -239,7 +267,7 @@ func (c *Controller) EnqueueWrite(domain int, a dram.Address) bool {
 		c.Obs.QueueFull(domain, c.Cycle, true)
 		return false
 	}
-	r := &Request{Domain: domain, Write: true, Addr: a, Arrive: c.Cycle, FirstCmd: -1, DataEnd: -1}
+	r := c.NewRequest(Request{Domain: domain, Write: true, Addr: a, Arrive: c.Cycle, FirstCmd: -1, DataEnd: -1})
 	c.WriteQ[domain] = append(c.WriteQ[domain], r)
 	c.ageWrites = insertByAge(c.ageWrites, r)
 	return true
@@ -263,9 +291,7 @@ func insertByAge(s []*Request, r *Request) []*Request {
 func deleteByAge(s []*Request, r *Request) []*Request {
 	for i, x := range s {
 		if x == r {
-			copy(s[i:], s[i+1:])
-			s[len(s)-1] = nil
-			return s[:len(s)-1]
+			return slices.Delete(s, i, i+1)
 		}
 	}
 	return s
@@ -487,6 +513,8 @@ func (c *Controller) finish(req *Request) {
 			req.done()
 		}
 	}
+	*req = Request{}
+	c.free = append(c.free, req)
 }
 
 // PopRead removes and returns the oldest read of the domain, or nil.
@@ -495,9 +523,10 @@ func (c *Controller) PopRead(domain int) *Request {
 	if len(q) == 0 {
 		return nil
 	}
-	c.ReadQ[domain] = q[1:]
-	c.ageReads = deleteByAge(c.ageReads, q[0])
-	return q[0]
+	r := q[0]
+	c.ReadQ[domain] = slices.Delete(q, 0, 1)
+	c.ageReads = deleteByAge(c.ageReads, r)
+	return r
 }
 
 // PopWrite removes and returns the oldest write of the domain, or nil.
@@ -506,9 +535,10 @@ func (c *Controller) PopWrite(domain int) *Request {
 	if len(q) == 0 {
 		return nil
 	}
-	c.WriteQ[domain] = q[1:]
-	c.ageWrites = deleteByAge(c.ageWrites, q[0])
-	return q[0]
+	w := q[0]
+	c.WriteQ[domain] = slices.Delete(q, 0, 1)
+	c.ageWrites = deleteByAge(c.ageWrites, w)
+	return w
 }
 
 // RemoveRead deletes the request from its domain's read queue, returning a
@@ -540,7 +570,7 @@ func (c *Controller) removeFrom(qs [][]*Request, req *Request, op string) error 
 	q := qs[req.Domain]
 	for i, r := range q {
 		if r == req {
-			qs[req.Domain] = append(q[:i:i], q[i+1:]...)
+			qs[req.Domain] = slices.Delete(q, i, i+1)
 			return nil
 		}
 	}

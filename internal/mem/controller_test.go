@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -287,5 +288,110 @@ func TestAgeViewMatchesStableSort(t *testing.T) {
 	}
 	if rejects == 0 || pfHits == 0 {
 		t.Fatalf("sequence never hit a full queue (%d) or the prefetch buffer (%d)", rejects, pfHits)
+	}
+}
+
+// TestRequestRecyclingNeverAliases checks the request free list against
+// seeded enqueue/issue/complete/remove/pop traffic, including
+// prefetch-buffer hits. After every step no request on the free list may
+// still be reachable from a per-domain queue, an age view or the completion
+// heap, none may be on the list twice, and every one must be zeroed.
+func TestRequestRecyclingNeverAliases(t *testing.T) {
+	const domains = 4
+	c := NewController(dram.DDR3_1600(), Config{Domains: domains, ReadCap: 4, WriteCap: 4, PrefetchBufCap: 8}, nopSched{})
+	c.EnablePrefetch(func(int) *prefetch.Sandbox { return prefetch.New(c.P) })
+	rng := rand.New(rand.NewPCG(5, 17))
+	randAddr := func() dram.Address { return addr(rng.IntN(2), rng.IntN(8), rng.IntN(16)) }
+	pick := func(d int) (q []*Request, remove func(*Request) error) {
+		if rng.IntN(2) == 0 {
+			return c.ReadQ[d], c.RemoveRead
+		}
+		return c.WriteQ[d], c.RemoveWrite
+	}
+	recycled := map[*Request]bool{}
+	var reused, pfHits, delivered int
+	for step := 0; step < 20000; step++ {
+		d := rng.IntN(domains)
+		switch op := rng.IntN(10); {
+		case op < 2:
+			c.EnqueueRead(d, randAddr(), func() { delivered++ })
+		case op < 4:
+			c.EnqueueWrite(d, randAddr())
+		case op < 6:
+			// Issue: a scheduler takes a queued request and schedules its
+			// completion.
+			if q, remove := pick(d); len(q) > 0 {
+				r := q[rng.IntN(len(q))]
+				if err := remove(r); err != nil {
+					t.Fatal(err)
+				}
+				c.CompleteAt(r, c.Cycle+int64(rng.IntN(8)))
+			}
+		case op == 6:
+			// A completed prefetch fills the buffer; reading the line hits.
+			a := randAddr()
+			c.CompleteAt(c.NewRequest(Request{Domain: d, Prefetch: true, Addr: a}), c.Cycle)
+			c.Tick()
+			before := c.Dom[d].UsefulPrefetches
+			c.EnqueueRead(d, a, func() { delivered++ })
+			pfHits += int(c.Dom[d].UsefulPrefetches - before)
+		case op == 7:
+			// Popped or removed without completing: never recycled.
+			if rng.IntN(2) == 0 {
+				c.PopRead(d)
+			} else {
+				c.PopWrite(d)
+			}
+		case op == 8:
+			if q, remove := pick(d); len(q) > 0 {
+				if err := remove(q[rng.IntN(len(q))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		default:
+			c.Tick()
+		}
+
+		live := map[*Request]string{}
+		for d := range c.ReadQ {
+			for _, r := range c.ReadQ[d] {
+				live[r] = "ReadQ"
+			}
+			for _, r := range c.WriteQ[d] {
+				live[r] = "WriteQ"
+			}
+		}
+		for _, r := range c.ByAge(false) {
+			live[r] = "ByAge(false)"
+		}
+		for _, r := range c.ByAge(true) {
+			live[r] = "ByAge(true)"
+		}
+		for _, e := range c.completions {
+			live[e.req] = "the completion heap"
+		}
+		for r := range live {
+			if recycled[r] {
+				reused++
+				delete(recycled, r)
+			}
+		}
+		onList := map[*Request]bool{}
+		for _, r := range c.free {
+			if where, ok := live[r]; ok {
+				t.Fatalf("step %d: recycled request %p is still in %s", step, r, where)
+			}
+			if onList[r] {
+				t.Fatalf("step %d: request %p is on the free list twice", step, r)
+			}
+			if !reflect.ValueOf(*r).IsZero() {
+				t.Fatalf("step %d: recycled request not zeroed: %+v", step, *r)
+			}
+			onList[r] = true
+			recycled[r] = true
+		}
+	}
+	if reused == 0 || pfHits == 0 || delivered == 0 {
+		t.Fatalf("sequence never reused a request (%d), hit the prefetch buffer (%d) or delivered a read (%d)", reused, pfHits, delivered)
 	}
 }
