@@ -52,7 +52,7 @@ func RoutingByName(name string) (Routing, error) {
 
 // RouteChannel computes the channel a request targets. Colored routing
 // keys on the security domain alone (domains are assigned to channels in
-// contiguous blocks, matching the legacy SimulateChannels layout);
+// contiguous blocks, so channel c serves the standalone machine of block c);
 // interleaved routing keys on the address's column bits, so consecutive
 // lines of every domain stripe across all channels.
 func RouteChannel(r Routing, domain, numDomains, channels int, a dram.Address) int {

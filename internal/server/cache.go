@@ -16,61 +16,67 @@ type cacheEntry struct {
 	trace  *obs.Tracer
 }
 
-// resultCache is a bounded LRU over finished job results, keyed by the
-// canonical content key (the experiments memo key for simulations).
-// Concurrent identical submissions never reach the cache twice while a
-// job is live — the manager's deterministic job IDs collapse them into
-// one job — so the cache only needs plain mutual exclusion, not
-// per-key filling locks.
-type resultCache struct {
+// LRU is a bounded least-recently-used cache of finished job results,
+// keyed by the canonical content key (the experiments memo key for
+// simulations). The daemon's Manager and the cluster coordinator both
+// use it. Concurrent identical submissions never reach the cache twice
+// while a job is live — deterministic job IDs collapse them into one
+// job — so the cache only needs plain mutual exclusion, not per-key
+// filling locks.
+type LRU[V any] struct {
 	mu      sync.Mutex
 	cap     int
-	ll      *list.List // front = most recent
+	ll      *list.List // of *lruItem[V]; front = most recent
 	entries map[string]*list.Element
 
 	hits, misses int64
 }
 
-func newResultCache(capEntries int) *resultCache {
-	if capEntries <= 0 {
-		capEntries = 256
-	}
-	return &resultCache{cap: capEntries, ll: list.New(), entries: map[string]*list.Element{}}
+type lruItem[V any] struct {
+	key string
+	val V
 }
 
-// get returns the cached entry for key, promoting it to most recent.
-func (c *resultCache) get(key string) (*cacheEntry, bool) {
+// NewLRU returns an empty cache holding at most capEntries values.
+func NewLRU[V any](capEntries int) *LRU[V] {
+	return &LRU[V]{cap: capEntries, ll: list.New(), entries: map[string]*list.Element{}}
+}
+
+// Get returns the value cached under key, promoting it to most recent.
+func (c *LRU[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry), true
+	return el.Value.(*lruItem[V]).val, true
 }
 
-// put stores an entry, evicting the least recently used beyond capacity.
-func (c *resultCache) put(e *cacheEntry) {
+// Put stores v under key, evicting the least recently used beyond
+// capacity.
+func (c *LRU[V]) Put(key string, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[e.key]; ok {
-		el.Value = e
+	if el, ok := c.entries[key]; ok {
+		el.Value.(*lruItem[V]).val = v
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.entries[e.key] = c.ll.PushFront(e)
+	c.entries[key] = c.ll.PushFront(&lruItem[V]{key: key, val: v})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
+		delete(c.entries, oldest.Value.(*lruItem[V]).key)
 	}
 }
 
-// stats reads the cache counters for the metrics endpoint.
-func (c *resultCache) stats() (entries int, hits, misses int64) {
+// Stats reads the cache counters for the metrics endpoint.
+func (c *LRU[V]) Stats() (entries int, hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len(), c.hits, c.misses

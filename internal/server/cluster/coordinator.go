@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -160,57 +159,8 @@ func (j *job) finish(s server.JobState, worker string, result []byte, err error)
 // resultEntry is one cached result document and the worker that
 // computed it.
 type resultEntry struct {
-	key    string
 	result []byte
 	worker string
-}
-
-// lruCache is a bounded LRU over fetched result documents, keyed by the
-// job's canonical content key.
-type lruCache struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List
-	entries map[string]*list.Element
-	hits    atomic.Int64
-}
-
-func newLRUCache(capEntries int) *lruCache {
-	return &lruCache{cap: capEntries, ll: list.New(), entries: map[string]*list.Element{}}
-}
-
-func (c *lruCache) get(key string) (*resultEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.hits.Add(1)
-	c.ll.MoveToFront(el)
-	return el.Value.(*resultEntry), true
-}
-
-func (c *lruCache) put(e *resultEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[e.key]; ok {
-		el.Value = e
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.entries[e.key] = c.ll.PushFront(e)
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*resultEntry).key)
-	}
-}
-
-func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // maxFinished bounds how many terminal job records stay addressable in
@@ -227,7 +177,7 @@ var errNoWorkers = errors.New("no healthy workers")
 type Coordinator struct {
 	opts    Options
 	members *Registry
-	cache   *lruCache
+	cache   *server.LRU[*resultEntry]
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -264,7 +214,7 @@ func New(o Options) (*Coordinator, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		opts:       o,
-		cache:      newLRUCache(o.CacheEntries),
+		cache:      server.NewLRU[*resultEntry](o.CacheEntries),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       map[string]*job{},
@@ -316,7 +266,7 @@ func (c *Coordinator) Submit(req server.JobRequest) (*job, bool, error) {
 		}
 		// Failed terminal record: fall through and retry fresh.
 	}
-	if e, ok := c.cache.get(key); ok {
+	if e, ok := c.cache.Get(key); ok {
 		j := c.materializeDoneLocked(id, key, req, e)
 		c.cacheHits.Add(1)
 		return j, true, nil
@@ -491,7 +441,7 @@ func (c *Coordinator) runOn(j *job, m *Member) error {
 // complete records a finished result, re-serves it from the local cache
 // from now on, and kicks off the sampled cross-worker verification.
 func (c *Coordinator) complete(j *job, m *Member, raw []byte) {
-	c.cache.put(&resultEntry{key: j.Key, result: raw, worker: m.Name})
+	c.cache.Put(j.Key, &resultEntry{result: raw, worker: m.Name})
 	m.completed.Add(1)
 	c.completed.Add(1)
 	j.finish(server.StateDone, m.Name, raw, nil)
@@ -608,7 +558,8 @@ func (c *Coordinator) buildMetrics() {
 		live := c.live
 		c.mu.Unlock()
 		emit("jobs.live", float64(live))
-		emit("cache.entries", float64(c.cache.len()))
+		entries, _, _ := c.cache.Stats()
+		emit("cache.entries", float64(entries))
 		emit("dispatch.retries", float64(c.retries.Load()))
 		emit("dispatch.steals", float64(c.steals.Load()))
 		emit("verify.sampled", float64(c.verifySampled.Load()))

@@ -72,7 +72,7 @@ func (m *Manager) execute(j *Job) {
 				m.storeErrors.Add(1)
 			}
 		}
-		m.cache.put(entry)
+		m.cache.Put(entry.key, entry)
 		m.completed.Add(1)
 		j.finish(StateDone, entry, nil)
 		m.journalState(j.ID, StateDone, attempts)

@@ -114,7 +114,7 @@ type Manager struct {
 	queueDepth      int // submission backpressure threshold
 	quarantineAfter int
 	name            string // Options.WorkerName, stamped on job statuses
-	cache           *resultCache
+	cache           *LRU[*cacheEntry]
 
 	journal *journal
 	store   *Store
@@ -176,6 +176,10 @@ func newManager(o Options) (*Manager, error) {
 	if quarantineAfter <= 0 {
 		quarantineAfter = defaultQuarantineAfter
 	}
+	cacheEntries := o.CacheEntries
+	if cacheEntries <= 0 {
+		cacheEntries = 256
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		workers:         workers,
@@ -183,7 +187,7 @@ func newManager(o Options) (*Manager, error) {
 		queueDepth:      queueDepth,
 		quarantineAfter: quarantineAfter,
 		name:            o.WorkerName,
-		cache:           newResultCache(o.CacheEntries),
+		cache:           NewLRU[*cacheEntry](cacheEntries),
 		baseCtx:         ctx,
 		baseCancel:      cancel,
 		jobs:            map[string]*Job{},
@@ -293,7 +297,7 @@ func (m *Manager) recover(dataDir string) ([]*Job, error) {
 		}
 		if ok {
 			j := m.materializeDone(jj.ID, jj.Key, jj.Req, &cacheEntry{key: jj.Key, result: result})
-			m.cache.put(j.entry)
+			m.cache.Put(jj.Key, j.entry)
 			jj.State = StateDone // compaction drops it
 			m.recoveredServed.Add(1)
 			continue
@@ -407,14 +411,14 @@ func (m *Manager) Submit(req JobRequest) (*Job, bool, error) {
 		// retry with a fresh attempt.
 	}
 
-	if entry, ok := m.cache.get(key); ok {
+	if entry, ok := m.cache.Get(key); ok {
 		// Warm path: materialize a finished job straight from cache.
 		return m.materializeDone(id, key, req, entry), true, nil
 	}
 	if result, ok, serr := m.store.Get(key); ok {
 		// Disk path: the store outlives both the LRU and the process.
 		entry := &cacheEntry{key: key, result: result}
-		m.cache.put(entry)
+		m.cache.Put(key, entry)
 		return m.materializeDone(id, key, req, entry), true, nil
 	} else if serr != nil {
 		m.storeErrors.Add(1) // corrupt entry deleted; re-simulate below

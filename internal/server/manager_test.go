@@ -241,23 +241,23 @@ func TestManagerQueueFull(t *testing.T) {
 }
 
 func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2)
-	c.put(&cacheEntry{key: "a", result: []byte("a")})
-	c.put(&cacheEntry{key: "b", result: []byte("b")})
-	if _, ok := c.get("a"); !ok { // promote a
+	c := NewLRU[string](2)
+	c.Put("a", "a")
+	c.Put("b", "b")
+	if _, ok := c.Get("a"); !ok { // promote a
 		t.Fatal("missing a")
 	}
-	c.put(&cacheEntry{key: "c", result: []byte("c")}) // evicts b
-	if _, ok := c.get("b"); ok {
+	c.Put("c", "c") // evicts b
+	if _, ok := c.Get("b"); ok {
 		t.Fatal("b survived eviction past capacity")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.Get("a"); !ok {
 		t.Fatal("recently used a was evicted")
 	}
-	if _, ok := c.get("c"); !ok {
+	if _, ok := c.Get("c"); !ok {
 		t.Fatal("missing c")
 	}
-	entries, hits, misses := c.stats()
+	entries, hits, misses := c.Stats()
 	if entries != 2 {
 		t.Fatalf("entries = %d, want 2", entries)
 	}
@@ -265,8 +265,8 @@ func TestResultCacheLRU(t *testing.T) {
 		t.Fatalf("hits/misses = %d/%d, want 3/1", hits, misses)
 	}
 	// Same-key put replaces in place.
-	c.put(&cacheEntry{key: "c", result: []byte("c2")})
-	if e, _ := c.get("c"); string(e.result) != "c2" {
+	c.Put("c", "c2")
+	if v, _ := c.Get("c"); v != "c2" {
 		t.Fatal("same-key put did not replace the entry")
 	}
 }

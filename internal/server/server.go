@@ -123,7 +123,7 @@ func (s *Server) buildMetrics() {
 		emit("jobs.canceled", float64(m.canceled.Load()))
 		emit("jobs.in_flight", float64(m.inFlight.Load()))
 		emit("queue.depth", float64(m.QueueDepth()))
-		entries, hits, misses := m.cache.stats()
+		entries, hits, misses := m.cache.Stats()
 		emit("cache.entries", float64(entries))
 		emit("cache.hits", float64(hits))
 		emit("cache.misses", float64(misses))

@@ -10,9 +10,9 @@ import (
 	"fsmem/internal/workload"
 )
 
-// legacyProduct reimplements the pre-fabric SimulateChannels semantics —
-// N fully independent single-channel runs over contiguous domain blocks —
-// as the reference the colored fabric must reproduce byte for byte.
+// legacyProduct reimplements the pre-fabric multi-channel semantics — N
+// fully independent single-channel runs over contiguous domain blocks — as
+// the reference the colored fabric must reproduce byte for byte.
 func legacyProduct(t *testing.T, cfg Config, channels int) []Result {
 	t.Helper()
 	per := len(cfg.Mix.Profiles) / channels
@@ -38,8 +38,7 @@ func legacyProduct(t *testing.T, cfg Config, channels int) []Result {
 // TestColoredFabricMatchesLegacyProduct pins the refactor's central
 // correctness anchor: under colored routing every per-channel Result of
 // the fabric is byte-identical to the standalone single-channel
-// simulation of the same domain block (the legacy SimulateChannels
-// product-of-runs).
+// simulation of the same domain block (the legacy product-of-runs).
 func TestColoredFabricMatchesLegacyProduct(t *testing.T) {
 	cases := []struct {
 		sched    SchedulerKind
@@ -103,30 +102,76 @@ func TestColoredFabricMatchesLegacyProduct(t *testing.T) {
 	}
 }
 
-// TestSimulateChannelsDelegatesToFabric: the wrapper and the direct
-// fabric configuration are the same computation.
-func TestSimulateChannelsDelegatesToFabric(t *testing.T) {
-	mix, err := workload.Rate("milc", 8)
+// TestSimulateChannelsTargetSystem runs the paper's Section 6 target
+// system: 32 cores over 4 colored channels, each channel running FS_RP
+// across its 8 domains.
+func TestSimulateChannelsTargetSystem(t *testing.T) {
+	mix, err := workload.Rate("milc", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(mix, FSRankPart)
-	cfg.TargetReads = 600
-	merged, per, err := SimulateChannels(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Channels = 2
+	cfg.TargetReads = 1200
+	cfg.Channels = 4
 	cfg.Routing = addr.RouteColored
-	direct, err := Simulate(cfg)
+	res, err := Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(merged, direct.Run) {
-		t.Error("SimulateChannels merged Run differs from the fabric Run")
+	if len(res.PerChannel) != 4 {
+		t.Fatalf("got %d channel results", len(res.PerChannel))
 	}
-	if !reflect.DeepEqual(per, direct.PerChannel) {
-		t.Error("SimulateChannels per-channel results differ from the fabric's")
+	merged := res.Run
+	if len(merged.Domains) != 32 {
+		t.Fatalf("merged domains = %d, want 32", len(merged.Domains))
+	}
+	if merged.TotalReads() < 4*1200 {
+		t.Fatalf("merged reads = %d", merged.TotalReads())
+	}
+	for d, dom := range merged.Domains {
+		if dom.IPC() <= 0 {
+			t.Errorf("domain %d idle", d)
+		}
+	}
+}
+
+// TestSimulateChannelsIsolation: colored channels are independent
+// hardware, so one channel's workload cannot affect another channel's
+// statistics at all.
+func TestSimulateChannelsIsolation(t *testing.T) {
+	mk := func(hot bool) []workload.Profile {
+		ps := make([]workload.Profile, 16)
+		for i := range ps {
+			ps[i] = workload.Synthetic("calm", 5)
+		}
+		if hot {
+			for i := 8; i < 16; i++ {
+				ps[i] = workload.Synthetic("hot", 45)
+			}
+		}
+		return ps
+	}
+	run := func(hot bool) Result {
+		cfg := DefaultConfig(workload.Mix{Name: "iso", Profiles: mk(hot)}, FSRankPart)
+		cfg.TargetReads = 0
+		cfg.MaxBusCycles = 100_000
+		cfg.Channels = 2
+		cfg.Routing = addr.RouteColored
+		res, err := Simulate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a := run(false)
+	b := run(true)
+	for d := 0; d < 8; d++ {
+		if a.Run.Domains[d] != b.Run.Domains[d] {
+			t.Fatalf("channel 0 domain %d perturbed by channel 1's workload", d)
+		}
+	}
+	if a.Run.Domains[8] == b.Run.Domains[8] {
+		t.Fatal("channel 1's workload change left its own domains untouched: the check is vacuous")
 	}
 }
 

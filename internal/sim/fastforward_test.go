@@ -129,14 +129,16 @@ func TestFastForwardEquivalenceMultiChannel(t *testing.T) {
 	}
 }
 
-// FuzzFabricFastForward fuzzes the multi-channel equivalence over seeds,
-// widths, routing modes, and scheduler kinds with a small read budget —
-// the sim-level counterpart of cpu.FuzzNextEvent's fanout mode.
+// FuzzFabricFastForward fuzzes the dense-vs-fast-forward equivalence over
+// seeds, widths (1, 2 and 4 channels: every width runs the same loop),
+// routing modes, and scheduler kinds with a small read budget — the
+// sim-level counterpart of cpu.FuzzNextEvent's fanout mode.
 func FuzzFabricFastForward(f *testing.F) {
 	f.Add(uint64(1), uint8(0), false, uint8(0))
 	f.Add(uint64(2), uint8(0), true, uint8(2))
 	f.Add(uint64(3), uint8(1), false, uint8(2))
 	f.Add(uint64(0xfab), uint8(1), true, uint8(1))
+	f.Add(uint64(5), uint8(2), true, uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, width uint8, interleaved bool, sched uint8) {
 		kinds := []SchedulerKind{Baseline, TPBank, FSRankPart}
 		mix, err := workload.Rate("xalancbmk", 8)
@@ -147,7 +149,7 @@ func FuzzFabricFastForward(f *testing.F) {
 		cfg.Seed = seed
 		cfg.TargetReads = 200
 		cfg.MaxBusCycles = 2_000_000
-		cfg.Channels = []int{2, 4}[int(width)%2]
+		cfg.Channels = []int{1, 2, 4}[int(width)%3]
 		cfg.Routing = addr.RouteColored
 		if interleaved {
 			cfg.Routing = addr.RouteInterleaved
@@ -357,6 +359,7 @@ func TestNextEventNeverLate(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				s.Step()
 			}
+			ctl := s.Controller()
 			// Tick-only phase: drain the queues and run well past the next
 			// refresh deadline / planning boundary, checking the horizon
 			// against every observable transition. Early horizons (h == now
@@ -365,14 +368,14 @@ func TestNextEventNeverLate(t *testing.T) {
 			// fast-forward would have jumped over real work.
 			changes := 0
 			for i := 0; i < 30_000; i++ {
-				now := s.ctl.Cycle
-				h := s.ctl.NextEvent()
+				now := ctl.Cycle
+				h := ctl.NextEvent()
 				if h < now {
 					t.Fatalf("cycle %d: NextEvent returned the past (%d)", now, h)
 				}
-				before := fingerprint(s.ctl)
-				s.ctl.Tick()
-				if !reflect.DeepEqual(before, fingerprint(s.ctl)) {
+				before := fingerprint(ctl)
+				ctl.Tick()
+				if !reflect.DeepEqual(before, fingerprint(ctl)) {
 					changes++
 					if h != now {
 						t.Fatalf("state changed on cycle %d but NextEvent said the next event was at %d (horizon too late)", now, h)
@@ -384,7 +387,7 @@ func TestNextEventNeverLate(t *testing.T) {
 				// but a fully drained TP system would make the test vacuous.
 				if i%512 == 0 {
 					for cc := 0; cc < 8*s.cfg.DRAM.CPUCyclesPerBusCycle; cc++ {
-						for _, c := range s.cores {
+						for _, c := range s.liveCores {
 							c.Cycle()
 						}
 					}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fsmem/internal/fsmerr"
+	"fsmem/internal/obs"
 	"fsmem/internal/workload"
 )
 
@@ -47,6 +48,48 @@ func TestReconfigureSLA(t *testing.T) {
 	// out-serve a weight-1 domain.
 	if float64(d0) < 1.5*float64(d1) {
 		t.Errorf("post-reconfiguration service ratio %.2f (reads %d vs %d), want > 1.5", float64(d0)/float64(d1), d0, d1)
+	}
+}
+
+// TestReconfigureThenRunStopsOnTime pins the clock hand-off after a
+// reconfiguration: the drain ticks the controller while the cores stall,
+// so the system's clock must follow the controller's, or a later
+// fixed-duration Run overshoots its MaxBusCycles by the drain length.
+func TestReconfigureThenRunStopsOnTime(t *testing.T) {
+	mix, err := workload.Rate("milc", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stop = 100_000
+	for _, observe := range []bool{false, true} {
+		cfg := DefaultConfig(mix, FSRankPart)
+		cfg.TargetReads = 0
+		cfg.MaxBusCycles = stop
+		if observe {
+			cfg.Observe = &obs.Options{}
+		}
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20_000; i++ {
+			sys.Step()
+		}
+		if err := sys.Reconfigure([]int{3, 1, 1, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if drained := sys.Controller().Cycle; drained <= 20_000 {
+			t.Fatalf("drain took no cycles (controller at %d): the test is vacuous", drained)
+		}
+		res := sys.Run()
+		if res.Run.BusCycles != stop {
+			t.Errorf("observe=%v: run stopped at bus cycle %d, want %d", observe, res.Run.BusCycles, stop)
+		}
+		if observe {
+			if got, ok := res.Metrics.Get("sim.bus_cycles"); !ok || got != stop {
+				t.Errorf("sim.bus_cycles = %v (present %v), want %d", got, ok, stop)
+			}
+		}
 	}
 }
 

@@ -1,14 +1,16 @@
 // Package sim assembles the full system: one core per security domain
-// driving a synthetic workload through a ROB model, a memory controller
-// with a pluggable scheduling policy, and the cycle-accurate DRAM channel.
-// The clock loop ticks in DRAM bus cycles; cores run CPUCyclesPerBusCycle
-// CPU cycles per tick (4 at 3.2 GHz / DDR3-1600).
+// driving a synthetic workload through a ROB model, N memory channels —
+// each a controller with a pluggable scheduling policy over the
+// cycle-accurate DRAM channel — and one master clock. The clock loop ticks
+// in DRAM bus cycles; cores run CPUCyclesPerBusCycle CPU cycles per tick
+// (4 at 3.2 GHz / DDR3-1600). One channel is simply the N=1 case.
 package sim
 
 import (
 	"context"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"fsmem/internal/addr"
@@ -104,8 +106,8 @@ type Config struct {
 	// channel controllers the system instantiates, each with its own
 	// scheduler instance and clock. 0 defers to DRAM.Channels (1 in the
 	// stock geometries); both >1 and disagreeing is a configuration
-	// error. With one channel the system is the classic single-controller
-	// machine, byte-identical to the pre-fabric simulator.
+	// error. One channel is the 1-wide case of the same loop and is
+	// byte-identical to the pre-fabric single-controller simulator.
 	Channels int
 	// Routing selects how requests map to channels when Channels > 1:
 	// addr.RouteColored page-colors contiguous domain blocks onto
@@ -225,37 +227,77 @@ type Result struct {
 	// PerChannel holds each channel's own Result in a multi-channel run
 	// (nil for single-channel runs). Under colored routing every entry is
 	// byte-identical to the standalone single-channel simulation of that
-	// channel's domain block — the legacy SimulateChannels semantics.
+	// channel's domain block.
 	PerChannel []Result
 }
+
+// channelSeedStride separates per-channel seeds, so a colored channel is
+// seeded exactly like the standalone single-channel run of its domain
+// block.
+const channelSeedStride = 0x9e3779b97f4a7c15
 
 // spikeState tracks one pending queue-pressure spike: extra demand reads
 // force-fed to a domain's read queue starting at a cycle.
 type spikeState struct {
+	mem    cpu.Memory // the owning channel's controller, or the fabric
 	domain int
 	at     int64
 	addrs  []dram.Address
 	next   int
 }
 
-// System is one assembled simulation.
-type System struct {
-	cfg   Config
-	ctl   *mem.Controller
-	cores []*cpu.Core
-	fs    *core.FS
+// simChannel is one memory channel: a controller with its own scheduler
+// instance, monitor and fault injector and — under blocked routing (one
+// channel, or colored) — the cores and queue-pressure spikes of its own
+// domain block, which issue straight to the controller with
+// channel-local domain ids.
+type simChannel struct {
+	name string // Result workload label: the mix name, or "mix-ch2" in a fabric
+	ctl  *mem.Controller
+	fs   *core.FS
+	mon  *fault.Monitor
+	inj  *fault.Injector
 
-	mon    *fault.Monitor
-	inj    *fault.Injector
+	cores  []*cpu.Core
 	spikes []*spikeState
 
-	// Multi-channel fabric mode (nil/empty when Channels <= 1; the
-	// single-channel fields above are unused then, keeping the classic
-	// path untouched). See fabric.go.
-	fabric    *mem.Fabric
-	chans     []*simChannel
-	coreStats []stats.Domain // interleaved mode: CPU-side per-domain stats
-	clock     int64          // master bus-cycle clock across channels
+	// frozen is set once a blocked channel's own domains complete the
+	// target demand reads: the channel stops ticking exactly where the
+	// standalone run of the same block would stop.
+	frozen bool
+}
+
+// reads sums the channel's completed demand reads.
+func (ch *simChannel) reads() int64 {
+	var n int64
+	for d := range ch.ctl.Dom {
+		n += ch.ctl.Dom[d].Reads
+	}
+	return n
+}
+
+// System is one assembled simulation: N channels stepped in lockstep by
+// one master clock.
+type System struct {
+	cfg    Config
+	chans  []*simChannel
+	fabric *mem.Fabric // nil with one channel
+
+	// Interleaved routing only: global cores and spikes issue through the
+	// fabric, and coreStats keeps the cores' CPU-side statistics (each
+	// channel's controller keeps the memory-side fields of the traffic it
+	// serviced).
+	cores     []*cpu.Core
+	spikes    []*spikeState
+	coreStats []stats.Domain
+
+	// The channels still ticking, and the cores and spikes they drive
+	// followed by the global ones. Rebuilt only when a channel freezes, so
+	// the per-cycle loops never test a frozen flag.
+	live       []*simChannel
+	liveCores  []*cpu.Core
+	liveSpikes []*spikeState
+	clock      int64 // master bus-cycle clock
 
 	// Fast-forward kernel accounting (see FastForward). Deliberately kept
 	// out of the obs snapshot: Results must stay byte-identical between
@@ -264,8 +306,10 @@ type System struct {
 	ffSkipped int64
 }
 
-// New builds the system. It validates the configuration, derives each
-// domain's partition space, and wires cores to the controller.
+// New builds the system. It validates the configuration, builds every
+// channel, derives each domain's partition space, and wires cores to
+// their channel's controller (or, under interleaved routing, to the
+// fabric's address router).
 func New(cfg Config) (*System, error) {
 	if err := cfg.DRAM.Validate(); err != nil {
 		return nil, fsmerr.Wrap(fsmerr.CodeConfig, "sim.New", err)
@@ -279,14 +323,61 @@ func New(cfg Config) (*System, error) {
 			return nil, fsmerr.Wrap(fsmerr.CodeWorkload, "sim.New", err)
 		}
 	}
-	channels, err := cfg.channels()
+	n, err := cfg.channels()
 	if err != nil {
 		return nil, err
 	}
-	if channels > 1 {
-		return newMulti(cfg, channels)
+	interleaved := n > 1 && cfg.Routing != addr.RouteColored
+	// Blocked channel c owns domains [c*per, (c+1)*per); an interleaved
+	// channel's controller spans every domain.
+	per := domains / n
+	if interleaved {
+		per = domains
 	}
 
+	s := &System{cfg: cfg}
+	ctls := make([]*mem.Controller, n)
+	for c := range ctls {
+		seed := cfg.Seed + uint64(c)*channelSeedStride
+		ch, err := newChannel(cfg, c, n, per, seed)
+		if err != nil {
+			return nil, err
+		}
+		if !interleaved {
+			// Each blocked channel runs the full fault plan against its own
+			// block and draws its stream seeds from its own RNG — exactly
+			// the standalone run of that block.
+			if ch.spikes, err = newSpikes(cfg, per, ch.ctl); err != nil {
+				return nil, err
+			}
+			if ch.cores, err = newCores(cfg, c*per, per, seed, ch.ctl, ch.ctl.Dom); err != nil {
+				return nil, err
+			}
+		}
+		ctls[c] = ch.ctl
+		s.chans = append(s.chans, ch)
+	}
+	if n > 1 {
+		s.fabric = mem.NewFabric(ctls, cfg.Routing, domains)
+	}
+	if interleaved {
+		s.coreStats = make([]stats.Domain, domains)
+		if s.spikes, err = newSpikes(cfg, domains, s.fabric); err != nil {
+			return nil, err
+		}
+		if s.cores, err = newCores(cfg, 0, domains, cfg.Seed, s.fabric, s.coreStats); err != nil {
+			return nil, err
+		}
+	}
+	s.rebuildLive()
+	return s, nil
+}
+
+// newChannel builds channel c of n: its scheduling policy (seeded per
+// channel, so FS static schedules are independent), controller, tracer,
+// prefetcher, always-on monitor and fault injector, sized for the given
+// domain count.
+func newChannel(cfg Config, c, n, domains int, seed uint64) (*simChannel, error) {
 	var policy mem.Scheduler
 	var fs *core.FS
 	mcfg := mem.DefaultConfig(domains)
@@ -314,7 +405,7 @@ func New(cfg Config) (*System, error) {
 		fs, err = core.NewFS(cfg.DRAM, core.Config{
 			Variant:        cfg.Scheduler.FSVariant(),
 			Domains:        domains,
-			Seed:           cfg.Seed,
+			Seed:           seed,
 			Energy:         cfg.Energy,
 			Weights:        cfg.SLAWeights,
 			RefreshEnabled: cfg.RefreshEnabled,
@@ -329,54 +420,72 @@ func New(cfg Config) (*System, error) {
 	ctl := mem.NewController(cfg.DRAM, mcfg, policy)
 	if cfg.Observe != nil {
 		ctl.Obs = obs.NewTracer(cfg.Observe)
+		ctl.Obs.SetChannel(c)
 	}
 	if cfg.Prefetch {
 		ctl.EnablePrefetch(func(int) *prefetch.Sandbox { return prefetch.New(cfg.DRAM) })
 	}
-
-	s := &System{cfg: cfg, ctl: ctl, fs: fs}
+	ch := &simChannel{name: cfg.Mix.Name, ctl: ctl, fs: fs}
+	if n > 1 {
+		ch.name = fmt.Sprintf("%s-ch%d", cfg.Mix.Name, c)
+	}
 
 	// Always-on runtime verification: every run is shadowed by an
 	// independent timing checker; FS runs additionally assert that the bus
 	// carries exactly the statically planned command stream.
-	s.mon = fault.NewMonitor(cfg.DRAM, domains)
+	ch.mon = fault.NewMonitor(cfg.DRAM, domains)
 	if cfg.Scheduler.IsFS() {
-		s.mon.EnableScheduleCheck()
+		ch.mon.EnableScheduleCheck()
 	}
 	if cfg.Fault != nil {
-		s.mon.ApplyDerates(cfg.Fault.Derates)
-		inj := fault.NewInjector(cfg.Fault, cfg.DRAM)
-		if inj.Active() {
-			s.inj = inj
+		ch.mon.ApplyDerates(cfg.Fault.Derates)
+		if inj := fault.NewInjector(cfg.Fault, cfg.DRAM); inj.Active() {
+			ch.inj = inj
 			ctl.AttachInjector(inj)
 		}
-		for _, l := range cfg.Fault.Spikes() {
-			if l.Domain < 0 || l.Domain >= domains || l.Count <= 0 {
-				return nil, fsmerr.New(fsmerr.CodeFault, "sim.New",
-					"queue spike targets domain %d (of %d) with count %d", l.Domain, domains, l.Count)
-			}
-			sp := &spikeState{domain: l.Domain, at: l.AtCycle}
-			srng := trace.NewRNG(cfg.Fault.Seed ^ 0x73706b65 ^ uint64(l.Domain))
-			space, err := addr.SpaceFor(cfg.Scheduler.Partition(), l.Domain, domains, cfg.DRAM)
-			if err != nil {
-				return nil, fsmerr.Wrap(fsmerr.CodeConfig, "sim.New", err)
-			}
-			for i := 0; i < l.Count; i++ {
-				sp.addrs = append(sp.addrs, dram.Address{
-					Rank: space.Ranks[srng.Intn(len(space.Ranks))],
-					Bank: space.Banks[srng.Intn(len(space.Banks))],
-					Row:  srng.Intn(cfg.DRAM.RowsPerBank),
-					Col:  srng.Intn(cfg.DRAM.ColsPerRow),
-				})
-			}
-			s.spikes = append(s.spikes, sp)
-		}
 	}
-	ctl.AttachMonitor(s.mon)
+	ctl.AttachMonitor(ch.mon)
+	return ch, nil
+}
 
-	rng := trace.NewRNG(cfg.Seed)
-	for d := 0; d < domains; d++ {
-		space, err := addr.SpaceFor(cfg.Scheduler.Partition(), d, domains, cfg.DRAM)
+// newSpikes builds the fault plan's queue-pressure spikes for one block of
+// the given domain count (a blocked channel, or the whole system under
+// interleaved routing), delivered through m.
+func newSpikes(cfg Config, domains int, m cpu.Memory) ([]*spikeState, error) {
+	var out []*spikeState
+	for _, l := range cfg.Fault.Spikes() {
+		if l.Domain < 0 || l.Domain >= domains || l.Count <= 0 {
+			return nil, fsmerr.New(fsmerr.CodeFault, "sim.New",
+				"queue spike targets domain %d (of %d) with count %d", l.Domain, domains, l.Count)
+		}
+		sp := &spikeState{mem: m, domain: l.Domain, at: l.AtCycle}
+		srng := trace.NewRNG(cfg.Fault.Seed ^ 0x73706b65 ^ uint64(l.Domain))
+		space, err := addr.SpaceFor(cfg.Scheduler.Partition(), l.Domain, domains, cfg.DRAM)
+		if err != nil {
+			return nil, fsmerr.Wrap(fsmerr.CodeConfig, "sim.New", err)
+		}
+		for i := 0; i < l.Count; i++ {
+			sp.addrs = append(sp.addrs, dram.Address{
+				Rank: space.Ranks[srng.Intn(len(space.Ranks))],
+				Bank: space.Banks[srng.Intn(len(space.Banks))],
+				Row:  srng.Intn(cfg.DRAM.RowsPerBank),
+				Col:  srng.Intn(cfg.DRAM.ColsPerRow),
+			})
+		}
+		out = append(out, sp)
+	}
+	return out, nil
+}
+
+// newCores builds the cores of the n-domain block starting at global
+// domain first. Stream seeds are drawn in local-domain order from an RNG
+// seeded with seed; each core issues through m under its local domain id
+// and counts into st.
+func newCores(cfg Config, first, n int, seed uint64, m cpu.Memory, st []stats.Domain) ([]*cpu.Core, error) {
+	rng := trace.NewRNG(seed)
+	cores := make([]*cpu.Core, n)
+	for d := range cores {
+		space, err := addr.SpaceFor(cfg.Scheduler.Partition(), d, n, cfg.DRAM)
 		if err != nil {
 			return nil, fsmerr.Wrap(fsmerr.CodeConfig, "sim.New", err)
 		}
@@ -385,12 +494,11 @@ func New(cfg Config) (*System, error) {
 		if cfg.StreamFactory != nil {
 			stream = cfg.StreamFactory(d, space, seed)
 		} else {
-			stream = workload.NewGenerator(cfg.Mix.Profiles[d], space, cfg.DRAM, seed)
+			stream = workload.NewGenerator(cfg.Mix.Profiles[first+d], space, cfg.DRAM, seed)
 		}
-		stream = cfg.Fault.StreamFor(d, stream)
-		s.cores = append(s.cores, cpu.NewCore(d, stream, ctl, &ctl.Dom[d]))
+		cores[d] = cpu.NewCore(d, cfg.Fault.StreamFor(d, stream), m, &st[d])
 	}
-	return s, nil
+	return cores, nil
 }
 
 // channels resolves the effective fabric width from Config.Channels and
@@ -417,54 +525,67 @@ func (cfg Config) channels() (int, error) {
 	return n, nil
 }
 
-// Controller exposes the memory controller (for examples and tests). It
-// is nil in multi-channel mode — use Fabric for the per-channel
-// controllers there.
-func (s *System) Controller() *mem.Controller { return s.ctl }
+// rebuildLive recomputes the live channel, core and spike lists from the
+// channels' frozen flags.
+func (s *System) rebuildLive() {
+	s.live, s.liveCores, s.liveSpikes = s.live[:0], s.liveCores[:0], s.liveSpikes[:0]
+	for _, ch := range s.chans {
+		if !ch.frozen {
+			s.live = append(s.live, ch)
+			s.liveCores = append(s.liveCores, ch.cores...)
+			s.liveSpikes = append(s.liveSpikes, ch.spikes...)
+		}
+	}
+	s.liveCores = append(s.liveCores, s.cores...)
+	s.liveSpikes = append(s.liveSpikes, s.spikes...)
+}
+
+// Controller exposes the memory controller of a single-channel system
+// (for examples and tests). It is nil in multi-channel mode — use Fabric
+// for the per-channel controllers there.
+func (s *System) Controller() *mem.Controller {
+	if len(s.chans) != 1 {
+		return nil
+	}
+	return s.chans[0].ctl
+}
 
 // Fabric exposes the multi-channel fabric, or nil in single-channel mode.
 func (s *System) Fabric() *mem.Fabric { return s.fabric }
 
 // Channels returns the fabric width (1 for the classic single-channel
 // system).
-func (s *System) Channels() int {
-	if s.fabric != nil {
-		return s.fabric.Channels()
-	}
-	return 1
-}
+func (s *System) Channels() int { return len(s.chans) }
 
 // DomainInstructions returns the retired-instruction count of one global
-// security domain, independent of fabric mode: single-channel and
-// colored-mode counts live in a controller's stats block, interleaved
-// counts in the system-owned CPU-side accumulator. Probes (the leakage
-// harness) use this instead of reaching into Controller().Dom.
+// security domain, independent of fabric mode: under blocked routing the
+// count lives in its channel's stats block, under interleaved routing in
+// the system-owned CPU-side accumulator. Probes (the leakage harness) use
+// this instead of reaching into Controller().Dom.
 func (s *System) DomainInstructions(domain int) int64 {
-	switch {
-	case s.fabric == nil:
-		return s.ctl.Dom[domain].Instructions
-	case s.coreStats != nil: // interleaved
+	if s.coreStats != nil {
 		return s.coreStats[domain].Instructions
-	default: // colored: contiguous blocks of len(domains)/channels
-		per := len(s.cfg.Mix.Profiles) / len(s.chans)
-		return s.chans[domain/per].ctl.Dom[domain%per].Instructions
 	}
+	per := len(s.cfg.Mix.Profiles) / len(s.chans)
+	return s.chans[domain/per].ctl.Dom[domain%per].Instructions
 }
 
 // Reconfigure performs the §5.1 SLA change: it drains the memory
 // controller "similar to a CPU pipeline drain on a context-switch" (cores
 // are stalled, queued transactions finish under the old schedule), then
 // swaps in a fresh Fixed Service engine with the new slot weights. Only
-// FS policies can be reconfigured, and the spatial partitioning (page
-// coloring) is unchanged.
+// FS policies on a single channel can be reconfigured, and the spatial
+// partitioning (page coloring) is unchanged.
 func (s *System) Reconfigure(weights []int) error {
-	if s.fabric != nil {
+	if len(s.chans) > 1 {
 		return fsmerr.New(fsmerr.CodeConfig, "sim.Reconfigure",
 			"SLA reconfiguration is not supported on a multi-channel fabric")
 	}
-	if s.fs == nil {
+	ch := s.chans[0]
+	ctl := ch.ctl
+	if ch.fs == nil {
 		return fsmerr.New(fsmerr.CodeConfig, "sim.Reconfigure",
-			"only Fixed Service schedulers support SLA reconfiguration (running %s)", s.ctl.Scheduler().Name())
+			"only Fixed Service schedulers support SLA reconfiguration (running %s)", ctl.Scheduler().Name())
 	}
 	newCfg := core.Config{
 		Variant:        s.cfg.Scheduler.FSVariant(),
@@ -480,60 +601,62 @@ func (s *System) Reconfigure(weights []int) error {
 	if _, err := core.NewFS(s.cfg.DRAM, newCfg); err != nil {
 		return fsmerr.Wrap(fsmerr.CodeConfig, "sim.Reconfigure", err)
 	}
+	// The drain ticks the controller alone; the master clock follows it.
+	defer func() { s.clock = ctl.Cycle }()
 	// Drain in two phases: first let queued demand transactions finish
 	// under the old schedule (cores stalled), then quiesce slot planning so
 	// the pipeline itself empties.
-	s.ctl.Obs.Reconfigure(s.ctl.Cycle, obs.ReconfigBegin)
-	deadline := s.ctl.Cycle + 4_000_000
-	for s.ctl.PendingReads() > 0 || s.ctl.PendingWrites() > 0 {
-		s.ctl.Tick()
-		if s.ctl.Cycle > deadline {
+	ctl.Obs.Reconfigure(ctl.Cycle, obs.ReconfigBegin)
+	deadline := ctl.Cycle + 4_000_000
+	for ctl.PendingReads() > 0 || ctl.PendingWrites() > 0 {
+		ctl.Tick()
+		if ctl.Cycle > deadline {
 			e := fsmerr.New(fsmerr.CodeDrain, "sim.Reconfigure",
 				"drain phase 1 did not complete by cycle %d (%d reads, %d writes pending)",
-				deadline, s.ctl.PendingReads(), s.ctl.PendingWrites())
-			e.Cycle = s.ctl.Cycle
+				deadline, ctl.PendingReads(), ctl.PendingWrites())
+			e.Cycle = ctl.Cycle
 			return e
 		}
 	}
-	s.fs.BeginDrain()
-	for !(s.ctl.Drained() && s.fs.Idle()) {
-		s.ctl.Tick()
-		if s.ctl.Cycle > deadline {
-			s.fs.CancelDrain()
+	ch.fs.BeginDrain()
+	for !(ctl.Drained() && ch.fs.Idle()) {
+		ctl.Tick()
+		if ctl.Cycle > deadline {
+			ch.fs.CancelDrain()
 			e := fsmerr.New(fsmerr.CodeDrain, "sim.Reconfigure",
 				"drain phase 2 did not complete by cycle %d", deadline)
-			e.Cycle = s.ctl.Cycle
+			e.Cycle = ctl.Cycle
 			return e
 		}
 	}
-	s.ctl.Obs.Reconfigure(s.ctl.Cycle, obs.ReconfigDrained)
-	newCfg.StartCycle = s.ctl.Cycle + 1
+	ctl.Obs.Reconfigure(ctl.Cycle, obs.ReconfigDrained)
+	newCfg.StartCycle = ctl.Cycle + 1
 	fs, err := core.NewFS(s.cfg.DRAM, newCfg)
 	if err != nil {
 		// Pre-validation makes this unreachable, but if it ever fires the
 		// old schedule must resume rather than stay quiesced forever.
-		s.fs.CancelDrain()
+		ch.fs.CancelDrain()
 		return fsmerr.Wrap(fsmerr.CodeConfig, "sim.Reconfigure", err)
 	}
-	s.fs = fs
-	s.ctl.SetScheduler(fs)
+	ch.fs = fs
+	ctl.SetScheduler(fs)
 	s.cfg.SLAWeights = weights
-	s.ctl.Obs.Reconfigure(s.ctl.Cycle, obs.ReconfigDone)
+	ctl.Obs.Reconfigure(ctl.Cycle, obs.ReconfigDone)
 	return nil
 }
 
-// Step advances the system by one DRAM bus cycle.
+// Step advances the system by one DRAM bus cycle: every live channel
+// ticks, then every live core runs its CPU cycles.
 func (s *System) Step() {
-	if s.fabric != nil {
-		s.stepMulti()
-		return
+	for _, ch := range s.live {
+		ch.ctl.Tick()
 	}
-	s.ctl.Tick()
 	for cc := 0; cc < s.cfg.DRAM.CPUCyclesPerBusCycle; cc++ {
-		for _, c := range s.cores {
+		for _, c := range s.liveCores {
 			c.Cycle()
 		}
 	}
+	s.clock++
 }
 
 // FastForward reports what the event-horizon kernel did during Run: the
@@ -542,33 +665,35 @@ func (s *System) Step() {
 func (s *System) FastForward() (jumps, skipped int64) { return s.ffJumps, s.ffSkipped }
 
 // horizon returns the highest bus cycle h ≤ max such that every cycle in
-// [now, h) is provably a no-op for every component: the controller (its
-// scheduler's own horizon, pending completions, injector replays), pending
-// queue-pressure spikes, and every core's distance to its next memory
-// enqueue attempt. Returns the current cycle when nothing can be skipped.
-// Horizons err early, never late: a component may report an event cycle at
-// which nothing happens (costing one dense step), but must never place one
-// after a real state change — that is the byte-identity proof obligation
-// (DESIGN.md §13).
+// [now, h) is provably a no-op for every component: each live channel's
+// controller (its scheduler's own horizon, pending completions, injector
+// replays), pending queue-pressure spikes, and every live core's distance
+// to its next memory enqueue attempt. Returns the current cycle when
+// nothing can be skipped. Horizons err early, never late: a component may
+// report an event cycle at which nothing happens (costing one dense step),
+// but must never place one after a real state change — that is the
+// byte-identity proof obligation (DESIGN.md §13).
 func (s *System) horizon(max int64) int64 {
-	now := s.ctl.Cycle
-	h := s.ctl.NextEvent()
-	if h <= now {
-		return now
+	now := s.clock
+	h := max
+	for _, ch := range s.live {
+		e := ch.ctl.NextEvent()
+		if e <= now {
+			return now
+		}
+		h = min(h, e)
 	}
-	for _, sp := range s.spikes {
+	for _, sp := range s.liveSpikes {
 		if sp.next >= len(sp.addrs) {
 			continue // fully delivered
 		}
 		if sp.at <= now {
 			return now // pumping (possibly retrying against a full queue)
 		}
-		if sp.at < h {
-			h = sp.at
-		}
+		h = min(h, sp.at)
 	}
 	cpb := int64(s.cfg.DRAM.CPUCyclesPerBusCycle)
-	for _, c := range s.cores {
+	for _, c := range s.liveCores {
 		k := c.NextInteraction()
 		if k == cpu.Forever {
 			continue // stalled until a completion, which bounds h above
@@ -579,26 +704,25 @@ func (s *System) horizon(max int64) int64 {
 		if hc <= now {
 			return now
 		}
-		if hc < h {
-			h = hc
-		}
-	}
-	if h > max {
-		h = max
+		h = min(h, hc)
 	}
 	return h
 }
 
 // skipTo jumps the clock from the current cycle to h, batch-applying what
-// the skipped cycles would have done: the controller clock advances and
-// every core replays its interaction-free CPU cycles arithmetically.
+// the skipped cycles would have done: every live controller's clock
+// advances and every live core replays its interaction-free CPU cycles
+// arithmetically.
 func (s *System) skipTo(h int64) {
-	n := h - s.ctl.Cycle
-	s.ctl.AdvanceIdle(n)
+	n := h - s.clock
+	for _, ch := range s.live {
+		ch.ctl.AdvanceIdle(n)
+	}
 	nc := n * int64(s.cfg.DRAM.CPUCyclesPerBusCycle)
-	for _, c := range s.cores {
+	for _, c := range s.liveCores {
 		c.Skip(nc)
 	}
+	s.clock = h
 	s.ffJumps++
 	s.ffSkipped += n
 }
@@ -606,14 +730,44 @@ func (s *System) skipTo(h int64) {
 // pumpSpikes force-feeds due queue-pressure spikes into their domain's
 // read queue, retrying each cycle while the queue is full.
 func (s *System) pumpSpikes() {
-	for _, sp := range s.spikes {
-		if s.ctl.Cycle < sp.at {
+	for _, sp := range s.liveSpikes {
+		if s.clock < sp.at {
 			continue
 		}
-		for sp.next < len(sp.addrs) && s.ctl.EnqueueRead(sp.domain, sp.addrs[sp.next], nil) {
+		for sp.next < len(sp.addrs) && sp.mem.EnqueueRead(sp.domain, sp.addrs[sp.next], nil) {
 			sp.next++
 		}
 	}
+}
+
+// targetMet reports whether the run reached TargetReads. Under blocked
+// routing each channel freezes as soon as its own domains reach the
+// target, and the run ends when every channel has; under interleaved
+// routing the target is global.
+func (s *System) targetMet() bool {
+	if s.coreStats != nil {
+		return s.totalReads() >= s.cfg.TargetReads
+	}
+	froze := false
+	for _, ch := range s.live {
+		if ch.reads() >= s.cfg.TargetReads {
+			ch.frozen = true
+			froze = true
+		}
+	}
+	if froze {
+		s.rebuildLive()
+	}
+	return len(s.live) == 0
+}
+
+// totalReads sums completed demand reads across all channels.
+func (s *System) totalReads() int64 {
+	var n int64
+	for _, ch := range s.chans {
+		n += ch.reads()
+	}
+	return n
 }
 
 // Run executes until TargetReads demand reads completed, the max-cycle
@@ -630,15 +784,12 @@ func (s *System) RunContext(ctx context.Context) Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if s.fabric != nil {
-		return s.runMulti(ctx)
-	}
 	max := s.cfg.MaxBusCycles
 	if max == 0 {
 		max = 40_000_000
 	}
 	ff := !s.cfg.DenseLoop && !envDense
-	var res Result
+	var reason string
 	start := time.Now()
 	// The watchdog/cancellation poll fires once per 8192-cycle window. The
 	// dense loop lands exactly on each multiple of 8192; a fast-forward jump
@@ -648,37 +799,34 @@ func (s *System) RunContext(ctx context.Context) Result {
 	var nextPoll int64
 loop:
 	for {
-		if s.ctl.Cycle >= max {
+		if s.clock >= max {
 			// With TargetReads == 0 a fixed-duration run is intentional (the
 			// fault campaign needs cycle-aligned runs); only flag truncation
 			// when a read target went unmet.
 			if s.cfg.TargetReads > 0 {
-				res.Truncated = true
-				res.TruncateReason = fmt.Sprintf("max-cycle watchdog: %d bus cycles without reaching %d reads",
+				reason = fmt.Sprintf("max-cycle watchdog: %d bus cycles without reaching %d reads",
 					max, s.cfg.TargetReads)
 			}
 			break
 		}
-		if s.ctl.Cycle >= nextPoll {
-			nextPoll = s.ctl.Cycle - s.ctl.Cycle%8192 + 8192
+		if s.clock >= nextPoll {
+			nextPoll = s.clock - s.clock%8192 + 8192
 			if s.cfg.WallClockBudget > 0 && time.Since(start) > s.cfg.WallClockBudget {
-				res.Truncated = true
-				res.TruncateReason = fmt.Sprintf("wall-clock budget %v exhausted at bus cycle %d",
-					s.cfg.WallClockBudget, s.ctl.Cycle)
+				reason = fmt.Sprintf("wall-clock budget %v exhausted at bus cycle %d",
+					s.cfg.WallClockBudget, s.clock)
 				break
 			}
 			select {
 			case <-ctx.Done():
-				res.Truncated = true
-				res.TruncateReason = fmt.Sprintf("context canceled at bus cycle %d: %v", s.ctl.Cycle, ctx.Err())
+				reason = fmt.Sprintf("context canceled at bus cycle %d: %v", s.clock, ctx.Err())
 				break loop
 			default:
 			}
 		}
 		if ff {
-			if h := s.horizon(max); h > s.ctl.Cycle {
+			if h := s.horizon(max); h > s.clock {
 				s.skipTo(h)
-				if s.ctl.Cycle >= max {
+				if s.clock >= max {
 					continue // let the watchdog classify the stop
 				}
 				// Fall through: the cycle we landed on hosts the next event,
@@ -688,69 +836,213 @@ loop:
 		}
 		s.pumpSpikes()
 		s.Step()
-		if s.cfg.TargetReads > 0 && s.totalReads() >= s.cfg.TargetReads {
+		if s.cfg.TargetReads > 0 && s.targetMet() {
 			break
 		}
 	}
-	run := stats.Run{
-		Scheduler: s.ctl.Scheduler().Name(),
-		Workload:  s.cfg.Mix.Name,
-		BusCycles: s.ctl.Cycle,
-		Domains:   append([]stats.Domain(nil), s.ctl.Dom...),
-		Channel:   s.ctl.Chan.Counters,
-		Latency:   s.ctl.LatHist,
+	return s.collect(reason)
+}
+
+// collect assembles the run's Result: a single channel's own Result, or
+// the merge of N channels' Results.
+func (s *System) collect(reason string) Result {
+	var res Result
+	if len(s.chans) == 1 {
+		res = s.chans[0].result(reason)
+		res.Trace = s.chans[0].ctl.Obs
+	} else {
+		res = s.merge(reason)
 	}
-	var fsStats *core.FSStats
-	if s.fs != nil {
-		st := s.fs.Stats
-		fsStats = &st
-	}
-	res.Run = run
-	res.FS = fsStats
-	res.Monitor = s.mon.Finalize(s.inj)
-	if s.ctl.Obs != nil {
-		res.Trace = s.ctl.Obs
+	if s.cfg.Observe != nil {
 		res.Metrics = s.buildMetrics(&res)
 	}
 	return res
 }
 
+// result is the channel's own Result. A channel still short of its read
+// target when the run stopped early is truncated with the run.
+func (ch *simChannel) result(reason string) Result {
+	r := Result{
+		Run: stats.Run{
+			Scheduler: ch.ctl.Scheduler().Name(),
+			Workload:  ch.name,
+			BusCycles: ch.ctl.Cycle,
+			Domains:   append([]stats.Domain(nil), ch.ctl.Dom...),
+			Channel:   ch.ctl.Chan.Counters,
+			Latency:   ch.ctl.LatHist,
+		},
+		Monitor: ch.mon.Finalize(ch.inj),
+	}
+	if ch.fs != nil {
+		st := ch.fs.Stats
+		r.FS = &st
+	}
+	if !ch.frozen && reason != "" {
+		r.Truncated = true
+		r.TruncateReason = reason
+	}
+	return r
+}
+
+// merge assembles a multi-channel run's Result. Every channel's own
+// Result goes into PerChannel, and the merged Run reports BusCycles as the
+// wall-clock span (the max across channels), the per-channel cycle counts
+// in ChannelCycles, and every hardware counter summed — see stats.Run.
+// Blocked channels' domain blocks concatenate in channel order;
+// interleaved domains sum every channel's memory-side fields into the
+// cores' CPU-side statistics.
+func (s *System) merge(reason string) Result {
+	domains := len(s.cfg.Mix.Profiles)
+	blocked := s.coreStats == nil
+	merged := stats.Run{Workload: s.cfg.Mix.Name}
+	chReason := reason
+	if blocked {
+		merged.Scheduler = fmt.Sprintf("%dch/%s", len(s.chans), s.cfg.Scheduler)
+	} else {
+		merged.Scheduler = fmt.Sprintf("%dch-interleaved/%s", len(s.chans), s.cfg.Scheduler)
+		chReason = "" // interleaved channels share the run's one read target
+	}
+
+	per := make([]Result, len(s.chans))
+	reports := make([]*fault.Report, len(per))
+	var fsTotal *core.FSStats
+	for c, ch := range s.chans {
+		r := ch.result(chReason)
+		per[c] = r
+		if st := r.FS; st != nil {
+			if fsTotal == nil {
+				fsTotal = &core.FSStats{PowerDownCycles: make([]int64, len(st.PowerDownCycles))}
+			}
+			fsTotal.RowHitBoosts += st.RowHitBoosts
+			fsTotal.PowerDownSlots += st.PowerDownSlots
+			for rank := range st.PowerDownCycles {
+				fsTotal.PowerDownCycles[rank] += st.PowerDownCycles[rank]
+			}
+		}
+		reports[c] = r.Monitor
+		merged.ChannelCycles = append(merged.ChannelCycles, r.Run.BusCycles)
+		merged.BusCycles = max(merged.BusCycles, r.Run.BusCycles)
+		merged.Channel.Add(r.Run.Channel)
+	}
+
+	if blocked {
+		for _, r := range per {
+			merged.Domains = append(merged.Domains, r.Run.Domains...)
+			merged.Latency = append(merged.Latency, r.Run.Latency...)
+		}
+	} else {
+		merged.Domains = make([]stats.Domain, domains)
+		merged.Latency = make([]*stats.Histogram, domains)
+		for d := 0; d < domains; d++ {
+			dom := s.coreStats[d]
+			h := stats.NewLatencyHistogram()
+			for _, r := range per {
+				dom.Add(r.Run.Domains[d])
+				// Same fixed bucketing everywhere; Merge cannot fail.
+				_ = h.Merge(r.Run.Latency[d])
+			}
+			merged.Domains[d] = dom
+			merged.Latency[d] = h
+		}
+	}
+
+	res := Result{
+		Run:        merged,
+		FS:         fsTotal,
+		Monitor:    mergeReports(reports, blocked, domains/len(per)),
+		PerChannel: per,
+	}
+	if reason != "" {
+		res.Truncated = true
+		res.TruncateReason = reason
+	}
+	if s.cfg.Observe != nil {
+		tracers := make([]*obs.Tracer, len(s.chans))
+		for c, ch := range s.chans {
+			tracers[c] = ch.ctl.Obs
+		}
+		res.Trace = obs.Merge(tracers...)
+	}
+	return res
+}
+
+// mergeReports folds per-channel monitor reports into one system report:
+// counters sum, structured violations and per-domain trace hashes
+// concatenate (blocked channel order is global domain order), the
+// unattributed-command hash is FNV-folded across channels, and faulted
+// domains are remapped to global ids and deduplicated.
+func mergeReports(rs []*fault.Report, blocked bool, perChannel int) *fault.Report {
+	m := &fault.Report{}
+	faulted := map[int]bool{}
+	for c, r := range rs {
+		m.Commands += r.Commands
+		m.TimingViolations += r.TimingViolations
+		m.ScheduleViolations += r.ScheduleViolations
+		m.SchedulerViolations += r.SchedulerViolations
+		m.Violations = append(m.Violations, r.Violations...)
+		m.DomainTraces = append(m.DomainTraces, r.DomainTraces...)
+		m.DomainBusTraces = append(m.DomainBusTraces, r.DomainBusTraces...)
+		m.OtherTrace = m.OtherTrace*1099511628211 ^ r.OtherTrace
+		m.Injected.Drops += r.Injected.Drops
+		m.Injected.Delays += r.Injected.Delays
+		m.Injected.Duplicates += r.Injected.Duplicates
+		m.Injected.Extras += r.Injected.Extras
+		m.Injected.ReplayRejects += r.Injected.ReplayRejects
+		for _, d := range r.FaultedDomains {
+			if blocked {
+				d += c * perChannel
+			}
+			faulted[d] = true
+		}
+	}
+	for d := range faulted {
+		m.FaultedDomains = append(m.FaultedDomains, d)
+	}
+	sort.Ints(m.FaultedDomains)
+	return m
+}
+
 // buildMetrics assembles the end-of-run observability snapshot. The
 // registry is built here, outside the cycle loop, so observation costs
 // nothing per cycle: every subsystem contributes its plain counters once.
+// A single channel's sources are unprefixed; in a fabric each channel's
+// hardware and controller sources carry a "chN." prefix, "sim" adds the
+// channel count, and "domN" are the merged per-domain statistics.
 func (s *System) buildMetrics(res *Result) obs.Snapshot {
+	multi := len(s.chans) > 1
 	reg := obs.NewRegistry()
 	reg.Source("sim", obs.SourceFunc(func(emit func(string, float64)) {
-		emit("bus_cycles", float64(s.ctl.Cycle))
+		emit("bus_cycles", float64(s.clock))
 		truncated := 0.0
 		if res.Truncated {
 			truncated = 1
 		}
 		emit("truncated", truncated)
-		emit("trace_events", float64(len(s.ctl.Obs.Events())))
-		emit("trace_dropped", float64(s.ctl.Obs.Dropped()))
+		if multi {
+			emit("channels", float64(len(s.chans)))
+		}
+		emit("trace_events", float64(len(res.Trace.Events())))
+		emit("trace_dropped", float64(res.Trace.Dropped()))
 	}))
-	reg.Source("dram", s.ctl.Chan.Counters)
-	reg.Source("mem", s.ctl)
-	if s.fs != nil {
-		// The FS engine IS the scheduler; one registration under "fs".
-		reg.Source("fs", s.fs)
-	} else if src, ok := s.ctl.Scheduler().(obs.MetricSource); ok {
-		reg.Source("sched", src)
+	for c, ch := range s.chans {
+		prefix := ""
+		if multi {
+			prefix = fmt.Sprintf("ch%d.", c)
+		}
+		reg.Source(prefix+"dram", ch.ctl.Chan.Counters)
+		reg.Source(prefix+"mem", ch.ctl)
+		if ch.fs != nil {
+			// The FS engine IS the scheduler; one registration under "fs".
+			reg.Source(prefix+"fs", ch.fs)
+		} else if src, ok := ch.ctl.Scheduler().(obs.MetricSource); ok {
+			reg.Source(prefix+"sched", src)
+		}
 	}
-	for d := range s.ctl.Dom {
-		reg.Source(fmt.Sprintf("dom%d", d), s.ctl.Dom[d])
+	for d := range res.Run.Domains {
+		reg.Source(fmt.Sprintf("dom%d", d), res.Run.Domains[d])
 	}
 	reg.Source("monitor", res.Monitor)
 	return reg.Snapshot()
-}
-
-func (s *System) totalReads() int64 {
-	var n int64
-	for d := range s.ctl.Dom {
-		n += s.ctl.Dom[d].Reads
-	}
-	return n
 }
 
 // Simulate is the one-call convenience: build and run.
