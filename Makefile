@@ -40,8 +40,9 @@ staticcheck:
 	else echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@2024.1.1)"; fi
 
 # BENCH_PKGS are the packages whose benchmarks the regression gate runs:
-# the end-to-end suite at the root and the scheduler layer pair.
-BENCH_PKGS = . ./internal/sched
+# the end-to-end suite at the root, the scheduler layer pair, and the
+# simulator's core-stepping pair.
+BENCH_PKGS = . ./internal/sched ./internal/sim
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCH_PKGS)
@@ -55,7 +56,8 @@ benchdiff:
 	$(GO) test -bench=. -benchmem -benchtime=1x -count=3 -run=^$$ $(BENCH_PKGS) | $(GO) run ./cmd/benchdiff -src . -trend \
 		-ratio-max BenchmarkSimulateFastForwardXalanRate2:BenchmarkSimulateDenseXalanRate2:0.5 \
 		-ratio-max BenchmarkKolmogorovSmirnov:BenchmarkKolmogorovSmirnovInsertionSort:0.25 \
-		-ratio-max BenchmarkBaselineTickQ64:BenchmarkBaselineTickQ64Reference:0.5
+		-ratio-max BenchmarkBaselineTickQ64:BenchmarkBaselineTickQ64Reference:0.5 \
+		-ratio-max BenchmarkStepFSRPMilc8:BenchmarkStepFSRPMilc8Dense:0.75
 
 # chaos runs the fault-injection campaign against every scheduler; it exits
 # non-zero if any Fixed Service variant lets a fault through undetected.

@@ -37,18 +37,27 @@ type Core struct {
 	mem    Memory
 	stats  *stats.Domain
 
+	// Sync, when set, runs at every read completion before the read is
+	// marked done. A simulator that lets the core fall behind its clock
+	// uses it to apply the cycles the core owes first: they ran while the
+	// read was still outstanding.
+	Sync func()
+
 	fetchIdx  int64 // next instruction index to fetch
 	retireIdx int64 // next instruction index to retire
 	// reads lists outstanding reads in instruction order. Entries are
 	// deleted in place (slices.Delete), never resliced off the front, so
 	// issueRef's append reuses the array instead of reallocating.
 	reads []pendingRead
+	// slotDone holds one completion callback per ROB slot (instruction index
+	// mod ROBSize), built the first time the slot issues a read. Reads in
+	// flight lie inside the ROB window, so no two share a slot, and a
+	// read costs no allocation.
+	slotDone []func()
 
-	ref      trace.Ref
-	refAt    int64 // instruction index of the next memory reference
-	haveRef  bool
-	stalled  bool // could not enqueue last cycle; retry
-	finished bool
+	ref     trace.Ref
+	refAt   int64 // instruction index of the next memory reference
+	haveRef bool
 }
 
 // NewCore builds a core with the paper's parameters (64-entry ROB, 4-wide).
@@ -117,23 +126,37 @@ func (c *Core) issueRef() bool {
 		// a full write queue stalls fetch only.
 		return c.mem.EnqueueWrite(c.ID, c.ref.Addr)
 	}
-	idx := c.fetchIdx
 	pos := len(c.reads)
-	c.reads = append(c.reads, pendingRead{idx: idx})
-	ok := c.mem.EnqueueRead(c.ID, c.ref.Addr, func() {
-		// Completion callback: mark the (still ordered) entry done.
-		for i := range c.reads {
-			if c.reads[i].idx == idx {
-				c.reads[i].done = true
-				return
-			}
-		}
-	})
-	if !ok {
+	c.reads = append(c.reads, pendingRead{idx: c.fetchIdx})
+	if !c.mem.EnqueueRead(c.ID, c.ref.Addr, c.completion(c.fetchIdx)) {
 		c.reads = c.reads[:pos]
 		return false
 	}
 	return true
+}
+
+// completion returns the callback that marks the read at instruction idx
+// done: the one callback of idx's ROB slot.
+func (c *Core) completion(idx int64) func() {
+	rob := int64(c.ROBSize)
+	if c.slotDone == nil {
+		c.slotDone = make([]func(), rob)
+	}
+	slot := idx % rob
+	if c.slotDone[slot] == nil {
+		c.slotDone[slot] = func() {
+			if c.Sync != nil {
+				c.Sync()
+			}
+			for i := range c.reads {
+				if c.reads[i].idx%rob == slot {
+					c.reads[i].done = true
+					return
+				}
+			}
+		}
+	}
+	return c.slotDone[slot]
 }
 
 // OutstandingReads returns the number of reads in flight (ROB pressure).

@@ -36,7 +36,7 @@ func collectWith(t *testing.T, k sim.SchedulerKind, coMPKI float64, mutate func(
 	next := int64(10_000)
 	for cycle := int64(0); cycle < cfg.MaxBusCycles; cycle++ {
 		sys.Step()
-		retired := sys.Controller().Dom[0].Instructions
+		retired := sys.DomainInstructions(0)
 		for retired >= next {
 			prof.CyclesAt = append(prof.CyclesAt, (cycle+1)*4)
 			next += 10_000

@@ -1,6 +1,8 @@
 package leakage
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"fsmem/internal/addr"
@@ -129,6 +131,41 @@ func TestCovertChannel(t *testing.T) {
 	}
 	if fsres.BitErrorRate < 0.3 {
 		t.Errorf("FS covert channel BER %.2f: FS should reduce the channel to chance", fsres.BitErrorRate)
+	}
+}
+
+// TestCollectProfilePinned pins the profile path itself, not just the
+// quiet == loud relation the non-interference tests assert: a change that
+// shifted both profiles alike (say, a core falling behind the clock when
+// its instruction count is sampled) would pass those and fail here. The
+// hashes cover every milestone cycle of a short profile under the leaky
+// and a secure scheduler against idle and streaming co-runners.
+func TestCollectProfilePinned(t *testing.T) {
+	cases := []struct {
+		sched sim.SchedulerKind
+		co    workload.Profile
+		want  string
+	}{
+		{sim.Baseline, workload.Synthetic("idle", 0.01), "c620768f263dac47660585125b8582bc3d35bb30ddc003f16981a09d860f26eb"},
+		{sim.Baseline, workload.Synthetic("streaming", 45), "0eaa91a91805c2524438c0a46df08370af6857a4f9aaf052c606718c7b3849c0"},
+		{sim.FSRankPart, workload.Synthetic("idle", 0.01), "dbcbb3f8a5c6a36e9a252ab7e767806054a5f5e40d5718243713e25d162105bd"},
+		{sim.FSRankPart, workload.Synthetic("streaming", 45), "dbcbb3f8a5c6a36e9a252ab7e767806054a5f5e40d5718243713e25d162105bd"},
+	}
+	for _, c := range cases {
+		t.Run(c.sched.String()+"/"+c.co.Name, func(t *testing.T) {
+			t.Parallel()
+			prof, err := CollectProfile(c.sched, attacker(t), c.co, 8, 10_000, 100_000, 99, 1, addr.RouteColored)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for _, at := range prof.CyclesAt {
+				fmt.Fprintf(h, "%d\n", at)
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != c.want {
+				t.Errorf("profile drifted, milestones at %v:\n got %s\nwant %s", prof.CyclesAt, got, c.want)
+			}
+		})
 	}
 }
 

@@ -35,6 +35,13 @@ func diffLoops(t *testing.T, cfg Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	diffResults(t, a, b, cfg.Observe != nil)
+}
+
+// diffResults fails unless the dense-loop Result a and the fast-forward
+// Result b agree bit for bit (the comparison diffLoops makes).
+func diffResults(t *testing.T, a, b Result, observed bool) {
+	t.Helper()
 	if !reflect.DeepEqual(a.Run, b.Run) {
 		t.Errorf("run statistics diverged between dense and fast-forward loops:\ndense %+v\nfast  %+v", a.Run, b.Run)
 	}
@@ -57,7 +64,7 @@ func diffLoops(t *testing.T, cfg Config) {
 				c, a.PerChannel[c].Run, b.PerChannel[c].Run)
 		}
 	}
-	if cfg.Observe != nil {
+	if observed {
 		if !reflect.DeepEqual(a.Metrics, b.Metrics) {
 			t.Error("metrics snapshots diverged between loops")
 		}
@@ -156,6 +163,56 @@ func FuzzFabricFastForward(f *testing.F) {
 		}
 		diffLoops(t, cfg)
 	})
+}
+
+// TestReconfigureDenseEquivalence runs the dense and the default loop side
+// by side through a mid-run SLA change: the drain ticks the controller
+// alone while the cores stall, so afterwards every core must still retire
+// exactly what the dense loop's core retired, and the finished runs must
+// agree bit for bit.
+func TestReconfigureDenseEquivalence(t *testing.T) {
+	mix, err := workload.Rate("milc", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(mix, FSRankPart)
+	cfg.TargetReads = 0
+	cfg.MaxBusCycles = 60_000
+	cfg.Observe = &obs.Options{}
+	var sys [2]*System
+	for i, dense := range []bool{true, false} {
+		c := cfg
+		c.DenseLoop = dense
+		if sys[i], err = New(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameRetired := func(when string) {
+		t.Helper()
+		for d := range mix.Profiles {
+			if a, b := sys[0].DomainInstructions(d), sys[1].DomainInstructions(d); a != b {
+				t.Fatalf("%s: domain %d retired %d instructions under the dense loop, %d under event-driven cores", when, d, a, b)
+			}
+		}
+	}
+	for i := 0; i < 20_000; i++ {
+		for _, s := range sys {
+			s.Step()
+		}
+		if i%997 == 0 {
+			sameRetired(fmt.Sprintf("bus cycle %d", i+1))
+		}
+	}
+	for _, s := range sys {
+		if err := s.Reconfigure([]int{3, 1, 1, 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sys[0].clock != sys[1].clock || sys[1].clock <= 20_000 {
+		t.Fatalf("drains ended at bus cycles %d (dense) and %d: want equal and past 20000", sys[0].clock, sys[1].clock)
+	}
+	sameRetired("after the drain")
+	diffResults(t, sys[0].Run(), sys[1].Run(), true)
 }
 
 // TestFastForwardActuallySkipsMultiChannel is the fabric's anti-vacuity

@@ -172,10 +172,11 @@ type Config struct {
 	// instrumentation site (see internal/obs).
 	Observe *obs.Options
 
-	// DenseLoop disables the event-horizon fast-forward kernel and runs the
-	// original dense per-cycle loop (DESIGN.md §13). The two produce
-	// byte-identical Results — enforced by TestFastForwardEquivalence — so
-	// this is purely an escape hatch for differential testing and debugging.
+	// DenseLoop disables the event-horizon fast-forward kernel and the
+	// event-driven cores and runs the original dense per-cycle loop, every
+	// core every CPU cycle (DESIGN.md §13). The two produce byte-identical
+	// Results — enforced by TestFastForwardEquivalence — so this is purely
+	// the reference for differential testing and debugging.
 	// The FSMEM_DENSE environment variable (any non-empty value) forces the
 	// dense loop process-wide.
 	DenseLoop bool
@@ -258,7 +259,7 @@ type simChannel struct {
 	mon  *fault.Monitor
 	inj  *fault.Injector
 
-	cores  []*cpu.Core
+	cores  []*simCore
 	spikes []*spikeState
 
 	// frozen is set once a blocked channel's own domains complete the
@@ -276,18 +277,44 @@ func (ch *simChannel) reads() int64 {
 	return n
 }
 
+// simCore is one core under event-driven stepping (DESIGN.md §13): Step
+// runs Cycle only on the CPU cycles where the core may touch memory, and
+// the core owes every other cycle until something needs its state.
+type simCore struct {
+	*cpu.Core
+	at   int64 // CPU cycles run or skipped so far
+	next int64 // CPU cycle of the next Cycle that may interact, or cpu.Forever
+}
+
+// advance applies the interaction-free cycles the core owes up to CPU
+// cycle t.
+func (c *simCore) advance(t int64) {
+	c.Skip(t - c.at)
+	c.at = t
+}
+
+// plan caches the CPU cycle of the core's next interaction.
+func (c *simCore) plan() {
+	c.next = cpu.Forever
+	if k := c.NextInteraction(); k != cpu.Forever {
+		c.next = c.at + k - 1
+	}
+}
+
 // System is one assembled simulation: N channels stepped in lockstep by
 // one master clock.
 type System struct {
 	cfg    Config
 	chans  []*simChannel
 	fabric *mem.Fabric // nil with one channel
+	dense  bool        // the reference loop: Config.DenseLoop or FSMEM_DENSE
+	cpb    int64       // CPU cycles per bus cycle
 
 	// Interleaved routing only: global cores and spikes issue through the
 	// fabric, and coreStats keeps the cores' CPU-side statistics (each
 	// channel's controller keeps the memory-side fields of the traffic it
 	// serviced).
-	cores     []*cpu.Core
+	cores     []*simCore
 	spikes    []*spikeState
 	coreStats []stats.Domain
 
@@ -295,9 +322,10 @@ type System struct {
 	// followed by the global ones. Rebuilt only when a channel freezes, so
 	// the per-cycle loops never test a frozen flag.
 	live       []*simChannel
-	liveCores  []*cpu.Core
+	liveCores  []*simCore
 	liveSpikes []*spikeState
 	clock      int64 // master bus-cycle clock
+	coreNext   int64 // earliest next interaction of a live core (CPU cycle)
 
 	// Fast-forward kernel accounting (see FastForward). Deliberately kept
 	// out of the obs snapshot: Results must stay byte-identical between
@@ -335,7 +363,7 @@ func New(cfg Config) (*System, error) {
 		per = domains
 	}
 
-	s := &System{cfg: cfg}
+	s := &System{cfg: cfg, dense: cfg.DenseLoop || envDense, cpb: int64(cfg.DRAM.CPUCyclesPerBusCycle)}
 	ctls := make([]*mem.Controller, n)
 	for c := range ctls {
 		seed := cfg.Seed + uint64(c)*channelSeedStride
@@ -350,7 +378,7 @@ func New(cfg Config) (*System, error) {
 			if ch.spikes, err = newSpikes(cfg, per, ch.ctl); err != nil {
 				return nil, err
 			}
-			if ch.cores, err = newCores(cfg, c*per, per, seed, ch.ctl, ch.ctl.Dom); err != nil {
+			if ch.cores, err = s.newCores(c*per, per, seed, ch.ctl, ch.ctl.Dom); err != nil {
 				return nil, err
 			}
 		}
@@ -365,7 +393,7 @@ func New(cfg Config) (*System, error) {
 		if s.spikes, err = newSpikes(cfg, domains, s.fabric); err != nil {
 			return nil, err
 		}
-		if s.cores, err = newCores(cfg, 0, domains, cfg.Seed, s.fabric, s.coreStats); err != nil {
+		if s.cores, err = s.newCores(0, domains, cfg.Seed, s.fabric, s.coreStats); err != nil {
 			return nil, err
 		}
 	}
@@ -480,10 +508,12 @@ func newSpikes(cfg Config, domains int, m cpu.Memory) ([]*spikeState, error) {
 // newCores builds the cores of the n-domain block starting at global
 // domain first. Stream seeds are drawn in local-domain order from an RNG
 // seeded with seed; each core issues through m under its local domain id
-// and counts into st.
-func newCores(cfg Config, first, n int, seed uint64, m cpu.Memory, st []stats.Domain) ([]*cpu.Core, error) {
+// and counts into st. Outside the dense loop each core plans its first
+// interaction and syncs on its read completions.
+func (s *System) newCores(first, n int, seed uint64, m cpu.Memory, st []stats.Domain) ([]*simCore, error) {
+	cfg := s.cfg
 	rng := trace.NewRNG(seed)
-	cores := make([]*cpu.Core, n)
+	cores := make([]*simCore, n)
 	for d := range cores {
 		space, err := addr.SpaceFor(cfg.Scheduler.Partition(), d, n, cfg.DRAM)
 		if err != nil {
@@ -496,7 +526,12 @@ func newCores(cfg Config, first, n int, seed uint64, m cpu.Memory, st []stats.Do
 		} else {
 			stream = workload.NewGenerator(cfg.Mix.Profiles[first+d], space, cfg.DRAM, seed)
 		}
-		cores[d] = cpu.NewCore(d, cfg.Fault.StreamFor(d, stream), m, &st[d])
+		c := &simCore{Core: cpu.NewCore(d, cfg.Fault.StreamFor(d, stream), m, &st[d])}
+		if !s.dense {
+			c.Sync = func() { s.completed(c) }
+			c.plan()
+		}
+		cores[d] = c
 	}
 	return cores, nil
 }
@@ -538,6 +573,38 @@ func (s *System) rebuildLive() {
 	}
 	s.liveCores = append(s.liveCores, s.cores...)
 	s.liveSpikes = append(s.liveSpikes, s.spikes...)
+	s.coreNext = s.earliestCore()
+}
+
+// earliestCore returns the earliest planned interaction of a live core.
+func (s *System) earliestCore() int64 {
+	next := cpu.Forever
+	for _, c := range s.liveCores {
+		next = min(next, c.next)
+	}
+	return next
+}
+
+// syncCores brings cores up to the master clock. Readers of core
+// statistics call it first; under the dense loop cores are never behind.
+func (s *System) syncCores(cores ...*simCore) {
+	if s.dense {
+		return
+	}
+	for _, c := range cores {
+		c.advance(s.clock * s.cpb)
+	}
+}
+
+// completed runs when one of c's reads completes, before the read is
+// marked done: the cycles c owes ran while the read was outstanding, so
+// they are applied first. The completion may let c retire and fetch, so
+// it runs the current bus cycle's first CPU cycle and replans.
+func (s *System) completed(c *simCore) {
+	t := s.clock * s.cpb
+	c.advance(t)
+	c.next = t
+	s.coreNext = min(s.coreNext, t)
 }
 
 // Controller exposes the memory controller of a single-channel system
@@ -564,10 +631,15 @@ func (s *System) Channels() int { return len(s.chans) }
 // this instead of reaching into Controller().Dom.
 func (s *System) DomainInstructions(domain int) int64 {
 	if s.coreStats != nil {
+		s.syncCores(s.cores[domain])
 		return s.coreStats[domain].Instructions
 	}
 	per := len(s.cfg.Mix.Profiles) / len(s.chans)
-	return s.chans[domain/per].ctl.Dom[domain%per].Instructions
+	ch, d := s.chans[domain/per], domain%per
+	if !ch.frozen {
+		s.syncCores(ch.cores[d]) // a frozen channel synced its cores as it froze
+	}
+	return ch.ctl.Dom[d].Instructions
 }
 
 // Reconfigure performs the §5.1 SLA change: it drains the memory
@@ -602,7 +674,7 @@ func (s *System) Reconfigure(weights []int) error {
 		return fsmerr.Wrap(fsmerr.CodeConfig, "sim.Reconfigure", err)
 	}
 	// The drain ticks the controller alone; the master clock follows it.
-	defer func() { s.clock = ctl.Cycle }()
+	defer func() { s.rebase(ctl.Cycle) }()
 	// Drain in two phases: first let queued demand transactions finish
 	// under the old schedule (cores stalled), then quiesce slot planning so
 	// the pipeline itself empties.
@@ -645,18 +717,64 @@ func (s *System) Reconfigure(weights []int) error {
 	return nil
 }
 
+// rebase moves the master clock to cycle after the controller ran alone
+// (the Reconfigure drain) with the cores stalled: each core is brought up
+// to the old clock, shifted to the new one without running the cycles in
+// between, and replanned, since completions during the drain may have
+// unblocked it.
+func (s *System) rebase(cycle int64) {
+	s.syncCores(s.liveCores...)
+	s.clock = cycle
+	if s.dense {
+		return
+	}
+	for _, c := range s.liveCores {
+		c.at = cycle * s.cpb
+		c.plan()
+	}
+	s.coreNext = s.earliestCore()
+}
+
 // Step advances the system by one DRAM bus cycle: every live channel
-// ticks, then every live core runs its CPU cycles.
+// ticks, then the live cores run the bus cycle's CPU cycles — under the
+// dense loop every core every cycle, otherwise only the cycles on which a
+// core may interact (stepCores).
 func (s *System) Step() {
 	for _, ch := range s.live {
 		ch.ctl.Tick()
 	}
-	for cc := 0; cc < s.cfg.DRAM.CPUCyclesPerBusCycle; cc++ {
-		for _, c := range s.liveCores {
-			c.Cycle()
+	if s.dense {
+		for cc := int64(0); cc < s.cpb; cc++ {
+			for _, c := range s.liveCores {
+				c.Cycle()
+			}
 		}
+	} else {
+		s.stepCores()
 	}
 	s.clock++
+}
+
+// stepCores runs the interacting CPU cycles of the current bus cycle in
+// the dense loop's order, CPU cycle first and then core index: each core
+// whose next interaction falls on the cycle applies what it owes, runs
+// the cycle and replans. Every other cycle is interaction-free and stays
+// owed, so cores never observe one another out of order.
+func (s *System) stepCores() {
+	end := (s.clock + 1) * s.cpb
+	for s.coreNext < end {
+		t, next := s.coreNext, cpu.Forever
+		for _, c := range s.liveCores {
+			if c.next == t {
+				c.advance(t)
+				c.Cycle()
+				c.at++
+				c.plan()
+			}
+			next = min(next, c.next)
+		}
+		s.coreNext = next
+	}
 }
 
 // FastForward reports what the event-horizon kernel did during Run: the
@@ -667,8 +785,8 @@ func (s *System) FastForward() (jumps, skipped int64) { return s.ffJumps, s.ffSk
 // horizon returns the highest bus cycle h ≤ max such that every cycle in
 // [now, h) is provably a no-op for every component: each live channel's
 // controller (its scheduler's own horizon, pending completions, injector
-// replays), pending queue-pressure spikes, and every live core's distance
-// to its next memory enqueue attempt. Returns the current cycle when
+// replays), pending queue-pressure spikes, and the live cores' earliest
+// planned memory enqueue attempt. Returns the current cycle when
 // nothing can be skipped. Horizons err early, never late: a component may
 // report an event cycle at which nothing happens (costing one dense step),
 // but must never place one after a real state change — that is the
@@ -692,35 +810,23 @@ func (s *System) horizon(max int64) int64 {
 		}
 		h = min(h, sp.at)
 	}
-	cpb := int64(s.cfg.DRAM.CPUCyclesPerBusCycle)
-	for _, c := range s.liveCores {
-		k := c.NextInteraction()
-		if k == cpu.Forever {
-			continue // stalled until a completion, which bounds h above
-		}
-		// Skipping n bus cycles runs n*cpb CPU cycles per core, so the
-		// enqueue attempt k CPU cycles away caps the jump at (k-1)/cpb.
-		hc := now + (k-1)/cpb
-		if hc <= now {
-			return now
-		}
-		h = min(h, hc)
+	// The earliest core interaction caps the jump at the bus cycle that
+	// holds it; a core stalled until a completion (cpu.Forever) is bounded
+	// by the controller that owes the completion.
+	hc := s.coreNext / s.cpb
+	if hc <= now {
+		return now
 	}
-	return h
+	return min(h, hc)
 }
 
-// skipTo jumps the clock from the current cycle to h, batch-applying what
-// the skipped cycles would have done: every live controller's clock
-// advances and every live core replays its interaction-free CPU cycles
-// arithmetically.
+// skipTo jumps the clock from the current cycle to h: every live
+// controller's clock advances, and the cores, whose cycles up to h are
+// interaction-free, keep owing them.
 func (s *System) skipTo(h int64) {
 	n := h - s.clock
 	for _, ch := range s.live {
 		ch.ctl.AdvanceIdle(n)
-	}
-	nc := n * int64(s.cfg.DRAM.CPUCyclesPerBusCycle)
-	for _, c := range s.liveCores {
-		c.Skip(nc)
 	}
 	s.clock = h
 	s.ffJumps++
@@ -751,6 +857,7 @@ func (s *System) targetMet() bool {
 	froze := false
 	for _, ch := range s.live {
 		if ch.reads() >= s.cfg.TargetReads {
+			s.syncCores(ch.cores...)
 			ch.frozen = true
 			froze = true
 		}
@@ -788,7 +895,7 @@ func (s *System) RunContext(ctx context.Context) Result {
 	if max == 0 {
 		max = 40_000_000
 	}
-	ff := !s.cfg.DenseLoop && !envDense
+	ff := !s.dense
 	var reason string
 	start := time.Now()
 	// The watchdog/cancellation poll fires once per 8192-cycle window. The
@@ -846,6 +953,7 @@ loop:
 // collect assembles the run's Result: a single channel's own Result, or
 // the merge of N channels' Results.
 func (s *System) collect(reason string) Result {
+	s.syncCores(s.liveCores...)
 	var res Result
 	if len(s.chans) == 1 {
 		res = s.chans[0].result(reason)
