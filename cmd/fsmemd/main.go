@@ -40,9 +40,11 @@
 //	POST   /v1/cluster/register     join the fleet (coordinator)
 //	GET    /healthz /readyz /metrics
 //
-// On SIGTERM or SIGINT the daemon drains: new submissions get 503,
-// queued and in-flight jobs run to completion (bounded by
-// -drain-timeout), then the process exits 0.
+// On SIGTERM or SIGINT the daemon (or coordinator) drains: new
+// submissions get 503, queued and in-flight jobs run to completion
+// (bounded by -drain-timeout), the API keeps answering until each of
+// those jobs has had its terminal state read once (at most 5s more),
+// then the process exits 0.
 //
 // With -data-dir the daemon is crash-safe: every accepted job is
 // journaled (write-ahead) before it becomes runnable and every finished

@@ -9,11 +9,13 @@ import (
 
 // cacheEntry is one finished job's cached payload: the canonical result
 // document plus, for observed simulate jobs, the command/event trace
-// the /trace endpoint re-exports.
+// the /trace endpoint re-exports. On the coordinator, worker names the
+// fleet member that computed the document.
 type cacheEntry struct {
 	key    string
 	result []byte
 	trace  *obs.Tracer
+	worker string
 }
 
 // LRU is a bounded least-recently-used cache of finished job results,

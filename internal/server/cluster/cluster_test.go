@@ -323,9 +323,7 @@ func TestClusterStealsFromUnhealthyWorker(t *testing.T) {
 		if !ok {
 			t.Fatalf("seed %d: job missing after steal", seed)
 		}
-		j.mu.Lock()
-		raw := j.result
-		j.mu.Unlock()
+		raw, _ := j.Result()
 		if want := directBytes(t, req); !bytes.Equal(raw, want) {
 			t.Fatalf("seed %d: stolen job's bytes differ from direct simulation", seed)
 		}
@@ -399,15 +397,15 @@ func TestClusterSingleflightAndDraining(t *testing.T) {
 	if !created1 || created2 {
 		t.Fatalf("created flags %v/%v, want true/false", created1, created2)
 	}
-	<-j1.done
+	<-j1.Done()
 
 	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := c.Drain(dctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if _, _, err := c.Submit(simReq(43, 300)); err != errDraining {
-		t.Fatalf("submit while draining: %v, want errDraining", err)
+	if _, _, err := c.Submit(simReq(43, 300)); err != server.ErrDraining {
+		t.Fatalf("submit while draining: %v, want ErrDraining", err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,70 +98,6 @@ func (o *Options) fill() {
 	}
 }
 
-// job is the coordinator's view of one accepted job.
-type job struct {
-	ID  string
-	Key string
-	Req server.JobRequest
-
-	done chan struct{}
-
-	mu       sync.Mutex
-	state    server.JobState
-	worker   string
-	cacheHit bool
-	result   []byte
-	err      error
-}
-
-func (j *job) status() server.JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	s := server.JobStatus{
-		ID: j.ID, Kind: j.Req.Kind, State: j.state, Priority: j.Req.Priority,
-		CacheHit: j.cacheHit, Worker: j.worker,
-	}
-	if j.state == server.StateDone {
-		s.Progress = server.Progress{Done: 1, Total: 1}
-	}
-	if j.err != nil {
-		s.Error = j.err.Error()
-		s.ErrorCode = string(fsmerr.CodeOf(j.err))
-	}
-	return s
-}
-
-func (j *job) setRunning(worker string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.state.Terminal() {
-		j.state = server.StateRunning
-		j.worker = worker
-	}
-}
-
-// finish moves the job to a terminal state exactly once.
-func (j *job) finish(s server.JobState, worker string, result []byte, err error) {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.state = s
-	j.worker = worker
-	j.result = result
-	j.err = err
-	j.mu.Unlock()
-	close(j.done)
-}
-
-// resultEntry is one cached result document and the worker that
-// computed it.
-type resultEntry struct {
-	result []byte
-	worker string
-}
-
 // maxFinished bounds how many terminal job records stay addressable in
 // the coordinator's table (results usually remain in the LRU, so an
 // evicted job's resubmission is still a local cache hit).
@@ -170,35 +105,26 @@ const maxFinished = 4096
 
 var errNoWorkers = errors.New("no healthy workers")
 
-// Coordinator fronts a fleet of fsmemd workers: it accepts the same
-// job API a single daemon serves, consistent-hash-routes each job to a
-// worker, re-serves finished results from a local cache, steals work
-// off unhealthy workers, and samples cross-worker byte-identity.
+// Coordinator fronts a fleet of fsmemd workers: it serves the daemon's
+// job API over the shared job table, consistent-hash-routes each job
+// to a worker, re-serves finished results from the table's cache,
+// steals work off unhealthy workers, and samples cross-worker
+// byte-identity.
 type Coordinator struct {
 	opts    Options
 	members *Registry
-	cache   *server.LRU[*resultEntry]
+	jobs    *server.Table
+	api     *server.API
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 
-	mu       sync.Mutex
-	draining bool
-	jobs     map[string]*job
-	live     int // accepted, not yet terminal
-	finished []string
-
-	registry *obs.Registry
-	mux      *http.ServeMux
-
-	httpRequests atomic.Int64
-	submitted    atomic.Int64
-	completed    atomic.Int64
-	failed       atomic.Int64
-	cacheHits    atomic.Int64
-	retries      atomic.Int64 // dispatch attempts beyond a job's first
-	steals       atomic.Int64 // re-routes forced by an unhealthy worker
+	completed atomic.Int64
+	failed    atomic.Int64
+	cacheHits atomic.Int64
+	retries   atomic.Int64 // dispatch attempts beyond a job's first
+	steals    atomic.Int64 // re-routes forced by an unhealthy worker
 
 	verifySampled  atomic.Int64
 	verifyOK       atomic.Int64
@@ -214,10 +140,9 @@ func New(o Options) (*Coordinator, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		opts:       o,
-		cache:      server.NewLRU[*resultEntry](o.CacheEntries),
+		jobs:       server.NewTable("", maxFinished, o.CacheEntries),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		jobs:       map[string]*job{},
 	}
 	c.members = newRegistry(o.HeartbeatInterval, o.FailAfter, o.Window, o.Vnodes, o.newClient)
 	for _, w := range o.Workers {
@@ -226,8 +151,9 @@ func New(o Options) (*Coordinator, error) {
 		}
 		c.members.Add(w)
 	}
-	c.buildMetrics()
-	c.buildRoutes()
+	c.api = server.NewAPI(c.jobs, c, c.buildMetrics(), o.RequestTimeout, o.DrainTimeout)
+	c.api.Handle("GET /v1/cluster", c.handleCluster)
+	c.api.Handle("POST /v1/cluster/register", c.handleRegister)
 	return c, nil
 }
 
@@ -235,100 +161,36 @@ func New(o Options) (*Coordinator, error) {
 func (c *Coordinator) Members() *Registry { return c.members }
 
 // Submit accepts one job: it joins a live duplicate (singleflight),
-// answers from the local result cache, or admits the job and dispatches
-// it to the fleet in the background. The returned bool is true when
-// this call created a new job record.
-func (c *Coordinator) Submit(req server.JobRequest) (*job, bool, error) {
-	id, key, err := server.Canonicalize(&req)
-	if err != nil {
-		return nil, false, fsmerr.Wrap(fsmerr.CodeConfig, "cluster.Submit", err)
-	}
+// answers from the table's result cache, or admits the job and
+// dispatches it to the fleet in the background. The returned bool is
+// true when this call created a new job record.
+func (c *Coordinator) Submit(req server.JobRequest) (*server.Job, bool, error) {
+	return c.jobs.Submit(req, c.admit)
+}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.draining {
-		return nil, false, errDraining
+// admit is the coordinator's admission step, run with the table
+// locked: a done record is re-answered in place as a cache hit, and a
+// new job must fit under the live cap before it is dispatched.
+func (c *Coordinator) admit(a *server.Admission) (*server.Job, bool, error) {
+	if j, ok := a.ReuseDone(); ok {
+		c.cacheHits.Add(1)
+		return j, false, nil
 	}
-	c.submitted.Add(1)
-	if j, ok := c.jobs[id]; ok {
-		j.mu.Lock()
-		terminal := j.state.Terminal()
-		j.mu.Unlock()
-		if !terminal {
-			return j, false, nil // live duplicate: singleflight join
-		}
-		if j.state == server.StateDone {
-			j.mu.Lock()
-			j.cacheHit = true
-			j.mu.Unlock()
-			c.cacheHits.Add(1)
-			return j, false, nil
-		}
-		// Failed terminal record: fall through and retry fresh.
-	}
-	if e, ok := c.cache.Get(key); ok {
-		j := c.materializeDoneLocked(id, key, req, e)
+	if j, ok := a.Cached(); ok {
 		c.cacheHits.Add(1)
 		return j, true, nil
 	}
-	if c.live >= c.opts.QueueDepth {
-		return nil, false, errQueueFull
+	if a.Live >= c.opts.QueueDepth {
+		return nil, false, server.ErrQueueFull
 	}
-	j := &job{ID: id, Key: key, Req: req, done: make(chan struct{})}
-	j.state = server.StateQueued
-	c.jobs[id] = j
-	c.live++
+	j := a.Enter()
 	c.wg.Add(1)
 	go c.dispatch(j)
 	return j, true, nil
 }
 
-// materializeDoneLocked installs a finished job served from the local
-// cache. Caller holds c.mu.
-func (c *Coordinator) materializeDoneLocked(id, key string, req server.JobRequest, e *resultEntry) *job {
-	j := &job{ID: id, Key: key, Req: req, done: make(chan struct{})}
-	j.state = server.StateDone
-	j.cacheHit = true
-	j.worker = e.worker
-	j.result = e.result
-	close(j.done)
-	c.jobs[id] = j
-	c.rememberFinishedLocked(id)
-	return j
-}
-
-func (c *Coordinator) rememberFinishedLocked(id string) {
-	c.finished = append(c.finished, id)
-	for len(c.finished) > maxFinished {
-		evict := c.finished[0]
-		c.finished = c.finished[1:]
-		if j, ok := c.jobs[evict]; ok {
-			j.mu.Lock()
-			terminal := j.state.Terminal()
-			j.mu.Unlock()
-			if terminal {
-				delete(c.jobs, evict)
-			}
-		}
-	}
-}
-
-// noteFinished records a job's terminal transition for table eviction
-// and the live-count backpressure.
-func (c *Coordinator) noteFinished(id string) {
-	c.mu.Lock()
-	c.live--
-	c.rememberFinishedLocked(id)
-	c.mu.Unlock()
-}
-
 // Get returns a job by ID.
-func (c *Coordinator) Get(id string) (*job, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	return j, ok
-}
+func (c *Coordinator) Get(id string) (*server.Job, bool) { return c.jobs.Get(id) }
 
 // dispatch places one job on the fleet, walking the ring's preference
 // order across failures: the owner first, then successive distinct
@@ -336,9 +198,8 @@ func (c *Coordinator) Get(id string) (*job, bool) {
 // config fails identically everywhere); transport errors and unhealthy
 // epochs re-route — the retry is idempotent because the job ID is
 // content-addressed.
-func (c *Coordinator) dispatch(j *job) {
+func (c *Coordinator) dispatch(j *server.Job) {
 	defer c.wg.Done()
-	defer c.noteFinished(j.ID)
 	tried := map[string]bool{}
 	var lastErr error = errNoWorkers
 	for attempt := 1; attempt <= c.opts.MaxAttempts; attempt++ {
@@ -373,7 +234,7 @@ func (c *Coordinator) dispatch(j *job) {
 		}
 	}
 	c.failed.Add(1)
-	j.finish(server.StateFailed, "", nil,
+	c.jobs.Finish(j, server.StateFailed, "", nil,
 		fsmerr.New(fsmerr.CodeExperiment, "cluster.dispatch",
 			"job %s failed after %d dispatch attempts: %v", j.ID, c.opts.MaxAttempts, lastErr))
 }
@@ -381,7 +242,7 @@ func (c *Coordinator) dispatch(j *job) {
 // runOn executes one dispatch attempt on member m. A nil return means
 // the job reached a terminal state (done, or a deterministic worker
 // verdict); an error means the attempt should be retried elsewhere.
-func (c *Coordinator) runOn(j *job, m *Member) error {
+func (c *Coordinator) runOn(j *server.Job, m *Member) error {
 	// Bind the attempt to the member's health epoch: the moment the
 	// heartbeat loop demotes m, everything below aborts and the caller
 	// re-routes — queued work is stolen off the dying worker without
@@ -396,7 +257,7 @@ func (c *Coordinator) runOn(j *job, m *Member) error {
 	}
 	defer m.release()
 	m.routed.Add(1)
-	j.setRunning(m.Name)
+	j.Start(m.Name)
 
 	st, err := m.cl.Submit(ctx, j.Req)
 	if err != nil {
@@ -428,7 +289,7 @@ func (c *Coordinator) runOn(j *job, m *Member) error {
 		if code == "" {
 			code = fsmerr.CodeExperiment
 		}
-		j.finish(st.State, m.Name, nil,
+		c.jobs.Finish(j, st.State, m.Name, nil,
 			fsmerr.New(code, "cluster.runOn", "worker %s: job %s: %s", m.Name, st.State, st.Error))
 		return nil
 	default:
@@ -438,13 +299,13 @@ func (c *Coordinator) runOn(j *job, m *Member) error {
 	}
 }
 
-// complete records a finished result, re-serves it from the local cache
-// from now on, and kicks off the sampled cross-worker verification.
-func (c *Coordinator) complete(j *job, m *Member, raw []byte) {
-	c.cache.Put(j.Key, &resultEntry{result: raw, worker: m.Name})
+// complete records a finished result, re-serves it from the table's
+// cache from now on, and kicks off the sampled cross-worker
+// verification.
+func (c *Coordinator) complete(j *server.Job, m *Member, raw []byte) {
 	m.completed.Add(1)
 	c.completed.Add(1)
-	j.finish(server.StateDone, m.Name, raw, nil)
+	c.jobs.Finish(j, server.StateDone, m.Name, raw, nil)
 	if c.sampled(j.ID) {
 		c.verifySampled.Add(1)
 		c.wg.Add(1)
@@ -469,7 +330,7 @@ func (c *Coordinator) sampled(id string) bool {
 // byte-compares the result documents. Determinism says they must be
 // identical; a mismatch means a worker computed (or stored) the wrong
 // bytes, and is surfaced through the fleet metrics.
-func (c *Coordinator) verify(j *job, firstWorker string, want []byte) {
+func (c *Coordinator) verify(j *server.Job, firstWorker string, want []byte) {
 	defer c.wg.Done()
 	var second *Member
 	for _, name := range c.ringOrder(j.ID) {
@@ -516,7 +377,7 @@ func (c *Coordinator) ringOrder(id string) []string {
 // Status assembles the /v1/cluster fleet document.
 func (c *Coordinator) Status() server.ClusterStatus {
 	st := server.ClusterStatus{
-		Submitted:        c.submitted.Load(),
+		Submitted:        c.jobs.Submitted(),
 		Completed:        c.completed.Load(),
 		Failed:           c.failed.Load(),
 		CacheHits:        c.cacheHits.Load(),
@@ -526,9 +387,7 @@ func (c *Coordinator) Status() server.ClusterStatus {
 		VerifyOK:         c.verifyOK.Load(),
 		VerifyMismatches: c.verifyMismatch.Load(),
 	}
-	c.mu.Lock()
-	st.Live = c.live
-	c.mu.Unlock()
+	st.Live = c.jobs.Live()
 	for _, m := range c.members.Members() {
 		st.Workers = append(st.Workers, server.ClusterWorker{
 			Name:           m.Name,
@@ -547,18 +406,15 @@ func (c *Coordinator) Status() server.ClusterStatus {
 // buildMetrics registers the fleet counters for /metrics: coordinator
 // totals under fsmemd_cluster_*, plus one block per worker keyed by its
 // sanitized name.
-func (c *Coordinator) buildMetrics() {
+func (c *Coordinator) buildMetrics() *obs.Registry {
 	r := obs.NewRegistry()
 	r.Source("fsmemd.cluster", obs.SourceFunc(func(emit func(string, float64)) {
-		emit("jobs.submitted", float64(c.submitted.Load()))
+		emit("jobs.submitted", float64(c.jobs.Submitted()))
 		emit("jobs.completed", float64(c.completed.Load()))
 		emit("jobs.failed", float64(c.failed.Load()))
 		emit("jobs.cache_hits", float64(c.cacheHits.Load()))
-		c.mu.Lock()
-		live := c.live
-		c.mu.Unlock()
-		emit("jobs.live", float64(live))
-		entries, _, _ := c.cache.Stats()
+		emit("jobs.live", float64(c.jobs.Live()))
+		entries, _, _ := c.jobs.CacheStats()
 		emit("cache.entries", float64(entries))
 		emit("dispatch.retries", float64(c.retries.Load()))
 		emit("dispatch.steals", float64(c.steals.Load()))
@@ -567,7 +423,7 @@ func (c *Coordinator) buildMetrics() {
 		emit("verify.mismatches", float64(c.verifyMismatch.Load()))
 		emit("verify.skipped", float64(c.verifySkipped.Load()))
 		emit("verify.errors", float64(c.verifyErrors.Load()))
-		emit("http.requests", float64(c.httpRequests.Load()))
+		emit("http.requests", float64(c.api.Requests()))
 		members := c.members.Members()
 		healthy := 0
 		for _, m := range members {
@@ -592,239 +448,71 @@ func (c *Coordinator) buildMetrics() {
 			emit(label+"heartbeat_fails", float64(m.heartbeatFails.Load()))
 		}
 	}))
-	c.registry = r
+	return r
 }
 
-// Submission errors mapped onto HTTP status codes.
-var (
-	errQueueFull = errors.New("cluster job table full")
-	errDraining  = errors.New("coordinator is draining")
-)
+// Handler returns the coordinator's HTTP handler: the daemon's job
+// API plus the fleet routes, so the typed client and cmd/fsload work
+// against a coordinator unchanged.
+func (c *Coordinator) Handler() http.Handler { return c.api.Handler() }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, ec string, format string, args ...any) {
-	writeJSON(w, code, server.ErrorBody{Error: fmt.Sprintf(format, args...), Code: ec})
-}
-
-func (c *Coordinator) buildRoutes() {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		c.mu.Lock()
-		draining := c.draining
-		c.mu.Unlock()
-		if draining {
-			writeError(w, http.StatusServiceUnavailable, "draining", "coordinator is draining")
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ready")
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		obs.WritePrometheus(w, c.registry.Snapshot())
-	})
-	timeout := func(h http.HandlerFunc) http.Handler {
-		return http.TimeoutHandler(h, c.opts.RequestTimeout, "request timed out")
-	}
-	mux.Handle("POST /v1/jobs", timeout(c.handleSubmit))
-	mux.Handle("GET /v1/jobs/{id}", timeout(c.handleStatus))
-	mux.Handle("GET /v1/jobs/{id}/result", timeout(c.handleResult))
-	mux.Handle("GET /v1/cluster", timeout(c.handleCluster))
-	mux.Handle("POST /v1/cluster/register", timeout(c.handleRegister))
-	c.mux = mux
-}
-
-// Handler returns the coordinator's HTTP handler. The job endpoints
-// speak the same wire contract as a single fsmemd, so the typed client
-// and cmd/fsload work against a coordinator unchanged.
-func (c *Coordinator) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		c.httpRequests.Add(1)
-		c.mux.ServeHTTP(w, r)
-	})
-}
-
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req server.JobRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding job request: %v", err)
-		return
-	}
-	j, created, err := c.Submit(req)
-	switch {
-	case errors.Is(err, errDraining):
-		w.Header().Set("Retry-After", "2")
-		writeError(w, http.StatusServiceUnavailable, "draining", "coordinator is draining")
-		return
-	case errors.Is(err, errQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(c.queueRetryAfterSecs()))
-		writeError(w, http.StatusTooManyRequests, "queue_full", "cluster job table is full")
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, string(fsmerr.CodeOf(err)), "%v", err)
-		return
-	}
-	st := j.status()
-	code := http.StatusAccepted
-	if st.State.Terminal() || !created {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
-}
-
-// queueRetryAfterSecs spreads the live backlog across the fleet's
+// QueueRetryAfter spreads the live backlog across the fleet's
 // aggregate window as a backoff hint, clamped to [1s, 30s].
-func (c *Coordinator) queueRetryAfterSecs() int {
-	c.mu.Lock()
-	live := c.live
-	c.mu.Unlock()
+func (c *Coordinator) QueueRetryAfter() time.Duration {
 	slots := c.members.HealthyCount() * c.opts.Window
 	if slots < 1 {
 		slots = 1
 	}
-	secs := 1 + live/slots
+	secs := 1 + c.jobs.Live()/slots
 	if secs > 30 {
 		secs = 30
 	}
-	return secs
-}
-
-func (c *Coordinator) job(w http.ResponseWriter, r *http.Request) (*job, bool) {
-	id := r.PathValue("id")
-	j, ok := c.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "unknown job %q", id)
-		return nil, false
-	}
-	return j, true
-}
-
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if j, ok := c.job(w, r); ok {
-		writeJSON(w, http.StatusOK, j.status())
-	}
-}
-
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.job(w, r)
-	if !ok {
-		return
-	}
-	st := j.status()
-	j.mu.Lock()
-	result := j.result
-	j.mu.Unlock()
-	if st.State != server.StateDone || result == nil {
-		if st.State == server.StateFailed || st.State == server.StateCanceled || st.State == server.StateQuarantined {
-			writeError(w, http.StatusConflict, st.ErrorCode, "job %s: %s", st.State, st.Error)
-			return
-		}
-		writeError(w, http.StatusConflict, "not_done", "job is %s; poll status", st.State)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(result)
+	return time.Duration(secs) * time.Second
 }
 
 func (c *Coordinator) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.Status())
+	server.WriteJSON(w, http.StatusOK, c.Status())
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req server.RegisterRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding register request: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "bad_request", "decoding register request: %v", err)
 		return
 	}
 	if req.Addr == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "register needs a worker addr")
+		server.WriteError(w, http.StatusBadRequest, "bad_request", "register needs a worker addr")
 		return
 	}
-	c.mu.Lock()
-	draining := c.draining
-	c.mu.Unlock()
-	if draining {
-		writeError(w, http.StatusServiceUnavailable, "draining", "coordinator is draining")
+	if c.jobs.Draining() {
+		server.WriteError(w, http.StatusServiceUnavailable, "draining", "server is draining")
 		return
 	}
 	c.members.Add(req.Addr)
-	writeJSON(w, http.StatusOK, c.Status())
+	server.WriteJSON(w, http.StatusOK, c.Status())
 }
 
 // Drain stops intake and waits for in-flight dispatches (and pending
 // verifications) to finish; past ctx it hard-cancels stragglers.
 func (c *Coordinator) Drain(ctx context.Context) error {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		c.baseCancel()
-		<-done
-		err = ctx.Err()
-	}
+	c.jobs.StopIntake()
+	err := server.WaitDrained(ctx, &c.wg, c.baseCancel)
 	c.baseCancel()
 	c.members.close()
 	return err
 }
 
 // Serve listens on o.Addr and runs the coordinator until ctx is
-// canceled, then drains gracefully (bounded by DrainTimeout).
+// canceled, then drains gracefully (see server.API.ServeListener).
 func Serve(ctx context.Context, o Options) error {
 	c, err := New(o)
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", c.opts.Addr)
-	if err != nil {
-		return err
-	}
-	return c.ServeListener(ctx, ln)
+	return c.api.ListenAndServe(ctx, c.opts.Addr)
 }
 
 // ServeListener is Serve on an existing listener (ownership transfers).
 func (c *Coordinator) ServeListener(ctx context.Context, ln net.Listener) error {
-	httpSrv := &http.Server{
-		Handler:           c.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		BaseContext:       func(net.Listener) context.Context { return context.WithoutCancel(ctx) },
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-	dctx, cancel := context.WithTimeout(context.Background(), c.opts.DrainTimeout)
-	defer cancel()
-	drainErr := c.Drain(dctx)
-	shutdownCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel2()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		httpSrv.Close()
-		if drainErr == nil {
-			drainErr = err
-		}
-	}
-	<-serveErr
-	return drainErr
+	return c.api.ServeListener(ctx, ln)
 }

@@ -33,8 +33,7 @@ func (m *Manager) execute(j *Job) {
 		if r := recover(); r != nil {
 			err := fsmerr.New(fsmerr.CodePanic, "server.execute", "executor panic: %v", r)
 			m.failed.Add(1)
-			j.finish(StateFailed, nil, err)
-			m.noteFinished(j.ID)
+			m.jobs.finish(j, StateFailed, nil, err)
 		}
 	}()
 
@@ -72,13 +71,13 @@ func (m *Manager) execute(j *Job) {
 				m.storeErrors.Add(1)
 			}
 		}
-		m.cache.Put(entry.key, entry)
+		m.jobs.cache.Put(entry.key, entry)
 		m.completed.Add(1)
-		j.finish(StateDone, entry, nil)
+		m.jobs.finish(j, StateDone, entry, nil)
 		m.journalState(j.ID, StateDone, attempts)
 	case fsmerr.CodeOf(err) == fsmerr.CodeCanceled:
 		m.canceled.Add(1)
-		j.finish(StateCanceled, nil, err)
+		m.jobs.finish(j, StateCanceled, nil, err)
 		m.journalState(j.ID, StateCanceled, attempts)
 	case fsmerr.CodeOf(err) == fsmerr.CodePanic:
 		attempts = m.bumpAttempts(j.ID)
@@ -87,11 +86,11 @@ func (m *Manager) execute(j *Job) {
 		j.mu.Unlock()
 		if attempts >= m.quarantineAfter {
 			m.quarantined.Add(1)
-			j.finish(StateQuarantined, nil, quarantineErr(attempts))
+			m.jobs.finish(j, StateQuarantined, nil, quarantineErr(attempts))
 			m.journalState(j.ID, StateQuarantined, attempts)
 		} else {
 			m.failed.Add(1)
-			j.finish(StateFailed, nil, err)
+			m.jobs.finish(j, StateFailed, nil, err)
 			m.journalState(j.ID, StateFailed, attempts)
 		}
 	default:
@@ -99,16 +98,15 @@ func (m *Manager) execute(j *Job) {
 			err = fsmerr.New(fsmerr.CodeExperiment, "server.execute", "job produced no result")
 		}
 		m.failed.Add(1)
-		j.finish(StateFailed, nil, err)
+		m.jobs.finish(j, StateFailed, nil, err)
 		m.journalState(j.ID, StateFailed, attempts)
 	}
-	m.noteFinished(j.ID)
 }
 
 // bumpAttempts increments a job's executor-crash counter.
 func (m *Manager) bumpAttempts(id string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.jobs.mu.Lock()
+	defer m.jobs.mu.Unlock()
 	m.attempts[id]++
 	return m.attempts[id]
 }

@@ -2,104 +2,21 @@ package server
 
 import (
 	"context"
-	"errors"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"fsmem/internal/audit"
 	"fsmem/internal/fsmerr"
 	"fsmem/internal/parallel"
 )
 
-// Job is one unit of daemon work. Identity is content-addressed: the
-// ID hashes the request's canonical key, so identical requests share a
-// Job (and therefore execute at most once while live — singleflight
-// without a separate filling lock).
-type Job struct {
-	ID  string
-	Key string
-	Req JobRequest
-	// worker is the owning daemon's WorkerName, stamped at creation.
-	worker string
-
-	events *eventLog
-	done   chan struct{} // closed at any terminal state
-	cancel context.CancelFunc
-
-	// progress counters are written by pool workers mid-run.
-	progressDone  atomic.Int64
-	progressTotal atomic.Int64
-
-	mu       sync.Mutex
-	state    JobState
-	cacheHit bool
-	attempts int
-	entry    *cacheEntry
-	err      error
-}
-
-// Status snapshots the job for the API.
-func (j *Job) Status() JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	s := JobStatus{
-		ID: j.ID, Kind: j.Req.Kind, State: j.state, Priority: j.Req.Priority,
-		CacheHit: j.cacheHit,
-		Worker:   j.worker,
-		Attempts: j.attempts,
-		Progress: Progress{Done: int(j.progressDone.Load()), Total: int(j.progressTotal.Load())},
-	}
-	if j.err != nil {
-		s.Error = j.err.Error()
-		s.ErrorCode = string(fsmerr.CodeOf(j.err))
-	}
-	return s
-}
-
-// Result returns the finished job's cached payload.
-func (j *Job) Result() (*cacheEntry, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.entry, j.entry != nil && j.state == StateDone
-}
-
-// Done exposes the terminal-state signal (closed when the job finishes,
-// fails, or is canceled).
-func (j *Job) Done() <-chan struct{} { return j.done }
-
-// finish moves the job to a terminal state exactly once, publishing the
-// closing event and releasing waiters.
-func (j *Job) finish(s JobState, entry *cacheEntry, err error) {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.state = s
-	j.entry = entry
-	j.err = err
-	j.mu.Unlock()
-	ev := JobEvent{Phase: string(s), State: s, Done: int(j.progressDone.Load()), Total: int(j.progressTotal.Load())}
-	if err != nil {
-		ev.Error = err.Error()
-	}
-	j.events.publish(ev)
-	j.events.close()
-	close(j.done)
-}
-
-// Submission errors the HTTP layer maps onto status codes.
-var (
-	errQueueFull = errors.New("job queue full")
-	errDraining  = errors.New("server is draining")
-)
-
-// Manager owns the job table, the bounded two-priority queue, and the
-// executor pool. Execution itself funnels every job body through
-// internal/parallel, which supplies panic isolation and cancellation
-// semantics identical to the batch CLIs'.
+// Manager is the daemon's role over the job table: the bounded
+// two-priority queue and the executor pool. Execution itself funnels
+// every job body through internal/parallel, which supplies panic
+// isolation and cancellation semantics identical to the batch CLIs'.
 //
 // With a data directory configured, the manager is also the durability
 // layer: accepted jobs are journaled before they become runnable,
@@ -113,8 +30,7 @@ type Manager struct {
 	gridShards      int
 	queueDepth      int // submission backpressure threshold
 	quarantineAfter int
-	name            string // Options.WorkerName, stamped on job statuses
-	cache           *LRU[*cacheEntry]
+	jobs            *Table
 
 	journal *journal
 	store   *Store
@@ -126,22 +42,18 @@ type Manager struct {
 	wg           sync.WaitGroup
 	closeOnce    sync.Once
 
-	mu       sync.Mutex
-	draining bool
-	jobs     map[string]*Job
-	finished []string       // FIFO of terminal job IDs, for table eviction
-	attempts map[string]int // executor-crash counters, by job ID
+	attempts map[string]int // executor-crash counters by job ID, under jobs.mu
 
 	// testRun, when set, replaces Manager.run inside the execution cell
 	// (the quarantine tests use it to build deterministic poison jobs).
 	testRun func(context.Context, *Job) (*cacheEntry, error)
 
 	// counters for /metrics
-	submitted, executed, completed, failed, canceled atomic.Int64
-	inFlight, quarantined                            atomic.Int64
-	recoveredRequeued, recoveredServed               atomic.Int64
-	recoveredQuarantined, journalSkipped             atomic.Int64
-	storeErrors                                      atomic.Int64
+	executed, completed, failed, canceled atomic.Int64
+	inFlight, quarantined                 atomic.Int64
+	recoveredRequeued, recoveredServed    atomic.Int64
+	recoveredQuarantined, journalSkipped  atomic.Int64
+	storeErrors                           atomic.Int64
 	// auditMetrics accumulates leakage-audit campaign counters across
 	// every audit job this manager executes, exposed under
 	// fsmemd.audit.* on /metrics.
@@ -149,8 +61,8 @@ type Manager struct {
 }
 
 // maxFinished bounds how many terminal job records stay addressable;
-// beyond it the oldest are evicted (their results usually remain in the
-// LRU cache, so a resubmission is still a cache hit).
+// beyond it the least recently used are evicted (their results usually
+// remain in the LRU cache, so a resubmission is still a cache hit).
 const maxFinished = 1024
 
 // defaultQuarantineAfter is how many executor crashes park a job when
@@ -186,11 +98,9 @@ func newManager(o Options) (*Manager, error) {
 		gridShards:      gridShards,
 		queueDepth:      queueDepth,
 		quarantineAfter: quarantineAfter,
-		name:            o.WorkerName,
-		cache:           NewLRU[*cacheEntry](cacheEntries),
+		jobs:            NewTable(o.WorkerName, maxFinished, cacheEntries),
 		baseCtx:         ctx,
 		baseCancel:      cancel,
-		jobs:            map[string]*Job{},
 		attempts:        map[string]int{},
 	}
 
@@ -296,8 +206,9 @@ func (m *Manager) recover(dataDir string) ([]*Job, error) {
 			m.storeErrors.Add(1) // corrupt entry deleted; re-run heals it
 		}
 		if ok {
-			j := m.materializeDone(jj.ID, jj.Key, jj.Req, &cacheEntry{key: jj.Key, result: result})
-			m.cache.Put(jj.Key, j.entry)
+			e := &cacheEntry{key: jj.Key, result: result}
+			m.jobs.cache.Put(jj.Key, e)
+			m.jobs.materializeDone(jj.ID, jj.Key, jj.Req, e)
 			jj.State = StateDone // compaction drops it
 			m.recoveredServed.Add(1)
 			continue
@@ -319,10 +230,10 @@ func (m *Manager) recover(dataDir string) ([]*Job, error) {
 		if jj.Attempts > 0 {
 			m.attempts[jj.ID] = jj.Attempts
 		}
-		j := &Job{ID: jj.ID, Key: jj.Key, Req: jj.Req, worker: m.name, events: newEventLog(), done: make(chan struct{})}
+		j := m.jobs.newJob(jj.ID, jj.Key, jj.Req)
 		j.state = StateQueued
 		j.attempts = jj.Attempts
-		m.jobs[jj.ID] = j
+		m.jobs.live[jj.ID] = j
 		requeue = append(requeue, j)
 		m.recoveredRequeued.Add(1)
 	}
@@ -332,124 +243,95 @@ func (m *Manager) recover(dataDir string) ([]*Job, error) {
 	return requeue, nil
 }
 
-// materializeDone installs a finished job served from persisted state.
-// Callers hold no locks (construction time) or m.mu (Submit path).
-func (m *Manager) materializeDone(id, key string, req JobRequest, entry *cacheEntry) *Job {
-	j := &Job{ID: id, Key: key, Req: req, worker: m.name, events: newEventLog(), done: make(chan struct{})}
-	j.cacheHit = true
-	j.state = StateDone
-	j.entry = entry
-	j.progressDone.Store(1)
-	j.progressTotal.Store(1)
-	m.jobs[id] = j
-	m.rememberFinishedLocked(id)
-	j.events.publish(JobEvent{Phase: string(StateDone), State: StateDone, Done: 1, Total: 1})
-	j.events.close()
-	close(j.done)
-	return j
-}
-
 // quarantineErr is the error a quarantined job reports.
 func quarantineErr(attempts int) error {
 	return fsmerr.New(fsmerr.CodePanic, "server.quarantine",
 		"job quarantined after crashing the executor %d times; it will not be re-executed", attempts)
 }
 
-// materializeQuarantined installs a parked poison job.
+// materializeQuarantined files a parked poison job. The caller holds
+// m.jobs.mu or is still constructing the manager.
 func (m *Manager) materializeQuarantined(id, key string, req JobRequest, attempts int) *Job {
-	j := &Job{ID: id, Key: key, Req: req, worker: m.name, events: newEventLog(), done: make(chan struct{})}
-	j.state = StateQuarantined
+	j := m.jobs.newJob(id, key, req)
 	j.attempts = attempts
-	j.err = quarantineErr(attempts)
-	m.jobs[id] = j
-	m.rememberFinishedLocked(id)
+	j.finish(StateQuarantined, nil, quarantineErr(attempts))
+	m.jobs.finished.Put(id, j)
 	m.quarantined.Add(1)
-	j.events.publish(JobEvent{Phase: string(StateQuarantined), State: StateQuarantined, Error: j.err.Error()})
-	j.events.close()
-	close(j.done)
 	return j
 }
 
 // QueueDepth reports queued (not yet running) jobs.
 func (m *Manager) QueueDepth() int { return len(m.high) + len(m.normal) }
 
+// QueueRetryAfter estimates how long a rejected client should back off
+// before the queue has drained enough to accept it: the current depth
+// spread across the worker pool, clamped to [1s, 30s]. It is a load
+// signal, not a promise — the client's jittered backoff rides on it.
+func (m *Manager) QueueRetryAfter() time.Duration {
+	d := time.Duration(1+m.QueueDepth()/m.workers) * time.Second
+	if d > 30*time.Second {
+		d = 30 * time.Second
+	}
+	return d
+}
+
 // Submit registers a job for the request. The returned bool is true
 // when this call created a new job; false when the request joined an
-// existing live job or was answered from cache. Submit never blocks on
-// execution: a full queue fails fast with errQueueFull and a draining
-// manager with errDraining. With durability enabled, the request is
+// existing live job or a parked poison job. Submit never blocks on
+// execution: a full queue fails fast with ErrQueueFull and a draining
+// manager with ErrDraining. With durability enabled, the request is
 // journaled (and fsynced) before it becomes runnable — the write-ahead
 // step that makes accepted jobs survive a crash.
 func (m *Manager) Submit(req JobRequest) (*Job, bool, error) {
-	key, err := req.normalize()
-	if err != nil {
-		return nil, false, fsmerr.Wrap(fsmerr.CodeConfig, "server.Submit", err)
-	}
-	id := jobID(key)
+	return m.jobs.Submit(req, m.admit)
+}
 
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.draining {
-		return nil, false, errDraining
+// admit is the daemon's admission step, run with the table locked.
+func (m *Manager) admit(a *Admission) (*Job, bool, error) {
+	if a.Prev != nil && a.Prev.Status().State == StateQuarantined {
+		// Poison stays parked; resubmission reports the verdict.
+		return a.Prev, false, nil
 	}
-	m.submitted.Add(1)
-	if j, ok := m.jobs[id]; ok {
-		j.mu.Lock()
-		state := j.state
-		j.mu.Unlock()
-		if !state.Terminal() {
-			// Live job: join it (this is the singleflight).
-			return j, false, nil
-		}
-		if state == StateQuarantined {
-			// Poison stays parked; resubmission reports the verdict.
-			return j, false, nil
-		}
-		// Terminal: a done job is re-answered from the cache below (a
-		// fresh hit-materialized record replaces it); a failed or
-		// canceled one does not poison the table — fall through and
-		// retry with a fresh attempt.
+	// A done job is re-answered from the cache below (a fresh
+	// hit-materialized record replaces it); a failed or canceled one
+	// does not poison the table — fall through and retry with a fresh
+	// attempt.
+	if j, ok := a.Cached(); ok {
+		return j, true, nil
 	}
-
-	if entry, ok := m.cache.Get(key); ok {
-		// Warm path: materialize a finished job straight from cache.
-		return m.materializeDone(id, key, req, entry), true, nil
-	}
-	if result, ok, serr := m.store.Get(key); ok {
+	if result, ok, serr := m.store.Get(a.Key); ok {
 		// Disk path: the store outlives both the LRU and the process.
-		entry := &cacheEntry{key: key, result: result}
-		m.cache.Put(key, entry)
-		return m.materializeDone(id, key, req, entry), true, nil
+		e := &cacheEntry{key: a.Key, result: result}
+		m.jobs.cache.Put(a.Key, e)
+		return m.jobs.materializeDone(a.ID, a.Key, a.Req, e), true, nil
 	} else if serr != nil {
 		m.storeErrors.Add(1) // corrupt entry deleted; re-simulate below
 	}
-	if m.attempts[id] >= m.quarantineAfter {
+	if m.attempts[a.ID] >= m.quarantineAfter {
 		// The poison verdict survives table eviction and restarts.
-		m.journalAccept(id, key, req)
-		m.journalState(id, StateQuarantined, m.attempts[id])
-		return m.materializeQuarantined(id, key, req, m.attempts[id]), true, nil
+		m.journalAccept(a.ID, a.Key, a.Req)
+		m.journalState(a.ID, StateQuarantined, m.attempts[a.ID])
+		return m.materializeQuarantined(a.ID, a.Key, a.Req, m.attempts[a.ID]), true, nil
 	}
 
 	queue := m.normal
-	if req.Priority == PriorityHigh {
+	if a.Req.Priority == PriorityHigh {
 		queue = m.high
 	}
-	// All senders hold m.mu, so the depth check below cannot race with
-	// another enqueue: once it passes, the send cannot block.
+	// All senders hold the table lock, so the depth check below cannot
+	// race with another enqueue: once it passes, the send cannot block.
+	// A refused submission does not count as submitted.
 	if len(queue) >= m.queueDepth {
-		m.submitted.Add(-1)
-		return nil, false, errQueueFull
+		m.jobs.submitted.Add(-1)
+		return nil, false, ErrQueueFull
 	}
-	if err := m.journalAccept(id, key, req); err != nil {
-		m.submitted.Add(-1)
+	if err := m.journalAccept(a.ID, a.Key, a.Req); err != nil {
+		m.jobs.submitted.Add(-1)
 		return nil, false, err
 	}
-	j := &Job{ID: id, Key: key, Req: req, worker: m.name, events: newEventLog(), done: make(chan struct{})}
-	j.state = StateQueued
-	j.attempts = m.attempts[id]
+	j := a.Enter()
+	j.attempts = m.attempts[a.ID]
 	queue <- j
-	m.jobs[id] = j
-	j.events.publish(JobEvent{Phase: string(StateQueued), State: StateQueued})
 	return j, true, nil
 }
 
@@ -472,12 +354,7 @@ func (m *Manager) journalState(id string, s JobState, attempts int) {
 }
 
 // Get returns a job by ID.
-func (m *Manager) Get(id string) (*Job, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	return j, ok
-}
+func (m *Manager) Get(id string) (*Job, bool) { return m.jobs.Get(id) }
 
 // Cancel cancels a queued or running job.
 func (m *Manager) Cancel(id string) bool {
@@ -498,32 +375,9 @@ func (m *Manager) Cancel(id string) bool {
 	}
 	// Still queued: finish it now; the worker skips terminal jobs.
 	m.canceled.Add(1)
-	j.finish(StateCanceled, nil, fsmerr.New(fsmerr.CodeCanceled, "server.Cancel", "job canceled before start"))
+	m.jobs.finish(j, StateCanceled, nil, fsmerr.New(fsmerr.CodeCanceled, "server.Cancel", "job canceled before start"))
 	m.journalState(j.ID, StateCanceled, 0)
-	m.noteFinished(j.ID)
 	return true
-}
-
-func (m *Manager) rememberFinishedLocked(id string) {
-	m.finished = append(m.finished, id)
-	for len(m.finished) > maxFinished {
-		evict := m.finished[0]
-		m.finished = m.finished[1:]
-		if j, ok := m.jobs[evict]; ok {
-			j.mu.Lock()
-			terminal := j.state.Terminal()
-			j.mu.Unlock()
-			if terminal {
-				delete(m.jobs, evict)
-			}
-		}
-	}
-}
-
-func (m *Manager) noteFinished(id string) {
-	m.mu.Lock()
-	m.rememberFinishedLocked(id)
-	m.mu.Unlock()
 }
 
 // worker is one executor goroutine: it drains the high-priority queue
@@ -567,42 +421,25 @@ func (m *Manager) worker() {
 	}
 }
 
-// Draining reports whether the manager has begun shutting down.
-func (m *Manager) Draining() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.draining
-}
-
 // Drain stops intake and waits for in-flight and queued jobs to finish.
-// New submissions fail with errDraining immediately; queued jobs still
+// New submissions fail with ErrDraining immediately; queued jobs still
 // execute (a completed submission is never dropped). If ctx expires
 // first, remaining jobs are canceled and Drain waits for the workers to
 // acknowledge before returning ctx's error.
 func (m *Manager) Drain(ctx context.Context) error {
-	m.mu.Lock()
-	if !m.draining {
-		m.draining = true
+	m.stopIntake()
+	err := WaitDrained(ctx, &m.wg, m.baseCancel)
+	m.closeOnce.Do(func() { m.journal.close() })
+	return err
+}
+
+// stopIntake stops submissions and closes the queues, once; the
+// workers exit when the queues run dry.
+func (m *Manager) stopIntake() {
+	if m.jobs.StopIntake() {
 		close(m.high)
 		close(m.normal)
 	}
-	m.mu.Unlock()
-
-	workersDone := make(chan struct{})
-	go func() {
-		m.wg.Wait()
-		close(workersDone)
-	}()
-	var err error
-	select {
-	case <-workersDone:
-	case <-ctx.Done():
-		m.baseCancel() // hard-cancel stragglers, then wait them out
-		<-workersDone
-		err = ctx.Err()
-	}
-	m.closeOnce.Do(func() { m.journal.close() })
-	return err
 }
 
 // crash simulates a SIGKILL for the recovery tests: the durability
@@ -613,13 +450,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 func (m *Manager) crash() {
 	m.journal.disable()
 	m.store.disable()
-	m.mu.Lock()
-	if !m.draining {
-		m.draining = true
-		close(m.high)
-		close(m.normal)
-	}
-	m.mu.Unlock()
+	m.stopIntake()
 	m.baseCancel()
 	m.wg.Wait()
 	m.closeOnce.Do(func() { m.journal.close() })

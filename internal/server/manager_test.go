@@ -139,7 +139,7 @@ func TestManagerDedup(t *testing.T) {
 	}
 	a, _ := jobs[0].Result()
 	b, _ := j.Result()
-	if !bytes.Equal(a.result, b.result) {
+	if !bytes.Equal(a, b) {
 		t.Fatal("cache hit returned different bytes")
 	}
 	if got := m.executed.Load(); got != 1 {
@@ -148,7 +148,7 @@ func TestManagerDedup(t *testing.T) {
 }
 
 // TestManagerDrain pins the drain contract: accepted jobs (running or
-// still queued) finish, new submissions fail with errDraining.
+// still queued) finish, new submissions fail with ErrDraining.
 func TestManagerDrain(t *testing.T) {
 	m := mustManager(t, Options{Workers: 1, QueueDepth: 16, CacheEntries: 16, GridShards: 1})
 	a, _, err := m.Submit(smallSim(21))
@@ -168,8 +168,8 @@ func TestManagerDrain(t *testing.T) {
 	if st := b.Status(); st.State != StateDone {
 		t.Fatalf("queued job dropped by drain: %s (%s)", st.State, st.Error)
 	}
-	if _, _, err := m.Submit(smallSim(23)); !errors.Is(err, errDraining) {
-		t.Fatalf("submit after drain: %v, want errDraining", err)
+	if _, _, err := m.Submit(smallSim(23)); !errors.Is(err, ErrDraining) {
+		t.Fatalf("submit after drain: %v, want ErrDraining", err)
 	}
 	// Drain is idempotent.
 	if err := m.Drain(context.Background()); err != nil {
@@ -230,13 +230,13 @@ func TestManagerQueueFull(t *testing.T) {
 	}
 	var sawFull bool
 	for seed := uint64(42); seed < 50; seed++ {
-		if _, _, err := m.Submit(smallSim(seed)); errors.Is(err, errQueueFull) {
+		if _, _, err := m.Submit(smallSim(seed)); errors.Is(err, ErrQueueFull) {
 			sawFull = true
 			break
 		}
 	}
 	if !sawFull {
-		t.Fatal("bounded queue never reported errQueueFull")
+		t.Fatal("bounded queue never reported ErrQueueFull")
 	}
 }
 
@@ -362,5 +362,67 @@ func TestEventLog(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("canceled reader never unblocked")
+	}
+}
+
+// TestFinishedRecordsEvictByJob pins terminal-record eviction by job,
+// not by resubmission: each cache-hit resubmission of a done job builds
+// a fresh record, and maxFinished of them must not push another done
+// job's record out of the table.
+func TestFinishedRecordsEvictByJob(t *testing.T) {
+	m := mustManager(t, Options{Workers: 1, QueueDepth: 16, CacheEntries: 16, GridShards: 1})
+	defer m.Drain(context.Background())
+	a, _, err := m.Submit(smallSim(61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := m.Submit(smallSim(62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*Job{a, b} {
+		if st := waitJob(t, j); st.State != StateDone {
+			t.Fatalf("job %s: %s (%s)", j.ID, st.State, st.Error)
+		}
+	}
+	for i := 0; i < maxFinished; i++ {
+		j, _, err := m.Submit(smallSim(61))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !j.Status().CacheHit {
+			t.Fatalf("resubmission %d was not a cache hit", i)
+		}
+	}
+	if _, ok := m.Get(b.ID); !ok {
+		t.Fatalf("job %s evicted by %d resubmissions of job %s; only two jobs exist", b.ID, maxFinished, a.ID)
+	}
+}
+
+// TestTableEvictsLeastRecentlyUsedRecord pins the bound on terminal
+// records: past it the least recently used record goes, and reading a
+// record counts as a use.
+func TestTableEvictsLeastRecentlyUsedRecord(t *testing.T) {
+	tb := NewTable("", 2, 4)
+	enter := func(a *Admission) (*Job, bool, error) { return a.Enter(), true, nil }
+	var ids []string
+	for seed := uint64(1); seed <= 3; seed++ {
+		j, _, err := tb.Submit(smallSim(seed), enter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.Finish(j, StateFailed, "", nil, errors.New("test failure"))
+		ids = append(ids, j.ID)
+		if seed == 2 {
+			tb.Get(ids[0]) // the first record is now more recent than the second
+		}
+	}
+	if _, ok := tb.Get(ids[1]); ok {
+		t.Fatal("least recently used terminal record survived past the bound")
+	}
+	for _, id := range []string{ids[0], ids[2]} {
+		if _, ok := tb.Get(id); !ok {
+			t.Fatalf("recently used terminal record %s was evicted", id)
+		}
 	}
 }

@@ -24,7 +24,7 @@ func resultBytes(t *testing.T, j *Job) []byte {
 	if !ok {
 		t.Fatalf("job %s has no result (state %s)", j.ID, j.Status().State)
 	}
-	return e.result
+	return e
 }
 
 // TestRecoveryServesDoneFromStore pins the restart-over-done path: a
@@ -400,7 +400,7 @@ func TestCacheEvictionUnderConcurrentSubmit(t *testing.T) {
 					return
 				}
 				e, ok := j.Result()
-				if !ok || !bytes.Equal(e.result, canonical[seed]) {
+				if !ok || !bytes.Equal(e, canonical[seed]) {
 					errc <- fmt.Errorf("goroutine %d seed %d: wrong bytes (ok=%v)", g, seed, ok)
 					return
 				}
