@@ -41,7 +41,7 @@ staticcheck:
 
 # BENCH_PKGS are the packages whose benchmarks the regression gate runs:
 # the end-to-end suite at the root, the scheduler layer pair, and the
-# simulator's core-stepping pair.
+# simulator's Step pairs (FS_RP core stepping, Baseline tick skipping).
 BENCH_PKGS = . ./internal/sched ./internal/sim
 
 bench:
@@ -57,7 +57,8 @@ benchdiff:
 		-ratio-max BenchmarkSimulateFastForwardXalanRate2:BenchmarkSimulateDenseXalanRate2:0.5 \
 		-ratio-max BenchmarkKolmogorovSmirnov:BenchmarkKolmogorovSmirnovInsertionSort:0.25 \
 		-ratio-max BenchmarkBaselineTickQ64:BenchmarkBaselineTickQ64Reference:0.5 \
-		-ratio-max BenchmarkStepFSRPMilc8:BenchmarkStepFSRPMilc8Dense:0.75
+		-ratio-max BenchmarkStepFSRPMilc8:BenchmarkStepFSRPMilc8Dense:0.75 \
+		-ratio-max BenchmarkStepBaselineMilc8:BenchmarkStepBaselineMilc8Dense:0.80
 
 # chaos runs the fault-injection campaign against every scheduler; it exits
 # non-zero if any Fixed Service variant lets a fault through undetected.

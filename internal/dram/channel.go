@@ -3,17 +3,26 @@ package dram
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // NeverCycle is a sentinel for "has not happened"; it is far enough in the
 // past that no timing constraint measured from it can ever block.
 const NeverCycle = int64(-1) << 60
 
+// NeverReady is the ready-at cycle of a command that no amount of waiting
+// makes legal: a state rejection such as an ACT to an open bank, a CAS to
+// a closed one or any command to a powered-down rank. Only another command
+// (or a derate) can change the verdict.
+const NeverReady = int64(math.MaxInt64)
+
 // ClosedRow marks a bank with no open row.
 const ClosedRow = -1
 
 // TimingError describes a rejected command: which constraint failed and
-// the earliest cycle at which the command could legally issue (best effort).
+// ReadyAt, the cycle that constraint clears (NeverReady for a state
+// rejection). ReadyAt is a lower bound on the first legal cycle, not that
+// cycle itself: a later constraint may still block then.
 type TimingError struct {
 	Cmd        Command
 	Cycle      int64
@@ -115,7 +124,8 @@ type Channel struct {
 	lastCmdCycle int64
 	dataOcc      []dataSlot // ring of recent/future data-bus occupancy
 	dataHead     int
-	now          int64 // latest cycle seen (for power-down accounting)
+	now          int64  // latest cycle seen (for power-down accounting)
+	gen          uint64 // state changes so far (see Gen)
 
 	Counters Counters
 
@@ -189,35 +199,55 @@ func (ch *Channel) bank(cmd Command) *bankState { return &ch.ranks[cmd.Rank].ban
 // would allocate on every failed probe of the hot loop.
 var errNotReady = errors.New("dram: command not ready (probe)")
 
-func reject(explain bool, cmd Command, cycle int64, constraint string, readyAt int64) error {
+func reject(explain bool, cmd Command, cycle int64, constraint string, readyAt int64) (int64, error) {
 	if !explain {
-		return errNotReady
+		return readyAt, errNotReady
 	}
-	return &TimingError{Cmd: cmd, Cycle: cycle, Constraint: constraint, ReadyAt: readyAt}
+	return readyAt, &TimingError{Cmd: cmd, Cycle: cycle, Constraint: constraint, ReadyAt: readyAt}
 }
 
 // CanIssue reports whether cmd may legally issue on the command bus at the
 // given cycle, checking bus availability and every timing constraint. The
 // returned error carries the violated constraint and the ready-at cycle.
 func (ch *Channel) CanIssue(cmd Command, cycle int64) error {
-	return ch.canIssue(cmd, cycle, true)
+	_, err := ch.canIssue(cmd, cycle, true)
+	return err
 }
 
 // Ready is CanIssue as an allocation-free predicate, for schedulers that
 // probe legality in their hot loop and treat a rejection as back-off.
 func (ch *Channel) Ready(cmd Command, cycle int64) bool {
-	return ch.canIssue(cmd, cycle, false) == nil
+	_, err := ch.canIssue(cmd, cycle, false)
+	return err == nil
 }
 
-// canIssue is the shared check body; explain selects between detailed
-// TimingError construction and the shared errNotReady sentinel.
-func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) error {
+// ReadyAt is Ready with a bound: it returns cycle when cmd may issue now,
+// and otherwise the cycle the first rejecting constraint clears — the
+// TimingError's ReadyAt, or NeverReady for a state rejection. While the
+// channel state stays unchanged (Gen), cmd is not legal on any cycle
+// before that bound, so a failed probe need not be repeated sooner.
+func (ch *Channel) ReadyAt(cmd Command, cycle int64) int64 {
+	at, _ := ch.canIssue(cmd, cycle, false)
+	return at
+}
+
+// Gen counts the channel's state changes: every applied command and every
+// derate. A ReadyAt bound holds for as long as Gen stays the same.
+func (ch *Channel) Gen() uint64 { return ch.gen }
+
+// canIssue is the shared check body. It returns cycle and nil when cmd may
+// issue, and otherwise the first rejecting constraint's clear cycle and an
+// error; explain selects between detailed TimingError construction and the
+// shared errNotReady sentinel. Each constraint rejects a contiguous run of
+// cycles ending at its clear cycle, so that cycle is a lower bound on the
+// first legal one.
+func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) (int64, error) {
 	if cmd.Rank < 0 || cmd.Rank >= len(ch.ranks) {
-		return fmt.Errorf("dram: rank %d out of range [0,%d)", cmd.Rank, len(ch.ranks))
+		return NeverReady, fmt.Errorf("dram: rank %d out of range [0,%d)", cmd.Rank, len(ch.ranks))
 	}
 	if cmd.Kind != KindRefresh && cmd.Kind != KindPowerDown && cmd.Kind != KindPowerUp {
 		if cmd.Bank < 0 || cmd.Bank >= ch.P.BanksPerRank {
-			return fmt.Errorf("dram: bank %d out of range [0,%d)", cmd.Bank, ch.P.BanksPerRank)
+			return NeverReady, fmt.Errorf("dram: bank %d out of range [0,%d)", cmd.Bank, ch.P.BanksPerRank)
 		}
 	}
 	if cycle <= ch.lastCmdCycle {
@@ -225,7 +255,7 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) error {
 	}
 	rk := &ch.ranks[cmd.Rank]
 	if rk.poweredDown && cmd.Kind != KindPowerUp {
-		return reject(explain, cmd, cycle, "rank powered down", cycle)
+		return reject(explain, cmd, cycle, "rank powered down", NeverReady)
 	}
 	if !rk.poweredDown && cycle < rk.powerUpReady && cmd.Kind != KindPowerDown {
 		return reject(explain, cmd, cycle, "tXP (power-up exit)", rk.powerUpReady)
@@ -240,7 +270,7 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) error {
 	case KindActivate:
 		bk := ch.bank(cmd)
 		if bk.openRow != ClosedRow {
-			return reject(explain, cmd, cycle, "bank already open (needs PRE)", NeverCycle)
+			return reject(explain, cmd, cycle, "bank already open (needs PRE)", NeverReady)
 		}
 		if bk.prechargeStart != NeverCycle && cycle < bk.prechargeStart+int64(p.TRP+der.TRP) {
 			return reject(explain, cmd, cycle, "tRP", bk.prechargeStart+int64(p.TRP+der.TRP))
@@ -261,7 +291,7 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) error {
 	case KindRead, KindReadAP:
 		bk := ch.bank(cmd)
 		if bk.openRow == ClosedRow {
-			return reject(explain, cmd, cycle, "read to closed bank", NeverCycle)
+			return reject(explain, cmd, cycle, "read to closed bank", NeverReady)
 		}
 		if cycle < bk.lastAct+int64(p.TRCD+der.TRCD) {
 			return reject(explain, cmd, cycle, "tRCD", bk.lastAct+int64(p.TRCD+der.TRCD))
@@ -280,14 +310,14 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) error {
 				return reject(explain, cmd, cycle, "tWTR_L (same bank group)", rk.groupLastWriteDataEnd[g]+int64(p.WTRSame()+der.TWTR))
 			}
 		}
-		if err := ch.checkDataBus(cmd, cycle, cycle+int64(p.TCAS), explain); err != nil {
-			return err
+		if at, err := ch.checkDataBus(cmd, cycle, cycle+int64(p.TCAS), explain); err != nil {
+			return at, err
 		}
 
 	case KindWrite, KindWriteAP:
 		bk := ch.bank(cmd)
 		if bk.openRow == ClosedRow {
-			return reject(explain, cmd, cycle, "write to closed bank", NeverCycle)
+			return reject(explain, cmd, cycle, "write to closed bank", NeverReady)
 		}
 		if cycle < bk.lastAct+int64(p.TRCD+der.TRCD) {
 			return reject(explain, cmd, cycle, "tRCD", bk.lastAct+int64(p.TRCD+der.TRCD))
@@ -298,14 +328,14 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) error {
 		if g := p.BankGroup(cmd.Bank); cycle < rk.groupLastCAS[g]+int64(p.CCDSame()+der.TCCD) {
 			return reject(explain, cmd, cycle, "tCCD_L (same bank group)", rk.groupLastCAS[g]+int64(p.CCDSame()+der.TCCD))
 		}
-		if err := ch.checkDataBus(cmd, cycle, cycle+int64(p.TCWD), explain); err != nil {
-			return err
+		if at, err := ch.checkDataBus(cmd, cycle, cycle+int64(p.TCWD), explain); err != nil {
+			return at, err
 		}
 
 	case KindPrecharge:
 		bk := ch.bank(cmd)
 		if bk.openRow == ClosedRow {
-			return reject(explain, cmd, cycle, "precharge to closed bank", NeverCycle)
+			return reject(explain, cmd, cycle, "precharge to closed bank", NeverReady)
 		}
 		if cycle < bk.lastAct+int64(p.TRAS+der.TRAS) {
 			return reject(explain, cmd, cycle, "tRAS", bk.lastAct+int64(p.TRAS+der.TRAS))
@@ -322,9 +352,9 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) error {
 			bk := &rk.banks[b]
 			if bk.openRow != ClosedRow {
 				if !explain {
-					return errNotReady
+					return NeverReady, errNotReady
 				}
-				return reject(explain, cmd, cycle, fmt.Sprintf("refresh with bank %d open", b), NeverCycle)
+				return reject(explain, cmd, cycle, fmt.Sprintf("refresh with bank %d open", b), NeverReady)
 			}
 			if bk.prechargeStart != NeverCycle && cycle < bk.prechargeStart+int64(p.TRP+der.TRP) {
 				return reject(explain, cmd, cycle, "tRP before refresh", bk.prechargeStart+int64(p.TRP+der.TRP))
@@ -335,9 +365,9 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) error {
 		for b := range rk.banks {
 			if rk.banks[b].openRow != ClosedRow {
 				if !explain {
-					return errNotReady
+					return NeverReady, errNotReady
 				}
-				return reject(explain, cmd, cycle, fmt.Sprintf("power-down with bank %d open", b), NeverCycle)
+				return reject(explain, cmd, cycle, fmt.Sprintf("power-down with bank %d open", b), NeverReady)
 			}
 		}
 		if cycle < rk.refreshUntil {
@@ -346,19 +376,22 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) error {
 
 	case KindPowerUp:
 		if !rk.poweredDown {
-			return reject(explain, cmd, cycle, "power-up of powered-up rank", NeverCycle)
+			return reject(explain, cmd, cycle, "power-up of powered-up rank", NeverReady)
 		}
 
 	default:
-		return fmt.Errorf("dram: unknown command kind %v", cmd.Kind)
+		return NeverReady, fmt.Errorf("dram: unknown command kind %v", cmd.Kind)
 	}
-	return nil
+	return cycle, nil
 }
 
 // checkDataBus validates a burst starting at dataStart against recent and
 // scheduled transfers: bursts must not overlap, and transfers on different
-// ranks must be separated by tRTRS.
-func (ch *Channel) checkDataBus(cmd Command, cycle, dataStart int64, explain bool) error {
+// ranks must be separated by tRTRS. A conflicting burst clears once the
+// command's own burst starts gap cycles after it ends; the command's data
+// latency (tCAS for a read, tCWD for a write) turns that into a command
+// cycle.
+func (ch *Channel) checkDataBus(cmd Command, cycle, dataStart int64, explain bool) (int64, error) {
 	p := &ch.P
 	end := dataStart + int64(p.TBURST)
 	for _, s := range ch.dataOcc {
@@ -367,15 +400,16 @@ func (ch *Channel) checkDataBus(cmd Command, cycle, dataStart int64, explain boo
 			gap = int64(p.TRTRS)
 		}
 		if dataStart < s.end+gap && s.start < end+gap {
+			readyAt := s.end + gap - (dataStart - cycle)
 			if !explain {
-				return errNotReady
+				return readyAt, errNotReady
 			}
 			return reject(explain, cmd, cycle,
 				fmt.Sprintf("data bus conflict with rank %d burst [%d,%d)", s.rank, s.start, s.end),
-				s.end+gap-int64(p.TCAS))
+				readyAt)
 		}
 	}
-	return nil
+	return cycle, nil
 }
 
 // Issue applies cmd at cycle, first validating it with CanIssue.
@@ -392,6 +426,7 @@ func (ch *Channel) IssueEx(cmd Command, cycle int64, suppressed bool) error {
 	}
 	p := &ch.P
 	rk := &ch.ranks[cmd.Rank]
+	ch.gen++
 	ch.lastCmdCycle = cycle
 	if cycle > ch.now {
 		ch.now = cycle

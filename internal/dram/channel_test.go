@@ -249,6 +249,40 @@ func TestRankToRankSwitchTRTRS(t *testing.T) {
 	mustIssue(t, ch, rd(1, 0), c0+int64(p.TBURST+p.TRTRS))
 }
 
+// TestWriteDataBusReadyAt pins the data-bus ReadyAt of a write blocked by
+// another rank's read burst. The write's own burst starts tCWD after the
+// command, so the bound is the cycle the write first becomes legal: 92 on
+// DDR3-1600 and 90 on DDR4-2400, where the read's tCAS gave 86 on both.
+func TestWriteDataBusReadyAt(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    Params
+		want int64
+	}{
+		{"ddr3-1600", DDR3_1600(), 92},
+		{"ddr4-2400", DDR4_2400(), 90},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ch := NewChannel(tc.p)
+			mustIssue(t, ch, act(0, 0, 1), 0)
+			mustIssue(t, ch, act(1, 0, 1), 1)
+			mustIssue(t, ch, rd(0, 0), 80)
+			te := wantReject(t, ch, wr(1, 0), 81, "data bus conflict with rank 0")
+			first := int64(81)
+			for !ch.Ready(wr(1, 0), first) {
+				first++
+			}
+			if te.ReadyAt != tc.want || first != tc.want {
+				t.Fatalf("write blocked by rank 0's read burst: ReadyAt %d, first legal cycle %d, want both %d",
+					te.ReadyAt, first, tc.want)
+			}
+			if got := ch.ReadyAt(wr(1, 0), 81); got != te.ReadyAt {
+				t.Fatalf("ReadyAt = %d, TimingError.ReadyAt = %d: one computation must give one bound", got, te.ReadyAt)
+			}
+		})
+	}
+}
+
 func TestSameRankBackToBackReadsNeedOnlyTCCD(t *testing.T) {
 	p := testParams()
 	ch := NewChannel(p)
@@ -398,7 +432,7 @@ func TestGreedyClosedPageStreamIsLegal(t *testing.T) {
 				return cycle
 			}
 			var te *TimingError
-			if errors.As(err, &te) && te.ReadyAt > cycle && te.ReadyAt != NeverCycle {
+			if errors.As(err, &te) && te.ReadyAt > cycle && te.ReadyAt != NeverReady {
 				cycle = te.ReadyAt
 				continue
 			}

@@ -29,6 +29,7 @@ func (d Derate) IsZero() bool { return d == Derate{} }
 // the derate to every rank. Derating after commands have been issued only
 // affects constraints checked from then on.
 func (ch *Channel) SetDerate(rank int, d Derate) {
+	ch.gen++
 	if ch.derate == nil {
 		ch.derate = make([]Derate, len(ch.ranks))
 	}

@@ -47,7 +47,8 @@ type Scheduler interface {
 // bus cycle at which the scheduler's Tick could do anything (issue a
 // command, mutate queues, emit a trace event). Returning the current cycle
 // is always safe; returning a later cycle asserts every Tick before it is a
-// no-op. Schedulers that do not implement it force dense stepping.
+// no-op, so Step may skip those ticks. Schedulers that do not implement it
+// force dense stepping.
 type EventSource interface {
 	NextEvent(c *Controller) int64
 }
@@ -151,7 +152,11 @@ type Controller struct {
 	Retired        obs.Counter
 
 	sched       Scheduler
+	events      EventSource // sched's horizon; nil when it has none
 	completions completionHeap
+
+	// qgen counts enqueues, pops and removals on the queues (see Gen).
+	qgen uint64
 
 	// free holds retired requests for NewRequest to reuse. finish returns a
 	// request only after its completion callback has run, and nothing in
@@ -173,9 +178,8 @@ func NewController(p dram.Params, cfg Config, sched Scheduler) *Controller {
 		Cfg:  cfg,
 		Chan: dram.NewChannel(p),
 		Dom:  make([]stats.Domain, cfg.Domains),
-
-		sched: sched,
 	}
+	c.SetScheduler(sched)
 	c.LatHist = make([]*stats.Histogram, cfg.Domains)
 	for d := range c.LatHist {
 		c.LatHist[d] = stats.NewLatencyHistogram()
@@ -200,7 +204,16 @@ func (c *Controller) Scheduler() Scheduler { return c.sched }
 // the controller first (see sim.System.Reconfigure): swapping with work in
 // flight would hand the new policy requests whose commands are half
 // issued.
-func (c *Controller) SetScheduler(s Scheduler) { c.sched = s }
+func (c *Controller) SetScheduler(s Scheduler) {
+	c.sched = s
+	c.events, _ = s.(EventSource)
+}
+
+// Gen counts changes to the state a scheduler decision reads: every
+// enqueue, pop and removal on the queues, plus the channel's own Gen
+// (applied commands, derates). A bound a scheduler derived from failed
+// probes holds for as long as Gen is unchanged.
+func (c *Controller) Gen() uint64 { return c.qgen + c.Chan.Gen() }
 
 // EnablePrefetch attaches one sandbox prefetcher per domain.
 func (c *Controller) EnablePrefetch(mk func(domain int) *prefetch.Sandbox) {
@@ -256,6 +269,7 @@ func (c *Controller) EnqueueRead(domain int, a dram.Address, done func()) bool {
 	r := c.NewRequest(Request{Domain: domain, Addr: a, Arrive: c.Cycle, FirstCmd: -1, DataEnd: -1, done: done})
 	c.ReadQ[domain] = append(c.ReadQ[domain], r)
 	c.ageReads = insertByAge(c.ageReads, r)
+	c.qgen++
 	return true
 }
 
@@ -270,6 +284,7 @@ func (c *Controller) EnqueueWrite(domain int, a dram.Address) bool {
 	r := c.NewRequest(Request{Domain: domain, Write: true, Addr: a, Arrive: c.Cycle, FirstCmd: -1, DataEnd: -1})
 	c.WriteQ[domain] = append(c.WriteQ[domain], r)
 	c.ageWrites = insertByAge(c.ageWrites, r)
+	c.qgen++
 	return true
 }
 
@@ -409,8 +424,16 @@ func (c *Controller) RecordFirstCommand(req *Request) {
 
 // Tick advances the controller by one bus cycle: deliver due completions,
 // pump any injected command replays onto the bus, then let the policy
-// issue.
-func (c *Controller) Tick() {
+// issue. It ticks the policy on every call, which makes it the reference
+// for Step.
+func (c *Controller) Tick() { c.tick(false) }
+
+// Step is Tick for the event-driven loop: it skips the policy's Tick on a
+// cycle before the policy's NextEvent, which the EventSource contract
+// makes a no-op. Completions and injector replays still run every cycle.
+func (c *Controller) Step() { c.tick(true) }
+
+func (c *Controller) tick(skip bool) {
 	for len(c.completions) > 0 && c.completions[0].cycle <= c.Cycle {
 		c.finish(c.completions.pop().req)
 	}
@@ -428,7 +451,9 @@ func (c *Controller) Tick() {
 			}
 		}
 	}
-	c.sched.Tick(c)
+	if !skip || c.events == nil || c.events.NextEvent(c) <= c.Cycle {
+		c.sched.Tick(c)
+	}
 	c.Cycle++
 }
 
@@ -438,11 +463,10 @@ func (c *Controller) Tick() {
 // injector replay/extra. Returns the current cycle (no skip possible) when
 // the scheduler does not implement EventSource.
 func (c *Controller) NextEvent() int64 {
-	es, ok := c.sched.(EventSource)
-	if !ok {
+	if c.events == nil {
 		return c.Cycle
 	}
-	h := es.NextEvent(c)
+	h := c.events.NextEvent(c)
 	if len(c.completions) > 0 && c.completions[0].cycle < h {
 		h = c.completions[0].cycle
 	}
@@ -463,13 +487,16 @@ func (c *Controller) AdvanceIdle(n int64) {
 
 // TryIssue issues cmd if the channel would accept it right now, reporting
 // whether it did. It is the allocation-free probe for FR-FCFS-style
-// schedulers that treat timing rejections as back-off: Ready costs no
-// allocation on failure, unlike Issue's explanatory *TimingError.
-func (c *Controller) TryIssue(cmd dram.Command) bool {
-	if !c.Chan.Ready(cmd, c.Cycle) {
-		return false
+// schedulers that treat timing rejections as back-off: ReadyAt costs no
+// allocation on failure, unlike Issue's explanatory *TimingError. A failed
+// probe also returns the channel's ReadyAt bound, before which the same
+// probe fails again unless Gen changes (dram.NeverReady when only a state
+// change can help).
+func (c *Controller) TryIssue(cmd dram.Command) (issued bool, readyAt int64) {
+	if at := c.Chan.ReadyAt(cmd, c.Cycle); at > c.Cycle {
+		return false, at
 	}
-	return c.issue(cmd, false) == nil
+	return c.issue(cmd, false) == nil, c.Cycle
 }
 
 func (c *Controller) finish(req *Request) {
@@ -526,6 +553,7 @@ func (c *Controller) PopRead(domain int) *Request {
 	r := q[0]
 	c.ReadQ[domain] = slices.Delete(q, 0, 1)
 	c.ageReads = deleteByAge(c.ageReads, r)
+	c.qgen++
 	return r
 }
 
@@ -538,6 +566,7 @@ func (c *Controller) PopWrite(domain int) *Request {
 	w := q[0]
 	c.WriteQ[domain] = slices.Delete(q, 0, 1)
 	c.ageWrites = deleteByAge(c.ageWrites, w)
+	c.qgen++
 	return w
 }
 
@@ -571,6 +600,7 @@ func (c *Controller) removeFrom(qs [][]*Request, req *Request, op string) error 
 	for i, r := range q {
 		if r == req {
 			qs[req.Domain] = slices.Delete(q, i, i+1)
+			c.qgen++
 			return nil
 		}
 	}

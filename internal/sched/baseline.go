@@ -5,8 +5,6 @@
 package sched
 
 import (
-	"math"
-
 	"fsmem/internal/dram"
 	"fsmem/internal/mem"
 )
@@ -32,6 +30,8 @@ type Baseline struct {
 	// marks banks whose open row some queued request targets.
 	blocked   []uint8
 	wantsOpen []bool
+
+	wake wake
 }
 
 // Probe kinds recorded in Baseline.blocked.
@@ -62,34 +62,23 @@ func NewBaseline(p dram.Params, cfg mem.Config) *Baseline {
 // Name implements mem.Scheduler.
 func (b *Baseline) Name() string { return "baseline" }
 
-// NextEvent implements mem.EventSource. With any request queued the policy
-// may act on the very next tick; while the drain latch is set an otherwise
-// idle tick still settles it back below the low watermark (the latch is
-// observable through ObsMetrics, so its settling cycle must stay exact).
-// Otherwise only a refresh deadline can wake the scheduler.
-func (b *Baseline) NextEvent(c *mem.Controller) int64 {
-	if b.draining || c.PendingReads() > 0 || c.PendingWrites() > 0 {
-		return c.Cycle
-	}
-	if !b.RefreshEnabled {
-		return math.MaxInt64
-	}
-	h := int64(math.MaxInt64)
-	for _, d := range b.refreshDeadline {
-		if d < h {
-			h = d
-		}
-	}
-	if h < c.Cycle {
-		h = c.Cycle // refresh overdue (e.g. blocked last tick): retry now
-	}
-	return h
+// NextEvent implements mem.EventSource: the wake the last tick recorded
+// while the controller's Gen is unchanged, else now. A tick that records a
+// wake has already settled the drain latch, which moves only when the
+// write count does.
+func (b *Baseline) NextEvent(c *mem.Controller) int64 { return b.wake.next(c) }
+
+// Tick issues at most one command according to FR-FCFS priorities. A tick
+// that issues nothing records a wake: the earliest of its failed probes'
+// ReadyAt bounds and, with refresh on, the next refresh deadline.
+func (b *Baseline) Tick(c *mem.Controller) {
+	b.wake.start()
+	b.wake.finish(c, b.tick(c))
 }
 
-// Tick issues at most one command according to FR-FCFS priorities.
-func (b *Baseline) Tick(c *mem.Controller) {
+func (b *Baseline) tick(c *mem.Controller) bool {
 	if b.RefreshEnabled && b.tickRefresh(c) {
-		return
+		return true
 	}
 
 	pw := c.PendingWrites()
@@ -100,16 +89,10 @@ func (b *Baseline) Tick(c *mem.Controller) {
 		b.draining = false
 	}
 
-	writesFirst := b.draining || c.PendingReads() == 0
-	if writesFirst {
-		if b.serve(c, true) || b.serve(c, false) {
-			return
-		}
-	} else {
-		if b.serve(c, false) || b.serve(c, true) {
-			return
-		}
+	if b.draining || c.PendingReads() == 0 {
+		return b.serve(c, true) || b.serve(c, false)
 	}
+	return b.serve(c, false) || b.serve(c, true)
 }
 
 // serve attempts one command for the given request class. Priority order:
@@ -121,8 +104,9 @@ func (b *Baseline) Tick(c *mem.Controller) {
 // Channel.Ready depends only on a command's kind, rank, bank and the
 // cycle, never on its row, column or domain, so once a probe of one kind
 // fails for a bank every later probe of that kind to the bank in the same
-// call would fail too: blocked skips them. Every command that does issue
-// still goes through Controller.TryIssue's full check.
+// call would fail too, with the same ReadyAt bound: blocked skips them.
+// Every command that does issue still goes through Controller.TryIssue's
+// full check.
 func (b *Baseline) serve(c *mem.Controller, writes bool) bool {
 	reqs := c.ByAge(writes)
 	if len(reqs) == 0 {
@@ -148,7 +132,7 @@ func (b *Baseline) serve(c *mem.Controller, writes bool) bool {
 			continue
 		}
 		cmd := dram.Command{Kind: dram.KindActivate, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Row: r.Addr.Row, Domain: r.Domain}
-		if c.TryIssue(cmd) {
+		if b.wake.try(c, cmd) {
 			c.RecordFirstCommand(r)
 			r.Acted = true
 			return true
@@ -174,7 +158,7 @@ func (b *Baseline) serve(c *mem.Controller, writes bool) bool {
 			continue
 		}
 		cmd := dram.Command{Kind: dram.KindPrecharge, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Domain: r.Domain}
-		if c.TryIssue(cmd) {
+		if b.wake.try(c, cmd) {
 			return true
 		}
 		b.blocked[k] |= blockedPRE
@@ -208,7 +192,7 @@ func (b *Baseline) issueCAS(c *mem.Controller, r *mem.Request, write bool) bool 
 		dataStart = b.p.WriteDataStart()
 	}
 	cmd := dram.Command{Kind: kind, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Col: r.Addr.Col, Domain: r.Domain}
-	if !c.TryIssue(cmd) {
+	if !b.wake.try(c, cmd) {
 		return false
 	}
 	c.RecordFirstCommand(r)
@@ -231,23 +215,26 @@ func (b *Baseline) issueCAS(c *mem.Controller, r *mem.Request, write bool) bool 
 
 // tickRefresh manages per-rank refresh: when a deadline passes, open banks
 // are precharged and REF issued; returns true if it used the command bus.
+// A deadline still ahead goes into the wake, and so does the bound of a
+// blocked PRE or REF.
 func (b *Baseline) tickRefresh(c *mem.Controller) bool {
 	for rank := range b.refreshDeadline {
 		if c.Cycle < b.refreshDeadline[rank] {
+			b.wake.fold(b.refreshDeadline[rank])
 			continue
 		}
 		// Close any open bank first.
 		for bank := 0; bank < b.p.BanksPerRank; bank++ {
 			if c.Chan.OpenRow(rank, bank) != dram.ClosedRow {
 				cmd := dram.Command{Kind: dram.KindPrecharge, Rank: rank, Bank: bank, Domain: dram.NoDomain}
-				if c.TryIssue(cmd) {
+				if b.wake.try(c, cmd) {
 					return true
 				}
-				return false // blocked this cycle; retry next
+				return false // blocked; retry at the wake
 			}
 		}
 		cmd := dram.Command{Kind: dram.KindRefresh, Rank: rank, Domain: dram.NoDomain}
-		if c.TryIssue(cmd) {
+		if b.wake.try(c, cmd) {
 			b.refreshDeadline[rank] += int64(b.p.TREFI)
 			return true
 		}

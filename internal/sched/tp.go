@@ -88,6 +88,8 @@ type TP struct {
 	lastAct     int64 // cycle of the last intra-turn ACT
 	lastActTurn int64
 	started     []*mem.Request // activated, CAS not yet issued
+
+	wake wake
 }
 
 // NewTP builds a TP scheduler with the given turn length in bus cycles
@@ -114,18 +116,26 @@ func NewTP(p dram.Params, mode TPMode, domains int, turnLength int64) (*TP, erro
 // Name implements mem.Scheduler.
 func (t *TP) Name() string { return fmt.Sprintf("tp-%s-%d", t.mode, t.TurnLength) }
 
-// NextEvent implements mem.EventSource. Turn rotation itself is pure
-// arithmetic on the cycle counter, so an empty scheduler — nothing in
-// flight, nothing queued — never acts no matter which turn is live.
-func (t *TP) NextEvent(c *mem.Controller) int64 {
-	if len(t.started) > 0 || c.PendingReads() > 0 || c.PendingWrites() > 0 {
-		return c.Cycle
-	}
-	return math.MaxInt64
-}
+// NextEvent implements mem.EventSource: the wake the last tick recorded
+// while the controller's Gen is unchanged, else now.
+func (t *TP) NextEvent(c *mem.Controller) int64 { return t.wake.next(c) }
 
 // Tick issues at most one command for the domain owning the current turn.
+// A tick that issues nothing records a wake from the failed probes' ReadyAt
+// bounds and the turn arithmetic: the end of the intra-turn spacing while
+// the owner has a pickable request, and the start of the next turn whose
+// owner has queued work. Turn rotation itself is pure arithmetic on the
+// cycle counter, so a turn whose owner has nothing to do needs no tick.
 func (t *TP) Tick(c *mem.Controller) {
+	t.wake.start()
+	issued := t.tick(c)
+	if !issued {
+		t.wake.fold(t.nextTurnWithWork(c, c.Cycle/t.TurnLength))
+	}
+	t.wake.finish(c, issued)
+}
+
+func (t *TP) tick(c *mem.Controller) bool {
 	turn := c.Cycle / t.TurnLength
 	domain := int(turn % int64(t.domains))
 	turnEnd := (turn + 1) * t.TurnLength
@@ -135,25 +145,26 @@ func (t *TP) Tick(c *mem.Controller) {
 	for i, req := range t.started {
 		if t.issueCAS(c, req) {
 			t.started = slices.Delete(t.started, i, i+1)
-			return
+			return true
 		}
 	}
 
 	// Start a new transaction if the reserve still allows it and the
 	// intra-turn spacing since this turn's previous transaction has passed.
 	if turnEnd-c.Cycle < t.Res {
-		return
-	}
-	if t.lastActTurn == turn && c.Cycle-t.lastAct < t.Intra {
-		return
+		return false
 	}
 	req := t.pick(c, domain)
 	if req == nil {
-		return
+		return false
+	}
+	if t.lastActTurn == turn && c.Cycle-t.lastAct < t.Intra {
+		t.wake.fold(t.lastAct + t.Intra)
+		return false
 	}
 	cmd := dram.Command{Kind: dram.KindActivate, Rank: req.Addr.Rank, Bank: req.Addr.Bank, Row: req.Addr.Row, Domain: req.Domain}
-	if !c.TryIssue(cmd) {
-		return
+	if !t.wake.try(c, cmd) {
+		return false
 	}
 	c.RecordFirstCommand(req)
 	req.Acted = true
@@ -168,6 +179,19 @@ func (t *TP) Tick(c *mem.Controller) {
 		c.ReportViolation(err)
 	}
 	t.started = append(t.started, req)
+	return true
+}
+
+// nextTurnWithWork returns the first cycle of the earliest turn after turn
+// whose owner has a queued request, or never when no domain has one.
+func (t *TP) nextTurnWithWork(c *mem.Controller, turn int64) int64 {
+	for next := turn + 1; next <= turn+int64(t.domains); next++ {
+		d := next % int64(t.domains)
+		if len(c.ReadQ[d]) > 0 || len(c.WriteQ[d]) > 0 {
+			return next * t.TurnLength
+		}
+	}
+	return math.MaxInt64
 }
 
 // pick chooses the oldest eligible request of the domain (reads before
@@ -206,7 +230,7 @@ func (t *TP) issueCAS(c *mem.Controller, req *mem.Request) bool {
 		dataStart = t.p.WriteDataStart()
 	}
 	cmd := dram.Command{Kind: kind, Rank: req.Addr.Rank, Bank: req.Addr.Bank, Col: req.Addr.Col, Domain: req.Domain}
-	if !c.TryIssue(cmd) {
+	if !t.wake.try(c, cmd) {
 		return false
 	}
 	req.DataEnd = c.Cycle + int64(dataStart) + int64(t.p.TBURST)

@@ -325,29 +325,39 @@ func TestFastForwardEquivalenceFaulted(t *testing.T) {
 // degenerating to dense stepping (every horizon returning the current
 // cycle): on an idle-heavy mix the jump counters must move, otherwise the
 // equivalence suite passes vacuously and the ≥2× benchmark gate is the only
-// thing left to notice.
+// thing left to notice. The loaded mix (milc×8 on one channel) keeps the
+// Baseline and TP queues busy, so it fails if their horizon pins the clock
+// whenever work is queued instead of reporting the scheduler's wake.
 func TestFastForwardActuallySkips(t *testing.T) {
-	mix, err := workload.Rate("xalancbmk", 4)
+	skips := func(t *testing.T, mix workload.Mix, kinds []SchedulerKind) {
+		for _, k := range kinds {
+			k := k
+			t.Run(k.String(), func(t *testing.T) {
+				cfg := DefaultConfig(mix, k)
+				cfg.TargetReads = 1500
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := s.Run()
+				jumps, skipped := s.FastForward()
+				if jumps == 0 || skipped == 0 {
+					t.Errorf("fast-forward kernel never skipped (jumps=%d skipped=%d over %d bus cycles)",
+						jumps, skipped, res.Run.BusCycles)
+				}
+			})
+		}
+	}
+	idle, err := workload.Rate("xalancbmk", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range allKinds() {
-		k := k
-		t.Run(k.String(), func(t *testing.T) {
-			cfg := DefaultConfig(mix, k)
-			cfg.TargetReads = 1500
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := s.Run()
-			jumps, skipped := s.FastForward()
-			if jumps == 0 || skipped == 0 {
-				t.Errorf("fast-forward kernel never skipped (jumps=%d skipped=%d over %d bus cycles)",
-					jumps, skipped, res.Run.BusCycles)
-			}
-		})
+	skips(t, idle, allKinds())
+	loaded, err := workload.Rate("milc", 8)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Run("loaded", func(t *testing.T) { skips(t, loaded, []SchedulerKind{Baseline, TPBank, TPNone}) })
 }
 
 // ctlFingerprint captures every controller-side observable: the shell and
@@ -394,6 +404,8 @@ func TestNextEventNeverLate(t *testing.T) {
 		{"baseline", func(c *Config) { c.Scheduler = Baseline }},
 		{"baseline-refresh", func(c *Config) { c.Scheduler = Baseline; c.RefreshEnabled = true }},
 		{"tp-bank", func(c *Config) { c.Scheduler = TPBank }},
+		{"tp-bank-long-turn", func(c *Config) { c.Scheduler = TPBank; c.TPTurnLength = 39 }},
+		{"tp-none", func(c *Config) { c.Scheduler = TPNone }},
 		{"fs-rank", func(c *Config) { c.Scheduler = FSRankPart }},
 		{"fs-rank-refresh", func(c *Config) { c.Scheduler = FSRankPart; c.RefreshEnabled = true }},
 		{"fs-reordered", func(c *Config) { c.Scheduler = FSReorderedBank }},

@@ -736,12 +736,18 @@ func (s *System) rebase(cycle int64) {
 }
 
 // Step advances the system by one DRAM bus cycle: every live channel
-// ticks, then the live cores run the bus cycle's CPU cycles — under the
-// dense loop every core every cycle, otherwise only the cycles on which a
-// core may interact (stepCores).
+// ticks, then the live cores run the bus cycle's CPU cycles. The dense loop
+// ticks every scheduler and runs every core every cycle. Otherwise each
+// controller skips its scheduler's tick before the scheduler's NextEvent
+// (mem.Controller.Step), and cores run only the cycles on which they may
+// interact (stepCores).
 func (s *System) Step() {
 	for _, ch := range s.live {
-		ch.ctl.Tick()
+		if s.dense {
+			ch.ctl.Tick()
+		} else {
+			ch.ctl.Step()
+		}
 	}
 	if s.dense {
 		for cc := int64(0); cc < s.cpb; cc++ {
