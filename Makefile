@@ -56,7 +56,7 @@ benchdiff:
 	$(GO) test -bench=. -benchmem -benchtime=1x -count=3 -run=^$$ $(BENCH_PKGS) | $(GO) run ./cmd/benchdiff -src . -trend \
 		-ratio-max BenchmarkSimulateFastForwardXalanRate2:BenchmarkSimulateDenseXalanRate2:0.5 \
 		-ratio-max BenchmarkKolmogorovSmirnov:BenchmarkKolmogorovSmirnovInsertionSort:0.25 \
-		-ratio-max BenchmarkBaselineTickQ64:BenchmarkBaselineTickQ64Reference:0.5 \
+		-ratio-max BenchmarkBaselineTickQ64:BenchmarkBaselineTickQ64Reference:0.25 \
 		-ratio-max BenchmarkStepFSRPMilc8:BenchmarkStepFSRPMilc8Dense:0.75 \
 		-ratio-max BenchmarkStepBaselineMilc8:BenchmarkStepBaselineMilc8Dense:0.80
 

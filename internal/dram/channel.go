@@ -122,10 +122,9 @@ type Channel struct {
 	ranks        []rankState
 	derate       []Derate // per-rank additive timing margins (nil = nominal)
 	lastCmdCycle int64
-	dataOcc      []dataSlot // ring of recent/future data-bus occupancy
-	dataHead     int
-	now          int64  // latest cycle seen (for power-down accounting)
-	gen          uint64 // state changes so far (see Gen)
+	dataOcc      []dataSlot // live data-bus bursts, past and scheduled (see recordData)
+	now          int64      // latest cycle seen (for power-down accounting)
+	gen          uint64     // state changes so far (see Gen)
 
 	Counters Counters
 
@@ -133,7 +132,10 @@ type Channel struct {
 	OnIssue func(cmd Command, cycle int64, suppressed bool)
 }
 
-const dataOccWindow = 16
+// dataOccCap presizes dataOcc. recordData keeps only the bursts a later
+// command can still conflict with: at most three at DDR3-1600 and
+// DDR4-2400.
+const dataOccCap = 8
 
 // NewChannel builds a channel in the all-banks-precharged state.
 func NewChannel(p Params) *Channel {
@@ -170,7 +172,7 @@ func NewChannel(p Params) *Channel {
 			bk.writeDataEnd = NeverCycle
 		}
 	}
-	ch.dataOcc = make([]dataSlot, 0, dataOccWindow)
+	ch.dataOcc = make([]dataSlot, 0, dataOccCap)
 	return ch
 }
 
@@ -199,11 +201,28 @@ func (ch *Channel) bank(cmd Command) *bankState { return &ch.ranks[cmd.Rank].ban
 // would allocate on every failed probe of the hot loop.
 var errNotReady = errors.New("dram: command not ready (probe)")
 
+// errRankBusy is errNotReady for a rank-wide constraint: one that reads no
+// state of the target bank or its bank group. The same kind of command to
+// any bank of the rank is rejected on the same cycle and on every cycle up
+// to the same clear cycle, so a scheduler may skip those probes.
+var errRankBusy = errors.New("dram: rank not ready (probe)")
+
+// reject rejects cmd on a bank-scoped constraint: bank state, tRP, tRC,
+// tRCD, tRAS, tRTP, tWR or a bank-group _L timing.
 func reject(explain bool, cmd Command, cycle int64, constraint string, readyAt int64) (int64, error) {
 	if !explain {
 		return readyAt, errNotReady
 	}
 	return readyAt, &TimingError{Cmd: cmd, Cycle: cycle, Constraint: constraint, ReadyAt: readyAt}
+}
+
+// rejectRank rejects cmd on a rank-wide constraint: the command bus, rank
+// power state, tXP, tRFC, tRRD, tFAW, tCCD, tWTR or the data bus.
+func rejectRank(explain bool, cmd Command, cycle int64, constraint string, readyAt int64) (int64, error) {
+	if !explain {
+		return readyAt, errRankBusy
+	}
+	return reject(explain, cmd, cycle, constraint, readyAt)
 }
 
 // CanIssue reports whether cmd may legally issue on the command bus at the
@@ -238,7 +257,8 @@ func (ch *Channel) Gen() uint64 { return ch.gen }
 // canIssue is the shared check body. It returns cycle and nil when cmd may
 // issue, and otherwise the first rejecting constraint's clear cycle and an
 // error; explain selects between detailed TimingError construction and the
-// shared errNotReady sentinel. Each constraint rejects a contiguous run of
+// shared probe sentinels, errRankBusy for a rank-wide constraint and
+// errNotReady for the rest. Each constraint rejects a contiguous run of
 // cycles ending at its clear cycle, so that cycle is a lower bound on the
 // first legal one.
 func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) (int64, error) {
@@ -251,17 +271,17 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) (int64, erro
 		}
 	}
 	if cycle <= ch.lastCmdCycle {
-		return reject(explain, cmd, cycle, "command bus (one command per cycle, in order)", ch.lastCmdCycle+1)
+		return rejectRank(explain, cmd, cycle, "command bus (one command per cycle, in order)", ch.lastCmdCycle+1)
 	}
 	rk := &ch.ranks[cmd.Rank]
 	if rk.poweredDown && cmd.Kind != KindPowerUp {
-		return reject(explain, cmd, cycle, "rank powered down", NeverReady)
+		return rejectRank(explain, cmd, cycle, "rank powered down", NeverReady)
 	}
 	if !rk.poweredDown && cycle < rk.powerUpReady && cmd.Kind != KindPowerDown {
-		return reject(explain, cmd, cycle, "tXP (power-up exit)", rk.powerUpReady)
+		return rejectRank(explain, cmd, cycle, "tXP (power-up exit)", rk.powerUpReady)
 	}
 	if cycle < rk.refreshUntil && cmd.Kind != KindPowerDown && cmd.Kind != KindPowerUp {
-		return reject(explain, cmd, cycle, "tRFC (refresh in progress)", rk.refreshUntil)
+		return rejectRank(explain, cmd, cycle, "tRFC (refresh in progress)", rk.refreshUntil)
 	}
 
 	p := &ch.P
@@ -279,13 +299,13 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) (int64, erro
 			return reject(explain, cmd, cycle, "tRC", bk.lastAct+int64(p.TRC+der.TRC))
 		}
 		if cycle < rk.actHist[0]+int64(p.RRDOther()+der.TRRD) {
-			return reject(explain, cmd, cycle, "tRRD", rk.actHist[0]+int64(p.RRDOther()+der.TRRD))
+			return rejectRank(explain, cmd, cycle, "tRRD", rk.actHist[0]+int64(p.RRDOther()+der.TRRD))
 		}
 		if g := p.BankGroup(cmd.Bank); cycle < rk.groupLastAct[g]+int64(p.RRDSame()+der.TRRD) {
 			return reject(explain, cmd, cycle, "tRRD_L (same bank group)", rk.groupLastAct[g]+int64(p.RRDSame()+der.TRRD))
 		}
 		if oldest := rk.actHist[3]; oldest != NeverCycle && cycle < oldest+int64(p.TFAW+der.TFAW) {
-			return reject(explain, cmd, cycle, "tFAW", oldest+int64(p.TFAW+der.TFAW))
+			return rejectRank(explain, cmd, cycle, "tFAW", oldest+int64(p.TFAW+der.TFAW))
 		}
 
 	case KindRead, KindReadAP:
@@ -297,10 +317,10 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) (int64, erro
 			return reject(explain, cmd, cycle, "tRCD", bk.lastAct+int64(p.TRCD+der.TRCD))
 		}
 		if cycle < rk.lastCAS+int64(p.CCDOther()+der.TCCD) {
-			return reject(explain, cmd, cycle, "tCCD", rk.lastCAS+int64(p.CCDOther()+der.TCCD))
+			return rejectRank(explain, cmd, cycle, "tCCD", rk.lastCAS+int64(p.CCDOther()+der.TCCD))
 		}
 		if cycle < rk.lastWriteDataEnd+int64(p.WTROther()+der.TWTR) {
-			return reject(explain, cmd, cycle, "tWTR", rk.lastWriteDataEnd+int64(p.WTROther()+der.TWTR))
+			return rejectRank(explain, cmd, cycle, "tWTR", rk.lastWriteDataEnd+int64(p.WTROther()+der.TWTR))
 		}
 		if g := p.BankGroup(cmd.Bank); true {
 			if cycle < rk.groupLastCAS[g]+int64(p.CCDSame()+der.TCCD) {
@@ -323,7 +343,7 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) (int64, erro
 			return reject(explain, cmd, cycle, "tRCD", bk.lastAct+int64(p.TRCD+der.TRCD))
 		}
 		if cycle < rk.lastCAS+int64(p.CCDOther()+der.TCCD) {
-			return reject(explain, cmd, cycle, "tCCD", rk.lastCAS+int64(p.CCDOther()+der.TCCD))
+			return rejectRank(explain, cmd, cycle, "tCCD", rk.lastCAS+int64(p.CCDOther()+der.TCCD))
 		}
 		if g := p.BankGroup(cmd.Bank); cycle < rk.groupLastCAS[g]+int64(p.CCDSame()+der.TCCD) {
 			return reject(explain, cmd, cycle, "tCCD_L (same bank group)", rk.groupLastCAS[g]+int64(p.CCDSame()+der.TCCD))
@@ -371,12 +391,12 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) (int64, erro
 			}
 		}
 		if cycle < rk.refreshUntil {
-			return reject(explain, cmd, cycle, "power-down during refresh", rk.refreshUntil)
+			return rejectRank(explain, cmd, cycle, "power-down during refresh", rk.refreshUntil)
 		}
 
 	case KindPowerUp:
 		if !rk.poweredDown {
-			return reject(explain, cmd, cycle, "power-up of powered-up rank", NeverReady)
+			return rejectRank(explain, cmd, cycle, "power-up of powered-up rank", NeverReady)
 		}
 
 	default:
@@ -390,26 +410,34 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) (int64, erro
 // ranks must be separated by tRTRS. A conflicting burst clears once the
 // command's own burst starts gap cycles after it ends; the command's data
 // latency (tCAS for a read, tCWD for a write) turns that into a command
-// cycle.
+// cycle. Each conflicting burst blocks every cycle up to its own clear
+// cycle, so the bound is the latest of them. The constraint is rank-wide:
+// it reads the command's rank and kind, never its bank.
 func (ch *Channel) checkDataBus(cmd Command, cycle, dataStart int64, explain bool) (int64, error) {
 	p := &ch.P
 	end := dataStart + int64(p.TBURST)
-	for _, s := range ch.dataOcc {
+	readyAt, last := cycle, -1
+	for i, s := range ch.dataOcc {
 		gap := int64(0)
 		if s.rank != cmd.Rank {
 			gap = int64(p.TRTRS)
 		}
 		if dataStart < s.end+gap && s.start < end+gap {
-			readyAt := s.end + gap - (dataStart - cycle)
-			if !explain {
-				return readyAt, errNotReady
+			if at := s.end + gap - (dataStart - cycle); at > readyAt {
+				readyAt, last = at, i
 			}
-			return reject(explain, cmd, cycle,
-				fmt.Sprintf("data bus conflict with rank %d burst [%d,%d)", s.rank, s.start, s.end),
-				readyAt)
 		}
 	}
-	return cycle, nil
+	if last < 0 {
+		return cycle, nil
+	}
+	if !explain {
+		return readyAt, errRankBusy
+	}
+	s := ch.dataOcc[last]
+	return rejectRank(explain, cmd, cycle,
+		fmt.Sprintf("data bus conflict with rank %d burst [%d,%d)", s.rank, s.start, s.end),
+		readyAt)
 }
 
 // Issue applies cmd at cycle, first validating it with CanIssue.
@@ -424,6 +452,27 @@ func (ch *Channel) IssueEx(cmd Command, cycle int64, suppressed bool) error {
 	if err := ch.CanIssue(cmd, cycle); err != nil {
 		return err
 	}
+	ch.apply(cmd, cycle, suppressed)
+	return nil
+}
+
+// TryIssue is IssueEx for schedulers that probe legality and back off on a
+// rejection, in one pass of the checks and without allocating. When cmd
+// may issue at cycle it applies it and returns cycle. Otherwise it changes
+// nothing and returns ReadyAt's bound, with rankWide set when the
+// rejecting constraint holds for the whole rank: the same kind of command
+// to any of the rank's banks is then not legal before that bound either.
+func (ch *Channel) TryIssue(cmd Command, cycle int64, suppressed bool) (readyAt int64, rankWide bool) {
+	at, err := ch.canIssue(cmd, cycle, false)
+	if err != nil {
+		return at, err == errRankBusy
+	}
+	ch.apply(cmd, cycle, suppressed)
+	return cycle, false
+}
+
+// apply updates the channel state for a command canIssue accepted.
+func (ch *Channel) apply(cmd Command, cycle int64, suppressed bool) {
 	p := &ch.P
 	rk := &ch.ranks[cmd.Rank]
 	ch.gen++
@@ -538,21 +587,22 @@ func (ch *Channel) IssueEx(cmd Command, cycle int64, suppressed bool) error {
 	if ch.OnIssue != nil {
 		ch.OnIssue(cmd, cycle, suppressed)
 	}
-	return nil
 }
 
+// recordData adds the burst of the command issued at lastCmdCycle and drops
+// the bursts no later command can conflict with. A later command issues
+// after lastCmdCycle and starts its data at least min(tCAS, tCWD) cycles
+// after it issues, and a burst constrains it only while the burst's end
+// plus at most tRTRS lies beyond that start. Bursts never overlap, so a
+// handful stay live.
 func (ch *Channel) recordData(rank int, start int64) {
-	slot := dataSlot{start: start, end: start + int64(ch.P.TBURST), rank: rank}
-	if len(ch.dataOcc) < dataOccWindow {
-		ch.dataOcc = append(ch.dataOcc, slot)
-		return
-	}
-	// Replace the slot with the smallest end (it constrains nothing new).
-	min := 0
-	for i := 1; i < len(ch.dataOcc); i++ {
-		if ch.dataOcc[i].end < ch.dataOcc[min].end {
-			min = i
+	p := &ch.P
+	horizon := ch.lastCmdCycle + 1 + int64(min(p.TCAS, p.TCWD)) - int64(p.TRTRS)
+	live := ch.dataOcc[:0]
+	for _, s := range ch.dataOcc {
+		if s.end > horizon {
+			live = append(live, s)
 		}
 	}
-	ch.dataOcc[min] = slot
+	ch.dataOcc = append(live, dataSlot{start: start, end: start + int64(p.TBURST), rank: rank})
 }

@@ -7,13 +7,17 @@ import (
 	"testing"
 )
 
-// TestReadyIgnoresRowColDomain pins the invariant the Baseline scheduler's
-// per-bank probe memo relies on: whether a command may issue depends only
-// on its kind, rank, bank and the cycle, never on its row, column or
-// domain. A random legal command stream (every kind, DDR3 and DDR4, with
-// and without a derate) walks the channel through varied states; at each
-// step every kind is probed on a random target with several row, column
-// and domain variants, which must all get the same verdict.
+// TestReadyIgnoresRowColDomain pins the two invariants the Baseline
+// scheduler's probe memo relies on. Whether a command may issue depends
+// only on its kind, rank, bank and the cycle, never on its row, column or
+// domain. And a probe rejected on a rank-wide constraint (errRankBusy)
+// speaks for every bank of its rank: the same kind to any of them is not
+// legal on any cycle from the probe up to the bound. A random legal
+// command stream (every kind, DDR3 and DDR4, with and without a derate)
+// walks the channel through varied states; at each step every kind is
+// probed on a random target with several row, column and domain variants,
+// which must all get the same verdict, and a rank-wide rejection is
+// checked on every bank of the rank.
 func TestReadyIgnoresRowColDomain(t *testing.T) {
 	ddr4 := DDR4_2400()
 	ddr4.RanksPerChan = 2
@@ -46,8 +50,12 @@ func TestReadyIgnoresRowColDomain(t *testing.T) {
 					Domain: rng.IntN(9) - 1,
 				}
 			}
+			// The forward scan after a rank-wide rejection stops after
+			// window cycles, which covers every bound but tRFC's and
+			// NeverReady.
+			const window = 64
 			cycle := int64(0)
-			accepted, ready := 0, 0
+			accepted, ready, rankWide := 0, 0, 0
 			for step := 0; step < 20000; step++ {
 				cycle += int64(1 + rng.IntN(6))
 				for _, k := range kinds {
@@ -62,6 +70,21 @@ func TestReadyIgnoresRowColDomain(t *testing.T) {
 						if got := ch.Ready(alt, cycle); got != want {
 							t.Fatalf("step %d cycle %d: Ready(%v) = %v but Ready(%v) = %v; only row/col/domain differ",
 								step, cycle, probe, want, alt, got)
+						}
+					}
+					at, err := ch.canIssue(probe, cycle, false)
+					if err != errRankBusy {
+						continue
+					}
+					rankWide++
+					for b := 0; b < p.BanksPerRank; b++ {
+						alt := probe
+						alt.Bank = b
+						for c := cycle; c < min(at, cycle+window); c++ {
+							if ch.Ready(alt, c) {
+								t.Fatalf("step %d cycle %d: %v rejected rank-wide until %d (%v), but %v is legal at %d",
+									step, cycle, probe, at, ch.CanIssue(probe, cycle), alt, c)
+							}
 						}
 					}
 				}
@@ -79,8 +102,9 @@ func TestReadyIgnoresRowColDomain(t *testing.T) {
 					accepted++
 				}
 			}
-			if accepted < 1000 || ready < 1000 {
-				t.Fatalf("stream too quiet: %d commands applied, %d ready probes", accepted, ready)
+			if accepted < 1000 || ready < 1000 || rankWide < 1000 {
+				t.Fatalf("stream too quiet: %d commands applied, %d ready probes, %d rank-wide rejections",
+					accepted, ready, rankWide)
 			}
 		})
 	}
@@ -94,7 +118,10 @@ func TestReadyIgnoresRowColDomain(t *testing.T) {
 // probe, ReadyAt is at most the probe cycle exactly when Ready holds, Ready
 // is false on every cycle from the probe up to a finite bound, and after
 // NeverReady it stays false for longer than any timing constraint lasts.
-// The explained rejection (CanIssue) carries the same bound.
+// The explained rejection (CanIssue) carries the same bound. A twin
+// channel takes the same command stream through the single-pass TryIssue
+// instead of Ready and IssueEx: after every step it must have reached the
+// same verdict, bound and scope and hold the same Gen and Counters.
 func TestReadyAtIsALowerBound(t *testing.T) {
 	ddr3 := DDR3_1600()
 	ddr3.RanksPerChan = 2
@@ -125,9 +152,10 @@ func TestReadyAtIsALowerBound(t *testing.T) {
 			var finite, never, dataBus, cmdBus int
 			for seed := uint64(1); seed <= seeds; seed++ {
 				rng := rand.New(rand.NewPCG(seed, uint64(len(tc.name))))
-				ch := NewChannel(p)
+				ch, twin := NewChannel(p), NewChannel(p)
 				if tc.derate {
 					ch.SetDerate(-1, derate)
+					twin.SetDerate(-1, derate)
 				}
 				randomCmd := func(k Kind) Command {
 					return Command{Kind: k, Rank: rng.IntN(p.RanksPerChan), Bank: rng.IntN(p.BanksPerRank), Row: rng.IntN(8)}
@@ -186,14 +214,24 @@ func TestReadyAtIsALowerBound(t *testing.T) {
 					if rng.IntN(40) == 0 {
 						k = kinds[6+rng.IntN(3)]
 					}
-					if cmd := randomCmd(k); ch.Ready(cmd, cycle) {
+					cmd, suppressed := randomCmd(k), step%5 == 0
+					at, err := ch.canIssue(cmd, cycle, false)
+					if ch.Ready(cmd, cycle) {
 						gen := ch.Gen()
-						if err := ch.Issue(cmd, cycle); err != nil {
+						if err := ch.IssueEx(cmd, cycle, suppressed); err != nil {
 							t.Fatalf("ready command refused: %v", err)
 						}
 						if ch.Gen() == gen {
 							t.Fatalf("issuing %v left Gen at %d", cmd, gen)
 						}
+					}
+					if twinAt, wide := twin.TryIssue(cmd, cycle, suppressed); twinAt != at || wide != (err == errRankBusy) {
+						t.Fatalf("seed %d cycle %d: TryIssue(%v) = %d, rank-wide %v; Ready+IssueEx saw %d, %v",
+							seed, cycle, cmd, twinAt, wide, at, err)
+					}
+					if twin.Gen() != ch.Gen() || twin.Counters != ch.Counters {
+						t.Fatalf("seed %d cycle %d: after %v the twin holds Gen %d, %+v; the channel %d, %+v",
+							seed, cycle, cmd, twin.Gen(), twin.Counters, ch.Gen(), ch.Counters)
 					}
 					cycle += int64(rng.IntN(6))
 				}

@@ -363,32 +363,46 @@ func (c *Controller) IssueSuppressed(cmd dram.Command) error {
 }
 
 func (c *Controller) issue(cmd dram.Command, suppressed bool) error {
-	if c.mon == nil && c.inj == nil {
-		if err := c.Chan.IssueEx(cmd, c.Cycle, suppressed); err != nil {
+	if c.inj != nil {
+		// FR-FCFS-style schedulers probe with Issue and treat an error as
+		// back-off, so only a command that would legally issue counts as
+		// scheduler intent or is eligible for perturbation.
+		if err := c.Chan.CanIssue(cmd, c.Cycle); err != nil {
 			return err
 		}
-		c.Obs.Command(cmd, c.Cycle, suppressed)
-		return nil
+		return c.inject(cmd, suppressed)
 	}
-	// FR-FCFS-style schedulers probe with Issue and treat an error as
-	// back-off, so only a command that would legally issue counts as
-	// scheduler intent or is eligible for perturbation.
-	if err := c.Chan.CanIssue(cmd, c.Cycle); err != nil {
+	if err := c.Chan.IssueEx(cmd, c.Cycle, suppressed); err != nil {
 		return err
 	}
+	c.applied(cmd, suppressed)
+	return nil
+}
+
+// applied reports a command the channel just accepted without an injector
+// in the way: the scheduler intended it and it reached the bus.
+func (c *Controller) applied(cmd dram.Command, suppressed bool) {
+	c.Obs.Command(cmd, c.Cycle, suppressed)
+	if c.mon != nil {
+		c.mon.Intended(cmd, c.Cycle)
+		c.mon.Applied(cmd, c.Cycle, suppressed)
+	}
+}
+
+// inject hands a legal command to the fault injector, which may drop,
+// delay or duplicate it, and applies it unless the injector held it back.
+func (c *Controller) inject(cmd dram.Command, suppressed bool) error {
 	if c.mon != nil {
 		c.mon.Intended(cmd, c.Cycle)
 	}
-	if c.inj != nil {
-		switch d, replay := c.inj.Decide(cmd, c.Cycle); d {
-		case fault.Drop:
-			return nil // the scheduler believes it issued
-		case fault.Delay:
-			c.inj.AddReplay(cmd, replay)
-			return nil
-		case fault.Duplicate:
-			c.inj.AddReplay(cmd, replay)
-		}
+	switch d, replay := c.inj.Decide(cmd, c.Cycle); d {
+	case fault.Drop:
+		return nil // the scheduler believes it issued
+	case fault.Delay:
+		c.inj.AddReplay(cmd, replay)
+		return nil
+	case fault.Duplicate:
+		c.inj.AddReplay(cmd, replay)
 	}
 	if err := c.Chan.IssueEx(cmd, c.Cycle, suppressed); err != nil {
 		return err
@@ -487,16 +501,26 @@ func (c *Controller) AdvanceIdle(n int64) {
 
 // TryIssue issues cmd if the channel would accept it right now, reporting
 // whether it did. It is the allocation-free probe for FR-FCFS-style
-// schedulers that treat timing rejections as back-off: ReadyAt costs no
-// allocation on failure, unlike Issue's explanatory *TimingError. A failed
+// schedulers that treat timing rejections as back-off; without an injector
+// it checks and applies cmd in one pass (dram.Channel.TryIssue). A failed
 // probe also returns the channel's ReadyAt bound, before which the same
 // probe fails again unless Gen changes (dram.NeverReady when only a state
-// change can help).
-func (c *Controller) TryIssue(cmd dram.Command) (issued bool, readyAt int64) {
-	if at := c.Chan.ReadyAt(cmd, c.Cycle); at > c.Cycle {
-		return false, at
+// change can help), and rankWide when the rejecting constraint holds for
+// the whole rank, so that the same kind of probe to any of the rank's
+// banks fails until the bound too. Under an injector rankWide is always
+// false.
+func (c *Controller) TryIssue(cmd dram.Command) (issued bool, readyAt int64, rankWide bool) {
+	if c.inj != nil {
+		if at := c.Chan.ReadyAt(cmd, c.Cycle); at > c.Cycle {
+			return false, at, false
+		}
+		return c.inject(cmd, false) == nil, c.Cycle, false
 	}
-	return c.issue(cmd, false) == nil, c.Cycle
+	if at, wide := c.Chan.TryIssue(cmd, c.Cycle, false); at > c.Cycle {
+		return false, at, wide
+	}
+	c.applied(cmd, false)
+	return true, c.Cycle, false
 }
 
 func (c *Controller) finish(req *Request) {

@@ -5,6 +5,8 @@
 package sched
 
 import (
+	"math"
+
 	"fsmem/internal/dram"
 	"fsmem/internal/mem"
 )
@@ -25,20 +27,34 @@ type Baseline struct {
 	RefreshEnabled  bool
 	refreshDeadline []int64
 
-	// Per-bank scratch for serve, indexed rank*BanksPerRank+bank: blocked
-	// memoizes the probe kinds that already failed this call, wantsOpen
-	// marks banks whose open row some queued request targets.
-	blocked   []uint8
-	wantsOpen []bool
+	// Per-bank scratch, indexed rank*BanksPerRank+bank. blocked holds, for
+	// one tick, the probe kinds known to fail at the bank and whether serve
+	// has listed the bank in cands; it is cleared once per tick, and so is
+	// its tail rankBlocked, which holds per rank the kinds a rank-wide
+	// constraint rejected. wantsOpen marks banks whose open row some queued
+	// request targets, as of Controller.Gen demandGen.
+	blocked     []uint8
+	rankBlocked []uint8
+	wantsOpen   []bool
+	demandGen   uint64
+
+	// cands lists, oldest first, the ByAge position of each bank's oldest
+	// request that is not a row hit: the ACT candidate of a closed bank and
+	// the PRE candidate of an open one. A bank is never both, so one list
+	// serves both passes.
+	cands []int32
 
 	wake wake
 }
 
-// Probe kinds recorded in Baseline.blocked.
+// Bits of Baseline.blocked: a failed probe of each kind (a read and a
+// write CAS are different kinds), and a bank listed in cands this tick.
 const (
-	blockedCAS uint8 = 1 << iota
+	blockedRead uint8 = 1 << iota
+	blockedWrite
 	blockedACT
 	blockedPRE
+	listed
 )
 
 // NewBaseline builds the baseline policy for the given parameters and
@@ -50,8 +66,11 @@ func NewBaseline(p dram.Params, cfg mem.Config) *Baseline {
 		hi: total * 3 / 4,
 		lo: total / 4,
 	}
-	b.blocked = make([]uint8, p.TotalBanks())
+	b.blocked = make([]uint8, p.TotalBanks()+p.RanksPerChan)
+	b.rankBlocked = b.blocked[p.TotalBanks():]
 	b.wantsOpen = make([]bool, p.TotalBanks())
+	b.demandGen = math.MaxUint64 // no demand marked yet
+	b.cands = make([]int32, 0, p.TotalBanks())
 	b.refreshDeadline = make([]int64, p.RanksPerChan)
 	for r := range b.refreshDeadline {
 		b.refreshDeadline[r] = int64(p.TREFI)
@@ -89,6 +108,10 @@ func (b *Baseline) tick(c *mem.Controller) bool {
 		b.draining = false
 	}
 
+	if pw == 0 && c.PendingReads() == 0 {
+		return false
+	}
+	clear(b.blocked)
 	if b.draining || c.PendingReads() == 0 {
 		return b.serve(c, true) || b.serve(c, false)
 	}
@@ -102,33 +125,51 @@ func (b *Baseline) tick(c *mem.Controller) bool {
 //     queued request still wants the open row.
 //
 // Channel.Ready depends only on a command's kind, rank, bank and the
-// cycle, never on its row, column or domain, so once a probe of one kind
-// fails for a bank every later probe of that kind to the bank in the same
-// call would fail too, with the same ReadyAt bound: blocked skips them.
-// Every command that does issue still goes through Controller.TryIssue's
-// full check.
+// cycle, never on its row, column or domain, and nothing changes within a
+// tick until a command issues. So once a probe of one kind fails for a
+// bank, every later probe of that kind to the bank in the same tick would
+// fail too, with the same ReadyAt bound: blocked skips them. A rejection
+// on a rank-wide constraint blocks the kind on every bank of the rank: the
+// same constraint rejects those probes up to the bound already folded.
+// Passes 2 and 3 try only each bank's oldest request that is not a row
+// hit, so the row-hit pass lists those in cands and the later passes visit
+// banks instead of requests. A bank the tick's first serve listed is
+// skipped by the second: when the first returns, that bank's ACT or PRE
+// has failed or is unwanted, and the second would skip it anyway.
 func (b *Baseline) serve(c *mem.Controller, writes bool) bool {
 	reqs := c.ByAge(writes)
 	if len(reqs) == 0 {
 		return false
 	}
-	clear(b.blocked)
+	cas := blockedRead
+	if writes {
+		cas = blockedWrite
+	}
 
-	// 1. Row hits, oldest first.
-	for _, r := range reqs {
+	// 1. Row hits, oldest first; list every other bank's oldest request.
+	b.cands = b.cands[:0]
+	for i, r := range reqs {
 		k := b.bankIndex(r)
-		if b.blocked[k]&blockedCAS != 0 || c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) != r.Addr.Row {
+		if c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) != r.Addr.Row {
+			if b.blocked[k]&listed == 0 {
+				b.blocked[k] |= listed
+				b.cands = append(b.cands, int32(i))
+			}
+			continue
+		}
+		if b.isBlocked(r, k, cas) {
 			continue
 		}
 		if b.issueCAS(c, r, writes) {
 			return true
 		}
-		b.blocked[k] |= blockedCAS
+		b.block(r, k, cas)
 	}
 	// 2. Activates for closed banks, oldest first.
-	for _, r := range reqs {
+	for _, i := range b.cands {
+		r := reqs[i]
 		k := b.bankIndex(r)
-		if b.blocked[k]&blockedACT != 0 || c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) != dram.ClosedRow {
+		if b.isBlocked(r, k, blockedACT) || c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) != dram.ClosedRow {
 			continue
 		}
 		cmd := dram.Command{Kind: dram.KindActivate, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Row: r.Addr.Row, Domain: r.Domain}
@@ -137,23 +178,16 @@ func (b *Baseline) serve(c *mem.Controller, writes bool) bool {
 			r.Acted = true
 			return true
 		}
-		b.blocked[k] |= blockedACT
+		b.block(r, k, blockedACT)
 	}
 	// 3. Precharge row conflicts with no remaining hits to the open row.
-	swept := false
-	for _, r := range reqs {
+	for _, i := range b.cands {
+		r := reqs[i]
 		k := b.bankIndex(r)
-		if b.blocked[k]&blockedPRE != 0 {
+		if b.isBlocked(r, k, blockedPRE) || c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) == dram.ClosedRow {
 			continue
 		}
-		open := c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank)
-		if open == dram.ClosedRow || open == r.Addr.Row {
-			continue
-		}
-		if !swept {
-			b.markOpenRowDemand(c)
-			swept = true
-		}
+		b.markOpenRowDemand(c)
 		if b.wantsOpen[k] {
 			continue
 		}
@@ -161,9 +195,26 @@ func (b *Baseline) serve(c *mem.Controller, writes bool) bool {
 		if b.wake.try(c, cmd) {
 			return true
 		}
-		b.blocked[k] |= blockedPRE
+		b.block(r, k, blockedPRE)
 	}
 	return false
+}
+
+// isBlocked reports whether a probe of the kind to r's bank k already
+// failed this tick, at the bank or rank-wide.
+func (b *Baseline) isBlocked(r *mem.Request, k int, kind uint8) bool {
+	return (b.blocked[k]|b.rankBlocked[r.Addr.Rank])&kind != 0
+}
+
+// block memoizes the failed probe of the kind to r's bank k for the rest
+// of the tick: at its rank when the probe met a rank-wide constraint, else
+// at the bank.
+func (b *Baseline) block(r *mem.Request, k int, kind uint8) {
+	if b.wake.rankWide {
+		b.rankBlocked[r.Addr.Rank] |= kind
+	} else {
+		b.blocked[k] |= kind
+	}
 }
 
 // bankIndex locates a request's bank in the per-bank scratch slices.
@@ -172,8 +223,15 @@ func (b *Baseline) bankIndex(r *mem.Request) int {
 }
 
 // markOpenRowDemand sets wantsOpen for every bank whose open row a queued
-// read or write targets, in one pass over both request classes.
+// read or write targets, in one pass over both request classes. The marks
+// read only the queues and the open rows, so they are rebuilt only when
+// Controller.Gen has moved since the last pass.
 func (b *Baseline) markOpenRowDemand(c *mem.Controller) {
+	g := c.Gen()
+	if g == b.demandGen {
+		return
+	}
+	b.demandGen = g
 	clear(b.wantsOpen)
 	for _, reqs := range [2][]*mem.Request{c.ByAge(false), c.ByAge(true)} {
 		for _, r := range reqs {
