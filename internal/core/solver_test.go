@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -8,31 +9,70 @@ import (
 	"fsmem/internal/dram"
 )
 
-// TestSolverPaperValues pins the minimal slot spacings the paper derives in
-// Sections 3 and 4 for the Table 1 timing parameters.
+// TestSolverPaperValues pins every solver value on both stock parts: the
+// minimal slot spacings the paper derives in Sections 3 and 4 for the
+// Table 1 timings (DDR3-1600), and the same solvers' answers on DDR4-2400.
 func TestSolverPaperValues(t *testing.T) {
-	p := dram.DDR3_1600()
 	cases := []struct {
-		anchor Anchor
-		mode   addr.PartitionKind
-		want   int
+		part string
+		p    dram.Params
+		// table is SolverTable's l per mode, as data/RAS/CAS anchors.
+		table map[addr.PartitionKind][3]int
+		// rotation is MinLRotation(G, FixedRAS) at G = 2, 3, 4.
+		rotation [3]int
+		// reordered is ReorderedSlotSpacing at every domain count 1-16.
+		reordered int
+		// consecutive is SolveConsecutive's intra/inter at N = 1-4.
+		consecutive [4][2]int
 	}{
-		{FixedData, addr.PartitionRank, 7},  // §3.1: "the minimum feasible value of l is 7"
-		{FixedRAS, addr.PartitionRank, 12},  // §3.1: "we would have arrived at an l = 12"
-		{FixedCAS, addr.PartitionRank, 12},  // §3.1: same
-		{FixedData, addr.PartitionBank, 21}, // §4.2 Eq. 4b: "l >= 21"
-		{FixedRAS, addr.PartitionBank, 15},  // §4.2: "solving these equations gives an l >= 15"
-		{FixedRAS, addr.PartitionNone, 43},  // §4.3: "the best l = 43 cycles"
-		{FixedData, addr.PartitionNone, 49}, // §4.3: fixed data is worse without partitioning
+		{
+			part: "DDR3-1600", p: dram.DDR3_1600(),
+			table: map[addr.PartitionKind][3]int{
+				addr.PartitionRank: {7, 12, 12},  // §3.1: "the minimum feasible value of l is 7", "we would have arrived at an l = 12"
+				addr.PartitionBank: {21, 15, 15}, // §4.2 Eq. 4b: "l >= 21"; "solving these equations gives an l >= 15"
+				addr.PartitionNone: {49, 43, 43}, // §4.3: "the best l = 43 cycles"; fixed data is worse
+			},
+			rotation:    [3]int{22, 15, 15}, // G=3 is the paper's triple alternation
+			reordered:   6,                  // §4.2: 6-cycle data slots
+			consecutive: [4][2]int{{7, 7}, {21, 7}, {21, 7}, {21, 7}},
+		},
+		{
+			part: "DDR4-2400", p: dram.DDR4_2400(),
+			table: map[addr.PartitionKind][3]int{
+				addr.PartitionRank: {7, 10, 10},
+				addr.PartitionBank: {29, 25, 25},
+				addr.PartitionNone: {70, 66, 66},
+			},
+			rotation:    [3]int{33, 22, 19},
+			reordered:   7,
+			consecutive: [4][2]int{{7, 7}, {29, 6}, {29, 6}, {29, 6}},
+		},
 	}
 	for _, c := range cases {
-		got, err := MinL(c.anchor, c.mode, p)
-		if err != nil {
-			t.Errorf("MinL(%v, %v): %v", c.anchor, c.mode, err)
-			continue
+		table := SolverTable(c.p)
+		for mode, want := range c.table {
+			for i, a := range []Anchor{FixedData, FixedRAS, FixedCAS} {
+				key := fmt.Sprintf("%v/%v", mode, a)
+				if got := table[key]; got != want[i] {
+					t.Errorf("%s: SolverTable[%s] = %d, want %d", c.part, key, got, want[i])
+				}
+			}
 		}
-		if got != c.want {
-			t.Errorf("MinL(%v, %v) = %d, want %d", c.anchor, c.mode, got, c.want)
+		for i, g := range []int{2, 3, 4} {
+			if got, err := MinLRotation(g, FixedRAS, c.p); err != nil || got != c.rotation[i] {
+				t.Errorf("%s: MinLRotation(%d) = %d, %v; want %d", c.part, g, got, err, c.rotation[i])
+			}
+		}
+		for domains := 1; domains <= 16; domains++ {
+			if got, err := ReorderedSlotSpacing(c.p, domains); err != nil || got != c.reordered {
+				t.Errorf("%s: ReorderedSlotSpacing(%d domains) = %d, %v; want %d", c.part, domains, got, err, c.reordered)
+			}
+		}
+		for i, want := range c.consecutive {
+			plan, err := SolveConsecutive(i+1, c.p)
+			if err != nil || plan.IntraL != want[0] || plan.InterL != want[1] {
+				t.Errorf("%s: SolveConsecutive(%d) = %v, %v; want intra/inter %d/%d", c.part, i+1, plan, err, want[0], want[1])
+			}
 		}
 	}
 }
