@@ -31,70 +31,28 @@ func (c ConsecutivePlan) String() string {
 }
 
 // consecutiveFeasible checks a (intra, inter) pair under fixed periodic
-// data with rank partitioning: same-block pairs share a rank (tCCD, tRRD,
-// tFAW, both read/write turnarounds, data non-overlap), cross-block pairs
-// are on different ranks (command bus + tRTRS data separation). Like the
-// paper's analysis, the R/W order inside a block is NOT constrained, so the
-// worst-case type assignment must be feasible in both directions.
+// data with rank partitioning: a thread's block stays in its rank, worst
+// case in one bank group (no tRTRS between its bursts), and other threads'
+// blocks are on other ranks. Like the paper's analysis, the R/W order
+// inside a block is NOT constrained, so the worst-case type assignment must
+// be feasible in both directions.
 func consecutiveFeasible(n, intra, inter int, p dram.Params) bool {
 	o := OffsetsFor(FixedData, p)
 	block := (n-1)*intra + inter
-	window := 3 * n // three blocks cover every binding pair
 	anchor := func(k int) int {
 		return (k/n)*block + (k%n)*intra
 	}
-	types := []bool{false, true}
-	for later := 1; later < window; later++ {
+	for later := 1; later < 3*n; later++ { // three blocks cover every binding pair
 		for earlier := 0; earlier < later; earlier++ {
-			sameBlock := later/n == earlier/n
-			for _, te := range types {
-				for _, tl := range types {
-					ae, al := anchor(earlier), anchor(later)
-					// Command bus uniqueness.
-					for _, offL := range []int{o.act(tl), o.cas(tl)} {
-						for _, offE := range []int{o.act(te), o.cas(te)} {
-							if al+offL == ae+offE {
-								return false
-							}
-						}
-					}
-					// Data bus.
-					sep := p.TBURST
-					if !sameBlock {
-						sep += p.TRTRS
-					}
-					gap := al + o.data(tl) - (ae + o.data(te))
-					if gap < 0 {
-						gap = -gap
-					}
-					if gap < sep {
+			s := otherRank
+			if later/n == earlier/n {
+				s = sameGroup
+			}
+			gap := anchor(later) - anchor(earlier)
+			for _, te := range [2]bool{false, true} {
+				for _, tl := range [2]bool{false, true} {
+					if pairConflict(&o, &p, gap, te, tl, s, later-earlier == 4) != noConflict {
 						return false
-					}
-					if !sameBlock {
-						continue
-					}
-					// Same rank: tRRD / tCCD / turnarounds.
-					if g := al + o.act(tl) - (ae + o.act(te)); g < p.TRRD {
-						return false
-					}
-					if g := al + o.cas(tl) - (ae + o.cas(te)); g < p.TCCD {
-						return false
-					}
-					if te && !tl { // write then read
-						if g := al + o.cas(tl) - (ae + o.cas(te)); g < p.WriteToReadGap() {
-							return false
-						}
-					}
-					if !te && tl { // read then write
-						if g := al + o.cas(tl) - (ae + o.cas(te)); g < p.ReadToWriteGap() {
-							return false
-						}
-					}
-					// tFAW within the block (4 intervening ACTs).
-					if later-earlier == 4 {
-						if g := al + o.act(tl) - (ae + o.act(te)); g < p.TFAW {
-							return false
-						}
 					}
 				}
 			}

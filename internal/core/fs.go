@@ -591,10 +591,10 @@ func (f *FS) selectRequest(c *mem.Controller, domain int, elig func(a dram.Addre
 }
 
 // eligible checks bank-group membership, precharge recovery at the planned
-// ACT cycle, and the rank-level read/write turnarounds at the planned CAS
-// cycle. Under the solved pipelines these guards never bind across domains;
-// they only steer a domain's own back-to-back transactions when the
-// interval is shorter than a turnaround (small domain counts).
+// ACT cycle, and the rank guards (rankClear). Under the solved pipelines
+// these guards never bind across domains; they only steer a domain's own
+// back-to-back transactions when the interval is shorter than a turnaround
+// (small domain counts).
 func (f *FS) eligible(a dram.Address, group int, anchor int64, write bool) bool {
 	if group >= 0 && a.Bank%3 != group {
 		return false
@@ -607,20 +607,7 @@ func (f *FS) eligible(a dram.Address, group int, anchor int64, write bool) bool 
 			return false
 		}
 	}
-	if actCycle < f.bankReadyAt[a.Rank][a.Bank] {
-		return false
-	}
-	if actCycle < f.rankActHist[a.Rank][0]+int64(f.p.TRRD) {
-		return false
-	}
-	if oldest := f.rankActHist[a.Rank][3]; oldest != dram.NeverCycle && actCycle < oldest+int64(f.p.TFAW) {
-		return false
-	}
-	casCycle := anchor + int64(f.off.cas(write))
-	if write {
-		return casCycle >= f.rankLastReadCAS[a.Rank]+int64(f.p.ReadToWriteGap())
-	}
-	return casCycle >= f.rankLastWriteCAS[a.Rank]+int64(f.p.WriteToReadGap())
+	return actCycle >= f.bankReadyAt[a.Rank][a.Bank] && f.rankClear(a.Rank, anchor, write)
 }
 
 // eligibleReordered is the reordered-pipeline eligibility check. Its verdict
@@ -632,26 +619,31 @@ func (f *FS) eligible(a dram.Address, group int, anchor int64, write bool) bool 
 // interval-start anchor, against recovery times that scheduleTransaction
 // records at the worst-case last slot (see bankAnchor there): both sides are
 // mix-independent, and ready-at-slot-0 implies ready at any later slot. The
-// shared rank guards are evaluated at the exact slot anchor, where the
+// rank guards are evaluated at the exact slot anchor, where the
 // ReorderedSlotSpacing solver proves they never bind; they stay as
 // defense-in-depth, feeding the runtime monitor if the proof's premises
 // break.
 func (f *FS) eligibleReordered(a dram.Address, checkAnchor, exactAnchor int64, write bool) bool {
-	if checkAnchor+int64(f.off.act(write)) < f.bankReadyAt[a.Rank][a.Bank] {
+	return checkAnchor+int64(f.off.act(write)) >= f.bankReadyAt[a.Rank][a.Bank] &&
+		f.rankClear(a.Rank, exactAnchor, write)
+}
+
+// rankClear checks the rank guards of a transaction at the slot anchor:
+// tRRD and tFAW at its ACT, and the read/write turnarounds at its CAS.
+func (f *FS) rankClear(rank int, anchor int64, write bool) bool {
+	actCycle := anchor + int64(f.off.act(write))
+	hist := &f.rankActHist[rank]
+	if actCycle < hist[0]+int64(f.p.TRRD) {
 		return false
 	}
-	actCycle := exactAnchor + int64(f.off.act(write))
-	if actCycle < f.rankActHist[a.Rank][0]+int64(f.p.TRRD) {
+	if oldest := hist[3]; oldest != dram.NeverCycle && actCycle < oldest+int64(f.p.TFAW) {
 		return false
 	}
-	if oldest := f.rankActHist[a.Rank][3]; oldest != dram.NeverCycle && actCycle < oldest+int64(f.p.TFAW) {
-		return false
-	}
-	casCycle := exactAnchor + int64(f.off.cas(write))
+	casCycle := anchor + int64(f.off.cas(write))
 	if write {
-		return casCycle >= f.rankLastReadCAS[a.Rank]+int64(f.p.ReadToWriteGap())
+		return casCycle >= f.rankLastReadCAS[rank]+int64(f.p.ReadToWriteGap())
 	}
-	return casCycle >= f.rankLastWriteCAS[a.Rank]+int64(f.p.WriteToReadGap())
+	return casCycle >= f.rankLastWriteCAS[rank]+int64(f.p.WriteToReadGap())
 }
 
 // dummyRequest fabricates a dummy read to a recovered bank in the domain's
@@ -732,24 +724,7 @@ func (f *FS) scheduleTransaction(c *mem.Controller, req *mem.Request, anchor, re
 
 	// Track precharge recovery for the hazard guard, anchored at bankAnchor
 	// (>= anchor, so the recorded recovery is never optimistic).
-	bAct := bankAnchor + int64(f.off.act(w))
-	bCas := bankAnchor + int64(f.off.cas(w))
-	bDataEnd := bankAnchor + int64(f.off.data(w)) + int64(f.p.TBURST)
-	preStart := bAct + int64(f.p.TRAS)
-	if w {
-		if s := bDataEnd + int64(f.p.TWR); s > preStart {
-			preStart = s
-		}
-	} else {
-		if s := bCas + int64(f.p.TRTP); s > preStart {
-			preStart = s
-		}
-	}
-	ready := preStart + int64(f.p.TRP)
-	if trc := bAct + int64(f.p.TRC); trc > ready {
-		ready = trc
-	}
-	f.bankReadyAt[a.Rank][a.Bank] = ready
+	f.bankReadyAt[a.Rank][a.Bank] = bankAnchor + int64(f.off.bankFree(w, &f.p))
 	f.lastRow[a.Rank][a.Bank] = a.Row
 	hist := &f.rankActHist[a.Rank]
 	copy(hist[1:], hist[:3])

@@ -23,76 +23,8 @@ func FeasibleRotation(l, groups int, a Anchor, p dram.Params) (bool, string) {
 		return false, "rotation needs at least 2 groups"
 	}
 	o := OffsetsFor(a, p)
-	types := []bool{false, true}
-	for d := 1; d <= solveWindow; d++ {
-		dl := d * l
-		sameGroup := d%groups == 0
-		for _, earlier := range types {
-			for _, later := range types {
-				// Command bus.
-				for _, offL := range []int{o.act(later), o.cas(later)} {
-					for _, offE := range []int{o.act(earlier), o.cas(earlier)} {
-						if dl+offL == offE {
-							return false, fmt.Sprintf("command bus collision (d=%d)", d)
-						}
-					}
-				}
-				// Data bus (worst case: different ranks).
-				sep := p.TBURST + p.TRTRS
-				gap := dl + o.data(later) - o.data(earlier)
-				if gap < 0 {
-					gap = -gap
-				}
-				if gap < sep {
-					return false, fmt.Sprintf("data bus (d=%d: gap %d < %d)", d, gap, sep)
-				}
-
-				// Same-rank constraints, long or short per group distance.
-				rrd, ccd, wtr := p.RRDOther(), p.CCDOther(), p.WTROther()
-				if sameGroup {
-					rrd, ccd, wtr = p.RRDSame(), p.CCDSame(), p.WTRSame()
-				}
-				if g := dl + o.act(later) - o.act(earlier); d == 1 && g < rrd {
-					return false, fmt.Sprintf("tRRD (d=%d: %d < %d)", d, g, rrd)
-				}
-				if g := dl + o.act(later) - o.act(earlier); d == 4 && g < p.TFAW {
-					return false, fmt.Sprintf("tFAW (d=%d: %d < %d)", d, g, p.TFAW)
-				}
-				if g := dl + o.cas(later) - o.cas(earlier); g < ccd {
-					return false, fmt.Sprintf("tCCD (d=%d: %d < %d)", d, g, ccd)
-				}
-				if earlier && !later {
-					if g := dl + o.cas(later) - o.cas(earlier); g < p.TCWD+p.TBURST+wtr {
-						return false, fmt.Sprintf("tWTR (d=%d: %d < %d)", d, g, p.TCWD+p.TBURST+wtr)
-					}
-				}
-				if !earlier && later {
-					if g := dl + o.cas(later) - o.cas(earlier); g < p.ReadToWriteGap() {
-						return false, fmt.Sprintf("Rd2Wr (d=%d: %d < %d)", d, g, p.ReadToWriteGap())
-					}
-				}
-				if !sameGroup {
-					continue
-				}
-				// Same bank possible: tRC and full precharge recovery.
-				if g := dl + o.act(later) - o.act(earlier); g < p.TRC {
-					return false, fmt.Sprintf("tRC (d=%d: %d < %d)", d, g, p.TRC)
-				}
-				preStart := o.act(earlier) + p.TRAS
-				if earlier {
-					if s := o.data(earlier) + p.TBURST + p.TWR; s > preStart {
-						preStart = s
-					}
-				} else {
-					if s := o.cas(earlier) + p.TRTP; s > preStart {
-						preStart = s
-					}
-				}
-				if g := dl + o.act(later); g < preStart+p.TRP {
-					return false, fmt.Sprintf("precharge recovery (d=%d: %d < %d)", d, g, preStart+p.TRP)
-				}
-			}
-		}
+	if v := gridConflict(l, &o, &p, groups, otherRank|sameBank, otherRank|otherGroup); v.what != noConflict {
+		return false, v.String()
 	}
 	return true, ""
 }
@@ -102,9 +34,12 @@ func FeasibleRotation(l, groups int, a Anchor, p dram.Params) (bool, string) {
 // DDR4's native bank groups the short cross-group timings shrink it
 // further — a new design point the paper's framework admits.
 func MinLRotation(groups int, a Anchor, p dram.Params) (int, error) {
-	const maxL = 512
-	for l := p.TBURST; l <= maxL; l++ {
-		if ok, _ := FeasibleRotation(l, groups, a, p); ok {
+	if groups >= 2 {
+		o := OffsetsFor(a, p)
+		l, ok := minSpacing(p.TBURST, maxL, func(l int) bool {
+			return gridConflict(l, &o, &p, groups, otherRank|sameBank, otherRank|otherGroup).what == noConflict
+		})
+		if ok {
 			return l, nil
 		}
 	}
@@ -121,79 +56,34 @@ func MinLRotation(groups int, a Anchor, p dram.Params) (int, error) {
 func ReorderedSlotSpacing(p dram.Params, domains int) (int, error) {
 	o := OffsetsFor(FixedData, p)
 	const maxS = 64
-	for s := p.TBURST + p.TRTRS; s <= maxS; s++ {
-		if reorderedFeasible(s, domains, o, p) {
-			return s, nil
-		}
+	s, ok := minSpacing(p.TBURST+p.TRTRS, maxS, func(s int) bool { return reorderedFeasible(s, domains, &o, &p) })
+	if !ok {
+		return 0, fmt.Errorf("core: no feasible reordered slot spacing <= %d", maxS)
 	}
-	return 0, fmt.Errorf("core: no feasible reordered slot spacing <= %d", maxS)
+	return s, nil
 }
 
-func reorderedFeasible(s, domains int, o Offsets, p dram.Params) bool {
-	// orders lists the (earlier, later) type pairs that can occur within an
-	// interval: reads always precede writes.
-	orders := [][2]bool{{false, false}, {false, true}, {true, true}}
-	checkPair := func(gap int, earlier, later bool) bool {
-		// Command bus.
-		for _, offL := range []int{o.act(later), o.cas(later)} {
-			for _, offE := range []int{o.act(earlier), o.cas(earlier)} {
-				if gap+offL == offE {
-					return false
-				}
-			}
-		}
-		// Data bus, worst case cross-rank.
-		dg := gap + o.data(later) - o.data(earlier)
-		if dg < 0 {
-			dg = -dg
-		}
-		if dg < p.TBURST+p.TRTRS {
-			return false
-		}
-		// Same-rank worst case (bank partitioning can put every domain's
-		// bank in one rank); bank groups are not guaranteed distinct, so
-		// the long timings apply.
-		if g := gap + o.act(later) - o.act(earlier); g < p.RRDSame() {
-			return false
-		}
-		if g := gap + o.cas(later) - o.cas(earlier); g < p.CCDSame() {
-			return false
-		}
-		if !earlier && later { // read then write
-			if g := gap + o.cas(later) - o.cas(earlier); g < p.ReadToWriteGap() {
-				return false
-			}
-		}
-		if earlier && !later { // write then read (interval boundary only)
-			if g := gap + o.cas(later) - o.cas(earlier); g < p.WriteToReadGap() {
-				return false
-			}
-		}
-		return true
-	}
+// reorderedFeasible checks data-slot spacing s. Bank partitioning can put
+// every domain's bank in one rank and bank group, so every pair may share
+// the buses or one bank group.
+func reorderedFeasible(s, domains int, o *Offsets, p *dram.Params) bool {
+	const shared = otherRank | sameGroup
+	// Inside an interval reads precede writes: R then R, R then W, W then W.
+	inInterval := [...][2]bool{{false, false}, {false, true}, {true, true}}
 	for d := 1; d <= solveWindow; d++ {
-		for _, ord := range orders {
-			if !checkPair(d*s, ord[0], ord[1]) {
+		for _, ord := range inInterval {
+			if pairConflict(o, p, d*s, ord[0], ord[1], shared, d == 4) != noConflict {
 				return false
-			}
-		}
-		// tFAW on the uniform ACT grid.
-		if d == 4 {
-			for _, ord := range orders {
-				if g := d*s + o.act(ord[1]) - o.act(ord[0]); g < p.TFAW {
-					return false
-				}
 			}
 		}
 	}
 	// Interval boundary: the last write of interval i against the first
-	// reads of interval i+1, at distance Q - (domains-1)*s.
+	// transactions of interval i+1, at distance Q - (domains-1)*s. The
+	// boundary pairs are not checked for tFAW.
 	boundary := s + p.WriteToReadGap()
 	for d := 0; d < solveWindow && d < domains; d++ {
-		if !checkPair(boundary+d*s, true, false) {
-			return false
-		}
-		if !checkPair(boundary+d*s, true, true) {
+		if pairConflict(o, p, boundary+d*s, true, false, shared, false) != noConflict ||
+			pairConflict(o, p, boundary+d*s, true, true, shared, false) != noConflict {
 			return false
 		}
 	}

@@ -111,117 +111,120 @@ func (o Offsets) MinOffset() int {
 	return min
 }
 
-// Constraint records one inequality the solver checked, for reporting.
-type Constraint struct {
-	Name string // e.g. "tWTR (W then R, d=1)"
-	MinL int    // the slot spacing this constraint alone requires (0 if it is an inequality on products)
-}
-
-// solveWindow is how many slot distances d = k-k' the solver examines.
+// solveWindow is how many slot distances d = k-k' the solvers examine.
 // Command offsets and timing windows are all far below window*l for any
 // feasible l, so 8 covers every binding pair.
 const solveWindow = 8
 
-// Feasible reports whether slot spacing l yields a conflict-free pipeline
-// for the anchor and partitioning mode, and if not, which constraint fails.
-//
-// The check enumerates, for every slot distance d in [1, solveWindow] and
-// every (earlier, later) transaction type pair in {read, write}^2:
-//
-//   - command-bus uniqueness (the paper's Equation 1): no two commands of
-//     different transactions may occupy the same cycle;
-//   - data-bus separation: bursts must not overlap, with tRTRS between
-//     transfers worst-case assumed to be on different ranks;
-//   - under bank partitioning (same rank worst case, Equations 2-4): tRRD,
-//     tFAW, tCCD, and the write-to-read / read-to-write turnarounds;
-//   - under no partitioning (same bank worst case): tRC and full
-//     precharge recovery (the write-then-read case that forces l=43).
-func Feasible(l int, a Anchor, mode addr.PartitionKind, p dram.Params) (bool, string) {
-	o := OffsetsFor(a, p)
-	types := []bool{false, true} // read, write
+// share is how much of the device two transactions of a static pipeline
+// may have in common. A solver passes the set of levels a pair may take
+// (the levels OR-ed together), and the pair must be legal at each of them.
+type share uint8
 
-	for d := 1; d <= solveWindow; d++ {
-		dl := d * l
-		for _, earlier := range types {
-			for _, later := range types {
-				// Command bus: later commands at dl+off must not collide
-				// with earlier commands at off'.
-				for _, offL := range []int{o.act(later), o.cas(later)} {
-					for _, offE := range []int{o.act(earlier), o.cas(earlier)} {
-						if dl+offL == offE {
-							return false, fmt.Sprintf("command bus collision (d=%d, %s/%s)", d, typeName(earlier), typeName(later))
-						}
-					}
-				}
+const (
+	// otherRank: only the command and data buses are shared, and the data
+	// bus needs tRTRS between the ranks.
+	otherRank share = 1 << iota
+	// otherGroup: one rank, another DDR4 bank group (the short timings).
+	otherGroup
+	// sameGroup: one rank and bank group, another bank.
+	sameGroup
+	// sameBank: one bank, another row, so the later ACT waits for the
+	// earlier transaction's auto-precharge.
+	sameBank
+)
 
-				// Data bus: bursts [start, start+tBURST) must be disjoint
-				// with tRTRS margin (worst case: different ranks). The gap
-				// may be negative when a later write's short tCWD puts its
-				// burst before an earlier read's; separation must hold in
-				// whichever order the bursts land.
-				sep := p.TBURST + p.TRTRS
-				gap := dl + o.data(later) - o.data(earlier)
-				if gap < 0 {
-					gap = -gap
-				}
-				if gap < sep {
-					return false, fmt.Sprintf("data bus (d=%d, %s then %s: gap %d < %d)", d, typeName(earlier), typeName(later), gap, sep)
-				}
+// constraint names one inequality of the paper's constraint system
+// (Equations 1-4), or noConflict.
+type constraint uint8
 
-				if mode == addr.PartitionRank || mode == addr.PartitionChannel {
-					continue // disjoint ranks: only buses are shared
-				}
+const (
+	noConflict constraint = iota
+	cmdBus
+	dataBus
+	tRRD
+	tFAW
+	tCCD
+	tWTR
+	rd2wr
+	bankRecovery
+)
 
-				// Same rank worst case (bank partitioning).
-				if g := dl + o.act(later) - o.act(earlier); d == 1 && g < p.TRRD {
-					return false, fmt.Sprintf("tRRD (d=1, %s/%s: gap %d < %d)", typeName(earlier), typeName(later), g, p.TRRD)
-				}
-				if g := dl + o.act(later) - o.act(earlier); d == 4 && g < p.TFAW {
-					return false, fmt.Sprintf("tFAW (d=4, %s/%s: gap %d < %d)", typeName(earlier), typeName(later), g, p.TFAW)
-				}
-				if g := dl + o.cas(later) - o.cas(earlier); g < p.TCCD {
-					return false, fmt.Sprintf("tCCD (d=%d: gap %d < %d)", d, g, p.TCCD)
-				}
-				if earlier && !later { // write then read: tWTR from write data end
-					g := dl + o.cas(later) - o.cas(earlier)
-					if g < p.WriteToReadGap() {
-						return false, fmt.Sprintf("tWTR (d=%d: CAS gap %d < %d)", d, g, p.WriteToReadGap())
-					}
-				}
-				if !earlier && later { // read then write: data-bus turnaround
-					g := dl + o.cas(later) - o.cas(earlier)
-					if g < p.ReadToWriteGap() {
-						return false, fmt.Sprintf("Rd2Wr (d=%d: CAS gap %d < %d)", d, g, p.ReadToWriteGap())
-					}
-				}
+var constraintNames = [...]string{"no conflict", "command bus", "data bus", "tRRD", "tFAW", "tCCD", "tWTR", "Rd2Wr", "bank recovery"}
 
-				if mode != addr.PartitionNone {
-					continue
-				}
+func (c constraint) String() string { return constraintNames[c] }
 
-				// Same bank worst case (no partitioning): the later ACT must
-				// wait for the earlier transaction's full auto-precharge.
-				if g := dl + o.act(later) - o.act(earlier); g < p.TRC {
-					return false, fmt.Sprintf("tRC (d=%d: ACT gap %d < %d)", d, g, p.TRC)
-				}
-				preStart := o.act(earlier) + p.TRAS
-				if earlier { // write: precharge after write recovery
-					if s := o.data(earlier) + p.TBURST + p.TWR; s > preStart {
-						preStart = s
-					}
-				} else { // read: precharge after tRTP
-					if s := o.cas(earlier) + p.TRTP; s > preStart {
-						preStart = s
-					}
-				}
-				if g := dl + o.act(later); g < preStart+p.TRP {
-					return false, fmt.Sprintf("precharge recovery (d=%d, %s then %s: ACT at %d < %d)",
-						d, typeName(earlier), typeName(later), g, preStart+p.TRP)
-				}
-			}
-		}
+// pairConflict is the pipelines' one constraint rule. It returns the first
+// constraint two transactions violate when the later one's slot anchor is
+// gap cycles after the earlier one's. earlier and later say which of them
+// is a write, s holds every level at which they may share the device, and
+// fourApart marks a pair with three ACTs between them, where tFAW binds.
+func pairConflict(o *Offsets, p *dram.Params, gap int, earlier, later bool, s share, fourApart bool) constraint {
+	actE, casE := o.act(earlier), o.cas(earlier)
+	actL, casL := gap+o.act(later), gap+o.cas(later)
+	// Equation 1: a cycle carries at most one command.
+	if actL == actE || actL == casE || casL == actE || casL == casE {
+		return cmdBus
 	}
-	return true, ""
+	// Bursts must not overlap, in whichever order they land (a later
+	// write's short tCWD can put its burst first).
+	sep := p.TBURST
+	if s&otherRank != 0 {
+		sep += p.TRTRS
+	}
+	if d := gap + o.data(later) - o.data(earlier); d < sep && d > -sep {
+		return dataBus
+	}
+	if s&^otherRank == 0 {
+		return noConflict
+	}
+	// One rank (Equations 2-4). Only another bank group may use DDR4's
+	// short timings.
+	rrd, ccd, wtr := p.RRDSame(), p.CCDSame(), p.WTRSame()
+	if s&(sameGroup|sameBank) == 0 {
+		rrd, ccd, wtr = p.RRDOther(), p.CCDOther(), p.WTROther()
+	}
+	actGap, casGap := actL-actE, casL-casE
+	switch {
+	case actGap < rrd:
+		return tRRD
+	case fourApart && actGap < p.TFAW:
+		return tFAW
+	case casGap < ccd:
+		return tCCD
+	case earlier && !later && casGap < p.TCWD+p.TBURST+wtr:
+		return tWTR
+	case !earlier && later && casGap < p.ReadToWriteGap():
+		return rd2wr
+	case s&sameBank != 0 && actL < o.bankFree(earlier, p):
+		return bankRecovery
+	}
+	return noConflict
+}
+
+// bankFree returns, relative to a transaction's slot anchor, the first
+// cycle its bank accepts another ACT: tRC after its ACT, and tRP after its
+// auto-precharge, which waits for tRAS and for tRTP (read) or write
+// recovery (write).
+func (o Offsets) bankFree(write bool, p *dram.Params) int {
+	pre := o.act(write) + p.TRAS
+	if write {
+		pre = max(pre, o.data(write)+p.TBURST+p.TWR)
+	} else {
+		pre = max(pre, o.cas(write)+p.TRTP)
+	}
+	return max(pre+p.TRP, o.act(write)+p.TRC)
+}
+
+// violation is a rejected pair of a uniform slot grid.
+type violation struct {
+	what           constraint
+	d              int
+	earlier, later bool
+}
+
+func (v violation) String() string {
+	return fmt.Sprintf("%v (d=%d, %s then %s)", v.what, v.d, typeName(v.earlier), typeName(v.later))
 }
 
 func typeName(write bool) string {
@@ -231,18 +234,82 @@ func typeName(write bool) string {
 	return "R"
 }
 
+// gridConflict checks every pair of slots d = 1..solveWindow apart on a
+// uniform grid of spacing l. Pairs a multiple of period apart may share
+// the device at the levels in aligned, the others at the levels in rest;
+// slots four apart are four ACTs apart.
+func gridConflict(l int, o *Offsets, p *dram.Params, period int, aligned, rest share) violation {
+	for d := 1; d <= solveWindow; d++ {
+		s := rest
+		if d%period == 0 {
+			s = aligned
+		}
+		for _, earlier := range [2]bool{false, true} {
+			for _, later := range [2]bool{false, true} {
+				if c := pairConflict(o, p, d*l, earlier, later, s, d == 4); c != noConflict {
+					return violation{c, d, earlier, later}
+				}
+			}
+		}
+	}
+	return violation{}
+}
+
+// modeShare is how much of the device two slots may share under a spatial
+// partitioning mode: disjoint ranks share only the buses, bank
+// partitioning may put two domains in one bank group of one rank, and
+// without partitioning they may meet in one bank.
+func modeShare(mode addr.PartitionKind) share {
+	switch mode {
+	case addr.PartitionRank, addr.PartitionChannel:
+		return otherRank
+	case addr.PartitionNone:
+		return otherRank | sameBank
+	}
+	return otherRank | sameGroup
+}
+
+// Feasible reports whether slot spacing l yields a conflict-free pipeline
+// for the anchor and partitioning mode, and if not, which constraint fails.
+// It checks every (earlier, later) read/write pair of slots up to
+// solveWindow apart with pairConflict, at the sharing the mode allows.
+func Feasible(l int, a Anchor, mode addr.PartitionKind, p dram.Params) (bool, string) {
+	o := OffsetsFor(a, p)
+	s := modeShare(mode)
+	if v := gridConflict(l, &o, &p, 1, s, s); v.what != noConflict {
+		return false, v.String()
+	}
+	return true, ""
+}
+
+// minSpacing is the search MinL, MinLRotation and ReorderedSlotSpacing
+// share: the smallest spacing in [lo, hi] that ok accepts.
+func minSpacing(lo, hi int, ok func(l int) bool) (int, bool) {
+	for l := lo; l <= hi; l++ {
+		if ok(l) {
+			return l, true
+		}
+	}
+	return 0, false
+}
+
+// maxL bounds the grid solvers' search.
+const maxL = 512
+
 // MinL computes the smallest feasible slot spacing for the anchor and
 // partitioning mode — the paper's l. It returns an error if nothing up to
 // maxL works.
 func MinL(a Anchor, mode addr.PartitionKind, p dram.Params) (int, error) {
-	const maxL = 512
-	lo := p.TBURST // a burst must at least fit
-	for l := lo; l <= maxL; l++ {
-		if ok, _ := Feasible(l, a, mode, p); ok {
-			return l, nil
-		}
+	o := OffsetsFor(a, p)
+	s := modeShare(mode)
+	// The search starts where a burst fits.
+	l, ok := minSpacing(p.TBURST, maxL, func(l int) bool {
+		return gridConflict(l, &o, &p, 1, s, s).what == noConflict
+	})
+	if !ok {
+		return 0, fmt.Errorf("core: no feasible l <= %d for %v/%v", maxL, a, mode)
 	}
-	return 0, fmt.Errorf("core: no feasible l <= %d for %v/%v", maxL, a, mode)
+	return l, nil
 }
 
 // BestAnchor returns the anchor with the smallest feasible l for the mode,
