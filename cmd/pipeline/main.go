@@ -5,6 +5,7 @@
 // Usage:
 //
 //	pipeline -solve                 # minimal l for every anchor/mode
+//	pipeline -solve -ddr4           # the same on DDR4-2400
 //	pipeline -mode rp               # Figure 1: rank-partitioned pipeline
 //	pipeline -mode np -intervals 2  # Figure 2: no-partitioning pipelines
 //
@@ -52,7 +53,7 @@ func main() {
 		p = dram.DDR4_2400()
 	}
 	if *solve {
-		printSolverTable(p)
+		printSolverTable(p, *ddr4)
 		if *ddr4 {
 			if l, err := core.MinLRotation(p.BankGroups, core.FixedRAS, p); err == nil {
 				fmt.Printf("%d-way bank-group rotation (no partitioning): l=%d\n", p.BankGroups, l)
@@ -114,16 +115,25 @@ func peakUtil(v core.Variant, fs *core.FS, domains int, p dram.Params) float64 {
 	return float64(perInterval) / float64(fs.Q())
 }
 
-func printSolverTable(p dram.Params) {
-	fmt.Println("Minimal conflict-free slot spacing l (DDR3-1600, Table 1 timings)")
-	fmt.Println("mode/anchor                                  l   paper")
-	paper := map[string]string{
-		"rank/fixed-periodic-data": "7 (§3.1)",
-		"rank/fixed-periodic-RAS":  "12 (§3.1)",
-		"rank/fixed-periodic-CAS":  "12 (§3.1)",
-		"bank/fixed-periodic-data": "21 (Eq. 4b)",
-		"bank/fixed-periodic-RAS":  "15 (§4.2)",
-		"none/fixed-periodic-RAS":  "43 (§4.3)",
+// paperL is the paper's l for the DDR3-1600 Table 1 timings.
+var paperL = map[string]string{
+	"rank/fixed-periodic-data": "7 (§3.1)",
+	"rank/fixed-periodic-RAS":  "12 (§3.1)",
+	"rank/fixed-periodic-CAS":  "12 (§3.1)",
+	"bank/fixed-periodic-data": "21 (Eq. 4b)",
+	"bank/fixed-periodic-RAS":  "15 (§4.2)",
+	"none/fixed-periodic-RAS":  "43 (§4.3)",
+}
+
+// printSolverTable prints the solver table; the paper's column only
+// appears for DDR3-1600, the part the paper solved.
+func printSolverTable(p dram.Params, ddr4 bool) {
+	if ddr4 {
+		fmt.Println("Minimal conflict-free slot spacing l (DDR4-2400)")
+		fmt.Println("mode/anchor                                  l")
+	} else {
+		fmt.Println("Minimal conflict-free slot spacing l (DDR3-1600, Table 1 timings)")
+		fmt.Println("mode/anchor                                  l   paper")
 	}
 	table := core.SolverTable(p)
 	keys := make([]string, 0, len(table))
@@ -132,8 +142,11 @@ func printSolverTable(p dram.Params) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		note := paper[k]
-		fmt.Printf("%-42s %3d   %s\n", k, table[k], note)
+		if ddr4 {
+			fmt.Printf("%-42s %3d\n", k, table[k])
+		} else {
+			fmt.Printf("%-42s %3d   %s\n", k, table[k], paperL[k])
+		}
 	}
 	for _, mode := range []addr.PartitionKind{addr.PartitionRank, addr.PartitionBank, addr.PartitionNone} {
 		a, l, err := core.BestAnchor(mode, p)
