@@ -30,6 +30,7 @@ import (
 
 	"fsmem"
 	"fsmem/internal/audit"
+	"fsmem/internal/config"
 	"fsmem/internal/obs"
 	"fsmem/internal/sim"
 )
@@ -45,17 +46,6 @@ var auditOrder = []fsmem.SchedulerKind{
 	fsmem.FSReorderedBank,
 	fsmem.FSNoPart,
 	fsmem.FSNoPartTriple,
-}
-
-var schedNames = map[string]fsmem.SchedulerKind{
-	"baseline":        fsmem.Baseline,
-	"tp_bp":           fsmem.TPBank,
-	"tp_np":           fsmem.TPNone,
-	"fs_rp":           fsmem.FSRankPart,
-	"fs_bp":           fsmem.FSBankPart,
-	"fs_reordered_bp": fsmem.FSReorderedBank,
-	"fs_np":           fsmem.FSNoPart,
-	"fs_np_optimized": fsmem.FSNoPartTriple,
 }
 
 func main() {
@@ -132,7 +122,7 @@ func run(schedName, expect string, o audit.Options) int {
 
 	kinds := auditOrder
 	if schedName != "all" {
-		k, ok := schedNames[schedName]
+		k, ok := config.SchedulerByName(schedName)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown -sched %q\n", schedName)
 			return 2

@@ -31,45 +31,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"fsmem"
+	"fsmem/internal/config"
 	"fsmem/internal/obs"
 )
 
-var schedNames = map[string]fsmem.SchedulerKind{
-	"baseline":        fsmem.Baseline,
-	"tp_bp":           fsmem.TPBank,
-	"tp_np":           fsmem.TPNone,
-	"fs_rp":           fsmem.FSRankPart,
-	"fs_bp":           fsmem.FSBankPart,
-	"fs_reordered_bp": fsmem.FSReorderedBank,
-	"fs_np":           fsmem.FSNoPart,
-	"fs_np_optimized": fsmem.FSNoPartTriple,
-}
-
-// isFS reports whether the scheduler has a static schedule the monitor can
-// fully verify — the tier that must show zero undetected faults.
-func isFS(k fsmem.SchedulerKind) bool {
-	switch k {
-	case fsmem.FSRankPart, fsmem.FSBankPart, fsmem.FSReorderedBank, fsmem.FSNoPart, fsmem.FSNoPartTriple:
-		return true
-	}
-	return false
-}
-
-func keys() []string {
-	var out []string
-	for k := range schedNames {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func main() {
-	schedName := flag.String("sched", "all", "scheduler to attack: "+strings.Join(keys(), ", ")+", or all")
+	schedName := flag.String("sched", "all", "scheduler to attack: "+strings.Join(config.SchedulerNames(), ", ")+", or all")
 	wl := flag.String("workload", "milc", "benchmark name (rate mode)")
 	cores := flag.Int("cores", 4, "cores / security domains")
 	seed := flag.Uint64("seed", 7, "fault-plan seed")
@@ -98,11 +68,11 @@ func run(schedName, wl string, cores int, seed uint64, cycles int64, workers int
 
 	var scheds []string
 	if schedName == "all" {
-		scheds = keys()
-	} else if _, ok := schedNames[schedName]; ok {
+		scheds = config.SchedulerNames()
+	} else if _, ok := config.SchedulerByName(schedName); ok {
 		scheds = []string{schedName}
 	} else {
-		fmt.Fprintf(os.Stderr, "unknown -sched %q (options: %s, all)\n", schedName, strings.Join(keys(), ", "))
+		fmt.Fprintf(os.Stderr, "unknown -sched %q (options: %s, all)\n", schedName, strings.Join(config.SchedulerNames(), ", "))
 		return 2
 	}
 
@@ -114,7 +84,7 @@ func run(schedName, wl string, cores int, seed uint64, cycles int64, workers int
 
 	exit := 0
 	for _, name := range scheds {
-		k := schedNames[name]
+		k, _ := config.SchedulerByName(name)
 		cfg := fsmem.NewConfig(mix, k)
 		cfg.Seed = 1
 		if cycles > 0 {
@@ -141,9 +111,9 @@ func run(schedName, wl string, cores int, seed uint64, cycles int64, workers int
 		}
 		und := res.Undetected()
 		switch {
-		case isFS(k) && und == 0:
+		case k.IsFS() && und == 0:
 			fmt.Printf("  -> PASS: no undetected faults\n\n")
-		case isFS(k):
+		case k.IsFS():
 			fmt.Printf("  -> FAIL: %d undetected faults on a verifiable FS scheduler\n\n", und)
 			exit = 1
 		case k == fsmem.Baseline && und > 0:

@@ -25,26 +25,15 @@ import (
 	"fmt"
 	"os"
 
-	"fsmem"
 	"fsmem/internal/addr"
 	"fsmem/internal/audit"
+	"fsmem/internal/config"
 	"fsmem/internal/leakage"
 	"fsmem/internal/obs"
 	"fsmem/internal/parallel"
 	"fsmem/internal/sim"
 	"fsmem/internal/workload"
 )
-
-var schedNames = map[string]fsmem.SchedulerKind{
-	"baseline":        fsmem.Baseline,
-	"tp_bp":           fsmem.TPBank,
-	"tp_np":           fsmem.TPNone,
-	"fs_rp":           fsmem.FSRankPart,
-	"fs_bp":           fsmem.FSBankPart,
-	"fs_reordered_bp": fsmem.FSReorderedBank,
-	"fs_np":           fsmem.FSNoPart,
-	"fs_np_optimized": fsmem.FSNoPartTriple,
-}
 
 func main() {
 	attackerName := flag.String("attacker", "mcf", "attacker benchmark (Figure 4 uses mcf)")
@@ -90,7 +79,7 @@ func run(attackerName, schedName string, samples int64, seed uint64, workers int
 	}
 	kinds := []sim.SchedulerKind{sim.Baseline, sim.FSRankPart}
 	if schedName != "" {
-		k, ok := schedNames[schedName]
+		k, ok := config.SchedulerByName(schedName)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown -sched %q\n", schedName)
 			return 2

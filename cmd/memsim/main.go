@@ -33,20 +33,9 @@ import (
 	"fsmem/internal/workload"
 )
 
-var schedNames = map[string]fsmem.SchedulerKind{
-	"baseline":        fsmem.Baseline,
-	"tp_bp":           fsmem.TPBank,
-	"tp_np":           fsmem.TPNone,
-	"fs_rp":           fsmem.FSRankPart,
-	"fs_bp":           fsmem.FSBankPart,
-	"fs_reordered_bp": fsmem.FSReorderedBank,
-	"fs_np":           fsmem.FSNoPart,
-	"fs_np_optimized": fsmem.FSNoPartTriple,
-}
-
 func main() {
 	wl := flag.String("workload", "mcf", "benchmark name (rate mode), or mix1/mix2")
-	schedName := flag.String("sched", "fs_rp", "scheduler: "+strings.Join(keys(), ", "))
+	schedName := flag.String("sched", "fs_rp", "scheduler: "+strings.Join(config.SchedulerNames(), ", "))
 	cores := flag.Int("cores", 8, "cores / security domains")
 	reads := flag.Int64("reads", 50_000, "demand reads to simulate")
 	seed := flag.Uint64("seed", 42, "random seed")
@@ -93,9 +82,9 @@ func main() {
 		return
 	}
 
-	k, ok := schedNames[*schedName]
+	k, ok := config.SchedulerByName(*schedName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown -sched %q (options: %s)\n", *schedName, strings.Join(keys(), ", "))
+		fmt.Fprintf(os.Stderr, "unknown -sched %q (options: %s)\n", *schedName, strings.Join(config.SchedulerNames(), ", "))
 		os.Exit(2)
 	}
 	var mix fsmem.Mix
@@ -300,17 +289,4 @@ func main() {
 		fmt.Println("\nmetrics:")
 		io.WriteString(os.Stdout, res.Metrics.Format())
 	}
-}
-
-func keys() []string {
-	out := make([]string, 0, len(schedNames))
-	for k := range schedNames {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
