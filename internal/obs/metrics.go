@@ -36,50 +36,6 @@ func (c *Counter) Add(d int64) { c.n += d }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n }
 
-// Gauge is a point-in-time value, overwritten rather than accumulated.
-type Gauge struct{ v float64 }
-
-// Set overwrites the gauge.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
-// Hist is a fixed-bucket histogram: bounds are chosen at registration and
-// never reallocated, so Observe is a linear scan over a handful of int64
-// fields — no allocation, no locking.
-type Hist struct {
-	bounds  []int64 // upper bounds, ascending; an implicit +Inf bucket follows
-	buckets []int64 // len(bounds)+1
-	count   int64
-	sum     int64
-}
-
-// NewHist builds a histogram with the given ascending upper bounds.
-func NewHist(bounds []int64) *Hist {
-	b := append([]int64(nil), bounds...)
-	return &Hist{bounds: b, buckets: make([]int64, len(b)+1)}
-}
-
-// Observe records one value.
-func (h *Hist) Observe(v int64) {
-	h.count++
-	h.sum += v
-	for i, ub := range h.bounds {
-		if v <= ub {
-			h.buckets[i]++
-			return
-		}
-	}
-	h.buckets[len(h.bounds)]++
-}
-
-// Count returns the number of observations.
-func (h *Hist) Count() int64 { return h.count }
-
-// Sum returns the sum of observations.
-func (h *Hist) Sum() int64 { return h.sum }
-
 // Metric is one named value in a snapshot.
 type Metric struct {
 	Name  string
@@ -129,68 +85,23 @@ type SourceFunc func(emit func(name string, value float64))
 // ObsMetrics implements MetricSource.
 func (f SourceFunc) ObsMetrics(emit func(name string, value float64)) { f(emit) }
 
-type entry struct {
-	name string
-	read func() float64
-}
-
 type sourceEntry struct {
 	prefix string
 	src    MetricSource
 }
 
-// Registry collects metric primitives and sources for an end-of-run
-// snapshot. It is not safe for concurrent use; one registry belongs to one
-// simulation run (the parallel engine gives every shard its own).
+// Registry collects metric sources for an end-of-run snapshot. It is not
+// safe for concurrent use; one registry belongs to one simulation run (the
+// parallel engine gives every shard its own).
 //
-// A nil *Registry is valid everywhere: registration returns detached (but
-// usable) primitives and Snapshot returns nil, so code paths can register
-// unconditionally.
+// A nil *Registry is valid everywhere: Source does nothing and Snapshot
+// returns nil, so code paths can register unconditionally.
 type Registry struct {
-	entries []entry
 	sources []sourceEntry
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
-
-// Counter registers and returns a named counter.
-func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{}
-	if r != nil {
-		r.entries = append(r.entries, entry{name, func() float64 { return float64(c.n) }})
-	}
-	return c
-}
-
-// Gauge registers and returns a named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	g := &Gauge{}
-	if r != nil {
-		r.entries = append(r.entries, entry{name, func() float64 { return g.v }})
-	}
-	return g
-}
-
-// Histogram registers and returns a named fixed-bucket histogram. The
-// snapshot carries cumulative per-bucket counts (name_le_<bound>,
-// name_le_inf) plus name_count and name_sum.
-func (r *Registry) Histogram(name string, bounds []int64) *Hist {
-	h := NewHist(bounds)
-	if r != nil {
-		r.sources = append(r.sources, sourceEntry{"", SourceFunc(func(emit func(string, float64)) {
-			cum := int64(0)
-			for i, ub := range h.bounds {
-				cum += h.buckets[i]
-				emit(fmt.Sprintf("%s_le_%d", name, ub), float64(cum))
-			}
-			emit(name+"_le_inf", float64(h.count))
-			emit(name+"_count", float64(h.count))
-			emit(name+"_sum", float64(h.sum))
-		})})
-	}
-	return h
-}
 
 // Source registers a metric source; every name it emits is prefixed with
 // "prefix." (unless prefix is empty).
@@ -201,16 +112,13 @@ func (r *Registry) Source(prefix string, src MetricSource) {
 	r.sources = append(r.sources, sourceEntry{prefix, src})
 }
 
-// Snapshot reads every registered primitive and source into a sorted
-// Snapshot. Call it after the run; it is the only allocating operation.
+// Snapshot reads every registered source into a sorted Snapshot. Call it
+// after the run; it is the only allocating operation.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return nil
 	}
-	out := make(Snapshot, 0, len(r.entries)+4*len(r.sources))
-	for _, e := range r.entries {
-		out = append(out, Metric{e.name, e.read()})
-	}
+	out := make(Snapshot, 0, 4*len(r.sources))
 	for _, s := range r.sources {
 		prefix := s.prefix
 		s.src.ObsMetrics(func(name string, v float64) {

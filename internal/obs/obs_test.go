@@ -139,31 +139,24 @@ func TestChromeExportIsValidJSON(t *testing.T) {
 
 func TestRegistrySnapshotSorted(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("zeta").Add(3)
-	reg.Gauge("alpha").Set(1.5)
 	reg.Source("mid", SourceFunc(func(emit func(string, float64)) {
 		emit("b", 2)
 		emit("a", 1)
 	}))
-	h := reg.Histogram("hist", []int64{10, 100})
-	h.Observe(5)
-	h.Observe(50)
-	h.Observe(500)
+	reg.Source("", SourceFunc(func(emit func(string, float64)) {
+		emit("zeta", 3)
+		emit("alpha", 1.5)
+	}))
 
 	s := reg.Snapshot()
 	if !sort.SliceIsSorted(s, func(i, j int) bool { return s[i].Name < s[j].Name }) {
 		t.Fatalf("snapshot not sorted: %v", s)
 	}
 	for name, want := range map[string]float64{
-		"zeta":        3,
-		"alpha":       1.5,
-		"mid.a":       1,
-		"mid.b":       2,
-		"hist_le_10":  1,
-		"hist_le_100": 2,
-		"hist_count":  3,
-		"hist_sum":    555,
-		"hist_le_inf": 3,
+		"zeta":  3,
+		"alpha": 1.5,
+		"mid.a": 1,
+		"mid.b": 2,
 	} {
 		got, ok := s.Get(name)
 		if !ok {
@@ -177,9 +170,6 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 
 func TestNilRegistry(t *testing.T) {
 	var reg *Registry
-	reg.Counter("c").Inc()
-	reg.Gauge("g").Set(1)
-	reg.Histogram("h", []int64{1}).Observe(1)
 	reg.Source("s", SourceFunc(func(func(string, float64)) {}))
 	if snap := reg.Snapshot(); snap != nil {
 		t.Fatalf("nil registry snapshot = %v, want nil", snap)
