@@ -50,25 +50,18 @@ func channelAccepts(p dram.Params, o Offsets, txns []oracleTxn) bool {
 	return true
 }
 
-// shareLevels are the four share levels in order, each with where it puts
-// the later transaction when the earlier one is on rank 0, bank 0, row 0.
-func shareLevels(p dram.Params) []struct {
-	s               share
-	rank, bank, row int
-} {
+// levels are the four share levels, and placeAt puts the later
+// transaction of a pair at each of them when the earlier one is on rank 0,
+// bank 0, row 0: rank 1, the first bank of another bank group (bank 1 on
+// DDR3), bank 1, or bank 0 with another row.
+var levels = [4]share{otherRank, otherGroup, sameGroup, sameBank}
+
+func placeAt(p dram.Params) [4]oracleTxn {
 	otherGroupBank := 1
 	if p.BankGroups > 1 {
 		otherGroupBank = p.BanksPerRank / p.BankGroups
 	}
-	return []struct {
-		s               share
-		rank, bank, row int
-	}{
-		{otherRank, 1, 0, 0},
-		{otherGroup, 0, otherGroupBank, 0},
-		{sameGroup, 0, 1, 0},
-		{sameBank, 0, 0, 1},
-	}
+	return [4]oracleTxn{{rank: 1}, {bank: otherGroupBank}, {bank: 1}, {row: 1}}
 }
 
 // probe describes one stream and the rule's verdict on it.
@@ -97,16 +90,14 @@ func comparePairs(p dram.Params, check func(pr probe, channel bool)) int {
 	n := 0
 	for _, a := range []Anchor{FixedData, FixedRAS, FixedCAS} {
 		o := OffsetsFor(a, p)
-		for _, lv := range shareLevels(p) {
+		for i, at := range placeAt(p) {
 			for gap := 1; gap <= 150; gap++ {
 				for _, earlier := range []bool{false, true} {
 					for _, later := range []bool{false, true} {
-						c := pairConflict(&o, &p, gap, earlier, later, lv.s, false)
-						ch := channelAccepts(p, o, []oracleTxn{
-							{write: earlier},
-							{write: later, anchor: gap, rank: lv.rank, bank: lv.bank, row: lv.row},
-						})
-						check(probe{anchor: a, s: lv.s, gap: gap, earlier: earlier, later: later, rule: c}, ch)
+						c := pairConflict(&o, &p, gap, earlier, later, levels[i], false)
+						at.write, at.anchor = later, gap
+						ch := channelAccepts(p, o, []oracleTxn{{write: earlier}, at})
+						check(probe{anchor: a, s: levels[i], gap: gap, earlier: earlier, later: later, rule: c}, ch)
 						n++
 					}
 				}
