@@ -13,9 +13,14 @@ import (
 	"time"
 
 	"fsmem"
+	"fsmem/internal/addr"
 	"fsmem/internal/config"
+	"fsmem/internal/experiments"
+	"fsmem/internal/leakage"
 	"fsmem/internal/server"
 	"fsmem/internal/server/client"
+	"fsmem/internal/sim"
+	"fsmem/internal/workload"
 )
 
 // startServer runs the daemon on an httptest listener and returns a
@@ -304,7 +309,8 @@ func TestAPIDrain(t *testing.T) {
 }
 
 // TestAPIFiguresJob runs a tiny figures job end to end: progress events
-// stream from the runner's per-cell callbacks and the result decodes.
+// stream from the runner's per-cell callbacks, and the result document is
+// byte-identical to the tables experiments computes directly.
 func TestAPIFiguresJob(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figures grid is slow")
@@ -313,7 +319,7 @@ func TestAPIFiguresJob(t *testing.T) {
 	ctx := context.Background()
 	st, err := cl.Submit(ctx, server.JobRequest{
 		Kind:    server.KindFigures,
-		Figures: &server.FiguresRequest{Figures: []string{"3"}, Cores: 2, Reads: 400, Seed: 5},
+		Figures: &server.FiguresRequest{Figures: []string{"3", "4"}, Cores: 2, Reads: 400, Seed: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,12 +337,99 @@ func TestAPIFiguresJob(t *testing.T) {
 	if progress == 0 {
 		t.Fatal("figures job streamed no per-cell progress events")
 	}
-	var out server.FiguresResult
-	if err := cl.ResultJSON(ctx, st.ID, &out); err != nil {
+	got, err := cl.Result(ctx, st.ID)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Tables) != 1 || len(out.Errors) != 0 {
-		t.Fatalf("figures result: %d tables, errors %v", len(out.Tables), out.Errors)
+
+	r := experiments.NewRunner(experiments.Settings{Cores: 2, TargetReads: 400, Seed: 5})
+	fig3, err := experiments.Figure3(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig4, _, err := experiments.Figure4(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(server.FiguresResult{Tables: []experiments.Table{fig3, fig4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, '\n')
+	if !bytes.Equal(got, want) {
+		t.Fatalf("figures document differs from direct tables:\nserver: %s\ndirect: %s", got, want)
+	}
+}
+
+// TestAPILeakageJobMatchesDirect pins the leakage document: for the
+// default scheduler pair and for one named scheduler on an interleaved
+// fabric, the served bytes equal the document built from direct
+// leakage.CollectProfile runs against idle and streaming co-runners.
+func TestAPILeakageJobMatchesDirect(t *testing.T) {
+	cl, _ := startServer(t, server.Options{Workers: 2, GridShards: 2})
+	ctx := context.Background()
+	cases := []struct {
+		req      server.LeakageRequest
+		kinds    []sim.SchedulerKind
+		channels int
+		routing  addr.Routing
+	}{
+		{server.LeakageRequest{Cores: 4, Samples: 3, Seed: 9},
+			[]sim.SchedulerKind{sim.Baseline, sim.FSRankPart}, 1, addr.RouteColored},
+		{server.LeakageRequest{Scheduler: "fs_np", Cores: 4, Samples: 3, Seed: 9, Channels: 2, Routing: "interleaved"},
+			[]sim.SchedulerKind{sim.FSNoPart}, 2, addr.RouteInterleaved},
+	}
+	attacker, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		req := c.req
+		st, err := cl.Submit(ctx, server.JobRequest{Kind: server.KindLeakage, Leakage: &req})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = cl.Wait(ctx, st.ID, 5*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if st.State != server.StateDone {
+			t.Fatalf("leakage job state %s (%s)", st.State, st.Error)
+		}
+		got, err := cl.Result(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		doc := server.LeakageResult{Attacker: attacker.Name}
+		for _, k := range c.kinds {
+			var profiles [2]leakage.Profile
+			for i, co := range []workload.Profile{workload.Synthetic("idle", 0.01), workload.Synthetic("streaming", 45)} {
+				profiles[i], err = leakage.CollectProfile(k, attacker, co, req.Cores, 10_000, req.Samples*10_000,
+					req.Seed, c.channels, c.routing)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			quiet, loud := profiles[0], profiles[1]
+			div, err := leakage.Divergence(quiet, loud)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc.Rows = append(doc.Rows, server.LeakageRow{
+				Scheduler:             k.String(),
+				Identical:             leakage.Identical(quiet, loud),
+				MaxDivergence:         div,
+				MutualInformationBits: leakage.MutualInformationBits(leakage.EpochDurations(quiet), leakage.EpochDurations(loud), 16),
+			})
+		}
+		want, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		if !bytes.Equal(got, want) {
+			t.Fatalf("leakage document differs from direct profiles:\nserver: %s\ndirect: %s", got, want)
+		}
 	}
 }
 
