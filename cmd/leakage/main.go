@@ -30,7 +30,6 @@ import (
 	"fsmem/internal/config"
 	"fsmem/internal/leakage"
 	"fsmem/internal/obs"
-	"fsmem/internal/parallel"
 	"fsmem/internal/sim"
 	"fsmem/internal/workload"
 )
@@ -87,39 +86,23 @@ func run(attackerName, schedName string, samples int64, seed uint64, workers int
 		kinds = []sim.SchedulerKind{k}
 	}
 
-	milestone := int64(10_000)
-	total := samples * milestone
-	coRunners := []workload.Profile{workload.Synthetic("idle", 0.01), workload.Synthetic("streaming", 45)}
-
-	// The quiet/loud collections are independent; shard them across the
-	// pool and assemble output from the ordered results.
-	var cells []parallel.Cell[leakage.Profile]
-	for _, k := range kinds {
-		for _, co := range coRunners {
-			k, co := k, co
-			cells = append(cells, parallel.Cell[leakage.Profile]{
-				Key: fmt.Sprintf("leakage/%v/%s", k, co.Name),
-				Run: func(context.Context) (leakage.Profile, error) {
-					return leakage.CollectProfile(k, attacker, co, 8, milestone, total, seed, channels, routing)
-				},
-			})
-		}
-	}
-	profiles, err := parallel.Map(context.Background(), workers, cells)
+	cmp, err := leakage.Compare(context.Background(), leakage.CompareParams{
+		Attacker: attacker, Domains: 8, Schedulers: kinds, Samples: samples, Seed: seed,
+		Channels: channels, Routing: routing, Workers: workers,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 
-	fmt.Printf("attacker %s, 7 co-runners, sampled every %d instructions\n\n", attacker.Name, milestone)
-	for i, k := range kinds {
-		quiet, loud := profiles[2*i], profiles[2*i+1]
+	fmt.Printf("attacker %s, 7 co-runners, sampled every %d instructions\n\n", attacker.Name, leakage.Milestone)
+	for _, c := range cmp {
+		quiet, loud := c.Quiet, c.Loud
 		div, _ := leakage.Divergence(quiet, loud)
-		mi := leakage.MutualInformationBits(leakage.EpochDurations(quiet), leakage.EpochDurations(loud), 16)
-		fmt.Printf("== %s ==\n", k)
+		fmt.Printf("== %s ==\n", c.Scheduler)
 		fmt.Printf("profiles identical:  %v\n", leakage.Identical(quiet, loud))
 		fmt.Printf("max divergence:      %.4f\n", div)
-		fmt.Printf("mutual information:  %.4f bits\n", mi)
+		fmt.Printf("mutual information:  %.4f bits\n", c.MutualInformationBits)
 		fmt.Println("instr(x10K)  cycles(idle co-runners)  cycles(streaming co-runners)")
 		step := len(quiet.CyclesAt) / 8
 		if step == 0 {
@@ -135,15 +118,10 @@ func run(attackerName, schedName string, samples int64, seed uint64, workers int
 
 func runCovert(seed uint64, jsonOut bool, channels int, routing addr.Routing) int {
 	message := []bool{true, false, true, true, false, false, true, false, true, true, false, true, false, false, true, false}
-	// The attack mirrors leakage.CovertChannel's intensity modulation so
-	// -json and the plain output describe the exact same experiment.
-	attack := audit.Attack{
-		Name:            "intensity",
-		Probe:           workload.Synthetic("probe", 25),
-		On:              workload.Synthetic("burst", 40),
-		Off:             workload.Synthetic("quiet", 0.01),
-		WindowBusCycles: 40_000,
-	}
+	// The attack runs leakage.CovertChannel's loads, so -json and the
+	// plain output describe the exact same experiment.
+	probe, burst, quiet := leakage.CovertLoads()
+	attack := audit.Attack{Name: "intensity", Probe: probe, On: burst, Off: quiet, WindowBusCycles: 40_000}
 	if !jsonOut {
 		fmt.Printf("covert channel: %d-bit message, sender modulates memory intensity per window\n\n", len(message))
 	}

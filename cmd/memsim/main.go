@@ -33,18 +33,82 @@ import (
 	"fsmem/internal/workload"
 )
 
+// runFlags are the flags that shape the simulated run. -save-config writes
+// the experiment they select, and the run itself is built from that same
+// experiment, so a saved file replays the run exactly.
+type runFlags struct {
+	workload, sched, weights, routing string
+	cores, channels                   int
+	reads                             int64
+	seed                              uint64
+	prefetch, energyOpts, refresh     bool
+}
+
+func (f *runFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&f.workload, "workload", "mcf", "benchmark name (rate mode), or mix1/mix2")
+	fs.StringVar(&f.sched, "sched", "fs_rp", "scheduler: "+strings.Join(config.SchedulerNames(), ", "))
+	fs.IntVar(&f.cores, "cores", 8, "cores / security domains")
+	fs.Int64Var(&f.reads, "reads", 50_000, "demand reads to simulate (positive)")
+	fs.Uint64Var(&f.seed, "seed", 42, "random seed (nonzero; a saved experiment reads 0 as the default seed)")
+	fs.BoolVar(&f.prefetch, "prefetch", false, "enable the sandbox prefetcher")
+	fs.BoolVar(&f.energyOpts, "energy-opts", false, "enable all three FS energy optimizations")
+	fs.BoolVar(&f.refresh, "refresh", false, "enable refresh (baseline, or FS_RP's deterministic refresh windows)")
+	fs.StringVar(&f.weights, "weights", "", "comma-separated SLA slot weights per domain (FS only)")
+	fs.IntVar(&f.channels, "channels", 1, "memory-fabric width (1 = classic single channel)")
+	fs.StringVar(&f.routing, "routing", "colored", "multi-channel routing: colored (per-domain channels) or interleaved (striped)")
+}
+
+// experiment maps the flags onto the experiment they select. Its error is
+// a usage error: a flag value the experiment cannot express.
+func (f runFlags) experiment() (config.Experiment, error) {
+	if _, ok := config.SchedulerByName(f.sched); !ok {
+		return config.Experiment{}, fmt.Errorf("unknown -sched %q (options: %s)", f.sched, strings.Join(config.SchedulerNames(), ", "))
+	}
+	route, err := addr.RoutingByName(f.routing)
+	if err != nil {
+		return config.Experiment{}, err
+	}
+	if f.cores < 1 {
+		return config.Experiment{}, fmt.Errorf("-cores must be at least 1, got %d", f.cores)
+	}
+	if f.reads <= 0 {
+		return config.Experiment{}, fmt.Errorf("-reads must be positive, got %d", f.reads)
+	}
+	if f.seed == 0 {
+		return config.Experiment{}, fmt.Errorf("-seed must be nonzero (a saved experiment reads 0 as the default seed)")
+	}
+	e := config.Default()
+	e.Workload = f.workload
+	e.Cores = f.cores
+	e.Scheduler = f.sched
+	e.Reads = f.reads
+	e.Seed = f.seed
+	e.Prefetch = f.prefetch
+	e.Refresh = f.refresh
+	if f.channels > 1 {
+		e.Channels = f.channels
+		e.Routing = route.String()
+	}
+	if f.energyOpts {
+		e.EnergyOpts.SuppressDummies = true
+		e.EnergyOpts.RowBufferBoost = true
+		e.EnergyOpts.PowerDown = true
+	}
+	if f.weights != "" {
+		for _, w := range strings.Split(f.weights, ",") {
+			var n int
+			if _, err := fmt.Sscanf(strings.TrimSpace(w), "%d", &n); err != nil {
+				return config.Experiment{}, fmt.Errorf("bad -weights entry %q", w)
+			}
+			e.SLAWeights = append(e.SLAWeights, n)
+		}
+	}
+	return e, nil
+}
+
 func main() {
-	wl := flag.String("workload", "mcf", "benchmark name (rate mode), or mix1/mix2")
-	schedName := flag.String("sched", "fs_rp", "scheduler: "+strings.Join(config.SchedulerNames(), ", "))
-	cores := flag.Int("cores", 8, "cores / security domains")
-	reads := flag.Int64("reads", 50_000, "demand reads to simulate")
-	seed := flag.Uint64("seed", 42, "random seed")
-	prefetch := flag.Bool("prefetch", false, "enable the sandbox prefetcher")
-	energyOpts := flag.Bool("energy-opts", false, "enable all three FS energy optimizations")
-	fsRefresh := flag.Bool("refresh", false, "enable refresh (baseline, or FS_RP's deterministic refresh windows)")
-	weights := flag.String("weights", "", "comma-separated SLA slot weights per domain (FS only)")
-	channels := flag.Int("channels", 1, "memory-fabric width (1 = classic single channel)")
-	routing := flag.String("routing", "colored", "multi-channel routing: colored (per-domain channels) or interleaved (striped)")
+	var rf runFlags
+	rf.register(flag.CommandLine)
 	traceIn := flag.String("trace", "", "drive every domain from this post-LLC trace file instead of the synthetic workload")
 	traceOut := flag.String("record-trace", "", "record domain 0's reference stream to this file and exit")
 	traceCount := flag.Int("record-count", 100000, "references to record with -record-trace")
@@ -82,44 +146,18 @@ func main() {
 		return
 	}
 
-	k, ok := config.SchedulerByName(*schedName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown -sched %q (options: %s)\n", *schedName, strings.Join(config.SchedulerNames(), ", "))
-		os.Exit(2)
-	}
-	var mix fsmem.Mix
-	switch *wl {
-	case "mix1":
-		mix, err = fsmem.Mix1()
-	case "mix2":
-		mix, err = fsmem.Mix2()
-	default:
-		mix, err = fsmem.RateWorkload(*wl, *cores)
-	}
+	e, err := rf.experiment()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	route, err := addr.RoutingByName(*routing)
+	cfg, err := e.ToSimConfig()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	if *configOut != "" {
-		e := config.Default()
-		e.Workload = *wl
-		e.Cores = *cores
-		e.Scheduler = *schedName
-		e.Reads = *reads
-		e.Seed = *seed
-		e.Prefetch = *prefetch
-		e.Refresh = *fsRefresh
-		if *channels > 1 {
-			e.Channels = *channels
-			e.Routing = route.String()
-		}
 		f, err := os.Create(*configOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -134,36 +172,13 @@ func main() {
 		return
 	}
 
-	cfg := fsmem.NewConfig(mix, k)
-	cfg.TargetReads = *reads
-	cfg.Seed = *seed
-	cfg.Prefetch = *prefetch
-	cfg.RefreshEnabled = *fsRefresh
-	if *channels > 1 {
-		cfg.Channels = *channels
-		cfg.Routing = route
-	}
-	if *energyOpts {
-		cfg.Energy = fsmem.EnergyOpts{SuppressDummies: true, RowBufferBoost: true, PowerDown: true}
-	}
-	if *weights != "" {
-		for _, f := range strings.Split(*weights, ",") {
-			var w int
-			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &w); err != nil {
-				fmt.Fprintf(os.Stderr, "bad -weights entry %q\n", f)
-				os.Exit(2)
-			}
-			cfg.SLAWeights = append(cfg.SLAWeights, w)
-		}
-	}
-
 	if *traceOut != "" {
-		space, err := addr.SpaceFor(k.Partition(), 0, len(mix.Profiles), cfg.DRAM)
+		space, err := addr.SpaceFor(cfg.Scheduler.Partition(), 0, len(cfg.Mix.Profiles), cfg.DRAM)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		gen := workload.NewGenerator(mix.Profiles[0], space, cfg.DRAM, *seed)
+		gen := workload.NewGenerator(cfg.Mix.Profiles[0], space, cfg.DRAM, cfg.Seed)
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -174,7 +189,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("recorded %d references of %s to %s\n", *traceCount, mix.Profiles[0].Name, *traceOut)
+		fmt.Printf("recorded %d references of %s to %s\n", *traceCount, cfg.Mix.Profiles[0].Name, *traceOut)
 		return
 	}
 	if *traceIn != "" {

@@ -70,6 +70,12 @@ func main() {
 		fail(err)
 		fmt.Println(render(t))
 	}
+	showAll := func(tables []experiments.Table, err error) {
+		for _, t := range tables {
+			fmt.Println(render(t))
+		}
+		fail(err)
+	}
 
 	route, err := addr.RoutingByName(*routing)
 	if err != nil {
@@ -84,48 +90,23 @@ func main() {
 	r := experiments.NewRunner(settings)
 	switch *fig {
 	case "all":
-		tables, err := experiments.All(r)
-		for _, t := range tables {
-			fmt.Println(render(t))
-		}
-		fail(err)
-		tables, err = experiments.Ablations(r)
-		for _, t := range tables {
-			fmt.Println(render(t))
-		}
-		fail(err)
+		showAll(experiments.All(r))
+		showAll(experiments.Ablations(r))
 	case "ablations":
-		tables, err := experiments.Ablations(r)
-		for _, t := range tables {
-			fmt.Println(render(t))
+		showAll(experiments.Ablations(r))
+	default:
+		f, ok := experiments.Lookup(*fig)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown -fig %q (options: %v, all)\n", *fig, experiments.Names())
+			os.Exit(2)
 		}
-		fail(err)
-	case "3":
-		show(experiments.Figure3(r))
-	case "4":
-		t, _, err := experiments.Figure4(r)
-		show(t, err)
-		fmt.Println("run cmd/leakage for the full execution-profile series")
-	case "5":
-		show(experiments.Figure5(r))
-	case "6":
-		show(experiments.Figure6(r))
-		if *detail {
+		show(f.Run(r))
+		switch {
+		case *fig == "4":
+			fmt.Println("run cmd/leakage for the full execution-profile series")
+		case *fig == "6" && *detail:
 			show(experiments.Figure6Detail(r))
 		}
-	case "7":
-		show(experiments.Figure7(r))
-	case "8":
-		show(experiments.Figure8(r))
-	case "9":
-		show(experiments.Figure9(r))
-	case "10":
-		show(experiments.Figure10(r))
-	case "s6":
-		show(experiments.Section6(r))
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -fig %q (options: %v, all)\n", *fig, experiments.Names())
-		os.Exit(2)
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)

@@ -8,6 +8,7 @@ package audit
 import (
 	"fmt"
 
+	"fsmem/internal/leakage"
 	"fsmem/internal/workload"
 )
 
@@ -47,8 +48,8 @@ func synth(name string, read, write, locality float64, spread, rows int, burst f
 // Library returns the base strategy families, all sharing the given
 // default window:
 //
-//   - intensity-*: the classic burst/idle sender at three modulation
-//     depths (the single strategy the evaluation used to report);
+//   - intensity-*: the classic burst/idle sender (leakage.CovertLoads)
+//     at three modulation depths;
 //   - bank-conflict: equal-intensity sender that modulates *where* it
 //     hits — scattered across banks with no row reuse versus pinned to
 //     one hot row — so only spatial interference distinguishes the bits;
@@ -57,9 +58,7 @@ func synth(name string, read, write, locality float64, spread, rows int, burst f
 //   - phase-*: the burst/idle sender probed at half and double the
 //     receiver window, sweeping the timing alignment of the channel.
 func Library(window int64) []Attack {
-	probe := workload.Synthetic("probe", 25)
-	burst := workload.Synthetic("burst", 40)
-	quiet := workload.Synthetic("quiet", 0.01)
+	probe, burst, quiet := leakage.CovertLoads()
 	return []Attack{
 		{Name: "intensity-hi", Probe: probe, On: burst, Off: quiet, WindowBusCycles: window},
 		{Name: "intensity-mid", Probe: probe, On: workload.Synthetic("mid", 45), Off: workload.Synthetic("low", 5), WindowBusCycles: window},

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"fsmem/internal/core"
 	"fsmem/internal/dram"
 	"fsmem/internal/fsmerr"
 	"fsmem/internal/sim"
-	"fsmem/internal/stats"
-	"fsmem/internal/workload"
 )
 
 // AblationSlotSpacing quantifies why the solver's minimal l matters: it
@@ -19,135 +16,87 @@ import (
 // choice" ablation — the entire gap between the anchors is the slot
 // spacing they admit.
 func AblationSlotSpacing(r *Runner) (Table, error) {
-	t := Table{
-		ID:      "Ablation A1",
-		Title:   "FS_BP throughput vs slot spacing l (8 threads)",
-		Columns: []string{"l=15 (RAS)", "l=21 (data)", "l=43 (pessimistic)"},
-	}
-	sums := make([]float64, 3)
-	n := 0.0
 	suite, err := r.suite()
 	if err != nil {
 		return Table{}, err
 	}
-	var specs []Spec
-	for _, mix := range suite {
-		specs = append(specs, Spec{Mix: mix, Kind: sim.Baseline})
-		for _, l := range []int{15, 21, 43} {
-			l := l
-			specs = append(specs, Spec{Mix: mix, Kind: sim.FSBankPart,
-				Mutate: func(c *sim.Config) { c.FSSlotSpacing = l }})
-		}
+	var cols []column
+	for _, l := range []int{15, 21, 43} {
+		cols = append(cols, column{kind: sim.FSBankPart, mutate: func(c *sim.Config) { c.FSSlotSpacing = l }})
 	}
-	if err := r.Prefetch(specs); err != nil {
+	rows, err := r.normalized(suite, nil, cols, weightedIPC(1))
+	if err != nil {
 		return Table{}, err
 	}
-	for _, mix := range suite {
-		row := Row{Label: mix.Name}
-		for i, l := range []int{15, 21, 43} {
-			l := l
-			w, err := r.weighted(mix, sim.FSBankPart, func(c *sim.Config) { c.FSSlotSpacing = l })
-			if err != nil {
-				return Table{}, err
-			}
-			row.Values = append(row.Values, w)
-			sums[i] += w
-		}
-		t.Rows = append(t.Rows, row)
-		n++
-	}
-	am := Row{Label: "AM"}
-	for _, s := range sums {
-		am.Values = append(am.Values, s/n)
-	}
-	t.Rows = append(t.Rows, am)
-	t.Notes = append(t.Notes, "throughput should fall monotonically with l: the solver's minimum is the whole win")
-	return t, nil
+	return Table{
+		ID:      "Ablation A1",
+		Title:   "FS_BP throughput vs slot spacing l (8 threads)",
+		Columns: []string{"l=15 (RAS)", "l=21 (data)", "l=43 (pessimistic)"},
+		Rows:    withAM(rows),
+		Notes:   []string{"throughput should fall monotonically with l: the solver's minimum is the whole win"},
+	}, nil
 }
 
 // AblationSLAWeights demonstrates §5.1 service-level agreements: domain 0
 // receives twice the issue slots of its peers under FS_RP, and its service
 // scales accordingly while the schedule stays conflict-free.
 func AblationSLAWeights(r *Runner) (Table, error) {
-	t := Table{
-		ID:      "Ablation A2",
-		Title:   "Weighted SLA slots under FS_RP (4 domains, weights 2:1:1:1)",
-		Columns: []string{"dom0 IPC ratio", "dom1 IPC ratio", "interval Q"},
+	mixes, err := rateMixes("AblationSLAWeights", 4, "milc", "mcf", "libquantum")
+	if err != nil {
+		return Table{}, err
 	}
 	weights := func(c *sim.Config) { c.SLAWeights = []int{2, 1, 1, 1} }
-	mixes := make([]workload.Mix, 0, 3)
 	var specs []Spec
-	for _, name := range []string{"milc", "mcf", "libquantum"} {
-		mix, err := workload.Rate(name, 4)
-		if err != nil {
-			return Table{}, fsmerr.Wrap(fsmerr.CodeExperiment, "experiments.AblationSLAWeights", err)
-		}
-		mixes = append(mixes, mix)
+	for _, mix := range mixes {
 		specs = append(specs,
 			Spec{Mix: mix, Kind: sim.FSRankPart},
 			Spec{Mix: mix, Kind: sim.FSRankPart, Mutate: weights})
 	}
-	if err := r.Prefetch(specs); err != nil {
+	res, err := r.Grid(specs)
+	if err != nil {
 		return Table{}, err
 	}
-	for _, mix := range mixes {
-		equal, err := r.run(mix, sim.FSRankPart, nil)
-		if err != nil {
-			return Table{}, err
-		}
-		weighted, err := r.run(mix, sim.FSRankPart, weights)
-		if err != nil {
-			return Table{}, err
-		}
+	t := Table{
+		ID:      "Ablation A2",
+		Title:   "Weighted SLA slots under FS_RP (4 domains, weights 2:1:1:1)",
+		Columns: []string{"dom0 IPC ratio", "dom1 IPC ratio", "interval Q"},
+		Notes:   []string{"memory-bound domains with weight 2 should approach a 2x IPC ratio (note Q also grows 4->5 slots)"},
+	}
+	for i, mix := range mixes {
+		equal, weighted := res[2*i].Run, res[2*i+1].Run
 		q := 7.0 * 5 // l * total slots
 		t.Rows = append(t.Rows, Row{Label: mix.Name, Values: []float64{
-			weighted.Run.Domains[0].IPC() / equal.Run.Domains[0].IPC(),
-			weighted.Run.Domains[1].IPC() / equal.Run.Domains[1].IPC(),
+			weighted.Domains[0].IPC() / equal.Domains[0].IPC(),
+			weighted.Domains[1].IPC() / equal.Domains[1].IPC(),
 			q,
 		}})
 	}
-	t.Notes = append(t.Notes, "memory-bound domains with weight 2 should approach a 2x IPC ratio (note Q also grows 4->5 slots)")
 	return t, nil
 }
 
 // AblationRefresh measures the throughput cost of folding deterministic
 // refresh windows into the FS_RP slot grid.
 func AblationRefresh(r *Runner) (Table, error) {
-	t := Table{
+	mixes, err := rateMixes("AblationRefresh", 8, "milc", "mcf", "xalancbmk")
+	if err != nil {
+		return Table{}, err
+	}
+	refresh := func(c *sim.Config) { c.RefreshEnabled = true }
+	rows, err := r.normalized(mixes, nil, []column{{sim.FSRankPart, nil}, {sim.FSRankPart, refresh}}, weightedIPC(1))
+	if err != nil {
+		return Table{}, err
+	}
+	for i := range rows {
+		off, on := rows[i].Values[0], rows[i].Values[1]
+		rows[i].Values = append(rows[i].Values, (1-on/off)*100)
+	}
+	return Table{
 		ID:      "Ablation A3",
 		Title:   "FS_RP with deterministic refresh windows",
 		Columns: []string{"no refresh", "refresh", "slowdown %"},
-	}
-	refresh := func(c *sim.Config) { c.RefreshEnabled = true }
-	mixes := make([]workload.Mix, 0, 3)
-	var specs []Spec
-	for _, name := range []string{"milc", "mcf", "xalancbmk"} {
-		mix, err := workload.Rate(name, 8)
-		if err != nil {
-			return Table{}, fsmerr.Wrap(fsmerr.CodeExperiment, "experiments.AblationRefresh", err)
-		}
-		mixes = append(mixes, mix)
-		specs = append(specs,
-			Spec{Mix: mix, Kind: sim.Baseline},
-			Spec{Mix: mix, Kind: sim.FSRankPart},
-			Spec{Mix: mix, Kind: sim.FSRankPart, Mutate: refresh})
-	}
-	if err := r.Prefetch(specs); err != nil {
-		return Table{}, err
-	}
-	for _, mix := range mixes {
-		off, err := r.weighted(mix, sim.FSRankPart, nil)
-		if err != nil {
-			return Table{}, err
-		}
-		on, err := r.weighted(mix, sim.FSRankPart, refresh)
-		if err != nil {
-			return Table{}, err
-		}
-		t.Rows = append(t.Rows, Row{Label: mix.Name, Values: []float64{off, on, (1 - on/off) * 100}})
-	}
-	t.Notes = append(t.Notes, "tRFC/tREFI = 208/6240 bounds the refresh tax near 3-4% plus quiesce slots")
-	return t, nil
+		Rows:    rows,
+		Notes:   []string{"tRFC/tREFI = 208/6240 bounds the refresh tax near 3-4% plus quiesce slots"},
+	}, nil
 }
 
 // AblationConsecutive reports the §3.1 N-consecutive-transactions study
@@ -158,6 +107,7 @@ func AblationConsecutive(r *Runner) (Table, error) {
 		ID:      "Ablation A4",
 		Title:   "N consecutive transactions per thread (rank partitioning)",
 		Columns: []string{"intra l", "inter l", "avg cycles/txn"},
+		Notes:   []string{"§3.1: N>1 never beats the N=1 pipeline at the Table 1 timings (the in-block write-to-read turnaround dominates)"},
 	}
 	for n := 1; n <= 4; n++ {
 		plan, err := core.SolveConsecutive(n, dram.DDR3_1600())
@@ -169,34 +119,7 @@ func AblationConsecutive(r *Runner) (Table, error) {
 			Values: []float64{float64(plan.IntraL), float64(plan.InterL), plan.AvgSpacing()},
 		})
 	}
-	t.Notes = append(t.Notes, "§3.1: N>1 never beats the N=1 pipeline at the Table 1 timings (the in-block write-to-read turnaround dominates)")
 	return t, nil
-}
-
-// Ablations runs every ablation study, skipping failed ones and aggregating
-// their errors like All does for the figures.
-func Ablations(r *Runner) ([]Table, error) {
-	studies := []struct {
-		id string
-		f  func() (Table, error)
-	}{
-		{"AblationSlotSpacing", func() (Table, error) { return AblationSlotSpacing(r) }},
-		{"AblationSLAWeights", func() (Table, error) { return AblationSLAWeights(r) }},
-		{"AblationRefresh", func() (Table, error) { return AblationRefresh(r) }},
-		{"AblationConsecutive", func() (Table, error) { return AblationConsecutive(r) }},
-		{"AblationDDR4", func() (Table, error) { return AblationDDR4(r) }},
-	}
-	var tables []Table
-	var errs []error
-	for _, st := range studies {
-		t, err := capture(st.id, st.f)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		tables = append(tables, t)
-	}
-	return tables, errors.Join(errs...)
 }
 
 // AblationDDR4 re-runs the design-space comparison on DDR4-2400: every
@@ -204,57 +127,33 @@ func Ablations(r *Runner) ([]Table, error) {
 // cites the DDR4 standard but evaluates DDR3), demonstrating that the
 // framework — not a fixed schedule — is the contribution.
 func AblationDDR4(r *Runner) (Table, error) {
-	t := Table{
+	mixes, err := rateMixes("AblationDDR4", 8, "milc", "mcf", "libquantum", "zeusmp")
+	if err != nil {
+		return Table{}, err
+	}
+	ddr4 := func(c *sim.Config) { c.DRAM = dram.DDR4_2400() }
+	rows, err := r.normalized(mixes, ddr4, each(designSpace, ddr4), weightedIPC(8))
+	if err != nil {
+		return Table{}, err
+	}
+	return Table{
 		ID:      "Ablation A5",
 		Title:   "Design space on DDR4-2400 (normalized to the DDR4 baseline)",
 		Columns: []string{"FS_RP", "FS_Reordered_BP", "TP_BP", "FS_NP_Optimized", "TP_NP"},
-	}
-	ddr4 := func(c *sim.Config) { c.DRAM = dram.DDR4_2400() }
-	schemes := []sim.SchedulerKind{sim.FSRankPart, sim.FSReorderedBank, sim.TPBank, sim.FSNoPartTriple, sim.TPNone}
-	sums := make([]float64, len(schemes))
-	n := 0.0
-	mixes := make([]workload.Mix, 0, 4)
-	var specs []Spec
-	for _, name := range []string{"milc", "mcf", "libquantum", "zeusmp"} {
-		mix, err := workload.Rate(name, 8)
-		if err != nil {
-			return Table{}, fsmerr.Wrap(fsmerr.CodeExperiment, "experiments.AblationDDR4", err)
-		}
-		mixes = append(mixes, mix)
-		specs = append(specs, Spec{Mix: mix, Kind: sim.Baseline, Mutate: ddr4})
-		for _, k := range schemes {
-			specs = append(specs, Spec{Mix: mix, Kind: k, Mutate: ddr4})
-		}
-	}
-	if err := r.Prefetch(specs); err != nil {
-		return Table{}, err
-	}
-	for _, mix := range mixes {
-		base, err := r.run(mix, sim.Baseline, ddr4)
-		if err != nil {
-			return Table{}, err
-		}
-		row := Row{Label: mix.Name}
-		for i, k := range schemes {
-			res, err := r.run(mix, k, ddr4)
-			if err != nil {
-				return Table{}, err
-			}
-			w, err := stats.WeightedIPC(res.Run, base.Run)
-			if err != nil {
-				return Table{}, fsmerr.Wrap(fsmerr.CodeExperiment, "experiments.AblationDDR4", err)
-			}
-			row.Values = append(row.Values, w/8)
-			sums[i] += w / 8
-		}
-		t.Rows = append(t.Rows, row)
-		n++
-	}
-	am := Row{Label: "AM"}
-	for _, s := range sums {
-		am.Values = append(am.Values, s/n)
-	}
-	t.Rows = append(t.Rows, am)
-	t.Notes = append(t.Notes, "DDR4's longer (in cycles) turnarounds widen FS_RP's advantage: l stays bus-bound at 7 while l_BP grows 15->25 and l_NP 43->66")
-	return t, nil
+		Rows:    withAM(rows),
+		Notes:   []string{"DDR4's longer (in cycles) turnarounds widen FS_RP's advantage: l stays bus-bound at 7 while l_BP grows 15->25 and l_NP 43->66"},
+	}, nil
 }
+
+// ablations is every ablation study in Ablations' order.
+var ablations = []Figure{
+	{"", "AblationSlotSpacing", AblationSlotSpacing},
+	{"", "AblationSLAWeights", AblationSLAWeights},
+	{"", "AblationRefresh", AblationRefresh},
+	{"", "AblationConsecutive", AblationConsecutive},
+	{"", "AblationDDR4", AblationDDR4},
+}
+
+// Ablations runs every ablation study, skipping failed ones and joining
+// their errors like All does for the figures.
+func Ablations(r *Runner) ([]Table, error) { return runAll(r, ablations) }

@@ -4,14 +4,13 @@
 // and EXPERIMENTS.md records them against the paper's numbers.
 //
 // Execution model: every figure is a grid of independent simulations
-// (workload mix x scheduler x configuration mutation). Each figure first
-// shards its grid across the runner's worker pool (Runner.Prefetch, built
-// on internal/parallel), which memoizes every cell, then assembles its
-// table by replaying the original serial loops against the warm cache.
-// Because assembly only reads memoized cells in figure order, the emitted
-// tables — values, row order, and error text alike — are byte-identical
-// for every worker count, including Workers=1 (the serial path is the same
-// code with a one-wide pool).
+// (workload mix x scheduler x configuration mutation). Each figure lists
+// its grid once, as a []Spec in the order its table reads the cells, and
+// Runner.Grid simulates every cell not yet memoized on the runner's worker
+// pool (internal/parallel) and returns the results in spec order. The
+// table is built from that slice, so its values, row order, and error
+// text are byte-identical for every worker count, including Workers=1
+// (the serial path is the same code with a one-wide pool).
 package experiments
 
 import (
@@ -25,6 +24,7 @@ import (
 
 	"fsmem/internal/addr"
 	"fsmem/internal/core"
+	"fsmem/internal/dram"
 	"fsmem/internal/energy"
 	"fsmem/internal/fsmerr"
 	"fsmem/internal/leakage"
@@ -121,12 +121,6 @@ type Settings struct {
 	// perturb what a cell records). Export with Runner.ExportTraces.
 	Observe *obs.Options
 
-	// DenseLoop runs every cell on the dense per-cycle loop instead of the
-	// fast-forward kernel (sim.Config.DenseLoop). Like Observe it is
-	// excluded from the memo key: the two loops produce byte-identical
-	// results, so the flag must never decide which cell a cache hit serves.
-	DenseLoop bool
-
 	// OnCell, when non-nil, is invoked once per grid cell the runner
 	// actually simulates (cache hits never fire it), with the cell's
 	// canonical memo key. Calls come from whichever pool worker computed
@@ -135,11 +129,6 @@ type Settings struct {
 	// affects what any cell computes (the daemon's SSE job-progress
 	// stream is fed from it).
 	OnCell func(key string)
-}
-
-// DefaultSettings returns the 8-core evaluation configuration.
-func DefaultSettings() Settings {
-	return Settings{Cores: 8, TargetReads: 20_000, Seed: 42}
 }
 
 type runKey struct {
@@ -159,7 +148,7 @@ type runKey struct {
 
 // cellValue is one memoized grid cell: the simulation result or the error
 // it failed with (errors memoize too, so a failed cell reports the same
-// failure whether it was computed by the pool or inline).
+// failure to every figure that lists it).
 type cellValue struct {
 	res sim.Result
 	err error
@@ -167,7 +156,7 @@ type cellValue struct {
 
 // Runner executes and memoizes simulation runs (every figure normalizes
 // against the same baseline runs). The memo cache is safe for the
-// concurrent cell fills Prefetch performs.
+// concurrent cell fills Grid performs.
 type Runner struct {
 	S Settings
 
@@ -248,7 +237,6 @@ func (r *Runner) configFor(sp Spec) (sim.Config, runKey) {
 	cfg.Seed = r.S.Seed
 	cfg.TargetReads = r.S.TargetReads
 	cfg.Observe = r.S.Observe
-	cfg.DenseLoop = r.S.DenseLoop
 	cfg.Channels = r.S.Channels
 	cfg.Routing = r.S.Routing
 	if sp.Mutate != nil {
@@ -270,91 +258,60 @@ func (r *Runner) store(key runKey, v cellValue) {
 	r.cache[key] = v
 }
 
-// simulate runs one cell, wrapping failures the way every caller reports
-// them. Shared by the pool fill and the inline (cache-miss) path so both
-// produce identical errors.
-func (r *Runner) simulate(ctx context.Context, sp Spec, cfg sim.Config) cellValue {
-	res, err := sim.SimulateContext(ctx, cfg)
-	if err != nil {
-		err = fsmerr.Wrap(fsmerr.CodeExperiment,
-			fmt.Sprintf("experiments.run(%s/%v)", sp.Mix.Name, sp.Kind), err)
-	}
-	if r.S.OnCell != nil && fsmerr.CodeOf(err) != fsmerr.CodeCanceled {
-		r.S.OnCell(MemoKey(cfg))
-	}
-	return cellValue{res: res, err: err}
-}
-
-// Prefetch shards the given grid cells across the runner's worker pool and
-// memoizes every cell's result or error. Cells already cached (or listed
-// twice) are simulated once. The pool only warms the cache — tables are
-// always assembled afterwards by the serial figure loops reading memoized
-// cells in figure order — so output is independent of worker count and
-// scheduling order by construction. The returned error is non-nil only
-// for cancellation or a panicking cell; ordinary simulation failures are
-// memoized and surface during assembly exactly where the serial path
-// would have hit them.
-func (r *Runner) Prefetch(specs []Spec) error {
-	seen := map[runKey]bool{}
+// Grid simulates every spec not yet memoized on the runner's worker pool
+// and returns each spec's result in spec order. A spec listed twice, or
+// memoized by an earlier figure, runs once. Failed cells memoize their
+// error, and Grid returns the first failed spec's error in spec order, so
+// a figure that lists its cells in the order it reads them reports the
+// failure a serial loop would hit first. Cancellation and a panicking
+// cell return at once; a canceled cell is never memoized.
+func (r *Runner) Grid(specs []Spec) ([]sim.Result, error) {
+	keys := make([]runKey, len(specs))
+	queued := map[runKey]bool{}
 	var cells []parallel.Cell[struct{}]
-	for _, sp := range specs {
-		sp := sp
+	for i, sp := range specs {
 		cfg, key := r.configFor(sp)
-		if seen[key] {
+		keys[i] = key
+		if queued[key] {
 			continue
 		}
-		seen[key] = true
+		queued[key] = true
 		if _, ok := r.lookup(key); ok {
 			continue
 		}
+		label := fmt.Sprintf("%s/%v", sp.Mix.Name, sp.Kind)
 		cells = append(cells, parallel.Cell[struct{}]{
-			Key: fmt.Sprintf("%s/%v", sp.Mix.Name, sp.Kind),
+			Key: label,
 			Run: func(ctx context.Context) (struct{}, error) {
-				v := r.simulate(ctx, sp, cfg)
-				if fsmerr.CodeOf(v.err) == fsmerr.CodeCanceled {
+				res, err := sim.SimulateContext(ctx, cfg)
+				if fsmerr.CodeOf(err) == fsmerr.CodeCanceled {
 					// A canceled cell's partial state must not poison the
 					// cache: a later retry with a live context re-runs it.
-					return struct{}{}, v.err
+					return struct{}{}, err
 				}
-				r.store(key, v)
+				if err != nil {
+					err = fsmerr.Wrap(fsmerr.CodeExperiment, "experiments.run("+label+")", err)
+				}
+				if r.S.OnCell != nil {
+					r.S.OnCell(MemoKey(cfg))
+				}
+				r.store(key, cellValue{res: res, err: err})
 				return struct{}{}, nil
 			},
 		})
 	}
-	_, err := parallel.Map(r.ctx(), r.S.Workers, cells)
-	return err
-}
-
-func (r *Runner) run(mix workload.Mix, k sim.SchedulerKind, mutate func(*sim.Config)) (sim.Result, error) {
-	sp := Spec{Mix: mix, Kind: k, Mutate: mutate}
-	cfg, key := r.configFor(sp)
-	if v, ok := r.lookup(key); ok {
-		return v.res, v.err
+	if _, err := parallel.Map(r.ctx(), r.S.Workers, cells); err != nil {
+		return nil, err
 	}
-	v := r.simulate(r.ctx(), sp, cfg)
-	if fsmerr.CodeOf(v.err) != fsmerr.CodeCanceled {
-		r.store(key, v)
+	out := make([]sim.Result, len(specs))
+	for i, key := range keys {
+		v, _ := r.lookup(key)
+		if v.err != nil {
+			return nil, v.err
+		}
+		out[i] = v.res
 	}
-	return v.res, v.err
-}
-
-// weighted returns the sum of weighted IPCs for the scheme, normalized
-// against the non-secure baseline on the same mix (the paper's metric).
-func (r *Runner) weighted(mix workload.Mix, k sim.SchedulerKind, mutate func(*sim.Config)) (float64, error) {
-	base, err := r.run(mix, sim.Baseline, nil)
-	if err != nil {
-		return 0, err
-	}
-	res, err := r.run(mix, k, mutate)
-	if err != nil {
-		return 0, err
-	}
-	w, err := stats.WeightedIPC(res.Run, base.Run)
-	if err != nil {
-		return 0, fsmerr.Wrap(fsmerr.CodeExperiment,
-			fmt.Sprintf("experiments.weighted(%s/%v)", mix.Name, k), err)
-	}
-	return w, nil
+	return out, nil
 }
 
 func (r *Runner) suite() ([]workload.Mix, error) { return workload.EvaluationSuite(r.S.Cores) }
@@ -390,229 +347,234 @@ func (r *Runner) ExportTraces(w io.Writer) error {
 	return nil
 }
 
-// weightedSpecs builds the prefetch grid for figures that normalize each
-// scheme against the non-secure baseline on the same mix.
-func weightedSpecs(suite []workload.Mix, schemes []sim.SchedulerKind, mutate func(*sim.Config)) []Spec {
+// column is one scheme of a table normalized to the baseline: a scheduler
+// and an optional configuration mutation.
+type column struct {
+	kind   sim.SchedulerKind
+	mutate func(*sim.Config)
+}
+
+// each returns one column per scheduler, all under the same mutation.
+func each(kinds []sim.SchedulerKind, mutate func(*sim.Config)) []column {
+	cols := make([]column, len(kinds))
+	for i, k := range kinds {
+		cols[i] = column{kind: k, mutate: mutate}
+	}
+	return cols
+}
+
+// designSpace is the five secure design points Figures 3, 6 and 8 and
+// ablation A5 compare, in column order.
+var designSpace = []sim.SchedulerKind{sim.FSRankPart, sim.FSReorderedBank, sim.TPBank, sim.FSNoPartTriple, sim.TPNone}
+
+// score rates one column's cell against its mix's baseline cell.
+type score func(mix workload.Mix, k sim.SchedulerKind, res, base sim.Result) (float64, error)
+
+// weightedIPC scores a cell by its sum of weighted IPCs against the
+// baseline (the paper's metric), divided by scale.
+func weightedIPC(scale float64) score {
+	return func(mix workload.Mix, k sim.SchedulerKind, res, base sim.Result) (float64, error) {
+		w, err := stats.WeightedIPC(res.Run, base.Run)
+		if err != nil {
+			return 0, fsmerr.Wrap(fsmerr.CodeExperiment,
+				fmt.Sprintf("experiments.weighted(%s/%v)", mix.Name, k), err)
+		}
+		return w / scale, nil
+	}
+}
+
+// energyRatio scores a cell by its memory energy per demand read over the
+// baseline's, under the DDR3 power model.
+func energyRatio() score {
+	model := energy.NewModel(dram.DDR3_1600(), energy.DDR3_4Gb())
+	return func(_ workload.Mix, _ sim.SchedulerKind, res, base sim.Result) (float64, error) {
+		per := energy.PerRead(model.ForRun(res.Run, res.FS), res.Run)
+		return per / energy.PerRead(model.ForRun(base.Run, nil), base.Run), nil
+	}
+}
+
+// normalized builds the rows of a per-mix table normalized to the
+// baseline. Its grid lists, per mix, the baseline cell (under the base
+// mutation) and then every column; each row holds the columns' scores
+// against that mix's baseline.
+func (r *Runner) normalized(mixes []workload.Mix, base func(*sim.Config), cols []column, s score) ([]Row, error) {
 	var specs []Spec
-	for _, mix := range suite {
-		specs = append(specs, Spec{Mix: mix, Kind: sim.Baseline})
-		for _, k := range schemes {
-			specs = append(specs, Spec{Mix: mix, Kind: k, Mutate: mutate})
+	for _, mix := range mixes {
+		specs = append(specs, Spec{Mix: mix, Kind: sim.Baseline, Mutate: base})
+		for _, c := range cols {
+			specs = append(specs, Spec{Mix: mix, Kind: c.kind, Mutate: c.mutate})
 		}
 	}
-	return specs
+	res, err := r.Grid(specs)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Row, len(mixes))
+	for i, mix := range mixes {
+		cells := res[i*(1+len(cols)):]
+		rows[i].Label = mix.Name
+		for j, c := range cols {
+			v, err := s(mix, c.kind, cells[1+j], cells[0])
+			if err != nil {
+				return nil, err
+			}
+			rows[i].Values = append(rows[i].Values, v)
+		}
+	}
+	return rows, nil
+}
+
+// mean returns the values of a table's AM row: each column's values summed
+// in row order and divided by the number of rows.
+func mean(rows []Row) []float64 {
+	sums := make([]float64, len(rows[0].Values))
+	for _, row := range rows {
+		for i, v := range row.Values {
+			sums[i] += v
+		}
+	}
+	for i := range sums {
+		sums[i] /= float64(len(rows))
+	}
+	return sums
+}
+
+// withAM appends the AM row to a per-mix table's rows.
+func withAM(rows []Row) []Row { return append(rows, Row{Label: "AM", Values: mean(rows)}) }
+
+// rateMixes builds rate-mode mixes of the named benchmarks at the given
+// core count; op names the experiment in errors.
+func rateMixes(op string, cores int, names ...string) ([]workload.Mix, error) {
+	mixes := make([]workload.Mix, len(names))
+	for i, name := range names {
+		mix, err := workload.Rate(name, cores)
+		if err != nil {
+			return nil, fsmerr.Wrap(fsmerr.CodeExperiment, "experiments."+op, err)
+		}
+		mixes[i] = mix
+	}
+	return mixes, nil
 }
 
 // Figure3 regenerates the design-space summary: arithmetic-mean normalized
 // throughput (baseline = 1.0) for the five secure design points.
 func Figure3(r *Runner) (Table, error) {
-	t := Table{
+	suite, err := r.suite()
+	if err != nil {
+		return Table{}, err
+	}
+	rows, err := r.normalized(suite, nil, each(designSpace, nil), weightedIPC(float64(r.S.Cores)))
+	if err != nil {
+		return Table{}, err
+	}
+	return Table{
 		ID:    "Figure 3",
 		Title: "Design-space summary: normalized throughput (baseline = 1.0)",
 		Columns: []string{
 			"Baseline", "FS_RP", "FS_Reordered_BP", "TP_BP", "FS_NP_Optimized", "TP_NP",
 		},
-	}
-	schemes := []sim.SchedulerKind{sim.FSRankPart, sim.FSReorderedBank, sim.TPBank, sim.FSNoPartTriple, sim.TPNone}
-	sums := make([]float64, len(schemes))
-	n := 0
-	suite, err := r.suite()
-	if err != nil {
-		return Table{}, err
-	}
-	if err := r.Prefetch(weightedSpecs(suite, schemes, nil)); err != nil {
-		return Table{}, err
-	}
-	for _, mix := range suite {
-		for i, k := range schemes {
-			w, err := r.weighted(mix, k, nil)
-			if err != nil {
-				return Table{}, err
-			}
-			sums[i] += w / float64(r.S.Cores)
-		}
-		n++
-	}
-	row := Row{Label: "AM", Values: []float64{1.0}}
-	for i := range schemes {
-		row.Values = append(row.Values, sums[i]/float64(n))
-	}
-	t.Rows = append(t.Rows, row)
-	t.Notes = append(t.Notes, "paper: 1.0 / 0.74 / 0.48 / 0.43 / 0.40 / 0.20")
-	return t, nil
+		Rows:  []Row{{Label: "AM", Values: append([]float64{1.0}, mean(rows)...)}},
+		Notes: []string{"paper: 1.0 / 0.74 / 0.48 / 0.43 / 0.40 / 0.20"},
+	}, nil
 }
 
-// Figure4 regenerates the execution-profile experiment: mcf against idle
-// and memory-intensive co-runners, under the baseline and FS_RP. It
-// returns the four profiles and a divergence summary table. The four
-// profile collections are independent and run on the worker pool; the
-// table is assembled from the ordered results.
+// Figure4 regenerates the execution-profile experiment (leakage.Compare):
+// mcf against idle and memory-intensive co-runners, under the baseline and
+// FS_RP. It returns the four profiles and a divergence summary table.
 func Figure4(r *Runner) (Table, []leakage.Profile, error) {
 	att, err := workload.ByName("mcf")
 	if err != nil {
 		return Table{}, nil, fsmerr.Wrap(fsmerr.CodeExperiment, "experiments.Figure4", err)
 	}
-	milestone := int64(10_000)
-	total := int64(40) * milestone
+	cmp, err := leakage.Compare(r.ctx(), leakage.CompareParams{
+		Attacker: att, Domains: r.S.Cores, Schedulers: []sim.SchedulerKind{sim.Baseline, sim.FSRankPart},
+		Samples: 40, Seed: r.S.Seed, Channels: r.S.Channels, Routing: r.S.Routing, Workers: r.S.Workers,
+	})
+	if err != nil {
+		return Table{}, nil, fsmerr.Wrap(fsmerr.CodeExperiment, "experiments.Figure4", err)
+	}
 	t := Table{
 		ID:      "Figure 4",
 		Title:   "mcf execution profiles: divergence vs co-runner intensity",
 		Columns: []string{"max divergence", "identical"},
+		Notes:   []string{"paper: baseline curves diverge; FS curves overlap perfectly"},
 	}
-	scheds := []sim.SchedulerKind{sim.Baseline, sim.FSRankPart}
-	coRunners := []workload.Profile{workload.Synthetic("idle", 0.01), workload.Synthetic("streaming", 45)}
-	var cells []parallel.Cell[leakage.Profile]
-	for _, k := range scheds {
-		for _, co := range coRunners {
-			k, co := k, co
-			cells = append(cells, parallel.Cell[leakage.Profile]{
-				Key: fmt.Sprintf("Figure4/%v/%s", k, co.Name),
-				Run: func(context.Context) (leakage.Profile, error) {
-					return leakage.CollectProfile(k, att, co, r.S.Cores, milestone, total, r.S.Seed, r.S.Channels, r.S.Routing)
-				},
-			})
-		}
-	}
-	profiles, err := parallel.Map(r.ctx(), r.S.Workers, cells)
-	if err != nil {
-		return Table{}, nil, fsmerr.Wrap(fsmerr.CodeExperiment, "experiments.Figure4", err)
-	}
-	for i, k := range scheds {
-		quiet, loud := profiles[2*i], profiles[2*i+1]
-		div, err := leakage.Divergence(quiet, loud)
+	var profiles []leakage.Profile
+	for _, c := range cmp {
+		div, err := leakage.Divergence(c.Quiet, c.Loud)
 		if err != nil {
 			return Table{}, nil, fsmerr.Wrap(fsmerr.CodeExperiment, "experiments.Figure4", err)
 		}
 		ident := 0.0
-		if leakage.Identical(quiet, loud) {
+		if leakage.Identical(c.Quiet, c.Loud) {
 			ident = 1.0
 		}
-		t.Rows = append(t.Rows, Row{Label: k.String(), Values: []float64{div, ident}})
+		t.Rows = append(t.Rows, Row{Label: c.Scheduler.String(), Values: []float64{div, ident}})
+		profiles = append(profiles, c.Quiet, c.Loud)
 	}
-	t.Notes = append(t.Notes, "paper: baseline curves diverge; FS curves overlap perfectly")
 	return t, profiles, nil
 }
 
 // Figure5 regenerates the TP turn-length sweep: weighted IPC per workload
 // for bank-partitioned and no-partitioned TP at three turn lengths each.
 func Figure5(r *Runner) (Table, error) {
-	bpTurns := []int64{15, 25, 39} // the paper's 60/100/156 CPU cycles
-	npTurns := []int64{43, 53, 67} // the paper's 172/212/268 CPU cycles
-
 	t := Table{
 		ID:    "Figure 5",
 		Title: "TP turn-length sweep: sum of weighted IPCs (8 threads)",
+		Notes: []string{"paper: minimum turn lengths are best on average; non-secure baseline = 8.0"},
 	}
-	for _, turn := range bpTurns {
-		t.Columns = append(t.Columns, fmt.Sprintf("T_TURN_BP_%d", turn*4))
+	var cols []column
+	for _, tp := range []struct {
+		kind  sim.SchedulerKind
+		label string
+		turns []int64
+	}{
+		{sim.TPBank, "BP", []int64{15, 25, 39}}, // the paper's 60/100/156 CPU cycles
+		{sim.TPNone, "NP", []int64{43, 53, 67}}, // the paper's 172/212/268 CPU cycles
+	} {
+		for _, turn := range tp.turns {
+			t.Columns = append(t.Columns, fmt.Sprintf("T_TURN_%s_%d", tp.label, turn*4))
+			cols = append(cols, column{kind: tp.kind, mutate: func(c *sim.Config) { c.TPTurnLength = turn }})
+		}
 	}
-	for _, turn := range npTurns {
-		t.Columns = append(t.Columns, fmt.Sprintf("T_TURN_NP_%d", turn*4))
-	}
-	sums := make([]float64, 6)
 	suite, err := r.suite()
 	if err != nil {
 		return Table{}, err
 	}
-	var specs []Spec
-	for _, mix := range suite {
-		specs = append(specs, Spec{Mix: mix, Kind: sim.Baseline})
-		for _, turn := range bpTurns {
-			turn := turn
-			specs = append(specs, Spec{Mix: mix, Kind: sim.TPBank,
-				Mutate: func(c *sim.Config) { c.TPTurnLength = turn }})
-		}
-		for _, turn := range npTurns {
-			turn := turn
-			specs = append(specs, Spec{Mix: mix, Kind: sim.TPNone,
-				Mutate: func(c *sim.Config) { c.TPTurnLength = turn }})
-		}
-	}
-	if err := r.Prefetch(specs); err != nil {
+	rows, err := r.normalized(suite, nil, cols, weightedIPC(1))
+	if err != nil {
 		return Table{}, err
 	}
-	for _, mix := range suite {
-		row := Row{Label: mix.Name}
-		for _, turn := range bpTurns {
-			turn := turn
-			w, err := r.weighted(mix, sim.TPBank, func(c *sim.Config) { c.TPTurnLength = turn })
-			if err != nil {
-				return Table{}, err
-			}
-			row.Values = append(row.Values, w)
-		}
-		for _, turn := range npTurns {
-			turn := turn
-			w, err := r.weighted(mix, sim.TPNone, func(c *sim.Config) { c.TPTurnLength = turn })
-			if err != nil {
-				return Table{}, err
-			}
-			row.Values = append(row.Values, w)
-		}
-		for i, v := range row.Values {
-			sums[i] += v
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	am := Row{Label: "AM"}
-	for _, s := range sums {
-		am.Values = append(am.Values, s/float64(len(t.Rows)))
-	}
-	t.Rows = append(t.Rows, am)
-	t.Notes = append(t.Notes, "paper: minimum turn lengths are best on average; non-secure baseline = 8.0")
+	t.Rows = withAM(rows)
 	return t, nil
 }
 
 // Figure6 regenerates the headline comparison: weighted IPC per workload
 // for FS_RP, FS_Reordered_BP, TP_BP, FS_NP_Optimized, TP_NP.
 func Figure6(r *Runner) (Table, error) {
-	t := Table{
-		ID:      "Figure 6",
-		Title:   "FS vs TP: sum of weighted IPCs (8 cores)",
-		Columns: []string{"FS_RP", "FS_Reordered_BP", "TP_BP", "FS_NP_Optimized", "TP_NP"},
-	}
-	schemes := []sim.SchedulerKind{sim.FSRankPart, sim.FSReorderedBank, sim.TPBank, sim.FSNoPartTriple, sim.TPNone}
-	sums := make([]float64, len(schemes))
 	suite, err := r.suite()
 	if err != nil {
 		return Table{}, err
 	}
-	if err := r.Prefetch(weightedSpecs(suite, schemes, nil)); err != nil {
+	rows, err := r.normalized(suite, nil, each(designSpace, nil), weightedIPC(1))
+	if err != nil {
 		return Table{}, err
 	}
-	for _, mix := range suite {
-		row := Row{Label: mix.Name}
-		for i, k := range schemes {
-			w, err := r.weighted(mix, k, nil)
-			if err != nil {
-				return Table{}, err
-			}
-			row.Values = append(row.Values, w)
-			sums[i] += w
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	am := Row{Label: "AM"}
-	for _, s := range sums {
-		am.Values = append(am.Values, s/float64(len(t.Rows)))
-	}
-	t.Rows = append(t.Rows, am)
-	t.Notes = append(t.Notes,
-		"paper AM: FS_RP 69.3% above TP_BP; FS_Reordered_BP 11.3% above TP_BP; FS_NP_Optimized 2x TP_NP",
-		"paper: best FS is 27% below the non-secure baseline (baseline = 8.0 here)")
-	return t, nil
+	return Table{
+		ID:      "Figure 6",
+		Title:   "FS vs TP: sum of weighted IPCs (8 cores)",
+		Columns: []string{"FS_RP", "FS_Reordered_BP", "TP_BP", "FS_NP_Optimized", "TP_NP"},
+		Rows:    withAM(rows),
+		Notes: []string{
+			"paper AM: FS_RP 69.3% above TP_BP; FS_Reordered_BP 11.3% above TP_BP; FS_NP_Optimized 2x TP_NP",
+			"paper: best FS is 27% below the non-secure baseline (baseline = 8.0 here)",
+		},
+	}, nil
 }
 
 // Figure6Detail reports the section 7 side statistics for the Figure 6
 // runs: average read latency, effective bus utilization, dummy fraction.
 func Figure6Detail(r *Runner) (Table, error) {
-	t := Table{
-		ID:      "Figure 6 detail",
-		Title:   "FS_RP and TP_BP derived statistics",
-		Columns: []string{"FS_RP lat", "FS_RP util", "FS_RP dummy%", "TP_BP lat", "TP_BP util"},
-	}
-	var latF, utilF, dumF, latT, utilT float64
-	n := 0.0
 	suite, err := r.suite()
 	if err != nil {
 		return Table{}, err
@@ -623,189 +585,96 @@ func Figure6Detail(r *Runner) (Table, error) {
 			Spec{Mix: mix, Kind: sim.FSRankPart},
 			Spec{Mix: mix, Kind: sim.TPBank})
 	}
-	if err := r.Prefetch(specs); err != nil {
+	res, err := r.Grid(specs)
+	if err != nil {
 		return Table{}, err
 	}
-	for _, mix := range suite {
-		fr, err := r.run(mix, sim.FSRankPart, nil)
-		if err != nil {
-			return Table{}, err
-		}
-		tr, err := r.run(mix, sim.TPBank, nil)
-		if err != nil {
-			return Table{}, err
-		}
-		f, tp := fr.Run, tr.Run
-		t.Rows = append(t.Rows, Row{Label: mix.Name, Values: []float64{
+	rows := make([]Row, len(suite))
+	for i, mix := range suite {
+		f, tp := res[2*i].Run, res[2*i+1].Run
+		rows[i] = Row{Label: mix.Name, Values: []float64{
 			f.AvgReadLatency(), f.BusUtilization(), f.DummyFraction() * 100,
 			tp.AvgReadLatency(), tp.BusUtilization(),
-		}})
-		latF += f.AvgReadLatency()
-		utilF += f.BusUtilization()
-		dumF += f.DummyFraction() * 100
-		latT += tp.AvgReadLatency()
-		utilT += tp.BusUtilization()
-		n++
+		}}
 	}
-	t.Rows = append(t.Rows, Row{Label: "AM", Values: []float64{latF / n, utilF / n, dumF / n, latT / n, utilT / n}})
-	t.Notes = append(t.Notes, "paper: FS_RP avg latency 288 cycles, 37% effective utilization, 36% dummies; best TP_BP latency 683 cycles, 17% utilization")
-	return t, nil
+	return Table{
+		ID:      "Figure 6 detail",
+		Title:   "FS_RP and TP_BP derived statistics",
+		Columns: []string{"FS_RP lat", "FS_RP util", "FS_RP dummy%", "TP_BP lat", "TP_BP util"},
+		Rows:    withAM(rows),
+		Notes:   []string{"paper: FS_RP avg latency 288 cycles, 37% effective utilization, 36% dummies; best TP_BP latency 683 cycles, 17% utilization"},
+	}, nil
 }
 
 // Figure7 regenerates the prefetch experiment: baseline+prefetch, FS_RP
 // with and without prefetch.
 func Figure7(r *Runner) (Table, error) {
-	t := Table{
-		ID:      "Figure 7",
-		Title:   "Prefetching into dummy slots (8 threads, rank partitioning)",
-		Columns: []string{"Baseline_Prefetch", "FS_RP-Prefetch", "FS_RP"},
-	}
-	pf := func(c *sim.Config) { c.Prefetch = true }
-	sums := make([]float64, 3)
 	suite, err := r.suite()
 	if err != nil {
 		return Table{}, err
 	}
-	var specs []Spec
-	for _, mix := range suite {
-		specs = append(specs,
-			Spec{Mix: mix, Kind: sim.Baseline},
-			Spec{Mix: mix, Kind: sim.Baseline, Mutate: pf},
-			Spec{Mix: mix, Kind: sim.FSRankPart, Mutate: pf},
-			Spec{Mix: mix, Kind: sim.FSRankPart})
-	}
-	if err := r.Prefetch(specs); err != nil {
+	pf := func(c *sim.Config) { c.Prefetch = true }
+	cols := []column{{sim.Baseline, pf}, {sim.FSRankPart, pf}, {sim.FSRankPart, nil}}
+	rows, err := r.normalized(suite, nil, cols, weightedIPC(1))
+	if err != nil {
 		return Table{}, err
 	}
-	for _, mix := range suite {
-		row := Row{Label: mix.Name}
-		for _, job := range []struct {
-			k      sim.SchedulerKind
-			mutate func(*sim.Config)
-		}{{sim.Baseline, pf}, {sim.FSRankPart, pf}, {sim.FSRankPart, nil}} {
-			w, err := r.weighted(mix, job.k, job.mutate)
-			if err != nil {
-				return Table{}, err
-			}
-			row.Values = append(row.Values, w)
-		}
-		for i, v := range row.Values {
-			sums[i] += v
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	am := Row{Label: "AM"}
-	for _, s := range sums {
-		am.Values = append(am.Values, s/float64(len(t.Rows)))
-	}
-	t.Rows = append(t.Rows, am)
-	t.Notes = append(t.Notes, "paper: prefetching improves FS_RP by 11% and the baseline by 6.3%")
-	return t, nil
+	return Table{
+		ID:      "Figure 7",
+		Title:   "Prefetching into dummy slots (8 threads, rank partitioning)",
+		Columns: []string{"Baseline_Prefetch", "FS_RP-Prefetch", "FS_RP"},
+		Rows:    withAM(rows),
+		Notes:   []string{"paper: prefetching improves FS_RP by 11% and the baseline by 6.3%"},
+	}, nil
 }
 
 // Figure8 regenerates the energy comparison: memory energy per demand read
 // normalized to the baseline, for the five secure schemes.
 func Figure8(r *Runner) (Table, error) {
-	t := Table{
-		ID:      "Figure 8",
-		Title:   "Normalized memory energy (baseline = 1.0)",
-		Columns: []string{"FS_RP", "FS_Reordered_BP", "TP_BP", "FS_NP_Optimized", "TP_NP"},
-	}
-	model := energy.NewModel(sim.DefaultConfig(workload.Mix{Name: "x"}, sim.Baseline).DRAM, energy.DDR3_4Gb())
-	schemes := []sim.SchedulerKind{sim.FSRankPart, sim.FSReorderedBank, sim.TPBank, sim.FSNoPartTriple, sim.TPNone}
-	sums := make([]float64, len(schemes))
 	suite, err := r.suite()
 	if err != nil {
 		return Table{}, err
 	}
-	if err := r.Prefetch(weightedSpecs(suite, schemes, nil)); err != nil {
+	rows, err := r.normalized(suite, nil, each(designSpace, nil), energyRatio())
+	if err != nil {
 		return Table{}, err
 	}
-	for _, mix := range suite {
-		base, err := r.run(mix, sim.Baseline, nil)
-		if err != nil {
-			return Table{}, err
-		}
-		basePer := energy.PerRead(model.ForRun(base.Run, nil), base.Run)
-		row := Row{Label: mix.Name}
-		for i, k := range schemes {
-			res, err := r.run(mix, k, nil)
-			if err != nil {
-				return Table{}, err
-			}
-			per := energy.PerRead(model.ForRun(res.Run, res.FS), res.Run)
-			row.Values = append(row.Values, per/basePer)
-			sums[i] += per / basePer
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	am := Row{Label: "AM"}
-	for _, s := range sums {
-		am.Values = append(am.Values, s/float64(len(t.Rows)))
-	}
-	t.Rows = append(t.Rows, am)
-	t.Notes = append(t.Notes, "paper: FS energy 11.4% below TP, within 19% of the baseline")
-	return t, nil
+	return Table{
+		ID:      "Figure 8",
+		Title:   "Normalized memory energy (baseline = 1.0)",
+		Columns: []string{"FS_RP", "FS_Reordered_BP", "TP_BP", "FS_NP_Optimized", "TP_NP"},
+		Rows:    withAM(rows),
+		Notes:   []string{"paper: FS energy 11.4% below TP, within 19% of the baseline"},
+	}, nil
 }
 
 // Figure9 regenerates the FS energy optimizations: FS_RP plain, then
 // cumulatively suppressed dummies, row-buffer boost, and power-down.
 func Figure9(r *Runner) (Table, error) {
-	t := Table{
-		ID:      "Figure 9",
-		Title:   "FS_RP energy optimizations (normalized to baseline = 1.0)",
-		Columns: []string{"FS_RP", "Suppressed_Dummy", "Row-buffer-opt", "Power-Down"},
-	}
-	model := energy.NewModel(sim.DefaultConfig(workload.Mix{Name: "x"}, sim.Baseline).DRAM, energy.DDR3_4Gb())
-	opts := []core.EnergyOpts{
-		{},
-		{SuppressDummies: true},
-		{SuppressDummies: true, RowBufferBoost: true},
-		{SuppressDummies: true, RowBufferBoost: true, PowerDown: true},
-	}
-	sums := make([]float64, len(opts))
 	suite, err := r.suite()
 	if err != nil {
 		return Table{}, err
 	}
-	var specs []Spec
-	for _, mix := range suite {
-		specs = append(specs, Spec{Mix: mix, Kind: sim.Baseline})
-		for _, o := range opts {
-			o := o
-			specs = append(specs, Spec{Mix: mix, Kind: sim.FSRankPart,
-				Mutate: func(c *sim.Config) { c.Energy = o }})
-		}
+	var cols []column
+	for _, o := range []core.EnergyOpts{
+		{},
+		{SuppressDummies: true},
+		{SuppressDummies: true, RowBufferBoost: true},
+		{SuppressDummies: true, RowBufferBoost: true, PowerDown: true},
+	} {
+		cols = append(cols, column{kind: sim.FSRankPart, mutate: func(c *sim.Config) { c.Energy = o }})
 	}
-	if err := r.Prefetch(specs); err != nil {
+	rows, err := r.normalized(suite, nil, cols, energyRatio())
+	if err != nil {
 		return Table{}, err
 	}
-	for _, mix := range suite {
-		base, err := r.run(mix, sim.Baseline, nil)
-		if err != nil {
-			return Table{}, err
-		}
-		basePer := energy.PerRead(model.ForRun(base.Run, nil), base.Run)
-		row := Row{Label: mix.Name}
-		for i, o := range opts {
-			o := o
-			res, err := r.run(mix, sim.FSRankPart, func(c *sim.Config) { c.Energy = o })
-			if err != nil {
-				return Table{}, err
-			}
-			per := energy.PerRead(model.ForRun(res.Run, res.FS), res.Run)
-			row.Values = append(row.Values, per/basePer)
-			sums[i] += per / basePer
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	am := Row{Label: "AM"}
-	for _, s := range sums {
-		am.Values = append(am.Values, s/float64(len(t.Rows)))
-	}
-	t.Rows = append(t.Rows, am)
-	t.Notes = append(t.Notes, "paper: the three optimizations cut FS memory energy by 52.5%, to within 3.4% of the baseline")
-	return t, nil
+	return Table{
+		ID:      "Figure 9",
+		Title:   "FS_RP energy optimizations (normalized to baseline = 1.0)",
+		Columns: []string{"FS_RP", "Suppressed_Dummy", "Row-buffer-opt", "Power-Down"},
+		Rows:    withAM(rows),
+		Notes:   []string{"paper: the three optimizations cut FS memory energy by 52.5%, to within 3.4% of the baseline"},
+	}, nil
 }
 
 // Figure10 regenerates the scalability study: FS_RP, FS_Reordered_BP, and
@@ -817,38 +686,24 @@ func Figure10(r *Runner) (Table, error) {
 		ID:      "Figure 10",
 		Title:   "Scalability: sum of weighted IPCs at 8/4/2 cores",
 		Columns: []string{"FS_RP", "FS_Reordered_BP", "TP"},
+		Notes:   []string{"paper: FS beats TP by 85% at 4 threads and 18% at 2 threads despite the same-rank hazard"},
 	}
-	schemes := []sim.SchedulerKind{sim.FSRankPart, sim.FSReorderedBank, sim.TPBank}
+	schemes := each([]sim.SchedulerKind{sim.FSRankPart, sim.FSReorderedBank, sim.TPBank}, nil)
 	for _, cores := range []int{8, 4, 2} {
 		subSettings := r.S
 		subSettings.Cores = cores
 		sub := NewRunner(subSettings)
 		sub.Ctx = r.Ctx
-		var sums [3]float64
-		n := 0.0
 		suite, err := sub.suite()
 		if err != nil {
 			return Table{}, err
 		}
-		if err := sub.Prefetch(weightedSpecs(suite, schemes, nil)); err != nil {
+		rows, err := sub.normalized(suite, nil, schemes, weightedIPC(1))
+		if err != nil {
 			return Table{}, err
 		}
-		for _, mix := range suite {
-			for i, k := range schemes {
-				w, err := sub.weighted(mix, k, nil)
-				if err != nil {
-					return Table{}, err
-				}
-				sums[i] += w
-			}
-			n++
-		}
-		t.Rows = append(t.Rows, Row{
-			Label:  fmt.Sprintf("%d cores", cores),
-			Values: []float64{sums[0] / n, sums[1] / n, sums[2] / n},
-		})
+		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("%d cores", cores), Values: mean(rows)})
 	}
-	t.Notes = append(t.Notes, "paper: FS beats TP by 85% at 4 threads and 18% at 2 threads despite the same-rank hazard")
 	return t, nil
 }
 
@@ -872,6 +727,9 @@ func Section6(r *Runner) (Table, error) {
 		ID:      "Section 6",
 		Title:   fmt.Sprintf("Target system: %d cores, %d channels", cores, channels),
 		Columns: []string{"sum IPC", "avg read latency", "bus utilization"},
+		Notes: []string{
+			"interleaved baseline shares every channel across domains (leaky, audited LEAKY); colored FS is the product of 4 independent secure machines",
+		},
 	}
 	cases := []struct {
 		label   string
@@ -883,7 +741,6 @@ func Section6(r *Runner) (Table, error) {
 	}
 	var specs []Spec
 	for _, c := range cases {
-		c := c
 		specs = append(specs, Spec{Mix: mix, Kind: c.kind, Mutate: func(cfg *sim.Config) {
 			cfg.Channels = channels
 			cfg.Routing = c.routing
@@ -892,66 +749,93 @@ func Section6(r *Runner) (Table, error) {
 			}
 		}})
 	}
-	if err := r.Prefetch(specs); err != nil {
+	res, err := r.Grid(specs)
+	if err != nil {
 		return Table{}, err
 	}
 	for i, c := range cases {
-		res, err := r.run(mix, c.kind, specs[i].Mutate)
-		if err != nil {
-			return Table{}, err
-		}
+		run := res[i].Run
 		var ipc float64
-		for _, d := range res.Run.Domains {
+		for _, d := range run.Domains {
 			ipc += d.IPC()
 		}
 		t.Rows = append(t.Rows, Row{Label: c.label, Values: []float64{
-			ipc, res.Run.AvgReadLatency(), res.Run.BusUtilization(),
+			ipc, run.AvgReadLatency(), run.BusUtilization(),
 		}})
 	}
-	t.Notes = append(t.Notes,
-		"interleaved baseline shares every channel across domains (leaky, audited LEAKY); colored FS is the product of 4 independent secure machines")
 	return t, nil
+}
+
+// Figure is one entry of the figure table: its wire ID (cmd/sweep -fig and
+// the daemon's figures jobs; empty for an entry with none), the name its
+// errors carry, and its entry point.
+type Figure struct {
+	ID   string
+	Name string
+	Run  func(*Runner) (Table, error)
+}
+
+// figures is every figure in All's order. The Figure 6 detail has no wire
+// ID: it runs inside All and with sweep -fig 6 -detail.
+var figures = []Figure{
+	{"3", "Figure3", Figure3},
+	{"4", "Figure4", func(r *Runner) (Table, error) { t, _, err := Figure4(r); return t, err }},
+	{"5", "Figure5", Figure5},
+	{"6", "Figure6", Figure6},
+	{"", "Figure6Detail", Figure6Detail},
+	{"7", "Figure7", Figure7},
+	{"8", "Figure8", Figure8},
+	{"9", "Figure9", Figure9},
+	{"10", "Figure10", Figure10},
+	{"s6", "Section6", Section6},
+}
+
+// Lookup returns the figure with the given wire ID.
+func Lookup(id string) (Figure, bool) {
+	for _, f := range figures {
+		if f.ID != "" && f.ID == id {
+			return f, true
+		}
+	}
+	return Figure{}, false
+}
+
+// Names lists the figure wire IDs, sorted. "s6" is the Section 6 target
+// system (32 cores over a 4-channel fabric).
+func Names() []string {
+	var n []string
+	for _, f := range figures {
+		if f.ID != "" {
+			n = append(n, f.ID)
+		}
+	}
+	sort.Strings(n)
+	return n
 }
 
 // capture runs one figure, converting a panic anywhere below it into a
 // structured experiment error so one broken figure cannot abort the whole
 // regeneration.
-func capture(id string, f func() (Table, error)) (t Table, err error) {
+func capture(r *Runner, f Figure) (t Table, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fsmerr.New(fsmerr.CodeExperiment, "experiments."+id, "panic: %v", p)
+			err = fsmerr.New(fsmerr.CodeExperiment, "experiments."+f.Name, "panic: %v", p)
 		}
 	}()
-	return f()
+	return f.Run(r)
 }
 
-// All regenerates every figure in order. Figure 4's profile series are
-// folded into its table. Figures that fail are skipped and their errors
-// aggregated, so a partial regeneration still returns every healthy table.
-// Figures run sequentially — each one shards its own simulation grid
-// across the runner's worker pool, and later figures reuse the memoized
-// baseline runs of earlier ones — so the table sequence is identical for
-// every worker count.
-func All(r *Runner) ([]Table, error) {
-	figures := []struct {
-		id string
-		f  func() (Table, error)
-	}{
-		{"Figure3", func() (Table, error) { return Figure3(r) }},
-		{"Figure4", func() (Table, error) { t, _, err := Figure4(r); return t, err }},
-		{"Figure5", func() (Table, error) { return Figure5(r) }},
-		{"Figure6", func() (Table, error) { return Figure6(r) }},
-		{"Figure6Detail", func() (Table, error) { return Figure6Detail(r) }},
-		{"Figure7", func() (Table, error) { return Figure7(r) }},
-		{"Figure8", func() (Table, error) { return Figure8(r) }},
-		{"Figure9", func() (Table, error) { return Figure9(r) }},
-		{"Figure10", func() (Table, error) { return Figure10(r) }},
-		{"Section6", func() (Table, error) { return Section6(r) }},
-	}
+// runAll runs figures in order. Figures that fail are skipped and their
+// errors joined, so a partial regeneration still returns every healthy
+// table. Figures run sequentially — each one shards its own simulation
+// grid across the runner's worker pool, and later figures reuse the
+// memoized baseline runs of earlier ones — so the table sequence is
+// identical for every worker count.
+func runAll(r *Runner, figs []Figure) ([]Table, error) {
 	var tables []Table
 	var errs []error
-	for _, fig := range figures {
-		t, err := capture(fig.id, fig.f)
+	for _, f := range figs {
+		t, err := capture(r, f)
 		if err != nil {
 			errs = append(errs, err)
 			continue
@@ -961,10 +845,6 @@ func All(r *Runner) ([]Table, error) {
 	return tables, errors.Join(errs...)
 }
 
-// Names lists the available figure IDs. "s6" is the Section 6 target
-// system (32 cores over a 4-channel fabric).
-func Names() []string {
-	n := []string{"3", "4", "5", "6", "7", "8", "9", "10", "s6"}
-	sort.Strings(n)
-	return n
-}
+// All regenerates every figure in order (Figure 4's profile series are
+// folded into its table).
+func All(r *Runner) ([]Table, error) { return runAll(r, figures) }

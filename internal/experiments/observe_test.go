@@ -10,7 +10,7 @@ import (
 	"fsmem/internal/workload"
 )
 
-// observedRunner prefetches a small grid with tracing on and exports it.
+// observedRunner runs a small grid with tracing on and exports it.
 func observedRunner(t *testing.T, workers int) []byte {
 	t.Helper()
 	r := NewRunner(Settings{
@@ -28,7 +28,7 @@ func observedRunner(t *testing.T, workers int) []byte {
 		{Mix: mix, Kind: sim.FSBankPart},
 		{Mix: mix, Kind: sim.TPBank},
 	}
-	if err := r.Prefetch(specs); err != nil {
+	if _, err := r.Grid(specs); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -90,14 +90,16 @@ func TestObservedCellsCarryMetrics(t *testing.T) {
 	observed := NewRunner(Settings{Cores: 2, TargetReads: 300, Seed: 42, Workers: 1,
 		Observe: &obs.Options{}})
 
-	p, err := plain.run(mix, sim.FSRankPart, nil)
+	cell := []Spec{{Mix: mix, Kind: sim.FSRankPart}}
+	plainRes, err := plain.Grid(cell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := observed.run(mix, sim.FSRankPart, nil)
+	observedRes, err := observed.Grid(cell)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p, o := plainRes[0], observedRes[0]
 	if p.Trace != nil || p.Metrics != nil {
 		t.Fatal("unobserved run carries observability state")
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"fsmem/internal/fsmerr"
@@ -82,8 +83,8 @@ func TestSweepCancellation(t *testing.T) {
 	}
 }
 
-// TestPrefetchDedup: listing the same cell many times (and re-prefetching
-// an already-warm grid) performs each simulation once.
+// TestPrefetchDedup: listing the same cell many times (and re-running an
+// already-warm grid) performs each simulation once.
 func TestPrefetchDedup(t *testing.T) {
 	r := NewRunner(Settings{Cores: 4, TargetReads: 300, Seed: 42, Workers: 4})
 	suite, err := r.suite()
@@ -95,7 +96,7 @@ func TestPrefetchDedup(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		specs = append(specs, Spec{Mix: mix, Kind: sim.Baseline})
 	}
-	if err := r.Prefetch(specs); err != nil {
+	if _, err := r.Grid(specs); err != nil {
 		t.Fatal(err)
 	}
 	r.mu.Lock()
@@ -104,7 +105,39 @@ func TestPrefetchDedup(t *testing.T) {
 	if cached != 1 {
 		t.Fatalf("6 duplicate specs filled %d cells, want 1", cached)
 	}
-	if err := r.Prefetch(specs); err != nil {
+	if _, err := r.Grid(specs); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGridReportsFirstFailureInSpecOrder: Grid reports the first failed
+// spec's error in spec order at every pool width, memoizes failures like
+// results, and fires OnCell once per simulated cell.
+func TestGridReportsFirstFailureInSpecOrder(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var simulated atomic.Int32
+		r := NewRunner(Settings{Cores: 4, TargetReads: 300, Seed: 42, Workers: workers,
+			OnCell: func(string) { simulated.Add(1) }})
+		suite, err := r.suite()
+		if err != nil {
+			t.Fatal(err)
+		}
+		good := Spec{Mix: suite[0], Kind: sim.Baseline}
+		badWeights := Spec{Mix: suite[0], Kind: sim.FSRankPart, Mutate: func(c *sim.Config) { c.SLAWeights = []int{1} }}
+		badTurn := Spec{Mix: suite[0], Kind: sim.TPBank, Mutate: func(c *sim.Config) { c.TPTurnLength = -3 }}
+		for _, tc := range []struct {
+			specs []Spec
+			want  string
+		}{
+			{[]Spec{good, badWeights, badTurn, good}, "weights"},
+			{[]Spec{badTurn, good, badWeights}, "turn length"},
+		} {
+			if _, err := r.Grid(tc.specs); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("workers=%d: Grid error %v, want the %q failure", workers, err, tc.want)
+			}
+		}
+		if n := simulated.Load(); n != 3 {
+			t.Errorf("workers=%d: %d cells simulated, want 3", workers, n)
+		}
 	}
 }

@@ -6,6 +6,7 @@
 package leakage
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -13,9 +14,14 @@ import (
 	"fsmem/internal/addr"
 	"fsmem/internal/fault"
 	"fsmem/internal/fsmerr"
+	"fsmem/internal/parallel"
 	"fsmem/internal/sim"
 	"fsmem/internal/workload"
 )
+
+// Milestone is Figure 4's sampling interval: the attacker's progress is
+// recorded every 10,000 retired instructions, as in the paper.
+const Milestone = 10_000
 
 // Profile is one execution profile: the CPU cycle at which the attacker
 // domain crossed each instruction milestone (Figure 4's Y values; the
@@ -34,6 +40,15 @@ type Profile struct {
 // channels and routing select the memory fabric (channels <= 1 is the
 // classic single-channel machine; routing is ignored there).
 func CollectProfile(k sim.SchedulerKind, attacker workload.Profile, coRunner workload.Profile,
+	domains int, milestone, totalInstr int64, seed uint64,
+	channels int, routing addr.Routing) (Profile, error) {
+	return collectProfile(context.Background(), k, attacker, coRunner, domains, milestone, totalInstr, seed, channels, routing)
+}
+
+// collectProfile is CollectProfile under a context, polled every 8192 bus
+// cycles like sim.RunContext's watchdog: a canceled collection returns a
+// canceled-coded error instead of running to its instruction budget.
+func collectProfile(ctx context.Context, k sim.SchedulerKind, attacker workload.Profile, coRunner workload.Profile,
 	domains int, milestone, totalInstr int64, seed uint64,
 	channels int, routing addr.Routing) (Profile, error) {
 
@@ -61,6 +76,9 @@ func CollectProfile(k sim.SchedulerKind, attacker workload.Profile, coRunner wor
 	next := milestone
 	cpuPerBus := int64(cfg.DRAM.CPUCyclesPerBusCycle)
 	for cycle := int64(0); cycle < cfg.MaxBusCycles; cycle++ {
+		if cycle%8192 == 0 && ctx.Err() != nil {
+			return Profile{}, fsmerr.Wrap(fsmerr.CodeCanceled, "leakage.CollectProfile", ctx.Err())
+		}
 		sys.Step()
 		retired := sys.DomainInstructions(0)
 		for retired >= next {
@@ -74,6 +92,73 @@ func CollectProfile(k sim.SchedulerKind, attacker workload.Profile, coRunner wor
 	}
 	return prof, fmt.Errorf("leakage: attacker retired only %d of %d instructions before the cycle budget",
 		sys.DomainInstructions(0), totalInstr)
+}
+
+// Comparison is one scheduler's Figure 4 result: the attacker's profile
+// against idle co-runners (Quiet) and against streaming ones (Loud), and
+// the mutual information between the co-runner load and the attacker's
+// epoch durations (16-bin plug-in estimate, in bits).
+type Comparison struct {
+	Scheduler             sim.SchedulerKind
+	Quiet, Loud           Profile
+	MutualInformationBits float64
+}
+
+// CompareParams parameterizes the Figure 4 experiment.
+type CompareParams struct {
+	// Attacker runs as domain 0 against Domains-1 copies of a co-runner.
+	Attacker workload.Profile
+	Domains  int
+	// Schedulers are compared in order; Samples is the number of
+	// milestones each profile records.
+	Schedulers []sim.SchedulerKind
+	Samples    int64
+	Seed       uint64
+	// Channels and Routing select the memory fabric (see CollectProfile).
+	Channels int
+	Routing  addr.Routing
+	// Workers bounds the pool the profiles are collected on
+	// (0 = GOMAXPROCS); the result is identical for every value.
+	Workers int
+	// OnProfile, when non-nil, is called once per collected profile with
+	// its scheduler and co-runner name, from the pool worker that
+	// collected it.
+	OnProfile func(k sim.SchedulerKind, coRunner string)
+}
+
+// Compare runs the Figure 4 experiment: every scheduler against an idle
+// (0.01 MPKI) and a streaming (45 MPKI) co-runner, the profiles collected
+// on a worker pool that passes cancellation to every running collection.
+// It returns one Comparison per scheduler, in scheduler order.
+func Compare(ctx context.Context, p CompareParams) ([]Comparison, error) {
+	coRunners := []workload.Profile{workload.Synthetic("idle", 0.01), workload.Synthetic("streaming", 45)}
+	var cells []parallel.Cell[Profile]
+	for _, k := range p.Schedulers {
+		for _, co := range coRunners {
+			cells = append(cells, parallel.Cell[Profile]{
+				Key: fmt.Sprintf("leakage/%v/%s", k, co.Name),
+				Run: func(ctx context.Context) (Profile, error) {
+					prof, err := collectProfile(ctx, k, p.Attacker, co, p.Domains, Milestone, p.Samples*Milestone,
+						p.Seed, p.Channels, p.Routing)
+					if err == nil && p.OnProfile != nil {
+						p.OnProfile(k, co.Name)
+					}
+					return prof, err
+				},
+			})
+		}
+	}
+	profiles, err := parallel.Map(ctx, p.Workers, cells)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Comparison, len(p.Schedulers))
+	for i, k := range p.Schedulers {
+		quiet, loud := profiles[2*i], profiles[2*i+1]
+		out[i] = Comparison{Scheduler: k, Quiet: quiet, Loud: loud,
+			MutualInformationBits: MutualInformationBits(EpochDurations(quiet), EpochDurations(loud), 16)}
+	}
+	return out, nil
 }
 
 // Divergence returns the maximum absolute difference between two profiles'
@@ -360,17 +445,26 @@ func RunChannel(k sim.SchedulerKind, message []bool, p ChannelParams) (ChannelRu
 	return run, nil
 }
 
+// CovertLoads returns the classic covert channel's workloads: the
+// receiver's fixed probe, and the sender's burst (a 1 bit) and quiet (a 0
+// bit) loads. CovertChannel, cmd/leakage -covert and the audit library's
+// intensity attacks all run these.
+func CovertLoads() (probe, burst, quiet workload.Profile) {
+	return workload.Synthetic("probe", 25), workload.Synthetic("burst", 40), workload.Synthetic("quiet", 0.01)
+}
+
 // CovertChannel runs the §2.2-style covert channel with the classic
-// burst/idle sender and a fixed probe receiver: the single strategy the
-// evaluation always reports. The audit engine generalizes it through
-// RunChannel with a whole strategy library. A non-positive window is a
-// CodeConfig error rather than a silent zero-window run.
+// burst/idle sender and a fixed probe receiver (CovertLoads): the single
+// strategy the evaluation always reports. The audit engine generalizes it
+// through RunChannel with a whole strategy library. A non-positive window
+// is a CodeConfig error rather than a silent zero-window run.
 func CovertChannel(k sim.SchedulerKind, domains int, message []bool, windowBusCycles int64, seed uint64) (CovertResult, error) {
+	probe, burst, quiet := CovertLoads()
 	run, err := RunChannel(k, message, ChannelParams{
 		Domains:         domains,
-		Probe:           workload.Synthetic("probe", 25),
-		On:              workload.Synthetic("burst", 40),
-		Off:             workload.Synthetic("quiet", 0.01),
+		Probe:           probe,
+		On:              burst,
+		Off:             quiet,
 		WindowBusCycles: windowBusCycles,
 		Seed:            seed,
 	})

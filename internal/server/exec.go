@@ -153,22 +153,6 @@ func (m *Manager) runSimulate(ctx context.Context, j *Job) (*cacheEntry, error) 
 	return &cacheEntry{key: j.Key, result: b, trace: res.Trace}, nil
 }
 
-// figureFuncs maps wire figure IDs onto runner entry points.
-var figureFuncs = map[string]func(*experiments.Runner) (experiments.Table, error){
-	"3": experiments.Figure3,
-	"4": func(r *experiments.Runner) (experiments.Table, error) {
-		t, _, err := experiments.Figure4(r)
-		return t, err
-	},
-	"5":  experiments.Figure5,
-	"6":  experiments.Figure6,
-	"7":  experiments.Figure7,
-	"8":  experiments.Figure8,
-	"9":  experiments.Figure9,
-	"10": experiments.Figure10,
-	"s6": experiments.Section6,
-}
-
 func (m *Manager) runFigures(ctx context.Context, j *Job) (*cacheEntry, error) {
 	req := j.Req.Figures
 	workers := req.Workers
@@ -190,25 +174,20 @@ func (m *Manager) runFigures(ctx context.Context, j *Job) (*cacheEntry, error) {
 	r.Ctx = ctx
 
 	var out FiguresResult
-	runOne := func(id string, f func(*experiments.Runner) (experiments.Table, error)) error {
-		t, err := f(r)
-		if err != nil {
-			if fsmerr.CodeOf(err) == fsmerr.CodeCanceled {
-				return err
-			}
-			out.Errors = append(out.Errors, fmt.Sprintf("figure %s: %v", id, err))
-			return nil
-		}
-		out.Tables = append(out.Tables, t)
-		return nil
-	}
 	ids := req.Figures
 	if len(ids) == 0 {
 		ids = experiments.Names()
 	}
 	for _, id := range ids {
-		if err := runOne(id, figureFuncs[id]); err != nil {
+		f, _ := experiments.Lookup(id) // normalize admits only known IDs
+		t, err := f.Run(r)
+		switch {
+		case fsmerr.CodeOf(err) == fsmerr.CodeCanceled:
 			return nil, err
+		case err != nil:
+			out.Errors = append(out.Errors, fmt.Sprintf("figure %s: %v", id, err))
+		default:
+			out.Tables = append(out.Tables, t)
 		}
 	}
 	b, err := marshalResult(out)
@@ -232,8 +211,6 @@ func (m *Manager) runLeakage(ctx context.Context, j *Job) (*cacheEntry, error) {
 		}
 		kinds = []sim.SchedulerKind{k}
 	}
-	milestone := int64(10_000)
-	total := req.Samples * milestone
 	// Journal records from before the fabric carry no routing; default it
 	// like normalize() does for fresh submissions.
 	routing := addr.RouteColored
@@ -243,44 +220,30 @@ func (m *Manager) runLeakage(ctx context.Context, j *Job) (*cacheEntry, error) {
 			return nil, fsmerr.Wrap(fsmerr.CodeConfig, "server.leakage", err)
 		}
 	}
-	coRunners := []workload.Profile{workload.Synthetic("idle", 0.01), workload.Synthetic("streaming", 45)}
-
-	var cells []parallel.Cell[leakage.Profile]
-	for _, k := range kinds {
-		for _, co := range coRunners {
-			k, co := k, co
-			cells = append(cells, parallel.Cell[leakage.Profile]{
-				Key: fmt.Sprintf("leakage/%v/%s", k, co.Name),
-				Run: func(context.Context) (leakage.Profile, error) {
-					p, err := leakage.CollectProfile(k, attacker, co, req.Cores, milestone, total, req.Seed, req.Channels, routing)
-					if err == nil {
-						done := int(j.progressDone.Add(1))
-						j.events.publish(JobEvent{Phase: "progress", Cell: fmt.Sprintf("%v/%s", k, co.Name),
-							Done: done, Total: len(kinds) * len(coRunners)})
-					}
-					return p, err
-				},
-			})
-		}
-	}
-	j.progressTotal.Store(int64(len(cells)))
-	profiles, err := parallel.Map(ctx, m.gridShards, cells)
+	total := 2 * len(kinds) // a quiet and a loud profile per scheduler
+	j.progressTotal.Store(int64(total))
+	cmp, err := leakage.Compare(ctx, leakage.CompareParams{
+		Attacker: attacker, Domains: req.Cores, Schedulers: kinds, Samples: req.Samples, Seed: req.Seed,
+		Channels: req.Channels, Routing: routing, Workers: m.gridShards,
+		OnProfile: func(k sim.SchedulerKind, coRunner string) {
+			done := int(j.progressDone.Add(1))
+			j.events.publish(JobEvent{Phase: "progress", Cell: fmt.Sprintf("%v/%s", k, coRunner), Done: done, Total: total})
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
 	out := LeakageResult{Attacker: attacker.Name}
-	for i, k := range kinds {
-		quiet, loud := profiles[2*i], profiles[2*i+1]
-		div, err := leakage.Divergence(quiet, loud)
+	for _, c := range cmp {
+		div, err := leakage.Divergence(c.Quiet, c.Loud)
 		if err != nil {
 			return nil, fsmerr.Wrap(fsmerr.CodeExperiment, "server.leakage", err)
 		}
-		mi := leakage.MutualInformationBits(leakage.EpochDurations(quiet), leakage.EpochDurations(loud), 16)
 		out.Rows = append(out.Rows, LeakageRow{
-			Scheduler:             k.String(),
-			Identical:             leakage.Identical(quiet, loud),
+			Scheduler:             c.Scheduler.String(),
+			Identical:             leakage.Identical(c.Quiet, c.Loud),
 			MaxDivergence:         div,
-			MutualInformationBits: mi,
+			MutualInformationBits: c.MutualInformationBits,
 		})
 	}
 	b, err := marshalResult(out)

@@ -220,6 +220,38 @@ func TestManagerCancelQueued(t *testing.T) {
 	}
 }
 
+// TestManagerCancelRunningLeakage: a running leakage job observes its
+// cancellation. Every profile collection polls the job's context, so a
+// DELETE ends a long comparison within seconds instead of after every
+// running profile reaches its instruction budget.
+func TestManagerCancelRunningLeakage(t *testing.T) {
+	m := mustManager(t, Options{Workers: 1, QueueDepth: 4, CacheEntries: 4, GridShards: 2})
+	defer m.Drain(context.Background())
+	j, _, err := m.Submit(JobRequest{Kind: KindLeakage, Leakage: &LeakageRequest{Samples: 2000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); j.Status().State != StateRunning; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("leakage job never started: %s", j.Status().State)
+		}
+	}
+	time.Sleep(200 * time.Millisecond)
+	canceled := time.Now()
+	if !m.Cancel(j.ID) {
+		t.Fatal("cancel returned false for a running job")
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("leakage job still running 5s after cancel")
+	}
+	if st := j.Status(); st.State != StateCanceled {
+		t.Fatalf("canceled leakage job is %s (%s), want canceled", st.State, st.Error)
+	}
+	t.Logf("canceled after %v", time.Since(canceled))
+}
+
 func TestManagerQueueFull(t *testing.T) {
 	m := mustManager(t, Options{Workers: 1, QueueDepth: 1, CacheEntries: 16, GridShards: 1})
 	defer m.Drain(context.Background())
