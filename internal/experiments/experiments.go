@@ -688,7 +688,7 @@ func Figure10(r *Runner) (Table, error) {
 		Columns: []string{"FS_RP", "FS_Reordered_BP", "TP"},
 		Notes:   []string{"paper: FS beats TP by 85% at 4 threads and 18% at 2 threads despite the same-rank hazard"},
 	}
-	schemes := each([]sim.SchedulerKind{sim.FSRankPart, sim.FSReorderedBank, sim.TPBank}, nil)
+	cols := each([]sim.SchedulerKind{sim.FSRankPart, sim.FSReorderedBank, sim.TPBank}, nil)
 	for _, cores := range []int{8, 4, 2} {
 		subSettings := r.S
 		subSettings.Cores = cores
@@ -698,7 +698,7 @@ func Figure10(r *Runner) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		rows, err := sub.normalized(suite, nil, schemes, weightedIPC(1))
+		rows, err := sub.normalized(suite, nil, cols, weightedIPC(1))
 		if err != nil {
 			return Table{}, err
 		}
