@@ -627,7 +627,7 @@ func BenchmarkServerColdRecovery(b *testing.B) {
 // 8-worker ring. Every submission and every retry walk pays this cost,
 // so it must stay allocation-free and well under a microsecond.
 func BenchmarkClusterRouting(b *testing.B) {
-	ring := cluster.NewRing(0)
+	ring := cluster.NewRing()
 	for i := 0; i < 8; i++ {
 		ring.Add(fmt.Sprintf("http://worker-%d:8377", i))
 	}

@@ -146,6 +146,9 @@ func main() {
 		return
 	}
 
+	// The experiment is selected once, before any step uses it: the
+	// -config file's when one is given, else the flags'. A bad flag exits
+	// 2 even beside -config; an unreadable or invalid file exits 1.
 	e, err := rf.experiment()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -155,6 +158,22 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	if *configIn != "" {
+		f, err := os.Open(*configIn)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		e, err = config.Load(f)
+		f.Close()
+		if err == nil {
+			cfg, err = e.ToSimConfig()
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	}
 
 	if *configOut != "" {
@@ -214,25 +233,6 @@ func main() {
 				remapped[i] = r
 			}
 			return &trace.SliceStream{Refs: remapped}
-		}
-	}
-
-	if *configIn != "" {
-		f, err := os.Open(*configIn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		e, err := config.Load(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		cfg, err = e.ToSimConfig()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
 		}
 	}
 

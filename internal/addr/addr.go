@@ -1,8 +1,8 @@
-// Package addr translates between flat physical addresses and DRAM
-// coordinates (channel, rank, bank, row, column), and expresses the spatial
-// partitioning policies of the paper (Section 4): channel, rank, and bank
-// partitioning are page-coloring constraints on which coordinates a
-// security domain's data may occupy.
+// Package addr expresses the spatial partitioning policies of the paper
+// (Section 4) over DRAM coordinates: rank and bank partitioning are
+// page-coloring constraints on the (rank, bank) space a security domain's
+// data may occupy within a channel, and channel routing decides which
+// channel of a multi-channel fabric serves each request.
 package addr
 
 import (
@@ -10,132 +10,6 @@ import (
 
 	"fsmem/internal/dram"
 )
-
-// LineBytes is the cache-line size; the low 6 address bits are the line offset.
-const LineBytes = 64
-
-// Interleave selects the bit order used to scatter consecutive lines.
-type Interleave int
-
-const (
-	// RowRankBankCol places column bits lowest: consecutive lines walk a row
-	// (maximizing row-buffer hits), then banks, then ranks. This is the
-	// baseline-friendly open-page mapping.
-	RowRankBankCol Interleave = iota
-	// RowColRankBank places rank/bank bits lowest: consecutive lines scatter
-	// across ranks and banks (maximizing parallelism, minimizing row hits).
-	RowColRankBank
-)
-
-// String names the interleave policy.
-func (iv Interleave) String() string {
-	switch iv {
-	case RowRankBankCol:
-		return "row:rank:bank:col"
-	case RowColRankBank:
-		return "row:col:rank:bank"
-	default:
-		return fmt.Sprintf("Interleave(%d)", int(iv))
-	}
-}
-
-// Mapper converts between physical addresses and DRAM coordinates for a
-// given geometry. All geometry dimensions must be powers of two.
-type Mapper struct {
-	P  dram.Params
-	IV Interleave
-
-	chanBits, rankBits, bankBits, rowBits, colBits uint
-}
-
-func log2(n int) (uint, error) {
-	if n <= 0 || n&(n-1) != 0 {
-		return 0, fmt.Errorf("addr: %d is not a positive power of two", n)
-	}
-	var b uint
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b, nil
-}
-
-// NewMapper builds a mapper; it fails if any geometry dimension is not a
-// power of two.
-func NewMapper(p dram.Params, iv Interleave) (Mapper, error) {
-	m := Mapper{P: p, IV: iv}
-	var err error
-	if m.chanBits, err = log2(p.Channels); err != nil {
-		return m, fmt.Errorf("channels: %w", err)
-	}
-	if m.rankBits, err = log2(p.RanksPerChan); err != nil {
-		return m, fmt.Errorf("ranks: %w", err)
-	}
-	if m.bankBits, err = log2(p.BanksPerRank); err != nil {
-		return m, fmt.Errorf("banks: %w", err)
-	}
-	if m.rowBits, err = log2(p.RowsPerBank); err != nil {
-		return m, fmt.Errorf("rows: %w", err)
-	}
-	if m.colBits, err = log2(p.ColsPerRow); err != nil {
-		return m, fmt.Errorf("cols: %w", err)
-	}
-	return m, nil
-}
-
-// Bits returns the number of meaningful physical address bits.
-func (m Mapper) Bits() uint {
-	return 6 + m.chanBits + m.rankBits + m.bankBits + m.rowBits + m.colBits
-}
-
-// Decode splits a physical address into DRAM coordinates.
-func (m Mapper) Decode(phys uint64) dram.Address {
-	line := phys >> 6
-	take := func(bits uint) int {
-		v := int(line & ((1 << bits) - 1))
-		line >>= bits
-		return v
-	}
-	var a dram.Address
-	switch m.IV {
-	case RowColRankBank:
-		a.Bank = take(m.bankBits)
-		a.Rank = take(m.rankBits)
-		a.Channel = take(m.chanBits)
-		a.Col = take(m.colBits)
-	default: // RowRankBankCol
-		a.Col = take(m.colBits)
-		a.Bank = take(m.bankBits)
-		a.Rank = take(m.rankBits)
-		a.Channel = take(m.chanBits)
-	}
-	a.Row = take(m.rowBits)
-	return a
-}
-
-// Encode is the inverse of Decode.
-func (m Mapper) Encode(a dram.Address) uint64 {
-	var line uint64
-	var shift uint
-	put := func(v int, bits uint) {
-		line |= uint64(v) << shift
-		shift += bits
-	}
-	switch m.IV {
-	case RowColRankBank:
-		put(a.Bank, m.bankBits)
-		put(a.Rank, m.rankBits)
-		put(a.Channel, m.chanBits)
-		put(a.Col, m.colBits)
-	default:
-		put(a.Col, m.colBits)
-		put(a.Bank, m.bankBits)
-		put(a.Rank, m.rankBits)
-		put(a.Channel, m.chanBits)
-	}
-	put(a.Row, m.rowBits)
-	return line << 6
-}
 
 // PartitionKind is the spatial-partitioning policy of Section 4.
 type PartitionKind int

@@ -2,81 +2,9 @@ package addr
 
 import (
 	"testing"
-	"testing/quick"
 
 	"fsmem/internal/dram"
 )
-
-func mapperOrFatal(t *testing.T, iv Interleave) Mapper {
-	t.Helper()
-	m, err := NewMapper(dram.DDR3_1600(), iv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func TestMapperRejectsNonPowerOfTwo(t *testing.T) {
-	p := dram.DDR3_1600()
-	p.RanksPerChan = 6
-	if _, err := NewMapper(p, RowRankBankCol); err == nil {
-		t.Fatal("6 ranks should be rejected")
-	}
-	p = dram.DDR3_1600()
-	p.ColsPerRow = 0
-	if _, err := NewMapper(p, RowRankBankCol); err == nil {
-		t.Fatal("0 columns should be rejected")
-	}
-}
-
-func TestMapperBits(t *testing.T) {
-	m := mapperOrFatal(t, RowRankBankCol)
-	// 6 offset + 7 col + 3 bank + 3 rank + 0 chan + 16 row = 35 bits.
-	if got := m.Bits(); got != 35 {
-		t.Errorf("Bits = %d, want 35", got)
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	for _, iv := range []Interleave{RowRankBankCol, RowColRankBank} {
-		m := mapperOrFatal(t, iv)
-		check := func(rank, bank, row, col uint16) bool {
-			a := dram.Address{
-				Rank: int(rank) % m.P.RanksPerChan,
-				Bank: int(bank) % m.P.BanksPerRank,
-				Row:  int(row) % m.P.RowsPerBank,
-				Col:  int(col) % m.P.ColsPerRow,
-			}
-			return m.Decode(m.Encode(a)) == a
-		}
-		if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
-			t.Errorf("%v: %v", iv, err)
-		}
-	}
-}
-
-func TestInterleavePlacesConsecutiveLines(t *testing.T) {
-	// Under RowRankBankCol, consecutive lines walk columns of one row.
-	m := mapperOrFatal(t, RowRankBankCol)
-	a0 := m.Decode(0)
-	a1 := m.Decode(64)
-	if a1.Col != a0.Col+1 || a1.Bank != a0.Bank || a1.Row != a0.Row {
-		t.Errorf("row-major interleave broken: %v -> %v", a0, a1)
-	}
-	// Under RowColRankBank, consecutive lines switch banks.
-	m2 := mapperOrFatal(t, RowColRankBank)
-	b0 := m2.Decode(0)
-	b1 := m2.Decode(64)
-	if b1.Bank != b0.Bank+1 {
-		t.Errorf("bank interleave broken: %v -> %v", b0, b1)
-	}
-}
-
-func TestInterleaveString(t *testing.T) {
-	if RowRankBankCol.String() == "" || RowColRankBank.String() == "" || Interleave(99).String() == "" {
-		t.Error("empty interleave names")
-	}
-}
 
 func TestSpaceForRankPartitioning(t *testing.T) {
 	p := dram.DDR3_1600()

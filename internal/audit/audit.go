@@ -38,11 +38,9 @@ import (
 	"fsmem/internal/trace"
 )
 
-// Campaign defaults. BusHz is DDR3-1600's 800 MHz bus clock, matching
-// dram.DDR3_1600's timing grid; everything else is sized so a full
-// 8-scheduler audit stays interactive while keeping the statistics sound
-// (199 permutation rounds put the smallest reachable p-value at 0.005,
-// well under the 0.05 gate).
+// Campaign defaults, sized so a full 8-scheduler audit stays interactive
+// while keeping the statistics sound (199 permutation rounds put the
+// smallest reachable p-value at 0.005, well under the 0.05 gate).
 const (
 	DefaultDomains      = 4
 	DefaultBits         = 16
@@ -50,10 +48,15 @@ const (
 	DefaultSeeds        = 3
 	DefaultPermutations = 199
 	DefaultRounds       = 2
-	DefaultTopK         = 3
-	DefaultBusHz        = 800e6
 	// MIBins is the histogram resolution of the MI estimators.
 	MIBins = 16
+	// topK is how many of the best-ranked attacks each refinement round
+	// mutates.
+	topK = 3
+	// busHz is DDR3-1600's 800 MHz bus clock, matching dram.DDR3_1600's
+	// timing grid; certificates convert a window's BER into bits per
+	// second at this rate.
+	busHz = 800e6
 	// earlyExitExploit stops the adaptive search once an attack is this
 	// far from coin-flipping: the channel is already decisively broken
 	// open, further refinement cannot change the verdict.
@@ -74,14 +77,11 @@ type Options struct {
 	// re-run under.
 	Seeds        int
 	Permutations int
-	// Rounds bounds the adaptive refinement iterations; TopK attacks are
-	// refined per round.
+	// Rounds bounds the adaptive refinement iterations.
 	Rounds int
-	TopK   int
 	// Workers bounds the parallel fan-out (0 = GOMAXPROCS). Certificates
 	// are byte-identical for every value.
 	Workers int
-	BusHz   float64
 	// FaultPlan, when non-empty, names a fault.CampaignPlans plan
 	// injected into every window — the anti-vacuity hook.
 	FaultPlan string
@@ -141,12 +141,6 @@ func (o Options) withDefaults() Options {
 	if o.Rounds == 0 {
 		o.Rounds = DefaultRounds
 	}
-	if o.TopK == 0 {
-		o.TopK = DefaultTopK
-	}
-	if o.BusHz == 0 {
-		o.BusHz = DefaultBusHz
-	}
 	if o.FaultPlan == "" {
 		// A fault seed only means something alongside a fault plan; drop a
 		// dangling one so it can't differentiate otherwise-identical
@@ -168,8 +162,8 @@ func (o Options) validate() error {
 		return fsmerr.New(fsmerr.CodeConfig, "audit.Run", "need at least one certification seed, got %d", o.Seeds)
 	case o.Permutations < 19:
 		return fsmerr.New(fsmerr.CodeConfig, "audit.Run", "need at least 19 permutation rounds for a p < %.2f to be reachable, got %d", Alpha, o.Permutations)
-	case o.Rounds < 0 || o.TopK < 1:
-		return fsmerr.New(fsmerr.CodeConfig, "audit.Run", "invalid search shape: rounds %d, topK %d", o.Rounds, o.TopK)
+	case o.Rounds < 0:
+		return fsmerr.New(fsmerr.CodeConfig, "audit.Run", "search rounds must be non-negative, got %d", o.Rounds)
 	case o.Channels < 0:
 		return fsmerr.New(fsmerr.CodeConfig, "audit.Run", "channels must be non-negative, got %d", o.Channels)
 	case o.Channels > 1 && o.Routing == addr.RouteColored && o.Domains%o.Channels != 0:
@@ -320,11 +314,7 @@ func Run(ctx context.Context, k sim.SchedulerKind, o Options) (*LeakageCertifica
 			break // channel already decisively open; refinement can't change the verdict
 		}
 		var batch []Attack
-		top := o.TopK
-		if top > len(ranked) {
-			top = len(ranked)
-		}
-		for _, t := range ranked[:top] {
+		for _, t := range ranked[:min(topK, len(ranked))] {
 			for _, n := range Neighbors(t.attack, o.WindowBusCycles) {
 				if !seen[n.Name] {
 					seen[n.Name] = true
@@ -420,8 +410,8 @@ func Run(ctx context.Context, k sim.SchedulerKind, o Options) (*LeakageCertifica
 		MonitorViolations:  violations,
 		BestAttack:         best,
 		Stats:              stats,
-		CapacityBitsPerSec: Capacity(stats.BitErrorRate, best.WindowBusCycles, o.BusHz),
-		BusHz:              o.BusHz,
+		CapacityBitsPerSec: Capacity(stats.BitErrorRate, best.WindowBusCycles, busHz),
+		BusHz:              busHz,
 		Attacks:            attacks,
 	}
 	if o.Channels > 1 {

@@ -171,7 +171,7 @@ func TestOptionValidation(t *testing.T) {
 		{Domains: 1, Bits: 8, Seeds: 1, Permutations: 49, WindowBusCycles: 4096},
 		{Domains: 4, Bits: 8, Seeds: 1, Permutations: 5, WindowBusCycles: 4096},
 		{Domains: 4, Bits: 8, Seeds: 1, Permutations: 49, WindowBusCycles: -1},
-		{Domains: 4, Bits: 8, Seeds: 1, Permutations: 49, WindowBusCycles: 4096, TopK: -1},
+		{Domains: 4, Bits: 8, Seeds: 1, Permutations: 49, WindowBusCycles: 4096, Rounds: -1},
 	}
 	for i, o := range cases {
 		if _, err := Run(context.Background(), sim.FSNoPart, o); fsmerr.CodeOf(err) != fsmerr.CodeConfig {

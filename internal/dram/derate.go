@@ -22,9 +22,6 @@ type Derate struct {
 	TWTR int
 }
 
-// IsZero reports whether the derate changes no constraint.
-func (d Derate) IsZero() bool { return d == Derate{} }
-
 // SetDerate installs additive timing margins for one rank. Rank -1 applies
 // the derate to every rank. Derating after commands have been issued only
 // affects constraints checked from then on.

@@ -138,9 +138,6 @@ func (m *Monitor) ApplyDerates(ds []RankDerate) {
 // check against.
 func (m *Monitor) EnableScheduleCheck() { m.scheduleCheck = true }
 
-// ScheduleChecked reports whether schedule matching is active.
-func (m *Monitor) ScheduleChecked() bool { return m.scheduleCheck }
-
 func (m *Monitor) violation(e *fsmerr.Error) {
 	if len(m.rep.Violations) < maxStoredViolations {
 		m.rep.Violations = append(m.rep.Violations, e)

@@ -33,8 +33,8 @@ const (
 	CodeQueue Code = "queue"
 	// CodeDrain: a controller drain (SLA reconfiguration) did not complete.
 	CodeDrain Code = "drain"
-	// CodeTruncated: a run stopped on a watchdog (cycle or wall-clock
-	// budget) before reaching its target.
+	// CodeTruncated: a run stopped on the max-cycle watchdog before
+	// reaching its target.
 	CodeTruncated Code = "truncated"
 	// CodeExperiment: a figure or ablation could not be regenerated.
 	CodeExperiment Code = "experiment"

@@ -223,38 +223,17 @@ func MutualInformationBits(class0, class1 []float64, bins int) float64 {
 	if bins <= 0 || len(class0) == 0 || len(class1) == 0 {
 		return 0
 	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, xs := range [][]float64{class0, class1} {
-		for _, x := range xs {
-			lo = math.Min(lo, x)
-			hi = math.Max(hi, x)
-		}
+	c0, c1, ok := histogram2(class0, class1, bins)
+	if !ok {
+		return 0 // all observations identical: the channel is provably silent
 	}
-	if hi <= lo {
-		// All observations identical: the channel is provably silent.
-		return 0
-	}
-	width := (hi - lo) / float64(bins)
-	hist := func(xs []float64) []float64 {
-		h := make([]float64, bins)
-		for _, x := range xs {
-			i := int((x - lo) / width)
-			if i >= bins {
-				i = bins - 1
-			}
-			h[i]++
-		}
-		for i := range h {
-			h[i] /= float64(len(xs))
-		}
-		return h
-	}
-	h0, h1 := hist(class0), hist(class1)
+	n0, n1 := float64(len(class0)), float64(len(class1))
 	// Equal class priors.
 	mi := 0.0
 	for i := 0; i < bins; i++ {
-		m := (h0[i] + h1[i]) / 2
-		for _, p := range []float64{h0[i], h1[i]} {
+		p0, p1 := float64(c0[i])/n0, float64(c1[i])/n1
+		m := (p0 + p1) / 2
+		for _, p := range []float64{p0, p1} {
 			if p > 0 && m > 0 {
 				mi += 0.5 * p * math.Log2(p/m)
 			}

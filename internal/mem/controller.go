@@ -336,9 +336,6 @@ func (c *Controller) NextPrefetch(domain int) (dram.Address, bool) {
 // that reaches the bus afterwards is shadowed through it.
 func (c *Controller) AttachMonitor(m *fault.Monitor) { c.mon = m }
 
-// Monitor returns the attached runtime monitor, or nil.
-func (c *Controller) Monitor() *fault.Monitor { return c.mon }
-
 // AttachInjector installs a command-stream fault injector between the
 // scheduler and the channel.
 func (c *Controller) AttachInjector(in *fault.Injector) { c.inj = in }

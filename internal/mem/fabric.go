@@ -42,14 +42,8 @@ func NewFabric(ctls []*Controller, routing chanaddr.Routing, domains int) *Fabri
 // Channels returns the fabric width.
 func (f *Fabric) Channels() int { return len(f.ctls) }
 
-// Controller returns channel c's controller.
-func (f *Fabric) Controller(c int) *Controller { return f.ctls[c] }
-
 // Controllers returns the per-channel controllers in channel order.
 func (f *Fabric) Controllers() []*Controller { return f.ctls }
-
-// Routing returns the fabric's routing policy.
-func (f *Fabric) Routing() chanaddr.Routing { return f.routing }
 
 // ChannelOf computes the channel a request from the given global domain
 // for the given address routes to.

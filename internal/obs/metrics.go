@@ -30,9 +30,6 @@ type Counter struct{ n int64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.n++ }
 
-// Add adds d.
-func (c *Counter) Add(d int64) { c.n += d }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n }
 

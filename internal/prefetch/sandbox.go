@@ -9,12 +9,11 @@ package prefetch
 import "fsmem/internal/dram"
 
 const (
-	bloomBits    = 2048
-	evalPeriod   = 256  // demand observations per sandbox evaluation
-	scoreFrac    = 0.25 // promotion threshold: fraction of covered misses
-	maxActive    = 4    // promoted offsets kept live
-	maxQueue     = 4    // "a few-entry prefetch queue beside each transaction queue"
-	demotePeriod = 16   // re-evaluate one active offset every N periods
+	bloomBits  = 2048
+	evalPeriod = 256  // demand observations per sandbox evaluation
+	scoreFrac  = 0.25 // promotion threshold: fraction of covered misses
+	maxActive  = 4    // promoted offsets kept live
+	maxQueue   = 4    // "a few-entry prefetch queue beside each transaction queue"
 )
 
 var candidateOffsets = []int{1, -1, 2, -2, 3, -3, 4, -4, 8, -8}
@@ -51,14 +50,12 @@ type activeOffset struct {
 type Sandbox struct {
 	geom dram.Params
 
-	sandbox   bloom
-	candIdx   int // index into candidateOffsets under evaluation
-	trials    int
-	score     int
-	periods   int
-	active    []activeOffset
-	queue     []dram.Address
-	lastAddrs []dram.Address // recent demand addresses for generation
+	sandbox bloom
+	candIdx int // index into candidateOffsets under evaluation
+	trials  int
+	score   int
+	active  []activeOffset
+	queue   []dram.Address
 }
 
 // New builds a sandbox prefetcher for the given DRAM geometry.
@@ -121,7 +118,6 @@ func (s *Sandbox) finishPeriod() {
 	s.score, s.trials = 0, 0
 	s.sandbox.reset()
 	s.candIdx = (s.candIdx + 1) % len(candidateOffsets)
-	s.periods++
 }
 
 func (s *Sandbox) promote(off, score int) {

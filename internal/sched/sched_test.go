@@ -138,13 +138,6 @@ func TestTPModeParameters(t *testing.T) {
 	if got := TPNoPartitioning.Reserve(p); got != 43 {
 		t.Errorf("NP reserve = %d, want 43", got)
 	}
-	// Figure 5 turn lengths, in bus cycles (x4 = the paper's CPU cycles).
-	if got := TPBankPartitioned.TurnLengths(p); got[0] != 15 || got[1] != 25 || got[2] != 39 {
-		t.Errorf("BP turns = %v, want [15 25 39]", got)
-	}
-	if got := TPNoPartitioning.TurnLengths(p); got[0] != 43 || got[1] != 53 || got[2] != 67 {
-		t.Errorf("NP turns = %v, want [43 53 67]", got)
-	}
 	if TPBankPartitioned.String() == TPNoPartitioning.String() {
 		t.Error("mode names collide")
 	}

@@ -51,13 +51,6 @@ func (m TPMode) Reserve(p dram.Params) int64 {
 // 15 bus cycles for BP, 172 CPU = 43 bus cycles for NP).
 func (m TPMode) MinTurnLength(p dram.Params) int64 { return m.Reserve(p) }
 
-// TurnLengths returns the Figure 5 sweep for the mode, in bus cycles
-// (the paper labels them in CPU cycles: BP 60/100/156, NP 172/212/268).
-func (m TPMode) TurnLengths(p dram.Params) []int64 {
-	r := m.Reserve(p)
-	return []int64{r, r + 10, r + 24}
-}
-
 // IntraSpacing is the minimum gap between transaction starts of the same
 // thread within one turn ("multiple requests from a thread can be issued
 // before finally having a 15-cycle gap and switching to the next thread",

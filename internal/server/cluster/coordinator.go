@@ -44,8 +44,6 @@ type Options struct {
 	// determinism as a distributed integrity check. Sampling is
 	// deterministic per job ID. 0 disables verification.
 	VerifySample float64
-	// Vnodes is the virtual-node count per ring member (0 = 64).
-	Vnodes int
 	// CacheEntries bounds the coordinator's local LRU over fetched
 	// result documents (0 = 1024); cached jobs are re-served locally
 	// without touching the fleet.
@@ -144,7 +142,7 @@ func New(o Options) (*Coordinator, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
-	c.members = newRegistry(o.HeartbeatInterval, o.FailAfter, o.Window, o.Vnodes, o.newClient)
+	c.members = newRegistry(o.HeartbeatInterval, o.FailAfter, o.Window, o.newClient)
 	for _, w := range o.Workers {
 		if w == "" {
 			continue

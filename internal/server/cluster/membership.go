@@ -99,7 +99,7 @@ type Registry struct {
 }
 
 // newRegistry builds the registry and starts its heartbeat loop.
-func newRegistry(interval time.Duration, failAfter, window, vnodes int, newClient func(string) *client.Client) *Registry {
+func newRegistry(interval time.Duration, failAfter, window int, newClient func(string) *client.Client) *Registry {
 	if newClient == nil {
 		newClient = func(name string) *client.Client { return client.New(name, nil) }
 	}
@@ -109,7 +109,7 @@ func newRegistry(interval time.Duration, failAfter, window, vnodes int, newClien
 		failAfter: failAfter,
 		window:    window,
 		newClient: newClient,
-		ring:      NewRing(vnodes),
+		ring:      NewRing(),
 		members:   map[string]*Member{},
 		hbCtx:     ctx,
 		hbCancel:  cancel,

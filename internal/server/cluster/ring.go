@@ -30,10 +30,10 @@ import (
 	"sort"
 )
 
-// defaultVnodes is the virtual-node count per member: enough that a
+// vnodes is the virtual-node count per member: enough that a
 // three-worker fleet splits load roughly evenly, cheap enough that a
 // membership change rebuilds the ring in microseconds.
-const defaultVnodes = 64
+const vnodes = 64
 
 // Ring is a consistent-hash ring over member names. It is a pure value:
 // rebuilding a ring from the same member set — in any insertion order,
@@ -41,7 +41,6 @@ const defaultVnodes = 64
 // coordinator's placement reproducible across restarts. Not safe for
 // concurrent mutation; the membership registry guards it.
 type Ring struct {
-	vnodes int
 	points []ringPoint // sorted by hash
 }
 
@@ -50,14 +49,8 @@ type ringPoint struct {
 	member string
 }
 
-// NewRing builds an empty ring with the given virtual-node count per
-// member (0 = 64).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
-	return &Ring{vnodes: vnodes}
-}
+// NewRing builds an empty ring.
+func NewRing() *Ring { return &Ring{} }
 
 func hash64(s string) uint64 {
 	h := fnv.New64a()
@@ -73,7 +66,7 @@ func (r *Ring) Add(member string) {
 			return
 		}
 	}
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < vnodes; i++ {
 		r.points = append(r.points, ringPoint{hash64(fmt.Sprintf("%s#%d", member, i)), member})
 	}
 	sort.Slice(r.points, func(i, j int) bool {

@@ -35,7 +35,7 @@ func TestRingDeterministic(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a, b := NewRing(0), NewRing(0)
+			a, b := NewRing(), NewRing()
 			for _, m := range tc.orderA {
 				a.Add(m)
 			}
@@ -69,7 +69,7 @@ func TestRingRebalance(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := NewRing(0)
+			r := NewRing()
 			var members []string
 			for i := 0; i < tc.members; i++ {
 				m := fmt.Sprintf("http://worker-%d:8377", i)
@@ -125,7 +125,7 @@ func TestRingRebalance(t *testing.T) {
 // TestRingLookupOrder pins the retry/steal walk: distinct members, the
 // owner first, stable length.
 func TestRingLookupOrder(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	members := []string{"w1", "w2", "w3", "w4"}
 	for _, m := range members {
 		r.Add(m)
@@ -149,7 +149,7 @@ func TestRingLookupOrder(t *testing.T) {
 	if got := r.Lookup("anything", 2); len(got) != 2 {
 		t.Fatalf("Lookup n=2 returned %d members", len(got))
 	}
-	if NewRing(0).Owner("k") != "" || NewRing(0).Lookup("k", 3) != nil {
+	if NewRing().Owner("k") != "" || NewRing().Lookup("k", 3) != nil {
 		t.Fatal("empty ring must route nowhere")
 	}
 }

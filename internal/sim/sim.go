@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"fsmem/internal/addr"
 	"fsmem/internal/core"
@@ -149,15 +148,9 @@ type Config struct {
 	// faults did in Result.Monitor.
 	Fault *fault.Plan
 
-	// WallClockBudget bounds the real time one run may take (0 = none).
-	// When exceeded the run stops early with Result.Truncated set rather
-	// than hanging the caller.
-	WallClockBudget time.Duration
-
 	// StreamFactory, when non-nil, overrides the synthetic workload
 	// generator for each domain — e.g. to drive the system from a recorded
-	// trace or a cache-filtered pre-LLC stream. The mix still provides the
-	// domain count and labels.
+	// trace. The mix still provides the domain count and labels.
 	StreamFactory func(domain int, space addr.Space, seed uint64) trace.Stream
 
 	// TargetReads stops the run once this many demand reads completed
@@ -211,7 +204,7 @@ type Result struct {
 	Monitor *fault.Report
 
 	// Truncated is set when the run stopped on the max-cycle watchdog or
-	// the wall-clock budget instead of reaching TargetReads; the statistics
+	// a canceled context instead of reaching TargetReads; the statistics
 	// are partial but internally consistent.
 	Truncated      bool
 	TruncateReason string
@@ -883,16 +876,16 @@ func (s *System) totalReads() int64 {
 	return n
 }
 
-// Run executes until TargetReads demand reads completed, the max-cycle
-// watchdog, or the wall-clock budget, and returns the collected
-// statistics. A watchdog stop yields a partial Result with Truncated set
-// instead of an error: the statistics up to the stop are still valid.
+// Run executes until TargetReads demand reads completed or the max-cycle
+// watchdog fires, and returns the collected statistics. A watchdog stop yields
+// a partial Result with Truncated set instead of an error: the statistics
+// up to the stop are still valid.
 func (s *System) Run() Result { return s.RunContext(context.Background()) }
 
-// RunContext is Run with cooperative cancellation: the context is polled on
-// the same cadence as the wall-clock watchdog, so a canceled sweep cell
-// stops within a few thousand bus cycles instead of stalling its worker
-// pool. Cancellation truncates the run exactly like a watchdog stop.
+// RunContext is Run with cooperative cancellation: the context is polled
+// once per 8192-bus-cycle window, so a canceled sweep cell stops within a
+// few thousand bus cycles instead of stalling its worker pool.
+// Cancellation truncates the run exactly like a watchdog stop.
 func (s *System) RunContext(ctx context.Context) Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -903,12 +896,11 @@ func (s *System) RunContext(ctx context.Context) Result {
 	}
 	ff := !s.dense
 	var reason string
-	start := time.Now()
-	// The watchdog/cancellation poll fires once per 8192-cycle window. The
-	// dense loop lands exactly on each multiple of 8192; a fast-forward jump
-	// may overshoot one, in which case the poll runs at the first cycle past
-	// it — same cadence, and only truncation timing (inherently wall-clock-
-	// dependent) can observe the difference.
+	// The cancellation poll fires once per 8192-cycle window. The dense
+	// loop lands exactly on each multiple of 8192; a fast-forward jump may
+	// overshoot one, in which case the poll runs at the first cycle past
+	// it — same cadence, and only cancellation timing (inherently
+	// wall-clock-dependent) can observe the difference.
 	var nextPoll int64
 loop:
 	for {
@@ -924,11 +916,6 @@ loop:
 		}
 		if s.clock >= nextPoll {
 			nextPoll = s.clock - s.clock%8192 + 8192
-			if s.cfg.WallClockBudget > 0 && time.Since(start) > s.cfg.WallClockBudget {
-				reason = fmt.Sprintf("wall-clock budget %v exhausted at bus cycle %d",
-					s.cfg.WallClockBudget, s.clock)
-				break
-			}
 			select {
 			case <-ctx.Done():
 				reason = fmt.Sprintf("context canceled at bus cycle %d: %v", s.clock, ctx.Err())
