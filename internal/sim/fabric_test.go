@@ -102,6 +102,61 @@ func TestColoredFabricMatchesLegacyProduct(t *testing.T) {
 	}
 }
 
+// TestColoredTruncationPerChannel: when one colored channel meets its
+// read target and the other runs into the watchdog, only the starved
+// channel's Result is truncated, every per-channel Result still equals
+// its standalone run, and the merged Result carries the watchdog's
+// reason and the full cycle span. Both channel orders are checked.
+func TestColoredTruncationPerChannel(t *testing.T) {
+	const target, limit = 400, 150_000
+	busy, quiet := workload.Synthetic("busy", 30), workload.Synthetic("quiet", 0.01)
+	block := func(p workload.Profile) []workload.Profile {
+		return []workload.Profile{p, p, p, p}
+	}
+	for _, starved := range []int{0, 1} {
+		t.Run(fmt.Sprintf("starved-ch%d", starved), func(t *testing.T) {
+			mix := workload.Mix{Name: "lopsided", Profiles: append(block(busy), block(quiet)...)}
+			if starved == 0 {
+				mix.Profiles = append(block(quiet), block(busy)...)
+			}
+			cfg := DefaultConfig(mix, FSRankPart)
+			cfg.TargetReads = target
+			cfg.MaxBusCycles = limit
+			want := legacyProduct(t, cfg, 2)
+
+			cfg.Channels = 2
+			cfg.Routing = addr.RouteColored
+			got, err := Simulate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			watchdog := fmt.Sprintf("max-cycle watchdog: %d bus cycles without reaching %d reads", limit, target)
+			for c, w := range want {
+				if !reflect.DeepEqual(got.PerChannel[c], w) {
+					t.Errorf("channel %d result diverges from its standalone run:\n got %+v\nwant %+v",
+						c, got.PerChannel[c].Run, w.Run)
+				}
+				r := got.PerChannel[c]
+				if c == starved {
+					if !r.Truncated || r.TruncateReason != watchdog || r.Run.BusCycles != limit {
+						t.Errorf("starved channel %d: truncated %v (%q) at cycle %d, want the watchdog at %d",
+							c, r.Truncated, r.TruncateReason, r.Run.BusCycles, limit)
+					}
+				} else if r.Truncated || r.TruncateReason != "" || r.Run.BusCycles >= limit {
+					t.Errorf("busy channel %d: truncated %v (%q) at cycle %d, want its target met before %d",
+						c, r.Truncated, r.TruncateReason, r.Run.BusCycles, limit)
+				}
+			}
+			if !got.Truncated || got.TruncateReason != watchdog {
+				t.Errorf("merged truncation (%v, %q), want (true, %q)", got.Truncated, got.TruncateReason, watchdog)
+			}
+			if got.Run.BusCycles != limit {
+				t.Errorf("merged BusCycles = %d, want %d", got.Run.BusCycles, limit)
+			}
+		})
+	}
+}
+
 // TestSimulateChannelsTargetSystem runs the paper's Section 6 target
 // system: 32 cores over 4 colored channels, each channel running FS_RP
 // across its 8 domains.
