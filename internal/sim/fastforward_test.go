@@ -208,8 +208,8 @@ func TestReconfigureDenseEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sys[0].clock != sys[1].clock || sys[1].clock <= 20_000 {
-		t.Fatalf("drains ended at bus cycles %d (dense) and %d: want equal and past 20000", sys[0].clock, sys[1].clock)
+	if a, b := sys[0].lanes[0].clock, sys[1].lanes[0].clock; a != b || b <= 20_000 {
+		t.Fatalf("drains ended at bus cycles %d (dense) and %d: want equal and past 20000", a, b)
 	}
 	sameRetired("after the drain")
 	diffResults(t, sys[0].Run(), sys[1].Run(), true)
@@ -456,7 +456,7 @@ func TestNextEventNeverLate(t *testing.T) {
 				// but a fully drained TP system would make the test vacuous.
 				if i%512 == 0 {
 					for cc := 0; cc < 8*s.cfg.DRAM.CPUCyclesPerBusCycle; cc++ {
-						for _, c := range s.liveCores {
+						for _, c := range s.lanes[0].cores {
 							c.Cycle()
 						}
 					}

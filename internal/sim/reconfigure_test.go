@@ -153,11 +153,11 @@ func TestReconfigureRejectsBadWeights(t *testing.T) {
 				t.Errorf("error code %q, want %q (%v)", fsmerr.CodeOf(err), fsmerr.CodeConfig, err)
 			}
 			// The old schedule must keep serving reads after the rejection.
-			before := sys.totalReads()
+			before := sys.lanes[0].reads()
 			for i := 0; i < 4000; i++ {
 				sys.Step()
 			}
-			if sys.totalReads() <= before {
+			if sys.lanes[0].reads() <= before {
 				t.Fatal("system stopped serving reads after a rejected reconfiguration")
 			}
 		})

@@ -1,9 +1,10 @@
 // Package sim assembles the full system: one core per security domain
-// driving a synthetic workload through a ROB model, N memory channels —
+// driving a synthetic workload through a ROB model, and N memory channels —
 // each a controller with a pluggable scheduling policy over the
-// cycle-accurate DRAM channel — and one master clock. The clock loop ticks
-// in DRAM bus cycles; cores run CPUCyclesPerBusCycle CPU cycles per tick
-// (4 at 3.2 GHz / DDR3-1600). One channel is simply the N=1 case.
+// cycle-accurate DRAM channel — grouped into lanes, each stepped by its own
+// clock. The clock loop ticks in DRAM bus cycles; cores run
+// CPUCyclesPerBusCycle CPU cycles per tick (4 at 3.2 GHz / DDR3-1600). One
+// channel is simply the N=1 case.
 package sim
 
 import (
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"sync"
 
 	"fsmem/internal/addr"
 	"fsmem/internal/core"
@@ -103,10 +105,12 @@ type Config struct {
 
 	// Channels selects the memory-fabric width: how many independent
 	// channel controllers the system instantiates, each with its own
-	// scheduler instance and clock. 0 defers to DRAM.Channels (1 in the
-	// stock geometries); both >1 and disagreeing is a configuration
-	// error. One channel is the 1-wide case of the same loop and is
-	// byte-identical to the pre-fabric single-controller simulator.
+	// scheduler instance. 0 defers to DRAM.Channels (1 in the stock
+	// geometries); both >1 and disagreeing is a configuration error. One
+	// channel is the 1-wide case of the same loop and is byte-identical to
+	// the pre-fabric single-controller simulator. Interleaved channels
+	// share one clock; colored channels are independent lanes, each with
+	// its own clock, which Run steps concurrently.
 	Channels int
 	// Routing selects how requests map to channels when Channels > 1:
 	// addr.RouteColored page-colors contiguous domain blocks onto
@@ -150,7 +154,11 @@ type Config struct {
 
 	// StreamFactory, when non-nil, overrides the synthetic workload
 	// generator for each domain — e.g. to drive the system from a recorded
-	// trace. The mix still provides the domain count and labels.
+	// trace. The mix still provides the domain count and labels. Streams
+	// of different colored channels are read concurrently, so the streams
+	// a factory returns must not share mutable state across domains
+	// (memsim's trace replay gives each domain its own SliceStream over
+	// its own copy of the trace).
 	StreamFactory func(domain int, space addr.Space, seed uint64) trace.Stream
 
 	// TargetReads stops the run once this many demand reads completed
@@ -241,33 +249,13 @@ type spikeState struct {
 }
 
 // simChannel is one memory channel: a controller with its own scheduler
-// instance, monitor and fault injector and — under blocked routing (one
-// channel, or colored) — the cores and queue-pressure spikes of its own
-// domain block, which issue straight to the controller with
-// channel-local domain ids.
+// instance, monitor and fault injector.
 type simChannel struct {
 	name string // Result workload label: the mix name, or "mix-ch2" in a fabric
 	ctl  *mem.Controller
 	fs   *core.FS
 	mon  *fault.Monitor
 	inj  *fault.Injector
-
-	cores  []*simCore
-	spikes []*spikeState
-
-	// frozen is set once a blocked channel's own domains complete the
-	// target demand reads: the channel stops ticking exactly where the
-	// standalone run of the same block would stop.
-	frozen bool
-}
-
-// reads sums the channel's completed demand reads.
-func (ch *simChannel) reads() int64 {
-	var n int64
-	for d := range ch.ctl.Dom {
-		n += ch.ctl.Dom[d].Reads
-	}
-	return n
 }
 
 // simCore is one core under event-driven stepping (DESIGN.md §13): Step
@@ -294,37 +282,50 @@ func (c *simCore) plan() {
 	}
 }
 
-// System is one assembled simulation: N channels stepped in lockstep by
-// one master clock.
-type System struct {
-	cfg    Config
-	chans  []*simChannel
-	fabric *mem.Fabric // nil with one channel
-	dense  bool        // the reference loop: Config.DenseLoop or FSMEM_DENSE
-	cpb    int64       // CPU cycles per bus cycle
-
-	// Interleaved routing only: global cores and spikes issue through the
-	// fabric, and coreStats keeps the cores' CPU-side statistics (each
-	// channel's controller keeps the memory-side fields of the traffic it
-	// serviced).
-	cores     []*simCore
-	spikes    []*spikeState
-	coreStats []stats.Domain
-
-	// The channels still ticking, and the cores and spikes they drive
-	// followed by the global ones. Rebuilt only when a channel freezes, so
-	// the per-cycle loops never test a frozen flag.
-	live       []*simChannel
-	liveCores  []*simCore
-	liveSpikes []*spikeState
-	clock      int64 // master bus-cycle clock
-	coreNext   int64 // earliest next interaction of a live core (CPU cycle)
-
+// lane is the unit the kernel loop runs: the channels one clock steps in
+// lockstep, plus the cores and queue-pressure spikes that issue to them.
+// A single channel is one lane, an interleaved fabric is one lane holding
+// every channel (its cores issue through mem.Fabric), and a colored
+// N-channel fabric is N lanes, one per channel, whose cores issue straight
+// to their controller with channel-local domain ids. Lanes share no
+// mutable state, so RunContext runs a multi-lane system's lanes
+// concurrently. Each lane is allocated on its own.
+type lane struct {
+	// Written on every cycle the lane runs.
+	clock    int64 // bus-cycle clock
+	coreNext int64 // earliest next interaction of a core (CPU cycle)
 	// Fast-forward kernel accounting (see FastForward). Deliberately kept
 	// out of the obs snapshot: Results must stay byte-identical between
 	// dense and fast-forward runs, and these counters differ by definition.
 	ffJumps   int64
 	ffSkipped int64
+
+	chans  []*simChannel
+	cores  []*simCore
+	spikes []*spikeState
+	dense  bool  // the reference loop: Config.DenseLoop or FSMEM_DENSE
+	cpb    int64 // CPU cycles per bus cycle
+
+	// reason says why the last run stopped short of its read target (the
+	// watchdog or cancellation); empty when it did not.
+	reason string
+
+	// Keeps the per-cycle fields of two lanes allocated back to back off
+	// a shared cache line.
+	_ [64]byte
+}
+
+// System is one assembled simulation: N channels in one or more lanes.
+type System struct {
+	cfg    Config
+	chans  []*simChannel // every channel, in channel order
+	lanes  []*lane       // one per channel, or one for an interleaved fabric
+	fabric *mem.Fabric   // nil with one channel
+
+	// Interleaved routing only: coreStats keeps the cores' CPU-side
+	// statistics (each channel's controller keeps the memory-side fields of
+	// the traffic it serviced).
+	coreStats []stats.Domain
 }
 
 // New builds the system. It validates the configuration, builds every
@@ -356,42 +357,53 @@ func New(cfg Config) (*System, error) {
 		per = domains
 	}
 
-	s := &System{cfg: cfg, dense: cfg.DenseLoop || envDense, cpb: int64(cfg.DRAM.CPUCyclesPerBusCycle)}
+	s := &System{cfg: cfg, chans: make([]*simChannel, n), lanes: make([]*lane, 0, n)}
 	ctls := make([]*mem.Controller, n)
-	for c := range ctls {
-		seed := cfg.Seed + uint64(c)*channelSeedStride
-		ch, err := newChannel(cfg, c, n, per, seed)
+	for c := range s.chans {
+		ch, err := newChannel(cfg, c, n, per, cfg.Seed+uint64(c)*channelSeedStride)
 		if err != nil {
 			return nil, err
 		}
-		if !interleaved {
-			// Each blocked channel runs the full fault plan against its own
-			// block and draws its stream seeds from its own RNG — exactly
-			// the standalone run of that block.
-			if ch.spikes, err = newSpikes(cfg, per, ch.ctl); err != nil {
-				return nil, err
-			}
-			if ch.cores, err = s.newCores(c*per, per, seed, ch.ctl, ch.ctl.Dom); err != nil {
-				return nil, err
-			}
-		}
-		ctls[c] = ch.ctl
-		s.chans = append(s.chans, ch)
+		s.chans[c], ctls[c] = ch, ch.ctl
 	}
 	if n > 1 {
 		s.fabric = mem.NewFabric(ctls, cfg.Routing, domains)
 	}
 	if interleaved {
+		// One lane: every core issues through the fabric.
 		s.coreStats = make([]stats.Domain, domains)
-		if s.spikes, err = newSpikes(cfg, domains, s.fabric); err != nil {
+		if err := s.addLane(s.chans, 0, domains, cfg.Seed, s.fabric, s.coreStats); err != nil {
 			return nil, err
 		}
-		if s.cores, err = s.newCores(0, domains, cfg.Seed, s.fabric, s.coreStats); err != nil {
+		return s, nil
+	}
+	// One lane per channel. Each blocked channel runs the full fault plan
+	// against its own block and draws its stream seeds from its own RNG —
+	// exactly the standalone run of that block.
+	for c, ch := range s.chans {
+		seed := cfg.Seed + uint64(c)*channelSeedStride
+		if err := s.addLane(s.chans[c:c+1], c*per, per, seed, ch.ctl, ch.ctl.Dom); err != nil {
 			return nil, err
 		}
 	}
-	s.rebuildLive()
 	return s, nil
+}
+
+// addLane appends a lane stepping chans, with the queue-pressure spikes
+// and the cores of the n-domain block starting at global domain first,
+// all issuing through m (newCores says how seed and st are used).
+func (s *System) addLane(chans []*simChannel, first, n int, seed uint64, m cpu.Memory, st []stats.Domain) error {
+	l := &lane{chans: chans, dense: s.cfg.DenseLoop || envDense, cpb: int64(s.cfg.DRAM.CPUCyclesPerBusCycle)}
+	var err error
+	if l.spikes, err = newSpikes(s.cfg, n, m); err != nil {
+		return err
+	}
+	if l.cores, err = l.newCores(s.cfg, first, n, seed, m, st); err != nil {
+		return err
+	}
+	l.coreNext = l.earliestCore()
+	s.lanes = append(s.lanes, l)
+	return nil
 }
 
 // newChannel builds channel c of n: its scheduling policy (seeded per
@@ -498,13 +510,12 @@ func newSpikes(cfg Config, domains int, m cpu.Memory) ([]*spikeState, error) {
 	return out, nil
 }
 
-// newCores builds the cores of the n-domain block starting at global
-// domain first. Stream seeds are drawn in local-domain order from an RNG
-// seeded with seed; each core issues through m under its local domain id
-// and counts into st. Outside the dense loop each core plans its first
-// interaction and syncs on its read completions.
-func (s *System) newCores(first, n int, seed uint64, m cpu.Memory, st []stats.Domain) ([]*simCore, error) {
-	cfg := s.cfg
+// newCores builds the lane's cores for the n-domain block starting at
+// global domain first. Stream seeds are drawn in local-domain order from
+// an RNG seeded with seed; each core issues through m under its local
+// domain id and counts into st. Outside the dense loop each core plans its
+// first interaction and syncs on its read completions.
+func (l *lane) newCores(cfg Config, first, n int, seed uint64, m cpu.Memory, st []stats.Domain) ([]*simCore, error) {
 	rng := trace.NewRNG(seed)
 	cores := make([]*simCore, n)
 	for d := range cores {
@@ -520,8 +531,8 @@ func (s *System) newCores(first, n int, seed uint64, m cpu.Memory, st []stats.Do
 			stream = workload.NewGenerator(cfg.Mix.Profiles[first+d], space, cfg.DRAM, seed)
 		}
 		c := &simCore{Core: cpu.NewCore(d, cfg.Fault.StreamFor(d, stream), m, &st[d])}
-		if !s.dense {
-			c.Sync = func() { s.completed(c) }
+		if !l.dense {
+			c.Sync = func() { l.completed(c) }
 			c.plan()
 		}
 		cores[d] = c
@@ -553,39 +564,24 @@ func (cfg Config) channels() (int, error) {
 	return n, nil
 }
 
-// rebuildLive recomputes the live channel, core and spike lists from the
-// channels' frozen flags.
-func (s *System) rebuildLive() {
-	s.live, s.liveCores, s.liveSpikes = s.live[:0], s.liveCores[:0], s.liveSpikes[:0]
-	for _, ch := range s.chans {
-		if !ch.frozen {
-			s.live = append(s.live, ch)
-			s.liveCores = append(s.liveCores, ch.cores...)
-			s.liveSpikes = append(s.liveSpikes, ch.spikes...)
-		}
-	}
-	s.liveCores = append(s.liveCores, s.cores...)
-	s.liveSpikes = append(s.liveSpikes, s.spikes...)
-	s.coreNext = s.earliestCore()
-}
-
-// earliestCore returns the earliest planned interaction of a live core.
-func (s *System) earliestCore() int64 {
+// earliestCore returns the earliest planned interaction of the lane's
+// cores.
+func (l *lane) earliestCore() int64 {
 	next := cpu.Forever
-	for _, c := range s.liveCores {
+	for _, c := range l.cores {
 		next = min(next, c.next)
 	}
 	return next
 }
 
-// syncCores brings cores up to the master clock. Readers of core
-// statistics call it first; under the dense loop cores are never behind.
-func (s *System) syncCores(cores ...*simCore) {
-	if s.dense {
+// sync brings cores up to the lane's clock. Readers of core statistics
+// call it first; under the dense loop cores are never behind.
+func (l *lane) sync(cores ...*simCore) {
+	if l.dense {
 		return
 	}
 	for _, c := range cores {
-		c.advance(s.clock * s.cpb)
+		c.advance(l.clock * l.cpb)
 	}
 }
 
@@ -593,11 +589,11 @@ func (s *System) syncCores(cores ...*simCore) {
 // marked done: the cycles c owes ran while the read was outstanding, so
 // they are applied first. The completion may let c retire and fetch, so
 // it runs the current bus cycle's first CPU cycle and replans.
-func (s *System) completed(c *simCore) {
-	t := s.clock * s.cpb
+func (l *lane) completed(c *simCore) {
+	t := l.clock * l.cpb
 	c.advance(t)
 	c.next = t
-	s.coreNext = min(s.coreNext, t)
+	l.coreNext = min(l.coreNext, t)
 }
 
 // Controller exposes the memory controller of a single-channel system
@@ -620,19 +616,19 @@ func (s *System) Channels() int { return len(s.chans) }
 // DomainInstructions returns the retired-instruction count of one global
 // security domain, independent of fabric mode: under blocked routing the
 // count lives in its channel's stats block, under interleaved routing in
-// the system-owned CPU-side accumulator. Probes (the leakage harness) use
-// this instead of reaching into Controller().Dom.
+// the system-owned CPU-side accumulator. The domain's core is first
+// brought up to its lane's clock. Probes (the leakage harness) use this
+// instead of reaching into Controller().Dom.
 func (s *System) DomainInstructions(domain int) int64 {
 	if s.coreStats != nil {
-		s.syncCores(s.cores[domain])
+		l := s.lanes[0]
+		l.sync(l.cores[domain])
 		return s.coreStats[domain].Instructions
 	}
-	per := len(s.cfg.Mix.Profiles) / len(s.chans)
-	ch, d := s.chans[domain/per], domain%per
-	if !ch.frozen {
-		s.syncCores(ch.cores[d]) // a frozen channel synced its cores as it froze
-	}
-	return ch.ctl.Dom[d].Instructions
+	per := len(s.cfg.Mix.Profiles) / len(s.lanes)
+	l, d := s.lanes[domain/per], domain%per
+	l.sync(l.cores[d])
+	return l.chans[0].ctl.Dom[d].Instructions
 }
 
 // Reconfigure performs the §5.1 SLA change: it drains the memory
@@ -666,8 +662,8 @@ func (s *System) Reconfigure(weights []int) error {
 	if _, err := core.NewFS(s.cfg.DRAM, newCfg); err != nil {
 		return fsmerr.Wrap(fsmerr.CodeConfig, "sim.Reconfigure", err)
 	}
-	// The drain ticks the controller alone; the master clock follows it.
-	defer func() { s.rebase(ctl.Cycle) }()
+	// The drain ticks the controller alone; the lane's clock follows it.
+	defer func() { s.lanes[0].rebase(ctl.Cycle) }()
 	// Drain in two phases: first let queued demand transactions finish
 	// under the old schedule (cores stalled), then quiesce slot planning so
 	// the pipeline itself empties.
@@ -710,48 +706,58 @@ func (s *System) Reconfigure(weights []int) error {
 	return nil
 }
 
-// rebase moves the master clock to cycle after the controller ran alone
+// rebase moves the lane's clock to cycle after its controller ran alone
 // (the Reconfigure drain) with the cores stalled: each core is brought up
 // to the old clock, shifted to the new one without running the cycles in
 // between, and replanned, since completions during the drain may have
 // unblocked it.
-func (s *System) rebase(cycle int64) {
-	s.syncCores(s.liveCores...)
-	s.clock = cycle
-	if s.dense {
+func (l *lane) rebase(cycle int64) {
+	l.sync(l.cores...)
+	l.clock = cycle
+	if l.dense {
 		return
 	}
-	for _, c := range s.liveCores {
-		c.at = cycle * s.cpb
+	for _, c := range l.cores {
+		c.at = cycle * l.cpb
 		c.plan()
 	}
-	s.coreNext = s.earliestCore()
+	l.coreNext = l.earliestCore()
 }
 
-// Step advances the system by one DRAM bus cycle: every live channel
-// ticks, then the live cores run the bus cycle's CPU cycles. The dense loop
-// ticks every scheduler and runs every core every cycle. Otherwise each
-// controller skips its scheduler's tick before the scheduler's NextEvent
+// Step advances the system by one DRAM bus cycle: every lane steps once,
+// serially, in channel order, so callers that sample state between steps
+// (Figure 4's profiles, Reconfigure, the tests) see every lane at the same
+// cycle.
+func (s *System) Step() {
+	for _, l := range s.lanes {
+		l.step()
+	}
+}
+
+// step advances the lane by one bus cycle: its channels tick, then its
+// cores run the bus cycle's CPU cycles. The dense loop ticks every
+// scheduler and runs every core every cycle. Otherwise each controller
+// skips its scheduler's tick before the scheduler's NextEvent
 // (mem.Controller.Step), and cores run only the cycles on which they may
 // interact (stepCores).
-func (s *System) Step() {
-	for _, ch := range s.live {
-		if s.dense {
+func (l *lane) step() {
+	for _, ch := range l.chans {
+		if l.dense {
 			ch.ctl.Tick()
 		} else {
 			ch.ctl.Step()
 		}
 	}
-	if s.dense {
-		for cc := int64(0); cc < s.cpb; cc++ {
-			for _, c := range s.liveCores {
+	if l.dense {
+		for cc := int64(0); cc < l.cpb; cc++ {
+			for _, c := range l.cores {
 				c.Cycle()
 			}
 		}
 	} else {
-		s.stepCores()
+		l.stepCores()
 	}
-	s.clock++
+	l.clock++
 }
 
 // stepCores runs the interacting CPU cycles of the current bus cycle in
@@ -759,11 +765,11 @@ func (s *System) Step() {
 // whose next interaction falls on the cycle applies what it owes, runs
 // the cycle and replans. Every other cycle is interaction-free and stays
 // owed, so cores never observe one another out of order.
-func (s *System) stepCores() {
-	end := (s.clock + 1) * s.cpb
-	for s.coreNext < end {
-		t, next := s.coreNext, cpu.Forever
-		for _, c := range s.liveCores {
+func (l *lane) stepCores() {
+	end := (l.clock + 1) * l.cpb
+	for l.coreNext < end {
+		t, next := l.coreNext, cpu.Forever
+		for _, c := range l.cores {
 			if c.next == t {
 				c.advance(t)
 				c.Cycle()
@@ -772,35 +778,44 @@ func (s *System) stepCores() {
 			}
 			next = min(next, c.next)
 		}
-		s.coreNext = next
+		l.coreNext = next
 	}
 }
 
 // FastForward reports what the event-horizon kernel did during Run: the
-// number of clock jumps taken and the total bus cycles those jumps skipped
-// (zero under the dense loop).
-func (s *System) FastForward() (jumps, skipped int64) { return s.ffJumps, s.ffSkipped }
+// number of clock jumps taken and the bus cycles those jumps skipped,
+// each summed over the lanes (zero under the dense loop). Under colored
+// routing the lanes skip on their own clocks, so the skipped count is
+// measured against the sum of the channels' cycles (Run.ChannelCycles)
+// and can exceed the merged BusCycles.
+func (s *System) FastForward() (jumps, skipped int64) {
+	for _, l := range s.lanes {
+		jumps += l.ffJumps
+		skipped += l.ffSkipped
+	}
+	return jumps, skipped
+}
 
 // horizon returns the highest bus cycle h ≤ max such that every cycle in
-// [now, h) is provably a no-op for every component: each live channel's
-// controller (its scheduler's own horizon, pending completions, injector
-// replays), pending queue-pressure spikes, and the live cores' earliest
-// planned memory enqueue attempt. Returns the current cycle when
+// [now, h) is provably a no-op for every component of the lane: each
+// channel's controller (its scheduler's own horizon, pending completions,
+// injector replays), pending queue-pressure spikes, and the cores'
+// earliest planned memory enqueue attempt. Returns the current cycle when
 // nothing can be skipped. Horizons err early, never late: a component may
 // report an event cycle at which nothing happens (costing one dense step),
 // but must never place one after a real state change — that is the
 // byte-identity proof obligation (DESIGN.md §13).
-func (s *System) horizon(max int64) int64 {
-	now := s.clock
+func (l *lane) horizon(max int64) int64 {
+	now := l.clock
 	h := max
-	for _, ch := range s.live {
+	for _, ch := range l.chans {
 		e := ch.ctl.NextEvent()
 		if e <= now {
 			return now
 		}
 		h = min(h, e)
 	}
-	for _, sp := range s.liveSpikes {
+	for _, sp := range l.spikes {
 		if sp.next >= len(sp.addrs) {
 			continue // fully delivered
 		}
@@ -812,31 +827,31 @@ func (s *System) horizon(max int64) int64 {
 	// The earliest core interaction caps the jump at the bus cycle that
 	// holds it; a core stalled until a completion (cpu.Forever) is bounded
 	// by the controller that owes the completion.
-	hc := s.coreNext / s.cpb
+	hc := l.coreNext / l.cpb
 	if hc <= now {
 		return now
 	}
 	return min(h, hc)
 }
 
-// skipTo jumps the clock from the current cycle to h: every live
+// skipTo jumps the lane's clock from the current cycle to h: every
 // controller's clock advances, and the cores, whose cycles up to h are
 // interaction-free, keep owing them.
-func (s *System) skipTo(h int64) {
-	n := h - s.clock
-	for _, ch := range s.live {
+func (l *lane) skipTo(h int64) {
+	n := h - l.clock
+	for _, ch := range l.chans {
 		ch.ctl.AdvanceIdle(n)
 	}
-	s.clock = h
-	s.ffJumps++
-	s.ffSkipped += n
+	l.clock = h
+	l.ffJumps++
+	l.ffSkipped += n
 }
 
 // pumpSpikes force-feeds due queue-pressure spikes into their domain's
 // read queue, retrying each cycle while the queue is full.
-func (s *System) pumpSpikes() {
-	for _, sp := range s.liveSpikes {
-		if s.clock < sp.at {
+func (l *lane) pumpSpikes() {
+	for _, sp := range l.spikes {
+		if l.clock < sp.at {
 			continue
 		}
 		for sp.next < len(sp.addrs) && sp.mem.EnqueueRead(sp.domain, sp.addrs[sp.next], nil) {
@@ -845,33 +860,13 @@ func (s *System) pumpSpikes() {
 	}
 }
 
-// targetMet reports whether the run reached TargetReads. Under blocked
-// routing each channel freezes as soon as its own domains reach the
-// target, and the run ends when every channel has; under interleaved
-// routing the target is global.
-func (s *System) targetMet() bool {
-	if s.coreStats != nil {
-		return s.totalReads() >= s.cfg.TargetReads
-	}
-	froze := false
-	for _, ch := range s.live {
-		if ch.reads() >= s.cfg.TargetReads {
-			s.syncCores(ch.cores...)
-			ch.frozen = true
-			froze = true
-		}
-	}
-	if froze {
-		s.rebuildLive()
-	}
-	return len(s.live) == 0
-}
-
-// totalReads sums completed demand reads across all channels.
-func (s *System) totalReads() int64 {
+// reads sums the demand reads the lane's channels completed.
+func (l *lane) reads() int64 {
 	var n int64
-	for _, ch := range s.chans {
-		n += ch.reads()
+	for _, ch := range l.chans {
+		for d := range ch.ctl.Dom {
+			n += ch.ctl.Dom[d].Reads
+		}
 	}
 	return n
 }
@@ -886,6 +881,14 @@ func (s *System) Run() Result { return s.RunContext(context.Background()) }
 // once per 8192-bus-cycle window, so a canceled sweep cell stops within a
 // few thousand bus cycles instead of stalling its worker pool.
 // Cancellation truncates the run exactly like a watchdog stop.
+//
+// Each lane runs to its own read target: under colored routing every
+// channel stops exactly where the standalone run of its domain block
+// would, and a lane stopped by the watchdog or the context truncates only
+// its own channel's Result. A one-lane system runs on the caller's
+// goroutine; a multi-lane system runs each lane on its own goroutine and
+// returns once every lane has. A panic in a lane is re-raised here with
+// its original value.
 func (s *System) RunContext(ctx context.Context) Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -894,39 +897,71 @@ func (s *System) RunContext(ctx context.Context) Result {
 	if max == 0 {
 		max = 40_000_000
 	}
-	ff := !s.dense
-	var reason string
-	// The cancellation poll fires once per 8192-cycle window. The dense
-	// loop lands exactly on each multiple of 8192; a fast-forward jump may
-	// overshoot one, in which case the poll runs at the first cycle past
-	// it — same cadence, and only cancellation timing (inherently
-	// wall-clock-dependent) can observe the difference.
+	if len(s.lanes) == 1 {
+		s.lanes[0].run(ctx, max, s.cfg.TargetReads)
+	} else {
+		s.runLanes(ctx, max)
+	}
+	return s.collect()
+}
+
+// runLanes runs every lane on its own goroutine and waits for all of them.
+// Once every lane has returned, the first panic in channel order is
+// re-raised on the caller's goroutine, so a recovering caller (a
+// parallel.Map cell, the daemon's quarantine) still catches it.
+func (s *System) runLanes(ctx context.Context, max int64) {
+	panics := make([]any, len(s.lanes))
+	var wg sync.WaitGroup
+	wg.Add(len(s.lanes))
+	for i, l := range s.lanes {
+		go func() {
+			defer wg.Done()
+			defer func() { panics[i] = recover() }()
+			l.run(ctx, max, s.cfg.TargetReads)
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+}
+
+// run is the kernel loop: it steps the lane until its channels complete
+// target demand reads (0: run to max), the max-cycle watchdog fires, or
+// ctx is canceled, and records why a run stopped short in l.reason.
+func (l *lane) run(ctx context.Context, max, target int64) {
+	l.reason = ""
+	// The cancellation poll fires once per 8192-cycle window of the lane's
+	// clock. The dense loop lands exactly on each multiple of 8192; a
+	// fast-forward jump may overshoot one, in which case the poll runs at
+	// the first cycle past it — same cadence, and only cancellation timing
+	// (inherently wall-clock-dependent) can observe the difference.
 	var nextPoll int64
-loop:
 	for {
-		if s.clock >= max {
-			// With TargetReads == 0 a fixed-duration run is intentional (the
+		if l.clock >= max {
+			// With a zero target a fixed-duration run is intentional (the
 			// fault campaign needs cycle-aligned runs); only flag truncation
 			// when a read target went unmet.
-			if s.cfg.TargetReads > 0 {
-				reason = fmt.Sprintf("max-cycle watchdog: %d bus cycles without reaching %d reads",
-					max, s.cfg.TargetReads)
+			if target > 0 {
+				l.reason = fmt.Sprintf("max-cycle watchdog: %d bus cycles without reaching %d reads", max, target)
 			}
-			break
+			return
 		}
-		if s.clock >= nextPoll {
-			nextPoll = s.clock - s.clock%8192 + 8192
+		if l.clock >= nextPoll {
+			nextPoll = l.clock - l.clock%8192 + 8192
 			select {
 			case <-ctx.Done():
-				reason = fmt.Sprintf("context canceled at bus cycle %d: %v", s.clock, ctx.Err())
-				break loop
+				l.reason = fmt.Sprintf("context canceled at bus cycle %d: %v", l.clock, ctx.Err())
+				return
 			default:
 			}
 		}
-		if ff {
-			if h := s.horizon(max); h > s.clock {
-				s.skipTo(h)
-				if s.clock >= max {
+		if !l.dense {
+			if h := l.horizon(max); h > l.clock {
+				l.skipTo(h)
+				if l.clock >= max {
 					continue // let the watchdog classify the stop
 				}
 				// Fall through: the cycle we landed on hosts the next event,
@@ -934,25 +969,26 @@ loop:
 				// horizon computation that would just return "no skip".
 			}
 		}
-		s.pumpSpikes()
-		s.Step()
-		if s.cfg.TargetReads > 0 && s.targetMet() {
-			break
+		l.pumpSpikes()
+		l.step()
+		if target > 0 && l.reads() >= target {
+			return
 		}
 	}
-	return s.collect(reason)
 }
 
 // collect assembles the run's Result: a single channel's own Result, or
 // the merge of N channels' Results.
-func (s *System) collect(reason string) Result {
-	s.syncCores(s.liveCores...)
+func (s *System) collect() Result {
+	for _, l := range s.lanes {
+		l.sync(l.cores...)
+	}
 	var res Result
 	if len(s.chans) == 1 {
-		res = s.chans[0].result(reason)
+		res = s.chans[0].result(s.lanes[0].reason)
 		res.Trace = s.chans[0].ctl.Obs
 	} else {
-		res = s.merge(reason)
+		res = s.merge()
 	}
 	if s.cfg.Observe != nil {
 		res.Metrics = s.buildMetrics(&res)
@@ -960,8 +996,8 @@ func (s *System) collect(reason string) Result {
 	return res
 }
 
-// result is the channel's own Result. A channel still short of its read
-// target when the run stopped early is truncated with the run.
+// result is the channel's own Result, truncated with the given reason
+// when it is not empty.
 func (ch *simChannel) result(reason string) Result {
 	r := Result{
 		Run: stats.Run{
@@ -978,7 +1014,7 @@ func (ch *simChannel) result(reason string) Result {
 		st := ch.fs.Stats
 		r.FS = &st
 	}
-	if !ch.frozen && reason != "" {
+	if reason != "" {
 		r.Truncated = true
 		r.TruncateReason = reason
 	}
@@ -989,26 +1025,29 @@ func (ch *simChannel) result(reason string) Result {
 // Result goes into PerChannel, and the merged Run reports BusCycles as the
 // wall-clock span (the max across channels), the per-channel cycle counts
 // in ChannelCycles, and every hardware counter summed — see stats.Run.
-// Blocked channels' domain blocks concatenate in channel order;
-// interleaved domains sum every channel's memory-side fields into the
-// cores' CPU-side statistics.
-func (s *System) merge(reason string) Result {
+// Blocked channels' domain blocks concatenate in channel order, and each
+// is truncated with its own lane; interleaved domains sum every channel's
+// memory-side fields into the cores' CPU-side statistics. The merged
+// Result is truncated with the first truncated lane, in channel order.
+func (s *System) merge() Result {
 	domains := len(s.cfg.Mix.Profiles)
 	blocked := s.coreStats == nil
 	merged := stats.Run{Workload: s.cfg.Mix.Name}
-	chReason := reason
 	if blocked {
 		merged.Scheduler = fmt.Sprintf("%dch/%s", len(s.chans), s.cfg.Scheduler)
 	} else {
 		merged.Scheduler = fmt.Sprintf("%dch-interleaved/%s", len(s.chans), s.cfg.Scheduler)
-		chReason = "" // interleaved channels share the run's one read target
 	}
 
 	per := make([]Result, len(s.chans))
 	reports := make([]*fault.Report, len(per))
 	var fsTotal *core.FSStats
 	for c, ch := range s.chans {
-		r := ch.result(chReason)
+		reason := "" // interleaved channels share the run's one read target
+		if blocked {
+			reason = s.lanes[c].reason
+		}
+		r := ch.result(reason)
 		per[c] = r
 		if st := r.FS; st != nil {
 			if fsTotal == nil {
@@ -1053,9 +1092,12 @@ func (s *System) merge(reason string) Result {
 		Monitor:    mergeReports(reports, blocked, domains/len(per)),
 		PerChannel: per,
 	}
-	if reason != "" {
-		res.Truncated = true
-		res.TruncateReason = reason
+	for _, l := range s.lanes {
+		if l.reason != "" {
+			res.Truncated = true
+			res.TruncateReason = l.reason
+			break
+		}
 	}
 	if s.cfg.Observe != nil {
 		tracers := make([]*obs.Tracer, len(s.chans))
@@ -1103,6 +1145,16 @@ func mergeReports(rs []*fault.Report, blocked bool, perChannel int) *fault.Repor
 	return m
 }
 
+// busCycles is the wall-clock span of the run so far: the latest lane
+// clock.
+func (s *System) busCycles() int64 {
+	var n int64
+	for _, l := range s.lanes {
+		n = max(n, l.clock)
+	}
+	return n
+}
+
 // buildMetrics assembles the end-of-run observability snapshot. The
 // registry is built here, outside the cycle loop, so observation costs
 // nothing per cycle: every subsystem contributes its plain counters once.
@@ -1113,7 +1165,7 @@ func (s *System) buildMetrics(res *Result) obs.Snapshot {
 	multi := len(s.chans) > 1
 	reg := obs.NewRegistry()
 	reg.Source("sim", obs.SourceFunc(func(emit func(string, float64)) {
-		emit("bus_cycles", float64(s.clock))
+		emit("bus_cycles", float64(s.busCycles()))
 		truncated := 0.0
 		if res.Truncated {
 			truncated = 1
