@@ -126,7 +126,7 @@ func runCovert(seed uint64, jsonOut bool, channels int, routing addr.Routing) in
 		fmt.Printf("covert channel: %d-bit message, sender modulates memory intensity per window\n\n", len(message))
 	}
 	for _, k := range []sim.SchedulerKind{sim.Baseline, sim.FSRankPart} {
-		run, err := leakage.RunChannel(k, message, leakage.ChannelParams{
+		run, err := leakage.RunChannel(context.Background(), k, message, leakage.ChannelParams{
 			Domains:         8,
 			Probe:           attack.Probe,
 			On:              attack.On,

@@ -254,7 +254,7 @@ func Run(ctx context.Context, k sim.SchedulerKind, o Options) (*LeakageCertifica
 			cells[i] = parallel.Cell[leakage.ChannelRun]{
 				Key: "audit/" + stage + "/" + a.Name,
 				Run: func(ctx context.Context) (leakage.ChannelRun, error) {
-					run, err := leakage.RunChannel(k, msg, leakage.ChannelParams{
+					run, err := leakage.RunChannel(ctx, k, msg, leakage.ChannelParams{
 						Domains:         o.Domains,
 						Probe:           a.Probe,
 						On:              a.On,

@@ -3,7 +3,9 @@ package audit
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"fsmem/internal/addr"
 	"fsmem/internal/fsmerr"
@@ -251,5 +253,27 @@ func TestMetricsAccumulate(t *testing.T) {
 	}
 	if progress == 0 {
 		t.Error("progress callback never fired")
+	}
+}
+
+// TestRunStopsPromptlyOnCancel: canceling a campaign stops the covert
+// windows in flight, so Run returns CodeCanceled within one simulation
+// poll rather than after every running attack's whole message.
+func TestRunStopsPromptlyOnCancel(t *testing.T) {
+	o := Options{Domains: 4, Bits: 256, WindowBusCycles: 400_000, Workers: 2, Seed: 42}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	canceledAt := make(chan time.Time, 1)
+	time.AfterFunc(200*time.Millisecond, func() {
+		cancel()
+		canceledAt <- time.Now()
+	})
+	_, err := Run(ctx, sim.FSNoPart, o)
+	stopped := time.Since(<-canceledAt)
+	if fsmerr.CodeOf(err) != fsmerr.CodeCanceled || !errors.Is(err, context.Canceled) {
+		t.Fatalf("want a CodeCanceled error wrapping context.Canceled, got %v", err)
+	}
+	if stopped > time.Second {
+		t.Errorf("Run returned %v after the cancellation, want within 1s", stopped.Round(time.Millisecond))
 	}
 }

@@ -344,8 +344,9 @@ type ChannelRun struct {
 // window observable halfway between the fastest and slowest windows (the
 // calibration a real attacker would do). One simulation per window, all
 // with the same seed, so the sender's modulation is the only varying
-// input — exactly a sender flipping load phases.
-func RunChannel(k sim.SchedulerKind, message []bool, p ChannelParams) (ChannelRun, error) {
+// input — exactly a sender flipping load phases. A canceled ctx stops the
+// window in flight and returns a CodeCanceled error.
+func RunChannel(ctx context.Context, k sim.SchedulerKind, message []bool, p ChannelParams) (ChannelRun, error) {
 	if p.WindowBusCycles <= 0 {
 		return ChannelRun{}, fsmerr.New(fsmerr.CodeConfig, "leakage.RunChannel",
 			"window must be positive, got %d bus cycles", p.WindowBusCycles)
@@ -376,7 +377,7 @@ func RunChannel(k sim.SchedulerKind, message []bool, p ChannelParams) (ChannelRu
 		cfg.Fault = p.Fault
 		cfg.Channels = p.Channels
 		cfg.Routing = p.Routing
-		res, err := sim.Simulate(cfg)
+		res, err := sim.SimulateContext(ctx, cfg)
 		if err != nil {
 			return ChannelRun{}, err
 		}
@@ -439,7 +440,7 @@ func CovertLoads() (probe, burst, quiet workload.Profile) {
 // is a CodeConfig error rather than a silent zero-window run.
 func CovertChannel(k sim.SchedulerKind, domains int, message []bool, windowBusCycles int64, seed uint64) (CovertResult, error) {
 	probe, burst, quiet := CovertLoads()
-	run, err := RunChannel(k, message, ChannelParams{
+	run, err := RunChannel(context.Background(), k, message, ChannelParams{
 		Domains:         domains,
 		Probe:           probe,
 		On:              burst,
