@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"fsmem/internal/addr"
@@ -89,31 +90,35 @@ func hookLane(cfg Config, per, channel int, hook func()) func(int, addr.Space, u
 // lanePanic is the value the panicking lane raises.
 type lanePanic struct{ channel int }
 
-// TestLanePanicReachesCaller: a panic on one lane's goroutine is re-raised
-// by RunContext on the caller's goroutine with its original value, where
-// a recovering caller (a parallel.Map cell, the daemon's quarantine)
-// catches it.
+// TestLanePanicReachesCaller: a panic on any lane, the one RunContext
+// runs on the caller's goroutine or another, is re-raised by RunContext on
+// the caller's goroutine with its original value, where a recovering
+// caller (a parallel.Map cell, the daemon's quarantine) catches it.
 func TestLanePanicReachesCaller(t *testing.T) {
 	mix, err := workload.Rate("milc", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(mix, FSRankPart)
-	cfg.TargetReads = 2000
-	cfg.Channels = 4
-	cfg.Routing = addr.RouteColored
-	cfg.StreamFactory = hookLane(cfg, 2, 2, func() { panic(lanePanic{channel: 2}) })
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, channel := range []int{0, 2} {
+		t.Run(fmt.Sprintf("ch%d", channel), func(t *testing.T) {
+			cfg := DefaultConfig(mix, FSRankPart)
+			cfg.TargetReads = 2000
+			cfg.Channels = 4
+			cfg.Routing = addr.RouteColored
+			cfg.StreamFactory = hookLane(cfg, 2, channel, func() { panic(lanePanic{channel}) })
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if p := recover(); p != (lanePanic{channel}) {
+					t.Fatalf("recovered %#v, want the lane's own panic value", p)
+				}
+			}()
+			s.Run()
+			t.Fatal("RunContext returned although a lane panicked")
+		})
 	}
-	defer func() {
-		if p := recover(); p != (lanePanic{channel: 2}) {
-			t.Fatalf("recovered %#v, want the lane's own panic value", p)
-		}
-	}()
-	s.Run()
-	t.Fatal("RunContext returned although a lane panicked")
 }
 
 // TestSimulateContextCanceledMultiLane: canceling a colored run, before it

@@ -882,13 +882,11 @@ func (s *System) Run() Result { return s.RunContext(context.Background()) }
 // few thousand bus cycles instead of stalling its worker pool.
 // Cancellation truncates the run exactly like a watchdog stop.
 //
-// Each lane runs to its own read target: under colored routing every
+// Each lane runs to its own read target, so under colored routing every
 // channel stops exactly where the standalone run of its domain block
 // would, and a lane stopped by the watchdog or the context truncates only
 // its own channel's Result. A one-lane system runs on the caller's
-// goroutine; a multi-lane system runs each lane on its own goroutine and
-// returns once every lane has. A panic in a lane is re-raised here with
-// its original value.
+// goroutine; runLanes runs a multi-lane system's lanes concurrently.
 func (s *System) RunContext(ctx context.Context) Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -905,21 +903,26 @@ func (s *System) RunContext(ctx context.Context) Result {
 	return s.collect()
 }
 
-// runLanes runs every lane on its own goroutine and waits for all of them.
-// Once every lane has returned, the first panic in channel order is
-// re-raised on the caller's goroutine, so a recovering caller (a
-// parallel.Map cell, the daemon's quarantine) still catches it.
+// runLanes runs lane 0 on the caller's goroutine and every other lane on
+// a goroutine of its own, and returns once every lane has. Then the first
+// panic in channel order is re-raised on the caller's goroutine, so a
+// recovering caller (a parallel.Map cell, the daemon's quarantine) still
+// catches it.
 func (s *System) runLanes(ctx context.Context, max int64) {
 	panics := make([]any, len(s.lanes))
+	run := func(i int) {
+		defer func() { panics[i] = recover() }()
+		s.lanes[i].run(ctx, max, s.cfg.TargetReads)
+	}
 	var wg sync.WaitGroup
-	wg.Add(len(s.lanes))
-	for i, l := range s.lanes {
+	wg.Add(len(s.lanes) - 1)
+	for i := 1; i < len(s.lanes); i++ {
 		go func() {
 			defer wg.Done()
-			defer func() { panics[i] = recover() }()
-			l.run(ctx, max, s.cfg.TargetReads)
+			run(i)
 		}()
 	}
+	run(0)
 	wg.Wait()
 	for _, p := range panics {
 		if p != nil {
