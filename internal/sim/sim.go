@@ -360,11 +360,20 @@ func New(cfg Config) (*System, error) {
 	s := &System{cfg: cfg, chans: make([]*simChannel, n), lanes: make([]*lane, 0, n)}
 	ctls := make([]*mem.Controller, n)
 	for c := range s.chans {
-		ch, err := newChannel(cfg, c, n, per, cfg.Seed+uint64(c)*channelSeedStride)
+		seed := cfg.Seed + uint64(c)*channelSeedStride
+		ch, err := newChannel(cfg, c, n, per, seed)
 		if err != nil {
 			return nil, err
 		}
 		s.chans[c], ctls[c] = ch, ch.ctl
+		if !interleaved {
+			// One lane per blocked channel. It runs the full fault plan
+			// against its own block and draws its stream seeds from its own
+			// RNG — exactly the standalone run of that block.
+			if err := s.addLane(s.chans[c:c+1], c*per, per, seed, ch.ctl, ch.ctl.Dom); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if n > 1 {
 		s.fabric = mem.NewFabric(ctls, cfg.Routing, domains)
@@ -373,16 +382,6 @@ func New(cfg Config) (*System, error) {
 		// One lane: every core issues through the fabric.
 		s.coreStats = make([]stats.Domain, domains)
 		if err := s.addLane(s.chans, 0, domains, cfg.Seed, s.fabric, s.coreStats); err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
-	// One lane per channel. Each blocked channel runs the full fault plan
-	// against its own block and draws its stream seeds from its own RNG —
-	// exactly the standalone run of that block.
-	for c, ch := range s.chans {
-		seed := cfg.Seed + uint64(c)*channelSeedStride
-		if err := s.addLane(s.chans[c:c+1], c*per, per, seed, ch.ctl, ch.ctl.Dom); err != nil {
 			return nil, err
 		}
 	}
