@@ -267,8 +267,9 @@ func BenchmarkSimulateFastForwardXalanRate2(b *testing.B) { benchLoop(b, false) 
 // benchFabric runs an 8-core workload through a 4-channel fabric under
 // the given routing policy — the multi-channel counterpart of
 // BenchmarkSimulatorThroughput. Colored routing is four independent
-// machines (near-linear speedup per channel); interleaved routing stripes
-// every domain over all channels and pays fabric-level contention.
+// machines, run as four concurrent lanes; interleaved routing stripes
+// every domain over all channels, one lane in lockstep, and pays
+// fabric-level contention.
 func benchFabric(b *testing.B, routing addr.Routing) {
 	mix, err := workload.Rate("milc", 8)
 	if err != nil {

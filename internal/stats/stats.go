@@ -100,8 +100,8 @@ type Run struct {
 	// for hand-built Runs).
 	Latency []*Histogram
 	// ChannelCycles holds each memory channel's own bus-cycle count in a
-	// multi-channel run (nil for single-channel runs). Channels freeze
-	// independently, so BusCycles is the max — the wall-clock span —
+	// multi-channel run (nil for single-channel runs). Colored channels
+	// stop independently, so BusCycles is the max — the wall-clock span —
 	// while busy counters in Channel are summed across channels; ratios
 	// like BusUtilization must therefore divide by the summed per-channel
 	// cycles, not by the max.
