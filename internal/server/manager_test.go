@@ -68,6 +68,45 @@ func TestJobIDDeterministic(t *testing.T) {
 	}
 }
 
+// TestContentKeysPinned pins the content key and job ID of one valid
+// request per job kind, each leaving some fields to their defaults. The
+// key is a job's identity across daemon restarts, journal replays and
+// the cluster ring, so how a request is checked may change but what it
+// addresses may not.
+func TestContentKeysPinned(t *testing.T) {
+	cases := []struct {
+		req     JobRequest
+		key, id string
+	}{
+		{JobRequest{Kind: KindSimulate, Simulate: &config.Experiment{
+			Workload: "milc", Cores: 4, Scheduler: "fs_rp", Reads: 1000, Seed: 3, Channels: 2, Routing: "colored"}},
+			"sim|{workload:milc sched:3 prefetch:false energy:{SuppressDummies:false RowBufferBoost:false PowerDown:false} turn:0 cores:4 slotL:0 refresh:false weights:[] dram:0 channels:2 routing:0}|seed=3|reads=1000|maxcycles=40000000",
+			"jc4f405d3fcd968be"},
+		{JobRequest{Kind: KindSimulate, Simulate: &config.Experiment{Workload: "mcf", Scheduler: "baseline"}},
+			"sim|{workload:mcf sched:0 prefetch:false energy:{SuppressDummies:false RowBufferBoost:false PowerDown:false} turn:0 cores:8 slotL:0 refresh:false weights:[] dram:0 channels:1 routing:0}|seed=42|reads=20000|maxcycles=40000000",
+			"ja4ad2aff356c1e5d"},
+		{JobRequest{Kind: KindFigures, Figures: &FiguresRequest{Figures: []string{"6", "3"}}},
+			"figures|3,6|cores=8|reads=20000|seed=42", "j0552c91ca64407e4"},
+		{JobRequest{Kind: KindLeakage, Leakage: &LeakageRequest{
+			Scheduler: "fs_np", Cores: 4, Samples: 3, Channels: 2, Routing: "interleaved"}},
+			"leakage|sched=fs_np|attacker=mcf|cores=4|samples=3|seed=42|channels=2|routing=interleaved", "jf145bd6b8203e5b6"},
+		{JobRequest{Kind: KindChaos, Chaos: &ChaosRequest{Scheduler: "fs_bp"}},
+			"chaos|sched=fs_bp|workload=milc|cores=4|seed=7|cycles=0", "j171aef6e189371f0"},
+		{JobRequest{Kind: KindAudit, Audit: &AuditRequest{Scheduler: "fs_rp", Bits: 7, Fault: "derate-trcd"}},
+			"audit|sched=fs_rp|cores=4|bits=8|window=10000|seeds=3|perms=199|rounds=2|seed=42|fault=derate-trcd|faultseed=7|channels=1|routing=colored",
+			"ja8dcc12b1d73aa8d"},
+	}
+	for _, c := range cases {
+		id, key, err := Canonicalize(&c.req)
+		if err != nil {
+			t.Fatalf("%s: %v", c.req.Kind, err)
+		}
+		if key != c.key || id != c.id {
+			t.Errorf("%s: content key moved:\n got %q %s\nwant %q %s", c.req.Kind, key, id, c.key, c.id)
+		}
+	}
+}
+
 func TestNormalizeRejectsBadRequests(t *testing.T) {
 	cases := map[string]JobRequest{
 		"unknown kind":      {Kind: "nope"},
