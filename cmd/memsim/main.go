@@ -137,7 +137,7 @@ func main() {
 
 	if *printConfig {
 		p := fsmem.DDR3x1600()
-		fmt.Printf("DDR3-1600, %d channel(s), %d ranks/channel, %d banks/rank\n", p.Channels, p.RanksPerChan, p.BanksPerRank)
+		fmt.Printf("DDR3-1600, 1 channel(s), %d ranks/channel, %d banks/rank\n", p.RanksPerChan, p.BanksPerRank)
 		fmt.Printf("tRC=%d tRCD=%d tRAS=%d tRP=%d tRTP=%d tWR=%d\n", p.TRC, p.TRCD, p.TRAS, p.TRP, p.TRTP, p.TWR)
 		fmt.Printf("tFAW=%d tRRD=%d tCCD=%d tWTR=%d tCAS=%d tCWD=%d tBURST=%d tRTRS=%d\n",
 			p.TFAW, p.TRRD, p.TCCD, p.TWTR, p.TCAS, p.TCWD, p.TBURST, p.TRTRS)

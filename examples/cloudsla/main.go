@@ -15,17 +15,20 @@ import (
 	"fsmem"
 )
 
+// channels is the Table 1 system's channel count.
+const channels = 1
+
 // pickPolicy is the OS allocation decision of Section 4.1: channel
 // partitioning when domains fit on channels, rank partitioning up to the
 // rank count, then bank partitioning, then triple alternation.
 func pickPolicy(domains int, p fsmem.DRAMParams) (fsmem.SchedulerKind, string) {
-	totalRanks := p.Channels * p.RanksPerChan
+	totalRanks := channels * p.RanksPerChan
 	switch {
-	case domains <= p.Channels:
+	case domains <= channels:
 		return fsmem.Baseline, "channel partitioning: domains share nothing, no timing channel to close"
 	case domains <= totalRanks:
 		return fsmem.FSRankPart, "rank partitioning + FS (l=7): each VM owns its ranks"
-	case domains <= p.Channels*p.RanksPerChan*p.BanksPerRank:
+	case domains <= totalRanks*p.BanksPerRank:
 		return fsmem.FSReorderedBank, "bank partitioning + reordered FS: each VM owns banks"
 	default:
 		return fsmem.FSNoPartTriple, "no partitioning + triple alternation: no page-coloring burden"

@@ -1,15 +1,13 @@
 package addr
 
-import (
-	"fmt"
+import "fmt"
 
-	"fsmem/internal/dram"
-)
-
-// Routing selects how the multi-channel fabric assigns a memory request to
+// Routing selects how a multi-channel system assigns a memory request to
 // a channel. It is the fabric-level analogue of PartitionKind: colored
 // routing is the page-coloring policy of Section 4.1 applied at channel
 // granularity, interleaved routing is the conventional shared mapping.
+// sim.New builds each colored channel as a standalone machine of its
+// domain block, and mem.Fabric routes interleaved requests.
 type Routing int
 
 const (
@@ -47,22 +45,5 @@ func RoutingByName(name string) (Routing, error) {
 		return RouteInterleaved, nil
 	default:
 		return 0, fmt.Errorf("addr: unknown routing %q (want colored or interleaved)", name)
-	}
-}
-
-// RouteChannel computes the channel a request targets. Colored routing
-// keys on the security domain alone (domains are assigned to channels in
-// contiguous blocks, so channel c serves the standalone machine of block c);
-// interleaved routing keys on the address's column bits, so consecutive
-// lines of every domain stripe across all channels.
-func RouteChannel(r Routing, domain, numDomains, channels int, a dram.Address) int {
-	if channels <= 1 {
-		return 0
-	}
-	switch r {
-	case RouteInterleaved:
-		return a.Col % channels
-	default: // RouteColored
-		return domain / (numDomains / channels)
 	}
 }

@@ -150,6 +150,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Check fills the campaign defaults into the options and applies the
+// audit's acceptance rules, returning the options Run would run or the
+// config error it would fail with. Run calls it, and so does any layer
+// that accepts an audit before running it (the daemon at submission).
+func (o Options) Check() (Options, error) {
+	o = o.withDefaults()
+	return o, o.validate()
+}
+
 func (o Options) validate() error {
 	switch {
 	case o.Domains < 2:
@@ -164,13 +173,13 @@ func (o Options) validate() error {
 		return fsmerr.New(fsmerr.CodeConfig, "audit.Run", "need at least 19 permutation rounds for a p < %.2f to be reachable, got %d", Alpha, o.Permutations)
 	case o.Rounds < 0:
 		return fsmerr.New(fsmerr.CodeConfig, "audit.Run", "search rounds must be non-negative, got %d", o.Rounds)
-	case o.Channels < 0:
-		return fsmerr.New(fsmerr.CodeConfig, "audit.Run", "channels must be non-negative, got %d", o.Channels)
-	case o.Channels > 1 && o.Routing == addr.RouteColored && o.Domains%o.Channels != 0:
-		return fsmerr.New(fsmerr.CodeConfig, "audit.Run",
-			"%d domains do not split evenly over %d colored channels", o.Domains, o.Channels)
 	}
-	return nil
+	if o.FaultPlan != "" {
+		if _, ok := fault.PlanByName(o.FaultPlan, o.Domains, o.FaultSeed); !ok {
+			return fsmerr.New(fsmerr.CodeConfig, "audit.Run", "unknown fault plan %q", o.FaultPlan)
+		}
+	}
+	return sim.CheckFabric(o.Channels, o.Routing, o.Domains)
 }
 
 // Message builds the balanced, seed-shuffled bit string every evaluation
@@ -232,17 +241,13 @@ func rank(results []outcome) []outcome {
 // Run executes a full audit campaign against one scheduler and returns
 // its certificate.
 func Run(ctx context.Context, k sim.SchedulerKind, o Options) (*LeakageCertificate, error) {
-	o = o.withDefaults()
-	if err := o.validate(); err != nil {
+	o, err := o.Check()
+	if err != nil {
 		return nil, err
 	}
 	var plan *fault.Plan
 	if o.FaultPlan != "" {
-		p, ok := fault.PlanByName(o.FaultPlan, o.Domains, o.FaultSeed)
-		if !ok {
-			return nil, fsmerr.New(fsmerr.CodeConfig, "audit.Run", "unknown fault plan %q", o.FaultPlan)
-		}
-		plan = p
+		plan, _ = fault.PlanByName(o.FaultPlan, o.Domains, o.FaultSeed) // Check found it
 	}
 	msg := Message(o.Bits, o.Seed)
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
 	"fsmem/internal/addr"
@@ -67,11 +68,7 @@ func SchedulerNames() []string {
 	for k := range schedulers {
 		names = append(names, k)
 	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	sort.Strings(names)
 	return names
 }
 
@@ -153,11 +150,8 @@ func (e Experiment) ToSimConfig() (sim.Config, error) {
 
 	// Fabric shape: reject bad channel/routing combinations here with
 	// typed errors, before a sim.Config escapes into a job queue or a
-	// saved experiment file.
-	if e.Channels < 0 {
-		return sim.Config{}, fsmerr.New(fsmerr.CodeConfig, "config.ToSimConfig",
-			"channels must be non-negative, got %d", e.Channels)
-	}
+	// saved experiment file. Naming a routing on one channel is an error
+	// of the file format alone: sim ignores routing there.
 	routing := addr.RouteColored
 	if e.Routing != "" {
 		routing, err = addr.RoutingByName(e.Routing)
@@ -170,10 +164,8 @@ func (e Experiment) ToSimConfig() (sim.Config, error) {
 				"routing %q requires channels > 1, got %d", e.Routing, e.Channels)
 		}
 	}
-	if e.Channels > 1 && routing == addr.RouteColored && len(mix.Profiles)%e.Channels != 0 {
-		return sim.Config{}, fsmerr.New(fsmerr.CodeConfig, "config.ToSimConfig",
-			"%d domains do not split evenly over %d colored channels",
-			len(mix.Profiles), e.Channels)
+	if err := sim.CheckFabric(e.Channels, routing, len(mix.Profiles)); err != nil {
+		return sim.Config{}, err
 	}
 
 	cfg := sim.DefaultConfig(mix, k)

@@ -50,11 +50,6 @@ func TestParamsValidate(t *testing.T) {
 		t.Fatal("expected validation error for tRAS+tRP > tRC")
 	}
 	bad = testParams()
-	bad.Channels = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("expected validation error for zero channels")
-	}
-	bad = testParams()
 	bad.TBURST = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("expected validation error for zero tBURST")

@@ -51,7 +51,6 @@ func (p *Params) WTROther() int {
 // in bus cycles.
 func DDR4_2400() Params {
 	return Params{
-		Channels:     1,
 		RanksPerChan: 8,
 		BanksPerRank: 16,
 		BankGroups:   4,

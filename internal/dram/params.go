@@ -10,12 +10,12 @@ package dram
 
 import "fmt"
 
-// Params holds the organization and timing parameters of a memory channel.
-// Timing fields mirror Table 1 of the paper and are in DRAM bus cycles
-// unless noted otherwise.
+// Params holds the organization and timing parameters of one memory
+// channel; how many channels a system has is sim.Config.Channels. Timing
+// fields mirror Table 1 of the paper and are in DRAM bus cycles unless
+// noted otherwise.
 type Params struct {
 	// Organization.
-	Channels     int // memory channels (the paper simulates 1 for most runs)
 	RanksPerChan int // ranks per channel
 	BanksPerRank int // banks per rank
 	BankGroups   int // DDR4 bank groups per rank (<= 1 disables group timing)
@@ -56,7 +56,6 @@ type Params struct {
 // throughout the paper's evaluation (Table 1), with a 4Gb-part geometry.
 func DDR3_1600() Params {
 	return Params{
-		Channels:     1,
 		RanksPerChan: 8,
 		BanksPerRank: 8,
 		RowsPerBank:  1 << 16,
@@ -89,8 +88,6 @@ func DDR3_1600() Params {
 // Validate reports whether the parameter set is internally consistent.
 func (p Params) Validate() error {
 	switch {
-	case p.Channels <= 0:
-		return fmt.Errorf("dram: Channels must be positive, got %d", p.Channels)
 	case p.RanksPerChan <= 0:
 		return fmt.Errorf("dram: RanksPerChan must be positive, got %d", p.RanksPerChan)
 	case p.BanksPerRank <= 0:

@@ -132,7 +132,7 @@ func AblationDDR4(r *Runner) (Table, error) {
 		return Table{}, err
 	}
 	ddr4 := func(c *sim.Config) { c.DRAM = dram.DDR4_2400() }
-	rows, err := r.normalized(mixes, ddr4, each(designSpace, ddr4), weightedIPC(8))
+	rows, err := r.normalized(mixes, ddr4, each(sim.AllSecure(), ddr4), weightedIPC(8))
 	if err != nil {
 		return Table{}, err
 	}

@@ -194,17 +194,9 @@ type Spec struct {
 // (Settings.Observe) deliberately is not — observation must never decide
 // which simulation a cell runs.
 func keyOf(cfg sim.Config) runKey {
-	// Normalize the fabric shape the way sim.New resolves it, so the
-	// spellings "Channels: 2", "DRAM.Channels: 2", and "Channels: 0 with a
-	// 1-channel DRAM" address the cells they actually run. Routing is
-	// meaningless on one channel; pin it so it cannot fragment the cache.
-	channels := cfg.Channels
-	if channels == 0 {
-		channels = cfg.DRAM.Channels
-	}
-	if channels <= 1 {
-		channels = 1
-	}
+	// Channels 0 and 1 both run one channel, and routing is meaningless
+	// there; pin both so neither can fragment the cache.
+	channels := max(cfg.Channels, 1)
 	routing := cfg.Routing
 	if channels == 1 {
 		routing = addr.RouteColored
@@ -363,10 +355,6 @@ func each(kinds []sim.SchedulerKind, mutate func(*sim.Config)) []column {
 	return cols
 }
 
-// designSpace is the five secure design points Figures 3, 6 and 8 and
-// ablation A5 compare, in column order.
-var designSpace = []sim.SchedulerKind{sim.FSRankPart, sim.FSReorderedBank, sim.TPBank, sim.FSNoPartTriple, sim.TPNone}
-
 // score rates one column's cell against its mix's baseline cell.
 type score func(mix workload.Mix, k sim.SchedulerKind, res, base sim.Result) (float64, error)
 
@@ -463,7 +451,7 @@ func Figure3(r *Runner) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	rows, err := r.normalized(suite, nil, each(designSpace, nil), weightedIPC(float64(r.S.Cores)))
+	rows, err := r.normalized(suite, nil, each(sim.AllSecure(), nil), weightedIPC(float64(r.S.Cores)))
 	if err != nil {
 		return Table{}, err
 	}
@@ -556,7 +544,7 @@ func Figure6(r *Runner) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	rows, err := r.normalized(suite, nil, each(designSpace, nil), weightedIPC(1))
+	rows, err := r.normalized(suite, nil, each(sim.AllSecure(), nil), weightedIPC(1))
 	if err != nil {
 		return Table{}, err
 	}
@@ -635,7 +623,7 @@ func Figure8(r *Runner) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	rows, err := r.normalized(suite, nil, each(designSpace, nil), energyRatio())
+	rows, err := r.normalized(suite, nil, each(sim.AllSecure(), nil), energyRatio())
 	if err != nil {
 		return Table{}, err
 	}

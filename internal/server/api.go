@@ -37,8 +37,10 @@ import (
 	"fsmem/internal/energy"
 	"fsmem/internal/experiments"
 	"fsmem/internal/fault"
+	"fsmem/internal/leakage"
 	"fsmem/internal/obs"
 	"fsmem/internal/sim"
+	"fsmem/internal/workload"
 )
 
 // JobKind selects what a job computes.
@@ -326,8 +328,10 @@ type ChaosResult struct {
 	Outcomes   []sim.FaultOutcome `json:"outcomes"`
 }
 
-// normalize fills request defaults and validates shape; it returns the
-// canonical content key the job's ID and cache entry derive from.
+// normalize fills request defaults and validates the request through the
+// engine that will run it (see the resolve functions below); it returns
+// the canonical content key the job's ID and cache entry derive from. A
+// request it accepts is one the executor can start.
 func (r *JobRequest) normalize() (string, error) {
 	switch r.Priority {
 	case "":
@@ -353,7 +357,7 @@ func (r *JobRequest) normalize() (string, error) {
 		if r.Simulate == nil {
 			return "", fmt.Errorf("%q job needs a simulate payload", r.Kind)
 		}
-		cfg, err := r.Simulate.ToSimConfig()
+		cfg, err := r.resolveSimulate()
 		if err != nil {
 			return "", err
 		}
@@ -363,32 +367,12 @@ func (r *JobRequest) normalize() (string, error) {
 		}
 		return key, nil
 	case KindFigures:
+		if r.Figures == nil {
+			r.Figures = &FiguresRequest{}
+		}
 		f := r.Figures
-		if f == nil {
-			f = &FiguresRequest{}
-			r.Figures = f
-		}
-		if f.Cores == 0 {
-			f.Cores = 8
-		}
-		if f.Reads == 0 {
-			f.Reads = 20_000
-		}
-		if f.Seed == 0 {
-			f.Seed = 42
-		}
-		known := experiments.Names()
-		for _, id := range f.Figures {
-			found := false
-			for _, k := range known {
-				if id == k {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return "", fmt.Errorf("unknown figure %q (options: %s)", id, strings.Join(known, ", "))
-			}
+		if _, _, err := f.resolve(); err != nil {
+			return "", err
 		}
 		figs := append([]string(nil), f.Figures...)
 		sort.Strings(figs)
@@ -397,35 +381,11 @@ func (r *JobRequest) normalize() (string, error) {
 		return fmt.Sprintf("figures|%s|cores=%d|reads=%d|seed=%d",
 			strings.Join(figs, ","), f.Cores, f.Reads, f.Seed), nil
 	case KindLeakage:
+		if r.Leakage == nil {
+			r.Leakage = &LeakageRequest{}
+		}
 		l := r.Leakage
-		if l == nil {
-			l = &LeakageRequest{}
-			r.Leakage = l
-		}
-		if l.Attacker == "" {
-			l.Attacker = "mcf"
-		}
-		if l.Cores == 0 {
-			l.Cores = 8
-		}
-		if l.Samples == 0 {
-			l.Samples = 40
-		}
-		if l.Seed == 0 {
-			l.Seed = 42
-		}
-		if l.Scheduler != "" {
-			if _, err := schedulerByName(l.Scheduler); err != nil {
-				return "", err
-			}
-		}
-		if l.Channels == 0 {
-			l.Channels = 1
-		}
-		if l.Routing == "" {
-			l.Routing = addr.RouteColored.String()
-		}
-		if _, err := addr.RoutingByName(l.Routing); err != nil {
+		if _, err := l.resolve(); err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("leakage|sched=%s|attacker=%s|cores=%d|samples=%d|seed=%d|channels=%d|routing=%s",
@@ -435,16 +395,7 @@ func (r *JobRequest) normalize() (string, error) {
 		if c == nil {
 			return "", fmt.Errorf("%q job needs a chaos payload", r.Kind)
 		}
-		if c.Workload == "" {
-			c.Workload = "milc"
-		}
-		if c.Cores == 0 {
-			c.Cores = 4
-		}
-		if c.Seed == 0 {
-			c.Seed = 7
-		}
-		if _, err := schedulerByName(c.Scheduler); err != nil {
+		if _, _, err := c.resolve(); err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("chaos|sched=%s|workload=%s|cores=%d|seed=%d|cycles=%d",
@@ -454,51 +405,7 @@ func (r *JobRequest) normalize() (string, error) {
 		if a == nil {
 			return "", fmt.Errorf("%q job needs an audit payload", r.Kind)
 		}
-		if a.Cores == 0 {
-			a.Cores = audit.DefaultDomains
-		}
-		if a.Bits == 0 {
-			a.Bits = audit.DefaultBits
-		}
-		a.Bits += a.Bits % 2 // the engine rounds up to even; bake it into the key
-		if a.Window == 0 {
-			a.Window = audit.DefaultWindow
-		}
-		if a.Seeds == 0 {
-			a.Seeds = audit.DefaultSeeds
-		}
-		if a.Permutations == 0 {
-			a.Permutations = audit.DefaultPermutations
-		}
-		if a.Rounds == 0 {
-			a.Rounds = audit.DefaultRounds
-		}
-		if a.Seed == 0 {
-			a.Seed = 42
-		}
-		// A fault seed only means something alongside a fault plan; zero it
-		// otherwise so requests differing only in a dangling seed address
-		// the same job (and the certificate omits it, like a direct run).
-		if a.Fault == "" {
-			a.FaultSeed = 0
-		} else if a.FaultSeed == 0 {
-			a.FaultSeed = 7
-		}
-		if _, err := schedulerByName(a.Scheduler); err != nil {
-			return "", err
-		}
-		if a.Fault != "" {
-			if _, ok := fault.PlanByName(a.Fault, a.Cores, a.FaultSeed); !ok {
-				return "", fmt.Errorf("unknown fault plan %q", a.Fault)
-			}
-		}
-		if a.Channels == 0 {
-			a.Channels = 1
-		}
-		if a.Routing == "" {
-			a.Routing = addr.RouteColored.String()
-		}
-		if _, err := addr.RoutingByName(a.Routing); err != nil {
+		if _, _, err := a.resolve(); err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("audit|sched=%s|cores=%d|bits=%d|window=%d|seeds=%d|perms=%d|rounds=%d|seed=%d|fault=%s|faultseed=%d|channels=%d|routing=%s",
@@ -507,6 +414,162 @@ func (r *JobRequest) normalize() (string, error) {
 		return "", fmt.Errorf("unknown job kind %q (options: %s, %s, %s, %s, %s)",
 			r.Kind, KindSimulate, KindFigures, KindLeakage, KindChaos, KindAudit)
 	}
+}
+
+// Each job kind has one resolve function. It fills the payload's
+// content-key defaults in place, validates the payload through the rules
+// of the engine that runs it, and returns that engine's input. normalize
+// calls it to accept a job, and the executor calls it again on a copy of
+// the accepted payload (where the defaults are already filled) to run the
+// job, so submission and execution cannot disagree about a request.
+
+// resolveSimulate returns the simulation a simulate job runs.
+func (r *JobRequest) resolveSimulate() (sim.Config, error) {
+	cfg, err := r.Simulate.ToSimConfig()
+	if err != nil {
+		return sim.Config{}, err
+	}
+	if r.Observe {
+		cfg.Observe = &obs.Options{}
+	}
+	return cfg, nil
+}
+
+// resolve returns the runner settings and the figures a figures job
+// runs: every figure when none is named.
+func (f *FiguresRequest) resolve() (experiments.Settings, []experiments.Figure, error) {
+	if f.Cores == 0 {
+		f.Cores = 8
+	}
+	if f.Reads == 0 {
+		f.Reads = 20_000
+	}
+	if f.Seed == 0 {
+		f.Seed = 42
+	}
+	ids := f.Figures
+	if len(ids) == 0 {
+		ids = experiments.Names()
+	}
+	figs := make([]experiments.Figure, len(ids))
+	for i, id := range ids {
+		fig, ok := experiments.Lookup(id)
+		if !ok {
+			return experiments.Settings{}, nil, fmt.Errorf("unknown figure %q (options: %s)", id, strings.Join(experiments.Names(), ", "))
+		}
+		figs[i] = fig
+	}
+	return experiments.Settings{Cores: f.Cores, TargetReads: f.Reads, Seed: f.Seed}, figs, nil
+}
+
+// resolve returns the Figure 4 comparison a leakage job runs: the named
+// scheduler, or the Figure 4 pair (Baseline and FS_RP).
+func (l *LeakageRequest) resolve() (leakage.CompareParams, error) {
+	if l.Attacker == "" {
+		l.Attacker = "mcf"
+	}
+	if l.Cores == 0 {
+		l.Cores = 8
+	}
+	if l.Samples == 0 {
+		l.Samples = 40
+	}
+	if l.Seed == 0 {
+		l.Seed = 42
+	}
+	if l.Channels == 0 {
+		l.Channels = 1
+	}
+	if l.Routing == "" {
+		l.Routing = addr.RouteColored.String()
+	}
+	p := leakage.CompareParams{
+		Domains: l.Cores, Schedulers: []sim.SchedulerKind{sim.Baseline, sim.FSRankPart},
+		Samples: l.Samples, Seed: l.Seed, Channels: l.Channels,
+	}
+	var err error
+	if p.Attacker, err = workload.ByName(l.Attacker); err != nil {
+		return p, err
+	}
+	if l.Scheduler != "" {
+		k, err := schedulerByName(l.Scheduler)
+		if err != nil {
+			return p, err
+		}
+		p.Schedulers = []sim.SchedulerKind{k}
+	}
+	if p.Routing, err = addr.RoutingByName(l.Routing); err != nil {
+		return p, err
+	}
+	return p, sim.CheckFabric(p.Channels, p.Routing, p.Domains)
+}
+
+// resolve returns the reference configuration and the fault plans of the
+// campaign a chaos job runs.
+func (c *ChaosRequest) resolve() (sim.Config, []*fault.Plan, error) {
+	if c.Workload == "" {
+		c.Workload = "milc"
+	}
+	if c.Cores == 0 {
+		c.Cores = 4
+	}
+	if c.Seed == 0 {
+		c.Seed = 7
+	}
+	k, err := schedulerByName(c.Scheduler)
+	if err != nil {
+		return sim.Config{}, nil, err
+	}
+	mix, err := workload.Rate(c.Workload, c.Cores)
+	if err != nil {
+		return sim.Config{}, nil, err
+	}
+	cfg := sim.DefaultConfig(mix, k)
+	cfg.Seed = 1
+	if c.Cycles > 0 {
+		cfg.TargetReads = 0
+		cfg.MaxBusCycles = c.Cycles
+	}
+	return cfg, fault.CampaignPlans(c.Cores, c.Seed), nil
+}
+
+// resolve returns the scheduler and the campaign options an audit job
+// runs. The campaign defaults and rules are audit.Options.Check's; the
+// request adds its own defaults for the seeds and the fabric.
+func (a *AuditRequest) resolve() (sim.SchedulerKind, audit.Options, error) {
+	if a.Seed == 0 {
+		a.Seed = 42
+	}
+	if a.Fault != "" && a.FaultSeed == 0 {
+		a.FaultSeed = 7
+	}
+	if a.Channels == 0 {
+		a.Channels = 1
+	}
+	if a.Routing == "" {
+		a.Routing = addr.RouteColored.String()
+	}
+	k, err := schedulerByName(a.Scheduler)
+	if err != nil {
+		return 0, audit.Options{}, err
+	}
+	routing, err := addr.RoutingByName(a.Routing)
+	if err != nil {
+		return 0, audit.Options{}, err
+	}
+	o, err := audit.Options{
+		Domains: a.Cores, Bits: a.Bits, WindowBusCycles: a.Window, Seed: a.Seed, Seeds: a.Seeds,
+		Permutations: a.Permutations, Rounds: a.Rounds, FaultPlan: a.Fault, FaultSeed: a.FaultSeed,
+		Channels: a.Channels, Routing: routing,
+	}.Check()
+	if err != nil {
+		return 0, audit.Options{}, err
+	}
+	// Bake the engine's defaults into the request, and so into the key:
+	// requests differing only in spelled-out defaults address one job.
+	a.Cores, a.Bits, a.Window, a.Seeds = o.Domains, o.Bits, o.WindowBusCycles, o.Seeds
+	a.Permutations, a.Rounds, a.FaultSeed = o.Permutations, o.Rounds, o.FaultSeed
+	return k, o, nil
 }
 
 // Canonicalize validates req, fills its defaults in place, and returns

@@ -4,16 +4,12 @@ import (
 	"context"
 	"fmt"
 
-	"fsmem/internal/addr"
 	"fsmem/internal/audit"
 	"fsmem/internal/experiments"
-	"fsmem/internal/fault"
 	"fsmem/internal/fsmerr"
 	"fsmem/internal/leakage"
-	"fsmem/internal/obs"
 	"fsmem/internal/parallel"
 	"fsmem/internal/sim"
-	"fsmem/internal/workload"
 )
 
 // execute runs one job body on the parallel engine (one cell: panic
@@ -132,12 +128,9 @@ func (m *Manager) run(ctx context.Context, j *Job) (*cacheEntry, error) {
 }
 
 func (m *Manager) runSimulate(ctx context.Context, j *Job) (*cacheEntry, error) {
-	cfg, err := j.Req.Simulate.ToSimConfig()
+	cfg, err := j.Req.resolveSimulate()
 	if err != nil {
 		return nil, fsmerr.Wrap(fsmerr.CodeConfig, "server.simulate", err)
-	}
-	if j.Req.Observe {
-		cfg.Observe = &obs.Options{}
 	}
 	j.progressTotal.Store(1)
 	res, err := sim.SimulateContext(ctx, cfg)
@@ -154,38 +147,32 @@ func (m *Manager) runSimulate(ctx context.Context, j *Job) (*cacheEntry, error) 
 }
 
 func (m *Manager) runFigures(ctx context.Context, j *Job) (*cacheEntry, error) {
-	req := j.Req.Figures
-	workers := req.Workers
-	if workers <= 0 || workers > m.gridShards {
-		workers = m.gridShards
+	req := *j.Req.Figures
+	s, figs, err := req.resolve()
+	if err != nil {
+		return nil, fsmerr.Wrap(fsmerr.CodeConfig, "server.figures", err)
 	}
-	r := experiments.NewRunner(experiments.Settings{
-		Cores:       req.Cores,
-		TargetReads: req.Reads,
-		Seed:        req.Seed,
-		Workers:     workers,
-		OnCell: func(key string) {
-			// Per-cell progress from the pool workers; the grid size is
-			// not known upfront, so Total stays 0.
-			done := int(j.progressDone.Add(1))
-			j.events.publish(JobEvent{Phase: "progress", Cell: key, Done: done})
-		},
-	})
+	s.Workers = req.Workers
+	if s.Workers <= 0 || s.Workers > m.gridShards {
+		s.Workers = m.gridShards
+	}
+	s.OnCell = func(key string) {
+		// Per-cell progress from the pool workers; the grid size is not
+		// known upfront, so Total stays 0.
+		done := int(j.progressDone.Add(1))
+		j.events.publish(JobEvent{Phase: "progress", Cell: key, Done: done})
+	}
+	r := experiments.NewRunner(s)
 	r.Ctx = ctx
 
 	var out FiguresResult
-	ids := req.Figures
-	if len(ids) == 0 {
-		ids = experiments.Names()
-	}
-	for _, id := range ids {
-		f, _ := experiments.Lookup(id) // normalize admits only known IDs
+	for _, f := range figs {
 		t, err := f.Run(r)
 		switch {
 		case fsmerr.CodeOf(err) == fsmerr.CodeCanceled:
 			return nil, err
 		case err != nil:
-			out.Errors = append(out.Errors, fmt.Sprintf("figure %s: %v", id, err))
+			out.Errors = append(out.Errors, fmt.Sprintf("figure %s: %v", f.ID, err))
 		default:
 			out.Tables = append(out.Tables, t)
 		}
@@ -198,42 +185,23 @@ func (m *Manager) runFigures(ctx context.Context, j *Job) (*cacheEntry, error) {
 }
 
 func (m *Manager) runLeakage(ctx context.Context, j *Job) (*cacheEntry, error) {
-	req := j.Req.Leakage
-	attacker, err := workload.ByName(req.Attacker)
+	req := *j.Req.Leakage
+	p, err := req.resolve()
 	if err != nil {
 		return nil, fsmerr.Wrap(fsmerr.CodeConfig, "server.leakage", err)
 	}
-	kinds := []sim.SchedulerKind{sim.Baseline, sim.FSRankPart}
-	if req.Scheduler != "" {
-		k, err := schedulerByName(req.Scheduler)
-		if err != nil {
-			return nil, fsmerr.Wrap(fsmerr.CodeConfig, "server.leakage", err)
-		}
-		kinds = []sim.SchedulerKind{k}
-	}
-	// Journal records from before the fabric carry no routing; default it
-	// like normalize() does for fresh submissions.
-	routing := addr.RouteColored
-	if req.Routing != "" {
-		routing, err = addr.RoutingByName(req.Routing)
-		if err != nil {
-			return nil, fsmerr.Wrap(fsmerr.CodeConfig, "server.leakage", err)
-		}
-	}
-	total := 2 * len(kinds) // a quiet and a loud profile per scheduler
+	total := 2 * len(p.Schedulers) // a quiet and a loud profile per scheduler
 	j.progressTotal.Store(int64(total))
-	cmp, err := leakage.Compare(ctx, leakage.CompareParams{
-		Attacker: attacker, Domains: req.Cores, Schedulers: kinds, Samples: req.Samples, Seed: req.Seed,
-		Channels: req.Channels, Routing: routing, Workers: m.gridShards,
-		OnProfile: func(k sim.SchedulerKind, coRunner string) {
-			done := int(j.progressDone.Add(1))
-			j.events.publish(JobEvent{Phase: "progress", Cell: fmt.Sprintf("%v/%s", k, coRunner), Done: done, Total: total})
-		},
-	})
+	p.Workers = m.gridShards
+	p.OnProfile = func(k sim.SchedulerKind, coRunner string) {
+		done := int(j.progressDone.Add(1))
+		j.events.publish(JobEvent{Phase: "progress", Cell: fmt.Sprintf("%v/%s", k, coRunner), Done: done, Total: total})
+	}
+	cmp, err := leakage.Compare(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	out := LeakageResult{Attacker: attacker.Name}
+	out := LeakageResult{Attacker: p.Attacker.Name}
 	for _, c := range cmp {
 		div, err := leakage.Divergence(c.Quiet, c.Loud)
 		if err != nil {
@@ -254,39 +222,20 @@ func (m *Manager) runLeakage(ctx context.Context, j *Job) (*cacheEntry, error) {
 }
 
 func (m *Manager) runAudit(ctx context.Context, j *Job) (*cacheEntry, error) {
-	req := j.Req.Audit
-	k, err := schedulerByName(req.Scheduler)
+	req := *j.Req.Audit
+	k, o, err := req.resolve()
 	if err != nil {
 		return nil, fsmerr.Wrap(fsmerr.CodeConfig, "server.audit", err)
 	}
-	routing := addr.RouteColored
-	if req.Routing != "" {
-		routing, err = addr.RoutingByName(req.Routing)
-		if err != nil {
-			return nil, fsmerr.Wrap(fsmerr.CodeConfig, "server.audit", err)
-		}
+	o.Workers = m.gridShards
+	o.Metrics = &m.auditMetrics
+	o.Progress = func(stage string, done, total int) {
+		// Campaign totals grow per stage; report the stage-local count and
+		// leave the job total open like the figure grid does.
+		j.progressDone.Store(int64(done))
+		j.events.publish(JobEvent{Phase: "progress", Cell: "audit/" + stage, Done: done})
 	}
-	cert, err := audit.Run(ctx, k, audit.Options{
-		Domains:         req.Cores,
-		Bits:            req.Bits,
-		WindowBusCycles: req.Window,
-		Seed:            req.Seed,
-		Seeds:           req.Seeds,
-		Permutations:    req.Permutations,
-		Rounds:          req.Rounds,
-		Workers:         m.gridShards,
-		FaultPlan:       req.Fault,
-		FaultSeed:       req.FaultSeed,
-		Channels:        req.Channels,
-		Routing:         routing,
-		Metrics:         &m.auditMetrics,
-		Progress: func(stage string, done, total int) {
-			// Campaign totals grow per stage; report the stage-local count
-			// and leave the job total open like the figure grid does.
-			j.progressDone.Store(int64(done))
-			j.events.publish(JobEvent{Phase: "progress", Cell: "audit/" + stage, Done: done})
-		},
-	})
+	cert, err := audit.Run(ctx, k, o)
 	if err != nil {
 		return nil, err
 	}
@@ -301,22 +250,11 @@ func (m *Manager) runAudit(ctx context.Context, j *Job) (*cacheEntry, error) {
 }
 
 func (m *Manager) runChaos(ctx context.Context, j *Job) (*cacheEntry, error) {
-	req := j.Req.Chaos
-	k, err := schedulerByName(req.Scheduler)
+	req := *j.Req.Chaos
+	cfg, plans, err := req.resolve()
 	if err != nil {
 		return nil, fsmerr.Wrap(fsmerr.CodeConfig, "server.chaos", err)
 	}
-	mix, err := workload.Rate(req.Workload, req.Cores)
-	if err != nil {
-		return nil, fsmerr.Wrap(fsmerr.CodeConfig, "server.chaos", err)
-	}
-	cfg := sim.DefaultConfig(mix, k)
-	cfg.Seed = 1
-	if req.Cycles > 0 {
-		cfg.TargetReads = 0
-		cfg.MaxBusCycles = req.Cycles
-	}
-	plans := fault.CampaignPlans(req.Cores, req.Seed)
 	j.progressTotal.Store(int64(len(plans)) + 1) // +1 for the reference run
 	res, err := sim.RunCampaignContext(ctx, cfg, plans, m.gridShards)
 	if err != nil {

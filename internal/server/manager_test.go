@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fsmem/internal/config"
+	"fsmem/internal/fsmerr"
 )
 
 // smallSim returns a fast, deterministic simulate request; vary seed to
@@ -119,11 +120,27 @@ func TestNormalizeRejectsBadRequests(t *testing.T) {
 		"bad figure":        {Kind: KindFigures, Figures: &FiguresRequest{Figures: []string{"99"}}},
 		"bad sim config":    {Kind: KindSimulate, Simulate: &config.Experiment{Workload: "mcf", Scheduler: "nope"}},
 		"bad leakage sched": {Kind: KindLeakage, Leakage: &LeakageRequest{Scheduler: "nope"}},
+		// Each payload below names something the engine that runs the job
+		// rejects, so it must be refused at submission, not queued to fail.
+		"leakage attacker":       {Kind: KindLeakage, Leakage: &LeakageRequest{Attacker: "nope"}},
+		"leakage uneven colored": {Kind: KindLeakage, Leakage: &LeakageRequest{Cores: 6, Channels: 4}},
+		"leakage channels":       {Kind: KindLeakage, Leakage: &LeakageRequest{Channels: -3}},
+		"chaos workload":         {Kind: KindChaos, Chaos: &ChaosRequest{Scheduler: "fs_rp", Workload: "nope"}},
+		"chaos cores":            {Kind: KindChaos, Chaos: &ChaosRequest{Scheduler: "fs_rp", Cores: 9999}},
+		"audit cores":            {Kind: KindAudit, Audit: &AuditRequest{Scheduler: "fs_rp", Cores: 1}},
+		"audit permutations":     {Kind: KindAudit, Audit: &AuditRequest{Scheduler: "fs_rp", Permutations: 5}},
+		"audit uneven colored":   {Kind: KindAudit, Audit: &AuditRequest{Scheduler: "fs_rp", Cores: 6, Channels: 4}},
 	}
 	for name, req := range cases {
 		req := req
 		if _, err := req.normalize(); err == nil {
 			t.Errorf("%s: normalize accepted %+v", name, req)
+		}
+		// Submission refuses it with code config (HTTP 400) before admitting.
+		admitted := errors.New("admitted")
+		_, _, err := NewTable("", 1, 1).Submit(req, func(*Admission) (*Job, bool, error) { return nil, false, admitted })
+		if fsmerr.CodeOf(err) != fsmerr.CodeConfig {
+			t.Errorf("%s: submission answered %v, want a config error", name, err)
 		}
 	}
 }

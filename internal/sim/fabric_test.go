@@ -314,34 +314,37 @@ func TestFabricConfigErrors(t *testing.T) {
 	check("uneven colored split", cfg) // 6 domains over 4 channels
 
 	cfg = DefaultConfig(mix, FSRankPart)
-	cfg.Channels = 2
-	cfg.DRAM.Channels = 4
-	check("Channels vs DRAM.Channels mismatch", cfg)
-
-	cfg = DefaultConfig(mix, FSRankPart)
 	cfg.Channels = -1
 	check("negative channels", cfg)
 }
 
-// TestDRAMChannelsSelectsFabricWidth: dram.Params.Channels is no longer
-// validated-but-ignored; it selects the fabric width when Config.Channels
-// is unset.
-func TestDRAMChannelsSelectsFabricWidth(t *testing.T) {
-	mix, err := workload.Rate("milc", 8)
-	if err != nil {
-		t.Fatal(err)
+// TestCheckFabric pins the one fabric-shape rule: a negative width and a
+// colored split that leaves domains over are rejected with CodeConfig;
+// the same split interleaved, and one channel under either routing, are
+// accepted.
+func TestCheckFabric(t *testing.T) {
+	cases := []struct {
+		channels int
+		routing  addr.Routing
+		domains  int
+		ok       bool
+	}{
+		{-1, addr.RouteColored, 8, false},
+		{-1, addr.RouteInterleaved, 8, false},
+		{4, addr.RouteColored, 6, false},
+		{4, addr.RouteInterleaved, 6, true},
+		{4, addr.RouteColored, 8, true},
+		{0, addr.RouteColored, 6, true},
+		{1, addr.RouteColored, 6, true},
+		{1, addr.RouteInterleaved, 6, true},
 	}
-	cfg := DefaultConfig(mix, FSRankPart)
-	cfg.DRAM.Channels = 2
-	cfg.TargetReads = 200
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Channels() != 2 {
-		t.Fatalf("Channels() = %d, want 2 (from DRAM.Channels)", sys.Channels())
-	}
-	if sys.Fabric() == nil || sys.Fabric().Channels() != 2 {
-		t.Fatal("fabric not constructed from DRAM.Channels")
+	for _, c := range cases {
+		err := CheckFabric(c.channels, c.routing, c.domains)
+		if (err == nil) != c.ok {
+			t.Errorf("CheckFabric(%d, %v, %d) = %v, want ok=%v", c.channels, c.routing, c.domains, err, c.ok)
+		}
+		if err != nil && fsmerr.CodeOf(err) != fsmerr.CodeConfig {
+			t.Errorf("CheckFabric(%d, %v, %d) = %v, want a CodeConfig error", c.channels, c.routing, c.domains, err)
+		}
 	}
 }

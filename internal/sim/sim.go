@@ -92,7 +92,8 @@ func (k SchedulerKind) Partition() addr.PartitionKind {
 	}
 }
 
-// AllSecure lists the five secure design points of Figure 3/6.
+// AllSecure lists the five secure design points Figures 3, 6 and 8 and
+// ablation A5 compare, in column order.
 func AllSecure() []SchedulerKind {
 	return []SchedulerKind{FSRankPart, FSReorderedBank, TPBank, FSNoPartTriple, TPNone}
 }
@@ -105,12 +106,12 @@ type Config struct {
 
 	// Channels selects the memory-fabric width: how many independent
 	// channel controllers the system instantiates, each with its own
-	// scheduler instance. 0 defers to DRAM.Channels (1 in the stock
-	// geometries); both >1 and disagreeing is a configuration error. One
-	// channel is the 1-wide case of the same loop and is byte-identical to
-	// the pre-fabric single-controller simulator. Interleaved channels
-	// share one clock; colored channels are independent lanes, each with
-	// its own clock, which Run steps concurrently.
+	// scheduler instance and DRAM channel. 0 and 1 both mean one channel,
+	// the 1-wide case of the same loop, byte-identical to the pre-fabric
+	// single-controller simulator. Interleaved channels share one clock;
+	// colored channels are independent lanes, each with its own clock,
+	// which Run steps concurrently. CheckFabric states which widths are
+	// accepted.
 	Channels int
 	// Routing selects how requests map to channels when Channels > 1:
 	// addr.RouteColored page-colors contiguous domain blocks onto
@@ -345,10 +346,10 @@ func New(cfg Config) (*System, error) {
 			return nil, fsmerr.Wrap(fsmerr.CodeWorkload, "sim.New", err)
 		}
 	}
-	n, err := cfg.channels()
-	if err != nil {
+	if err := CheckFabric(cfg.Channels, cfg.Routing, domains); err != nil {
 		return nil, err
 	}
+	n := max(cfg.Channels, 1)
 	interleaved := n > 1 && cfg.Routing != addr.RouteColored
 	// Blocked channel c owns domains [c*per, (c+1)*per); an interleaved
 	// channel's controller spans every domain.
@@ -376,7 +377,7 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 	if n > 1 {
-		s.fabric = mem.NewFabric(ctls, cfg.Routing, domains)
+		s.fabric = mem.NewFabric(ctls)
 	}
 	if interleaved {
 		// One lane: every core issues through the fabric.
@@ -539,28 +540,20 @@ func (l *lane) newCores(cfg Config, first, n int, seed uint64, m cpu.Memory, st 
 	return cores, nil
 }
 
-// channels resolves the effective fabric width from Config.Channels and
-// DRAM.Channels, rejecting a disagreement and (under colored routing) a
-// domain count that does not split evenly over the channels.
-func (cfg Config) channels() (int, error) {
-	n := cfg.Channels
-	if n < 0 {
-		return 0, fsmerr.New(fsmerr.CodeConfig, "sim.New", "channels must be non-negative, got %d", n)
+// CheckFabric is the one acceptance rule for a fabric shape: the width
+// must not be negative (0 and 1 both mean one channel), and colored
+// routing must split the domains evenly over the channels. New applies
+// it, and so does every layer that accepts a fabric shape before it
+// builds a system (config files, audit options, daemon jobs).
+func CheckFabric(channels int, routing addr.Routing, domains int) error {
+	switch {
+	case channels < 0:
+		return fsmerr.New(fsmerr.CodeConfig, "sim.CheckFabric", "channels must be non-negative, got %d", channels)
+	case channels > 1 && routing == addr.RouteColored && domains%channels != 0:
+		return fsmerr.New(fsmerr.CodeConfig, "sim.CheckFabric",
+			"%d domains do not split evenly over %d colored channels", domains, channels)
 	}
-	if n == 0 {
-		n = cfg.DRAM.Channels
-	} else if cfg.DRAM.Channels > 1 && cfg.DRAM.Channels != n {
-		return 0, fsmerr.New(fsmerr.CodeConfig, "sim.New",
-			"Config.Channels=%d disagrees with DRAM.Channels=%d", n, cfg.DRAM.Channels)
-	}
-	if n <= 1 {
-		return 1, nil
-	}
-	if cfg.Routing == addr.RouteColored && len(cfg.Mix.Profiles)%n != 0 {
-		return 0, fsmerr.New(fsmerr.CodeConfig, "sim.New",
-			"%d domains do not split evenly over %d colored channels", len(cfg.Mix.Profiles), n)
-	}
-	return n, nil
+	return nil
 }
 
 // earliestCore returns the earliest planned interaction of the lane's
@@ -605,7 +598,9 @@ func (s *System) Controller() *mem.Controller {
 	return s.chans[0].ctl
 }
 
-// Fabric exposes the multi-channel fabric, or nil in single-channel mode.
+// Fabric exposes the per-channel controllers of a multi-channel system,
+// or nil with one channel. Under interleaved routing it is also the
+// router the cores issue through.
 func (s *System) Fabric() *mem.Fabric { return s.fabric }
 
 // Channels returns the fabric width (1 for the classic single-channel
