@@ -215,6 +215,40 @@ func TestReconfigureDenseEquivalence(t *testing.T) {
 	diffResults(t, sys[0].Run(), sys[1].Run(), true)
 }
 
+// TestStepDeliversSpikes pins that a system driven by Step (Figure 4's
+// sampler, the Reconfigure tests) delivers a fault plan's queue-pressure
+// spikes as Run does: stepping a spiked system for as many bus cycles as
+// a fixed-length Run lasts must give the same Result, spike reads
+// included.
+func TestStepDeliversSpikes(t *testing.T) {
+	mix, err := workload.Rate("xalancbmk", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(mix, FSRankPart)
+	cfg.TargetReads = 0
+	cfg.MaxBusCycles = 3000
+	cfg.Fault = &fault.Plan{Name: "spike", Seed: 7,
+		Loads: []fault.LoadFault{{Kind: fault.LoadQueueSpike, Domain: 1, AtCycle: 1000, Count: 24}}}
+	run, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < cfg.MaxBusCycles; i++ {
+		sys.Step()
+	}
+	for _, sp := range sys.lanes[0].spikes {
+		if sp.next != len(sp.addrs) {
+			t.Errorf("Step delivered %d of the spike's %d reads", sp.next, len(sp.addrs))
+		}
+	}
+	diffResults(t, run, sys.collect(), false)
+}
+
 // TestFastForwardActuallySkipsMultiChannel is the fabric's anti-vacuity
 // guard: on an idle-heavy mix the multi-channel kernel must genuinely
 // jump, in both routing modes, or the equivalence suite above proves

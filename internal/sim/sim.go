@@ -728,13 +728,14 @@ func (s *System) Step() {
 	}
 }
 
-// step advances the lane by one bus cycle: its channels tick, then its
-// cores run the bus cycle's CPU cycles. The dense loop ticks every
-// scheduler and runs every core every cycle. Otherwise each controller
-// skips its scheduler's tick before the scheduler's NextEvent
-// (mem.Controller.Step), and cores run only the cycles on which they may
-// interact (stepCores).
+// step advances the lane by one bus cycle: due queue-pressure spikes are
+// delivered, its channels tick, then its cores run the bus cycle's CPU
+// cycles. The dense loop ticks every scheduler and runs every core every
+// cycle. Otherwise each controller skips its scheduler's tick before the
+// scheduler's NextEvent (mem.Controller.Step), and cores run only the
+// cycles on which they may interact (stepCores).
 func (l *lane) step() {
+	l.pumpSpikes()
 	for _, ch := range l.chans {
 		if l.dense {
 			ch.ctl.Tick()
@@ -966,7 +967,6 @@ func (l *lane) run(ctx context.Context, max, target int64) {
 				// horizon computation that would just return "no skip".
 			}
 		}
-		l.pumpSpikes()
 		l.step()
 		if target > 0 && l.reads() >= target {
 			return
