@@ -35,19 +35,6 @@ import (
 	"fsmem/internal/sim"
 )
 
-// auditOrder fixes the -sched all certificate order (the sim enum order,
-// baseline first) so JSONL output is stable across releases.
-var auditOrder = []fsmem.SchedulerKind{
-	fsmem.Baseline,
-	fsmem.TPBank,
-	fsmem.TPNone,
-	fsmem.FSRankPart,
-	fsmem.FSBankPart,
-	fsmem.FSReorderedBank,
-	fsmem.FSNoPart,
-	fsmem.FSNoPartTriple,
-}
-
 func main() {
 	schedName := flag.String("sched", "all", "scheduler to audit, or \"all\"")
 	cores := flag.Int("cores", audit.DefaultDomains, "cores (= security domains)")
@@ -64,12 +51,10 @@ func main() {
 	expect := flag.String("expect", "", "exit 1 unless every verdict matches (secure|leaky|fail)")
 	workers := flag.Int("j", 0, "parallel campaign workers (0 = GOMAXPROCS); certificates are identical for every value")
 	verbose := flag.Bool("v", false, "log campaign progress to stderr")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
-	exectrace := flag.String("exectrace", "", "write a Go execution trace to this file")
+	startProf := obs.ProfileFlags(flag.CommandLine, "audit")
 	flag.Parse()
 
-	stopProf, err := obs.StartProfiling(*cpuprofile, *memprofile, *exectrace)
+	stopProf, err := startProf()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "audit:", err)
 		os.Exit(2)
@@ -99,9 +84,7 @@ func main() {
 		}
 	}
 	code := run(*schedName, *expect, o)
-	if err := stopProf(); err != nil {
-		fmt.Fprintf(os.Stderr, "audit: profiling: %v\n", err)
-	}
+	stopProf()
 	os.Exit(code)
 }
 
@@ -120,7 +103,12 @@ func run(schedName, expect string, o audit.Options) int {
 		return 2
 	}
 
-	kinds := auditOrder
+	// -sched all audits in the scheduler enum order, Baseline first, so the
+	// JSONL order is stable across releases.
+	var kinds []sim.SchedulerKind
+	for k := sim.Baseline; k <= sim.FSNoPartTriple; k++ {
+		kinds = append(kinds, k)
+	}
 	if schedName != "all" {
 		k, ok := config.SchedulerByName(schedName)
 		if !ok {

@@ -46,21 +46,17 @@ func main() {
 	verbose := flag.Bool("v", false, "print stored violation details for detected faults")
 	workers := flag.Int("j", 0, "parallel campaign workers (0 = GOMAXPROCS); verdicts are identical for every value")
 	cycles := flag.Int64("cycles", 0, "fixed bus cycles per campaign run (0 = the standard 24k; the nightly CI job raises this)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
-	exectrace := flag.String("exectrace", "", "write a Go execution trace to this file")
+	startProf := obs.ProfileFlags(flag.CommandLine, "chaos")
 	flag.Parse()
 
-	stopProf, err := obs.StartProfiling(*cpuprofile, *memprofile, *exectrace)
+	stopProf, err := startProf()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaos:", err)
 		os.Exit(2)
 	}
 	// run does the work so the profilers flush before os.Exit.
 	code := run(*schedName, *wl, *cores, *seed, *cycles, *workers, *verbose)
-	if err := stopProf(); err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: profiling: %v\n", err)
-	}
+	stopProf()
 	os.Exit(code)
 }
 

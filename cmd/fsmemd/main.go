@@ -94,12 +94,10 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durability directory (job journal + disk result store; empty = in-memory only)")
 	quarantineAfter := flag.Int("quarantine-after", 3, "executor crashes before a job is quarantined")
 	pidfile := flag.String("pidfile", "", "write the daemon PID to this file")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
-	exectrace := flag.String("exectrace", "", "write a Go execution trace to this file")
+	startProf := obs.ProfileFlags(flag.CommandLine, "fsmemd")
 	flag.Parse()
 
-	stopProf, err := obs.StartProfiling(*cpuprofile, *memprofile, *exectrace)
+	stopProf, err := startProf()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fsmemd:", err)
 		os.Exit(2)
@@ -171,9 +169,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fsmemd: unknown -role %q (worker or coordinator)\n", *role)
 		os.Exit(2)
 	}
-	if perr := stopProf(); perr != nil {
-		fmt.Fprintf(os.Stderr, "fsmemd: profiling: %v\n", perr)
-	}
+	stopProf()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fsmemd:", err)
 		os.Exit(1)

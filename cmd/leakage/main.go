@@ -44,9 +44,7 @@ func main() {
 	channels := flag.Int("channels", 1, "memory channels (1 = classic single-channel system)")
 	routingName := flag.String("routing", "colored", "multi-channel request routing: colored or interleaved")
 	workers := flag.Int("j", 0, "parallel profile-collection workers (0 = GOMAXPROCS); output is identical for every value")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
-	exectrace := flag.String("exectrace", "", "write a Go execution trace to this file")
+	startProf := obs.ProfileFlags(flag.CommandLine, "leakage")
 	flag.Parse()
 
 	routing, err := addr.RoutingByName(*routingName)
@@ -54,15 +52,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "leakage:", err)
 		os.Exit(2)
 	}
-	stopProf, err := obs.StartProfiling(*cpuprofile, *memprofile, *exectrace)
+	stopProf, err := startProf()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "leakage:", err)
 		os.Exit(2)
 	}
 	code := run(*attackerName, *schedName, *samples, *seed, *workers, *covert, *jsonOut, *channels, routing)
-	if err := stopProf(); err != nil {
-		fmt.Fprintf(os.Stderr, "leakage: profiling: %v\n", err)
-	}
+	stopProf()
 	os.Exit(code)
 }
 

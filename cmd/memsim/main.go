@@ -119,21 +119,15 @@ func main() {
 	chromeTrace := flag.String("chrome-trace", "", "export the command/event trace as Chrome trace_event JSON to this file")
 	traceCap := flag.Int("trace-cap", 0, "trace ring capacity in events (0 = default)")
 	metrics := flag.Bool("metrics", false, "print the end-of-run metrics snapshot")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
-	exectrace := flag.String("exectrace", "", "write a Go execution trace to this file")
+	startProf := obs.ProfileFlags(flag.CommandLine, "memsim")
 	flag.Parse()
 
-	stopProf, err := obs.StartProfiling(*cpuprofile, *memprofile, *exectrace)
+	stopProf, err := startProf()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "memsim: profiling: %v\n", err)
-		}
-	}()
+	defer stopProf()
 
 	if *printConfig {
 		p := fsmem.DDR3x1600()

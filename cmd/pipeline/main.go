@@ -32,21 +32,15 @@ func main() {
 	domains := flag.Int("threads", 8, "number of threads / security domains")
 	intervals := flag.Int("intervals", 1, "number of Q-cycle intervals to draw")
 	pattern := flag.String("pattern", "rwrrrrww", "per-thread transaction kinds (r/w), cycled to the thread count")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
-	exectrace := flag.String("exectrace", "", "write a Go execution trace to this file")
+	startProf := obs.ProfileFlags(flag.CommandLine, "pipeline")
 	flag.Parse()
 
-	stopProf, err := obs.StartProfiling(*cpuprofile, *memprofile, *exectrace)
+	stopProf, err := startProf()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pipeline:", err)
 		os.Exit(2)
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "pipeline: profiling: %v\n", err)
-		}
-	}()
+	defer stopProf()
 
 	p := dram.DDR3_1600()
 	if *ddr4 {

@@ -43,9 +43,7 @@ func main() {
 	routing := flag.String("routing", "colored", "multi-channel routing: colored or interleaved")
 	traceOut := flag.String("trace-out", "", "export every memoized cell's command trace as JSONL to this file")
 	traceCap := flag.Int("trace-cap", 0, "per-run trace ring capacity in events (0 = default)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
-	exectrace := flag.String("exectrace", "", "write a Go execution trace to this file")
+	startProf := obs.ProfileFlags(flag.CommandLine, "sweep")
 	flag.Parse()
 	fail := func(err error) {
 		if err != nil {
@@ -53,13 +51,9 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	stopProf, err := obs.StartProfiling(*cpuprofile, *memprofile, *exectrace)
+	stopProf, err := startProf()
 	fail(err)
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: profiling: %v\n", err)
-		}
-	}()
+	defer stopProf()
 	render := func(t experiments.Table) string {
 		if *csv {
 			return t.CSV()

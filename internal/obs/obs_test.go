@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -174,4 +177,42 @@ func TestNilRegistry(t *testing.T) {
 	if snap := reg.Snapshot(); snap != nil {
 		t.Fatalf("nil registry snapshot = %v, want nil", snap)
 	}
+}
+
+// TestProfileFlags drives the shared profiling flags the way a command
+// does: register, parse, start, stop. Each named profile must be written,
+// and no flag set means no profiler.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+	start := ProfileFlags(fs, "cmd")
+	paths := map[string]string{}
+	var args []string
+	for _, name := range []string{"cpuprofile", "memprofile", "exectrace"} {
+		paths[name] = filepath.Join(dir, name)
+		args = append(args, "-"+name, paths[name])
+	}
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	stop, err := start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	for name, p := range paths {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("-%s wrote no profile to %s (%v)", name, p, err)
+		}
+	}
+
+	off := flag.NewFlagSet("cmd", flag.ContinueOnError)
+	start = ProfileFlags(off, "cmd")
+	if err := off.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if stop, err = start(); err != nil {
+		t.Fatal(err)
+	}
+	stop()
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -8,15 +9,36 @@ import (
 	"runtime/trace"
 )
 
-// StartProfiling turns on whichever of the three Go profilers the caller
+// ProfileFlags registers the -cpuprofile, -memprofile and -exectrace
+// flags on fs, so that every command-line tool declares and runs them
+// alike. Once fs is parsed, start turns on the profilers the flags name
+// (startProfiling). The stop it returns flushes them and reports a
+// failure on stderr as "<cmd>: profiling: <err>".
+func ProfileFlags(fs *flag.FlagSet, cmd string) (start func() (stop func(), err error)) {
+	cpuPath := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memPath := fs.String("memprofile", "", "write a heap profile to this file")
+	tracePath := fs.String("exectrace", "", "write a Go execution trace to this file")
+	return func() (func(), error) {
+		stop, err := startProfiling(*cpuPath, *memPath, *tracePath)
+		if err != nil {
+			return nil, err
+		}
+		return func() {
+			if err := stop(); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: profiling: %v\n", cmd, err)
+			}
+		}, nil
+	}
+}
+
+// startProfiling turns on whichever of the three Go profilers the caller
 // named (empty path = off) and returns a stop function that flushes and
-// closes them. The command-line tools share it so -cpuprofile /
-// -memprofile / execution-trace flags behave identically everywhere.
+// closes them.
 //
 // The CPU profile and execution trace run from this call until stop; the
 // heap profile is written at stop time (after a GC, so it reflects live
 // memory, not transient garbage).
-func StartProfiling(cpuPath, memPath, tracePath string) (stop func() error, err error) {
+func startProfiling(cpuPath, memPath, tracePath string) (stop func() error, err error) {
 	var cpuFile, traceFile *os.File
 	cleanup := func() {
 		if cpuFile != nil {
