@@ -49,7 +49,8 @@ import (
 	"fsmem/internal/workload"
 )
 
-// DRAMParams is the DDR3 organization and timing parameter set (Table 1).
+// DRAMParams is the organization and timing parameter set of one DDR3
+// channel (Table 1); Config.Channels sets how many channels a system has.
 type DRAMParams = dram.Params
 
 // DDR3x1600 returns the paper's DDR3-1600 configuration.
