@@ -126,11 +126,24 @@ type CompareParams struct {
 	OnProfile func(k sim.SchedulerKind, coRunner string)
 }
 
+// Check returns the config error Compare fails with for p, or nil: the
+// attacker needs a domain of its own, and the fabric shape must be one
+// sim accepts.
+func (p CompareParams) Check() error {
+	if p.Domains < 1 {
+		return fsmerr.New(fsmerr.CodeConfig, "leakage.Compare", "need at least the attacker's domain, got %d domains", p.Domains)
+	}
+	return sim.CheckFabric(p.Channels, p.Routing, p.Domains)
+}
+
 // Compare runs the Figure 4 experiment: every scheduler against an idle
 // (0.01 MPKI) and a streaming (45 MPKI) co-runner, the profiles collected
 // on a worker pool that passes cancellation to every running collection.
 // It returns one Comparison per scheduler, in scheduler order.
 func Compare(ctx context.Context, p CompareParams) ([]Comparison, error) {
+	if err := p.Check(); err != nil {
+		return nil, err
+	}
 	coRunners := []workload.Profile{workload.Synthetic("idle", 0.01), workload.Synthetic("streaming", 45)}
 	var cells []parallel.Cell[Profile]
 	for _, k := range p.Schedulers {

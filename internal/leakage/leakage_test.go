@@ -1,11 +1,13 @@
 package leakage
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"testing"
 
 	"fsmem/internal/addr"
+	"fsmem/internal/fsmerr"
 	"fsmem/internal/sim"
 	"fsmem/internal/workload"
 )
@@ -172,5 +174,24 @@ func TestCollectProfilePinned(t *testing.T) {
 func TestDivergenceErrors(t *testing.T) {
 	if _, err := Divergence(Profile{}, Profile{}); err == nil {
 		t.Error("Divergence on empty profiles should error")
+	}
+}
+
+// TestCompareRejectsBadParams pins that Compare refuses parameters it
+// cannot run with a config error before it collects any profile: a
+// negative domain count (which once panicked every profile cell) and a
+// colored split that leaves domains over.
+func TestCompareRejectsBadParams(t *testing.T) {
+	for _, p := range []CompareParams{
+		{Attacker: attacker(t), Domains: -1, Schedulers: []sim.SchedulerKind{sim.Baseline}, Samples: 1},
+		{Attacker: attacker(t), Domains: 6, Schedulers: []sim.SchedulerKind{sim.Baseline}, Samples: 1, Channels: 4},
+	} {
+		_, err := Compare(context.Background(), p)
+		if fsmerr.CodeOf(err) != fsmerr.CodeConfig {
+			t.Errorf("Compare(%d domains, %d channels) = %v, want a config error", p.Domains, p.Channels, err)
+		}
+		if err := p.Check(); fsmerr.CodeOf(err) != fsmerr.CodeConfig {
+			t.Errorf("Check(%d domains, %d channels) = %v, want a config error", p.Domains, p.Channels, err)
+		}
 	}
 }

@@ -501,7 +501,7 @@ func (l *LeakageRequest) resolve() (leakage.CompareParams, error) {
 	if p.Routing, err = addr.RoutingByName(l.Routing); err != nil {
 		return p, err
 	}
-	return p, sim.CheckFabric(p.Channels, p.Routing, p.Domains)
+	return p, p.Check()
 }
 
 // resolve returns the reference configuration and the fault plans of the

@@ -125,6 +125,7 @@ func TestNormalizeRejectsBadRequests(t *testing.T) {
 		"leakage attacker":       {Kind: KindLeakage, Leakage: &LeakageRequest{Attacker: "nope"}},
 		"leakage uneven colored": {Kind: KindLeakage, Leakage: &LeakageRequest{Cores: 6, Channels: 4}},
 		"leakage channels":       {Kind: KindLeakage, Leakage: &LeakageRequest{Channels: -3}},
+		"leakage cores":          {Kind: KindLeakage, Leakage: &LeakageRequest{Cores: -1}},
 		"chaos workload":         {Kind: KindChaos, Chaos: &ChaosRequest{Scheduler: "fs_rp", Workload: "nope"}},
 		"chaos cores":            {Kind: KindChaos, Chaos: &ChaosRequest{Scheduler: "fs_rp", Cores: 9999}},
 		"audit cores":            {Kind: KindAudit, Audit: &AuditRequest{Scheduler: "fs_rp", Cores: 1}},
