@@ -179,7 +179,7 @@ func TestDivergenceErrors(t *testing.T) {
 
 // TestCompareRejectsBadParams pins that Compare refuses parameters it
 // cannot run with a config error before it collects any profile: a
-// negative domain count (which once panicked every profile cell) and a
+// negative domain count (on which every profile cell would panic) and a
 // colored split that leaves domains over.
 func TestCompareRejectsBadParams(t *testing.T) {
 	for _, p := range []CompareParams{
