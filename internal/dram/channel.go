@@ -55,9 +55,12 @@ type rankState struct {
 	pdCycles         int64 // accumulated powered-down cycles
 
 	// Per-bank-group state for DDR4 long timings (length BankGroups, or 1).
-	groupLastAct          []int64
-	groupLastCAS          []int64
-	groupLastWriteDataEnd []int64
+	groups []groupState
+}
+
+// groupState is one bank group's most recent ACT, CAS and write-burst end.
+type groupState struct {
+	lastAct, lastCAS, lastWriteDataEnd int64
 }
 
 type dataSlot struct {
@@ -155,13 +158,9 @@ func NewChannel(p Params) *Channel {
 		for i := range rk.actHist {
 			rk.actHist[i] = NeverCycle
 		}
-		rk.groupLastAct = make([]int64, groups)
-		rk.groupLastCAS = make([]int64, groups)
-		rk.groupLastWriteDataEnd = make([]int64, groups)
-		for g := 0; g < groups; g++ {
-			rk.groupLastAct[g] = NeverCycle
-			rk.groupLastCAS[g] = NeverCycle
-			rk.groupLastWriteDataEnd[g] = NeverCycle
+		rk.groups = make([]groupState, groups)
+		for g := range rk.groups {
+			rk.groups[g] = groupState{NeverCycle, NeverCycle, NeverCycle}
 		}
 		for b := range rk.banks {
 			bk := &rk.banks[b]
@@ -207,22 +206,142 @@ var errNotReady = errors.New("dram: command not ready (probe)")
 // to the same clear cycle, so a scheduler may skip those probes.
 var errRankBusy = errors.New("dram: rank not ready (probe)")
 
-// reject rejects cmd on a bank-scoped constraint: bank state, tRP, tRC,
-// tRCD, tRAS, tRTP, tWR or a bank-group _L timing.
-func reject(explain bool, cmd Command, cycle int64, constraint string, readyAt int64) (int64, error) {
-	if !explain {
-		return readyAt, errNotReady
-	}
-	return readyAt, &TimingError{Cmd: cmd, Cycle: cycle, Constraint: constraint, ReadyAt: readyAt}
+// rule names a timing rule; its String is the constraint a TimingError
+// reports. Two names take the bank number (verdict.arg).
+type rule uint8
+
+const (
+	ruleCmdBus rule = iota
+	rulePoweredDown
+	ruleTXP
+	ruleTRFC
+	ruleBankOpen
+	ruleTRP
+	ruleTRC
+	ruleTRRD
+	ruleTRRDL
+	ruleTFAW
+	ruleReadClosed
+	ruleWriteClosed
+	ruleTRCD
+	ruleTCCD
+	ruleTWTR
+	ruleTCCDL
+	ruleTWTRL
+	rulePrechargeClosed
+	ruleTRAS
+	ruleTRTP
+	ruleTWR
+	ruleRefreshOpen
+	ruleTRPRefresh
+	rulePowerDownOpen
+	rulePowerDownRefresh
+	rulePowerUpUp
+)
+
+var ruleNames = [...]string{
+	ruleCmdBus:           "command bus (one command per cycle, in order)",
+	rulePoweredDown:      "rank powered down",
+	ruleTXP:              "tXP (power-up exit)",
+	ruleTRFC:             "tRFC (refresh in progress)",
+	ruleBankOpen:         "bank already open (needs PRE)",
+	ruleTRP:              "tRP",
+	ruleTRC:              "tRC",
+	ruleTRRD:             "tRRD",
+	ruleTRRDL:            "tRRD_L (same bank group)",
+	ruleTFAW:             "tFAW",
+	ruleReadClosed:       "read to closed bank",
+	ruleWriteClosed:      "write to closed bank",
+	ruleTRCD:             "tRCD",
+	ruleTCCD:             "tCCD",
+	ruleTWTR:             "tWTR",
+	ruleTCCDL:            "tCCD_L (same bank group)",
+	ruleTWTRL:            "tWTR_L (same bank group)",
+	rulePrechargeClosed:  "precharge to closed bank",
+	ruleTRAS:             "tRAS",
+	ruleTRTP:             "tRTP",
+	ruleTWR:              "tWR",
+	ruleRefreshOpen:      "refresh with bank %d open",
+	ruleTRPRefresh:       "tRP before refresh",
+	rulePowerDownOpen:    "power-down with bank %d open",
+	rulePowerDownRefresh: "power-down during refresh",
+	rulePowerUpUp:        "power-up of powered-up rank",
 }
 
-// rejectRank rejects cmd on a rank-wide constraint: the command bus, rank
-// power state, tXP, tRFC, tRRD, tFAW, tCCD, tWTR or the data bus.
-func rejectRank(explain bool, cmd Command, cycle int64, constraint string, readyAt int64) (int64, error) {
-	if !explain {
-		return readyAt, errRankBusy
+// verdict collects a command's timing rules as rules states them, each
+// once: the latest clear cycle of its bank-scoped and of its rank-wide
+// rules, and the first rule, in rules' order, that rejects the probed
+// cycle. A rule's clear cycle is the first cycle it allows; a state
+// rejection clears at NeverReady. Each rule rejects a contiguous run of
+// cycles ending at its clear cycle, so the first rejecting rule's clear
+// cycle is a lower bound on the first legal cycle, and so is each scope's
+// latest clear cycle. A probe (canIssue) stops at the first rejection; a
+// bound (Bounds) reads every rule.
+type verdict struct {
+	cycle      int64 // the probed cycle
+	probe      bool  // stop at the first rejection
+	bank, rank int64 // latest clear cycle per scope so far, of the rules that reject cycle
+	at         int64 // the first rejecting rule's clear cycle; cycle while none rejects
+	wide       bool  // that rule is rank-wide
+	rule       rule  // that rule
+	arg        int32 // the bank a ruleRefreshOpen or rulePowerDownOpen names
+}
+
+// reset readies v to probe (probe set) or bound cmd's rules at cycle.
+// Fields are set one by one: a struct copy would read back the narrow
+// stores of the literal as wide loads, which the store buffer cannot
+// forward.
+func (v *verdict) reset(cycle int64, probe bool) {
+	v.cycle, v.probe, v.at = cycle, probe, cycle
+	v.bank, v.rank = NeverCycle, NeverCycle
+}
+
+// bankRule records a bank-scoped rule that rejects the probed cycle: bank
+// state, tRP, tRC, tRCD, tRAS, tRTP, tWR or a bank-group _L timing. It
+// reports whether a probe may stop.
+func (v *verdict) bankRule(r rule, clear int64) bool {
+	if v.at == v.cycle {
+		v.at, v.wide, v.rule = clear, false, r
 	}
-	return reject(explain, cmd, cycle, constraint, readyAt)
+	v.bank = max(v.bank, clear)
+	return v.probe
+}
+
+// rankRule records a rank-wide rule that rejects the probed cycle: the
+// command bus, rank power state, tXP, tRFC, tRRD, tFAW, tCCD or tWTR. It
+// reports whether a probe may stop.
+func (v *verdict) rankRule(r rule, clear int64) bool {
+	if v.at == v.cycle {
+		v.at, v.wide, v.rule = clear, true, r
+	}
+	v.rank = max(v.rank, clear)
+	return v.probe
+}
+
+// openBank records the state rejection of a rank-level command (REF, PD)
+// while bank b of the rank is open. It reports whether a probe may stop.
+func (v *verdict) openBank(r rule, b int) bool {
+	if v.at == v.cycle {
+		v.arg = int32(b)
+	}
+	return v.bankRule(r, NeverReady)
+}
+
+// reject turns a rejecting verdict into canIssue's result: the clear cycle
+// with a TimingError when explain is set, else the probe sentinel of the
+// rule's scope.
+func (v *verdict) reject(cmd Command, explain bool) (int64, error) {
+	if !explain {
+		if v.wide {
+			return v.at, errRankBusy
+		}
+		return v.at, errNotReady
+	}
+	rule := ruleNames[v.rule]
+	if v.rule == ruleRefreshOpen || v.rule == rulePowerDownOpen {
+		rule = fmt.Sprintf(rule, v.arg)
+	}
+	return v.at, &TimingError{Cmd: cmd, Cycle: v.cycle, Constraint: rule, ReadyAt: v.at}
 }
 
 // CanIssue reports whether cmd may legally issue on the command bus at the
@@ -250,38 +369,120 @@ func (ch *Channel) ReadyAt(cmd Command, cycle int64) int64 {
 	return at
 }
 
+// Bounds returns two lower bounds on the first cycle at or after from
+// that accepts cmd, read from the same rules canIssue applies. bank is the
+// latest clear cycle of its bank-scoped rules. rank is the latest clear
+// cycle of its rank-wide rules and, for a column command, the first cycle
+// from there on which its burst fits the data bus. Both are at least from;
+// a state rejection or an invalid target gives NeverReady. The tightest
+// bound for one command is rank of Bounds(cmd, bank): its data bus
+// searched from the latest of all its other rules.
+//
+// The bounds hold while the channel state stays unchanged (Gen), and each
+// scope's only while no command reaches its bank or rank: a later command
+// can only tighten them, except a command to the bank itself (ACT, PRE),
+// REF, PD and PU on the rank, and a derate. The data bus is searched from
+// the latest of the other rules because its free cycles are not
+// upward-closed: a write's burst can fit ahead of a read burst already
+// scheduled, so a cycle free of bursts says nothing of the cycles after
+// it.
+func (ch *Channel) Bounds(cmd Command, from int64) (bank, rank int64) {
+	if ch.checkTarget(cmd) != nil {
+		return NeverReady, NeverReady
+	}
+	var v verdict
+	v.reset(from, false)
+	ch.rules(cmd, &v)
+	bank, rank = max(v.bank, from), max(v.rank, from)
+	if lat, ok := ch.dataLatency(cmd.Kind); ok && rank < NeverReady {
+		for {
+			at, _ := ch.dataConflict(cmd.Rank, rank, rank+lat)
+			if at == rank {
+				break
+			}
+			rank = at
+		}
+	}
+	return bank, rank
+}
+
 // Gen counts the channel's state changes: every applied command and every
 // derate. A ReadyAt bound holds for as long as Gen stays the same.
 func (ch *Channel) Gen() uint64 { return ch.gen }
 
+// checkTarget rejects a command whose rank, bank or kind does not exist.
+// Only the rank-level commands (REF, PD, PU) carry no bank.
+func (ch *Channel) checkTarget(cmd Command) error {
+	if uint(cmd.Rank) >= uint(len(ch.ranks)) || cmd.Kind > KindPowerUp ||
+		cmd.Kind < KindRefresh && uint(cmd.Bank) >= uint(ch.P.BanksPerRank) {
+		return ch.targetError(cmd)
+	}
+	return nil
+}
+
+func (ch *Channel) targetError(cmd Command) error {
+	switch {
+	case cmd.Rank < 0 || cmd.Rank >= len(ch.ranks):
+		return fmt.Errorf("dram: rank %d out of range [0,%d)", cmd.Rank, len(ch.ranks))
+	case cmd.Kind > KindPowerUp:
+		return fmt.Errorf("dram: unknown command kind %v", cmd.Kind)
+	}
+	return fmt.Errorf("dram: bank %d out of range [0,%d)", cmd.Bank, ch.P.BanksPerRank)
+}
+
+// dataLatency returns the cycles from a column command to its data burst
+// (tCAS for a read, tCWD for a write), and false for a command with no
+// burst.
+func (ch *Channel) dataLatency(k Kind) (int64, bool) {
+	switch k {
+	case KindRead, KindReadAP:
+		return int64(ch.P.TCAS), true
+	case KindWrite, KindWriteAP:
+		return int64(ch.P.TCWD), true
+	}
+	return 0, false
+}
+
 // canIssue is the shared check body. It returns cycle and nil when cmd may
-// issue, and otherwise the first rejecting constraint's clear cycle and an
+// issue, and otherwise the first rejecting rule's clear cycle and an
 // error; explain selects between detailed TimingError construction and the
-// shared probe sentinels, errRankBusy for a rank-wide constraint and
-// errNotReady for the rest. Each constraint rejects a contiguous run of
-// cycles ending at its clear cycle, so that cycle is a lower bound on the
-// first legal one.
+// shared probe sentinels, errRankBusy for a rank-wide rule and errNotReady
+// for the rest. The data bus is checked last, once every other rule
+// passes.
 func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) (int64, error) {
-	if cmd.Rank < 0 || cmd.Rank >= len(ch.ranks) {
-		return NeverReady, fmt.Errorf("dram: rank %d out of range [0,%d)", cmd.Rank, len(ch.ranks))
+	if err := ch.checkTarget(cmd); err != nil {
+		return NeverReady, err
 	}
-	if cmd.Kind != KindRefresh && cmd.Kind != KindPowerDown && cmd.Kind != KindPowerUp {
-		if cmd.Bank < 0 || cmd.Bank >= ch.P.BanksPerRank {
-			return NeverReady, fmt.Errorf("dram: bank %d out of range [0,%d)", cmd.Bank, ch.P.BanksPerRank)
-		}
+	var v verdict
+	v.reset(cycle, true)
+	ch.rules(cmd, &v)
+	if v.at > cycle {
+		return v.reject(cmd, explain)
 	}
-	if cycle <= ch.lastCmdCycle {
-		return rejectRank(explain, cmd, cycle, "command bus (one command per cycle, in order)", ch.lastCmdCycle+1)
+	if lat, ok := ch.dataLatency(cmd.Kind); ok {
+		return ch.checkDataBus(cmd, cycle, cycle+lat, explain)
+	}
+	return cycle, nil
+}
+
+// rules states every timing rule of cmd once, in the order canIssue
+// reports them, and records into v each rule that rejects the probed
+// cycle, with its scope and clear cycle; it returns early once a probe may
+// stop. cmd's target must have passed checkTarget.
+func (ch *Channel) rules(cmd Command, v *verdict) {
+	cycle := v.cycle
+	if at := ch.lastCmdCycle + 1; at > cycle && v.rankRule(ruleCmdBus, at) {
+		return
 	}
 	rk := &ch.ranks[cmd.Rank]
-	if rk.poweredDown && cmd.Kind != KindPowerUp {
-		return rejectRank(explain, cmd, cycle, "rank powered down", NeverReady)
+	if rk.poweredDown && cmd.Kind != KindPowerUp && v.rankRule(rulePoweredDown, NeverReady) {
+		return
 	}
-	if !rk.poweredDown && cycle < rk.powerUpReady && cmd.Kind != KindPowerDown {
-		return rejectRank(explain, cmd, cycle, "tXP (power-up exit)", rk.powerUpReady)
+	if at := rk.powerUpReady; at > cycle && !rk.poweredDown && cmd.Kind != KindPowerDown && v.rankRule(ruleTXP, at) {
+		return
 	}
-	if cycle < rk.refreshUntil && cmd.Kind != KindPowerDown && cmd.Kind != KindPowerUp {
-		return rejectRank(explain, cmd, cycle, "tRFC (refresh in progress)", rk.refreshUntil)
+	if at := rk.refreshUntil; at > cycle && cmd.Kind != KindPowerDown && cmd.Kind != KindPowerUp && v.rankRule(ruleTRFC, at) {
+		return
 	}
 
 	p := &ch.P
@@ -289,137 +490,122 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) (int64, erro
 	switch cmd.Kind {
 	case KindActivate:
 		bk := ch.bank(cmd)
-		if bk.openRow != ClosedRow {
-			return reject(explain, cmd, cycle, "bank already open (needs PRE)", NeverReady)
+		if bk.openRow != ClosedRow && v.bankRule(ruleBankOpen, NeverReady) {
+			return
 		}
-		if bk.prechargeStart != NeverCycle && cycle < bk.prechargeStart+int64(p.TRP+der.TRP) {
-			return reject(explain, cmd, cycle, "tRP", bk.prechargeStart+int64(p.TRP+der.TRP))
+		if at := bk.prechargeStart + int64(p.TRP+der.TRP); bk.prechargeStart != NeverCycle && at > cycle && v.bankRule(ruleTRP, at) {
+			return
 		}
-		if cycle < bk.lastAct+int64(p.TRC+der.TRC) {
-			return reject(explain, cmd, cycle, "tRC", bk.lastAct+int64(p.TRC+der.TRC))
+		if at := bk.lastAct + int64(p.TRC+der.TRC); at > cycle && v.bankRule(ruleTRC, at) {
+			return
 		}
-		if cycle < rk.actHist[0]+int64(p.RRDOther()+der.TRRD) {
-			return rejectRank(explain, cmd, cycle, "tRRD", rk.actHist[0]+int64(p.RRDOther()+der.TRRD))
+		if at := rk.actHist[0] + int64(p.RRDOther()+der.TRRD); at > cycle && v.rankRule(ruleTRRD, at) {
+			return
 		}
-		if g := p.BankGroup(cmd.Bank); cycle < rk.groupLastAct[g]+int64(p.RRDSame()+der.TRRD) {
-			return reject(explain, cmd, cycle, "tRRD_L (same bank group)", rk.groupLastAct[g]+int64(p.RRDSame()+der.TRRD))
+		if at := rk.groups[p.BankGroup(cmd.Bank)].lastAct + int64(p.RRDSame()+der.TRRD); at > cycle && v.bankRule(ruleTRRDL, at) {
+			return
 		}
-		if oldest := rk.actHist[3]; oldest != NeverCycle && cycle < oldest+int64(p.TFAW+der.TFAW) {
-			return rejectRank(explain, cmd, cycle, "tFAW", oldest+int64(p.TFAW+der.TFAW))
+		if at := rk.actHist[3] + int64(p.TFAW+der.TFAW); rk.actHist[3] != NeverCycle && at > cycle && v.rankRule(ruleTFAW, at) {
+			return
 		}
 
 	case KindRead, KindReadAP:
 		bk := ch.bank(cmd)
-		if bk.openRow == ClosedRow {
-			return reject(explain, cmd, cycle, "read to closed bank", NeverReady)
+		if bk.openRow == ClosedRow && v.bankRule(ruleReadClosed, NeverReady) {
+			return
 		}
-		if cycle < bk.lastAct+int64(p.TRCD+der.TRCD) {
-			return reject(explain, cmd, cycle, "tRCD", bk.lastAct+int64(p.TRCD+der.TRCD))
+		if at := bk.lastAct + int64(p.TRCD+der.TRCD); at > cycle && v.bankRule(ruleTRCD, at) {
+			return
 		}
-		if cycle < rk.lastCAS+int64(p.CCDOther()+der.TCCD) {
-			return rejectRank(explain, cmd, cycle, "tCCD", rk.lastCAS+int64(p.CCDOther()+der.TCCD))
+		if at := rk.lastCAS + int64(p.CCDOther()+der.TCCD); at > cycle && v.rankRule(ruleTCCD, at) {
+			return
 		}
-		if cycle < rk.lastWriteDataEnd+int64(p.WTROther()+der.TWTR) {
-			return rejectRank(explain, cmd, cycle, "tWTR", rk.lastWriteDataEnd+int64(p.WTROther()+der.TWTR))
+		if at := rk.lastWriteDataEnd + int64(p.WTROther()+der.TWTR); at > cycle && v.rankRule(ruleTWTR, at) {
+			return
 		}
-		if g := p.BankGroup(cmd.Bank); true {
-			if cycle < rk.groupLastCAS[g]+int64(p.CCDSame()+der.TCCD) {
-				return reject(explain, cmd, cycle, "tCCD_L (same bank group)", rk.groupLastCAS[g]+int64(p.CCDSame()+der.TCCD))
-			}
-			if cycle < rk.groupLastWriteDataEnd[g]+int64(p.WTRSame()+der.TWTR) {
-				return reject(explain, cmd, cycle, "tWTR_L (same bank group)", rk.groupLastWriteDataEnd[g]+int64(p.WTRSame()+der.TWTR))
-			}
+		g := &rk.groups[p.BankGroup(cmd.Bank)]
+		if at := g.lastCAS + int64(p.CCDSame()+der.TCCD); at > cycle && v.bankRule(ruleTCCDL, at) {
+			return
 		}
-		if at, err := ch.checkDataBus(cmd, cycle, cycle+int64(p.TCAS), explain); err != nil {
-			return at, err
+		if at := g.lastWriteDataEnd + int64(p.WTRSame()+der.TWTR); at > cycle && v.bankRule(ruleTWTRL, at) {
+			return
 		}
 
 	case KindWrite, KindWriteAP:
 		bk := ch.bank(cmd)
-		if bk.openRow == ClosedRow {
-			return reject(explain, cmd, cycle, "write to closed bank", NeverReady)
+		if bk.openRow == ClosedRow && v.bankRule(ruleWriteClosed, NeverReady) {
+			return
 		}
-		if cycle < bk.lastAct+int64(p.TRCD+der.TRCD) {
-			return reject(explain, cmd, cycle, "tRCD", bk.lastAct+int64(p.TRCD+der.TRCD))
+		if at := bk.lastAct + int64(p.TRCD+der.TRCD); at > cycle && v.bankRule(ruleTRCD, at) {
+			return
 		}
-		if cycle < rk.lastCAS+int64(p.CCDOther()+der.TCCD) {
-			return rejectRank(explain, cmd, cycle, "tCCD", rk.lastCAS+int64(p.CCDOther()+der.TCCD))
+		if at := rk.lastCAS + int64(p.CCDOther()+der.TCCD); at > cycle && v.rankRule(ruleTCCD, at) {
+			return
 		}
-		if g := p.BankGroup(cmd.Bank); cycle < rk.groupLastCAS[g]+int64(p.CCDSame()+der.TCCD) {
-			return reject(explain, cmd, cycle, "tCCD_L (same bank group)", rk.groupLastCAS[g]+int64(p.CCDSame()+der.TCCD))
-		}
-		if at, err := ch.checkDataBus(cmd, cycle, cycle+int64(p.TCWD), explain); err != nil {
-			return at, err
+		if at := rk.groups[p.BankGroup(cmd.Bank)].lastCAS + int64(p.CCDSame()+der.TCCD); at > cycle && v.bankRule(ruleTCCDL, at) {
+			return
 		}
 
 	case KindPrecharge:
 		bk := ch.bank(cmd)
-		if bk.openRow == ClosedRow {
-			return reject(explain, cmd, cycle, "precharge to closed bank", NeverReady)
+		if bk.openRow == ClosedRow && v.bankRule(rulePrechargeClosed, NeverReady) {
+			return
 		}
-		if cycle < bk.lastAct+int64(p.TRAS+der.TRAS) {
-			return reject(explain, cmd, cycle, "tRAS", bk.lastAct+int64(p.TRAS+der.TRAS))
+		if at := bk.lastAct + int64(p.TRAS+der.TRAS); at > cycle && v.bankRule(ruleTRAS, at) {
+			return
 		}
-		if cycle < bk.lastReadCAS+int64(p.TRTP+der.TRTP) {
-			return reject(explain, cmd, cycle, "tRTP", bk.lastReadCAS+int64(p.TRTP+der.TRTP))
+		if at := bk.lastReadCAS + int64(p.TRTP+der.TRTP); at > cycle && v.bankRule(ruleTRTP, at) {
+			return
 		}
-		if cycle < bk.writeDataEnd+int64(p.TWR+der.TWR) {
-			return reject(explain, cmd, cycle, "tWR", bk.writeDataEnd+int64(p.TWR+der.TWR))
+		if at := bk.writeDataEnd + int64(p.TWR+der.TWR); at > cycle && v.bankRule(ruleTWR, at) {
+			return
 		}
 
 	case KindRefresh:
 		for b := range rk.banks {
 			bk := &rk.banks[b]
-			if bk.openRow != ClosedRow {
-				if !explain {
-					return NeverReady, errNotReady
-				}
-				return reject(explain, cmd, cycle, fmt.Sprintf("refresh with bank %d open", b), NeverReady)
+			if bk.openRow != ClosedRow && v.openBank(ruleRefreshOpen, b) {
+				return
 			}
-			if bk.prechargeStart != NeverCycle && cycle < bk.prechargeStart+int64(p.TRP+der.TRP) {
-				return reject(explain, cmd, cycle, "tRP before refresh", bk.prechargeStart+int64(p.TRP+der.TRP))
+			if at := bk.prechargeStart + int64(p.TRP+der.TRP); bk.prechargeStart != NeverCycle && at > cycle && v.bankRule(ruleTRPRefresh, at) {
+				return
 			}
 		}
 
 	case KindPowerDown:
 		for b := range rk.banks {
-			if rk.banks[b].openRow != ClosedRow {
-				if !explain {
-					return NeverReady, errNotReady
-				}
-				return reject(explain, cmd, cycle, fmt.Sprintf("power-down with bank %d open", b), NeverReady)
+			if rk.banks[b].openRow != ClosedRow && v.openBank(rulePowerDownOpen, b) {
+				return
 			}
 		}
-		if cycle < rk.refreshUntil {
-			return rejectRank(explain, cmd, cycle, "power-down during refresh", rk.refreshUntil)
+		if at := rk.refreshUntil; at > cycle && v.rankRule(rulePowerDownRefresh, at) {
+			return
 		}
 
 	case KindPowerUp:
-		if !rk.poweredDown {
-			return rejectRank(explain, cmd, cycle, "power-up of powered-up rank", NeverReady)
+		if !rk.poweredDown && v.rankRule(rulePowerUpUp, NeverReady) {
+			return
 		}
-
-	default:
-		return NeverReady, fmt.Errorf("dram: unknown command kind %v", cmd.Kind)
 	}
-	return cycle, nil
 }
 
-// checkDataBus validates a burst starting at dataStart against recent and
-// scheduled transfers: bursts must not overlap, and transfers on different
-// ranks must be separated by tRTRS. A conflicting burst clears once the
-// command's own burst starts gap cycles after it ends; the command's data
-// latency (tCAS for a read, tCWD for a write) turns that into a command
+// dataConflict checks a burst starting at dataStart for a command issued
+// at cycle against recent and scheduled transfers: bursts must not
+// overlap, and transfers on different ranks must be separated by tRTRS. A
+// conflicting burst clears once the command's own burst starts gap cycles
+// after it ends; the command's data latency turns that into a command
 // cycle. Each conflicting burst blocks every cycle up to its own clear
-// cycle, so the bound is the latest of them. The constraint is rank-wide:
-// it reads the command's rank and kind, never its bank.
-func (ch *Channel) checkDataBus(cmd Command, cycle, dataStart int64, explain bool) (int64, error) {
+// cycle, so the bound is the latest of them. It returns that bound and the
+// index of the burst that sets it, or cycle and -1 when no burst
+// conflicts. The rule is rank-wide: it reads the command's rank and kind,
+// never its bank.
+func (ch *Channel) dataConflict(rank int, cycle, dataStart int64) (int64, int) {
 	p := &ch.P
 	end := dataStart + int64(p.TBURST)
 	readyAt, last := cycle, -1
 	for i, s := range ch.dataOcc {
 		gap := int64(0)
-		if s.rank != cmd.Rank {
+		if s.rank != rank {
 			gap = int64(p.TRTRS)
 		}
 		if dataStart < s.end+gap && s.start < end+gap {
@@ -428,6 +614,12 @@ func (ch *Channel) checkDataBus(cmd Command, cycle, dataStart int64, explain boo
 			}
 		}
 	}
+	return readyAt, last
+}
+
+// checkDataBus is canIssue's data-bus rule (see dataConflict).
+func (ch *Channel) checkDataBus(cmd Command, cycle, dataStart int64, explain bool) (int64, error) {
+	readyAt, last := ch.dataConflict(cmd.Rank, cycle, dataStart)
 	if last < 0 {
 		return cycle, nil
 	}
@@ -435,9 +627,9 @@ func (ch *Channel) checkDataBus(cmd Command, cycle, dataStart int64, explain boo
 		return readyAt, errRankBusy
 	}
 	s := ch.dataOcc[last]
-	return rejectRank(explain, cmd, cycle,
-		fmt.Sprintf("data bus conflict with rank %d burst [%d,%d)", s.rank, s.start, s.end),
-		readyAt)
+	return readyAt, &TimingError{Cmd: cmd, Cycle: cycle,
+		Constraint: fmt.Sprintf("data bus conflict with rank %d burst [%d,%d)", s.rank, s.start, s.end),
+		ReadyAt:    readyAt}
 }
 
 // Issue applies cmd at cycle, first validating it with CanIssue.
@@ -490,7 +682,7 @@ func (ch *Channel) apply(cmd Command, cycle int64, suppressed bool) {
 		bk.prechargeStart = NeverCycle
 		copy(rk.actHist[1:], rk.actHist[:3])
 		rk.actHist[0] = cycle
-		rk.groupLastAct[p.BankGroup(cmd.Bank)] = cycle
+		rk.groups[p.BankGroup(cmd.Bank)].lastAct = cycle
 		if suppressed {
 			ch.Counters.SuppressedActs++
 		} else {
@@ -501,7 +693,7 @@ func (ch *Channel) apply(cmd Command, cycle int64, suppressed bool) {
 		bk := ch.bank(cmd)
 		bk.lastReadCAS = cycle
 		rk.lastCAS = cycle
-		rk.groupLastCAS[p.BankGroup(cmd.Bank)] = cycle
+		rk.groups[p.BankGroup(cmd.Bank)].lastCAS = cycle
 		ch.recordData(cmd.Rank, cycle+int64(p.TCAS))
 		if cmd.Kind == KindReadAP {
 			der := ch.der(cmd.Rank)
@@ -527,11 +719,11 @@ func (ch *Channel) apply(cmd Command, cycle int64, suppressed bool) {
 	case KindWrite, KindWriteAP:
 		bk := ch.bank(cmd)
 		rk.lastCAS = cycle
-		rk.groupLastCAS[p.BankGroup(cmd.Bank)] = cycle
+		rk.groups[p.BankGroup(cmd.Bank)].lastCAS = cycle
 		dataEnd := cycle + int64(p.TCWD) + int64(p.TBURST)
 		bk.writeDataEnd = dataEnd
 		rk.lastWriteDataEnd = dataEnd
-		rk.groupLastWriteDataEnd[p.BankGroup(cmd.Bank)] = dataEnd
+		rk.groups[p.BankGroup(cmd.Bank)].lastWriteDataEnd = dataEnd
 		ch.recordData(cmd.Rank, cycle+int64(p.TCWD))
 		if cmd.Kind == KindWriteAP {
 			der := ch.der(cmd.Rank)

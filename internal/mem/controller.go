@@ -7,6 +7,8 @@
 package mem
 
 import (
+	"fmt"
+	"math"
 	"slices"
 
 	"fsmem/internal/dram"
@@ -22,6 +24,8 @@ import (
 type Request struct {
 	Domain   int
 	Write    bool
+	slot     uint16 // its slot in the class's bank view while queued
+	seq      uint32 // enqueue order (see Older)
 	Addr     dram.Address
 	Arrive   int64 // bus cycle the request entered the controller
 	FirstCmd int64 // bus cycle of its first DRAM command (-1 until issued)
@@ -30,6 +34,11 @@ type Request struct {
 	Dummy    bool // injected by FS shaping, carries no data
 	Prefetch bool // injected into an FS dummy slot or by the baseline
 	Acted    bool // an ACT was issued for this request (false on a row hit)
+
+	// prev and next link the request's bank list in the bank view, by slot
+	// (noSlot at either end). They and slot and seq sit in padding, so a
+	// request stays 96 bytes.
+	prev, next uint16
 
 	done func() // completion callback to the core (nil for writes/dummies)
 }
@@ -40,6 +49,14 @@ type Request struct {
 type Scheduler interface {
 	Name() string
 	Tick(c *Controller)
+}
+
+// QueueObserver is implemented by schedulers that track the queues
+// incrementally: the controller calls Enqueued right after r enters a read
+// queue or write buffer (a prefetch-buffer hit never enters one). Gen
+// counts every enqueue, so a scheduler can tell whether it saw them all.
+type QueueObserver interface {
+	Enqueued(c *Controller, r *Request)
 }
 
 // EventSource is implemented by schedulers that can bound their next state
@@ -130,11 +147,9 @@ type Controller struct {
 	ReadQ  [][]*Request // per-domain demand reads, arrival order
 	WriteQ [][]*Request // per-domain write-backs, arrival order
 
-	// ageReads/ageWrites hold every queued request of their class across
-	// domains, ordered by Arrive then Domain (a stable sort of the
-	// per-domain queues concatenated in domain order). They are kept
-	// incrementally by the enqueue/pop/remove paths; see ByAge.
-	ageReads, ageWrites []*Request
+	// bankReads/bankWrites hold every queued request of their class in one
+	// list per bank, oldest first; see BankHead.
+	bankReads, bankWrites bankView
 
 	Dom []stats.Domain
 	// LatHist collects per-domain demand-read latency distributions.
@@ -152,11 +167,17 @@ type Controller struct {
 	Retired        obs.Counter
 
 	sched       Scheduler
-	events      EventSource // sched's horizon; nil when it has none
+	events      EventSource   // sched's horizon; nil when it has none
+	observer    QueueObserver // sched's enqueue hook; nil when it has none
 	completions completionHeap
 
-	// qgen counts enqueues, pops and removals on the queues (see Gen).
+	// qgen counts enqueues, pops and removals on the queues (see Gen), and
+	// seq numbers the enqueues.
 	qgen uint64
+	seq  uint32
+
+	// reads counts the demand reads delivered, summed over Dom[*].Reads.
+	reads int64
 
 	// free holds retired requests for NewRequest to reuse. finish returns a
 	// request only after its completion callback has run, and nothing in
@@ -192,8 +213,8 @@ func NewController(p dram.Params, cfg Config, sched Scheduler) *Controller {
 		c.ReadQ[d] = make([]*Request, 0, cfg.ReadCap)
 		c.WriteQ[d] = make([]*Request, 0, cfg.WriteCap)
 	}
-	c.ageReads = make([]*Request, 0, cfg.Domains*cfg.ReadCap)
-	c.ageWrites = make([]*Request, 0, cfg.Domains*cfg.WriteCap)
+	c.bankReads = newBankView(p, cfg.Domains*cfg.ReadCap)
+	c.bankWrites = newBankView(p, cfg.Domains*cfg.WriteCap)
 	return c
 }
 
@@ -207,6 +228,7 @@ func (c *Controller) Scheduler() Scheduler { return c.sched }
 func (c *Controller) SetScheduler(s Scheduler) {
 	c.sched = s
 	c.events, _ = s.(EventSource)
+	c.observer, _ = s.(QueueObserver)
 }
 
 // Gen counts changes to the state a scheduler decision reads: every
@@ -268,8 +290,7 @@ func (c *Controller) EnqueueRead(domain int, a dram.Address, done func()) bool {
 	c.Obs.Enqueue(domain, a, c.Cycle)
 	r := c.NewRequest(Request{Domain: domain, Addr: a, Arrive: c.Cycle, FirstCmd: -1, DataEnd: -1, done: done})
 	c.ReadQ[domain] = append(c.ReadQ[domain], r)
-	c.ageReads = insertByAge(c.ageReads, r)
-	c.qgen++
+	c.enqueued(&c.bankReads, r)
 	return true
 }
 
@@ -283,44 +304,153 @@ func (c *Controller) EnqueueWrite(domain int, a dram.Address) bool {
 	}
 	r := c.NewRequest(Request{Domain: domain, Write: true, Addr: a, Arrive: c.Cycle, FirstCmd: -1, DataEnd: -1})
 	c.WriteQ[domain] = append(c.WriteQ[domain], r)
-	c.ageWrites = insertByAge(c.ageWrites, r)
-	c.qgen++
+	c.enqueued(&c.bankWrites, r)
 	return true
 }
 
-// insertByAge places r after every request that arrived before it, or at
-// the same cycle from a domain at or below its own. Requests arrive at the
-// current cycle, so the backward scan almost always stops at the tail.
-func insertByAge(s []*Request, r *Request) []*Request {
-	i := len(s)
-	for i > 0 && (s[i-1].Arrive > r.Arrive || s[i-1].Arrive == r.Arrive && s[i-1].Domain > r.Domain) {
-		i--
+// enqueued numbers a request just appended to its domain queue, files it
+// in the class's bank view and tells the scheduler.
+func (c *Controller) enqueued(v *bankView, r *Request) {
+	c.seq++
+	r.seq = c.seq
+	v.insert(c.bankOf(r), r)
+	c.qgen++
+	if c.observer != nil {
+		c.observer.Enqueued(c, r)
 	}
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = r
-	return s
 }
 
-// deleteByAge removes r from an age view it is known to be in.
-func deleteByAge(s []*Request, r *Request) []*Request {
-	for i, x := range s {
-		if x == r {
-			return slices.Delete(s, i, i+1)
-		}
+// Older reports whether a was queued before b in the controller's age
+// order: by arrival cycle, ties broken by lower domain, then by enqueue
+// order. It is the order of a stable sort by arrival of the per-domain
+// queues concatenated in domain order. The enqueue numbers wrap, which
+// matters only for requests 2^31 enqueues apart, and those never tie on
+// arrival.
+func Older(a, b *Request) bool {
+	if a.Arrive != b.Arrive {
+		return a.Arrive < b.Arrive
 	}
-	return s
+	if a.Domain != b.Domain {
+		return a.Domain < b.Domain
+	}
+	return int32(a.seq-b.seq) < 0
 }
 
-// ByAge returns every queued read (or, with writes set, every buffered
-// write) across domains, oldest first: ordered by arrival cycle, ties
-// broken by lower domain, then by enqueue order within a domain. The slice
-// is the controller's own and is valid only until the queues next change.
-func (c *Controller) ByAge(writes bool) []*Request {
+// bankView holds one class's queued requests as one list per bank, oldest
+// first. slots holds every queued request of the class, each at its
+// Request.slot, and the lists link slots through Request.prev and next;
+// head and tail hold each bank's first and last slot, or noSlot. The slots
+// take over the memory the age-ordered view of all queued requests used,
+// and the heads and tails one pair of slot numbers per bank.
+type bankView struct {
+	slots      []*Request
+	head, tail []uint16
+	banks      int // banks per rank, to index a request's bank
+}
+
+// noSlot ends a bank list.
+const noSlot = math.MaxUint16
+
+func newBankView(p dram.Params, capacity int) bankView {
+	if capacity >= noSlot {
+		panic(fmt.Sprintf("mem: %d queue entries of one class exceed the bank view's %d slots", capacity, noSlot-1))
+	}
+	v := bankView{
+		slots: make([]*Request, 0, capacity),
+		head:  make([]uint16, 2*p.TotalBanks()),
+		banks: p.BanksPerRank,
+	}
+	v.head, v.tail = v.head[:p.TotalBanks()], v.head[p.TotalBanks():]
+	for k := range v.head {
+		v.head[k], v.tail[k] = noSlot, noSlot
+	}
+	return v
+}
+
+// insert files r under bank k after every request older than it. Requests
+// arrive at the current cycle, so the backward walk stops at the bank's
+// tail unless a lower domain enqueues later in the same cycle.
+func (v *bankView) insert(k int, r *Request) {
+	s := uint16(len(v.slots))
+	v.slots = append(v.slots, r)
+	r.slot = s
+	p := v.tail[k]
+	for p != noSlot && Older(r, v.slots[p]) {
+		p = v.slots[p].prev
+	}
+	r.prev = p
+	if p == noSlot {
+		r.next, v.head[k] = v.head[k], s
+	} else {
+		r.next, v.slots[p].next = v.slots[p].next, s
+	}
+	if r.next == noSlot {
+		v.tail[k] = s
+	} else {
+		v.slots[r.next].prev = s
+	}
+}
+
+// remove unlinks r from bank k, where it is known to be, and moves the
+// last slot's request into r's slot.
+func (v *bankView) remove(k int, r *Request) {
+	v.link(k, r.prev, r.next)
+	last := len(v.slots) - 1
+	if m := v.slots[last]; m != r {
+		v.slots[r.slot], m.slot = m, r.slot
+		mk := m.Addr.Rank*v.banks + m.Addr.Bank
+		v.link(mk, m.prev, m.slot)
+		v.link(mk, m.slot, m.next)
+	}
+	v.slots[last] = nil
+	v.slots = v.slots[:last]
+}
+
+// link makes slot next follow slot prev in bank k's list, either of them
+// possibly noSlot.
+func (v *bankView) link(k int, prev, next uint16) {
+	if prev == noSlot {
+		v.head[k] = next
+	} else {
+		v.slots[prev].next = next
+	}
+	if next == noSlot {
+		v.tail[k] = prev
+	} else {
+		v.slots[next].prev = prev
+	}
+}
+
+// bankOf indexes r's bank in the bank views: rank*BanksPerRank + bank.
+func (c *Controller) bankOf(r *Request) int {
+	return r.Addr.Rank*c.P.BanksPerRank + r.Addr.Bank
+}
+
+// BankHead returns the oldest queued read (or, with writes set, the oldest
+// buffered write) to bank k (rank*BanksPerRank + bank), in the order of
+// Older, or nil. BankNext walks on from it.
+func (c *Controller) BankHead(writes bool, k int) *Request {
+	v := &c.bankReads
 	if writes {
-		return c.ageWrites
+		v = &c.bankWrites
 	}
-	return c.ageReads
+	if s := v.head[k]; s != noSlot {
+		return v.slots[s]
+	}
+	return nil
+}
+
+// BankNext returns the request queued after r in r's bank and class, in
+// the order of Older, or nil. r must still be queued.
+func (c *Controller) BankNext(r *Request) *Request {
+	v := &c.bankReads
+	if r.Write {
+		v = &c.bankWrites
+	}
+	if r.next != noSlot {
+		return v.slots[r.next]
+	}
+	return nil
 }
 
 // NextPrefetch pops a high-confidence prefetch candidate for the domain, or
@@ -550,6 +680,7 @@ func (c *Controller) finish(req *Request) {
 		c.Obs.Complete(obs.EvWriteDone, req.Domain, req.Addr, c.Cycle, 0)
 	default:
 		d.Reads++
+		c.reads++
 		d.ReadLatencySum += c.Cycle - req.Arrive
 		d.ReadLatencyCount++
 		c.LatHist[req.Domain].Observe(c.Cycle - req.Arrive)
@@ -573,7 +704,7 @@ func (c *Controller) PopRead(domain int) *Request {
 	}
 	r := q[0]
 	c.ReadQ[domain] = slices.Delete(q, 0, 1)
-	c.ageReads = deleteByAge(c.ageReads, r)
+	c.bankReads.remove(c.bankOf(r), r)
 	c.qgen++
 	return r
 }
@@ -586,7 +717,7 @@ func (c *Controller) PopWrite(domain int) *Request {
 	}
 	w := q[0]
 	c.WriteQ[domain] = slices.Delete(q, 0, 1)
-	c.ageWrites = deleteByAge(c.ageWrites, w)
+	c.bankWrites.remove(c.bankOf(w), w)
 	c.qgen++
 	return w
 }
@@ -597,7 +728,7 @@ func (c *Controller) RemoveRead(req *Request) error {
 	if err := c.removeFrom(c.ReadQ, req, "mem.RemoveRead"); err != nil {
 		return err
 	}
-	c.ageReads = deleteByAge(c.ageReads, req)
+	c.bankReads.remove(c.bankOf(req), req)
 	return nil
 }
 
@@ -607,7 +738,7 @@ func (c *Controller) RemoveWrite(req *Request) error {
 	if err := c.removeFrom(c.WriteQ, req, "mem.RemoveWrite"); err != nil {
 		return err
 	}
-	c.ageWrites = deleteByAge(c.ageWrites, req)
+	c.bankWrites.remove(c.bankOf(req), req)
 	return nil
 }
 
@@ -631,10 +762,14 @@ func (c *Controller) removeFrom(qs [][]*Request, req *Request, op string) error 
 }
 
 // PendingReads returns the total queued demand reads across domains.
-func (c *Controller) PendingReads() int { return len(c.ageReads) }
+func (c *Controller) PendingReads() int { return len(c.bankReads.slots) }
 
 // PendingWrites returns the total buffered writes across domains.
-func (c *Controller) PendingWrites() int { return len(c.ageWrites) }
+func (c *Controller) PendingWrites() int { return len(c.bankWrites.slots) }
+
+// CompletedReads returns the demand reads the controller has delivered:
+// the sum of Dom[*].Reads, kept as one count.
+func (c *Controller) CompletedReads() int64 { return c.reads }
 
 // Drained reports whether no work remains anywhere in the controller.
 func (c *Controller) Drained() bool {

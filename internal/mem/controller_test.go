@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"fsmem/internal/dram"
 	"fsmem/internal/fsmerr"
@@ -211,13 +212,14 @@ func TestDrained(t *testing.T) {
 	}
 }
 
-// TestAgeViewMatchesStableSort checks the incrementally kept age views
+// TestBankViewMatchesQueues checks the incrementally kept bank views
 // against their definition: after every step of a random sequence of
 // enqueues (several domains per cycle, in shuffled domain order), full-queue
 // rejects, prefetch-buffer hits that never enqueue, pops and removes
-// (including failed removes), ByAge must equal a stable sort by Arrive of
-// the per-domain queues concatenated in domain order.
-func TestAgeViewMatchesStableSort(t *testing.T) {
+// (including failed removes), each bank's list must hold its requests in
+// the order of a stable sort by Arrive of the per-domain queues concatenated in
+// domain order, and Older must sort all queued requests into that order.
+func TestBankViewMatchesQueues(t *testing.T) {
 	const domains = 4
 	c := NewController(dram.DDR3_1600(), Config{Domains: domains, ReadCap: 4, WriteCap: 4, PrefetchBufCap: 8}, nopSched{})
 	c.EnablePrefetch(func(int) *prefetch.Sandbox { return prefetch.New(c.P) })
@@ -278,8 +280,30 @@ func TestAgeViewMatchesStableSort(t *testing.T) {
 			if writes {
 				qs = c.WriteQ
 			}
-			if got, exp := c.ByAge(writes), want(qs); !slices.Equal(got, exp) {
-				t.Fatalf("step %d: ByAge(writes=%v) has %d requests out of order or missing; want %d", step, writes, len(got), len(exp))
+			exp := want(qs)
+			for k := 0; k < c.P.TotalBanks(); k++ {
+				var bank []*Request
+				for _, r := range exp {
+					if c.bankOf(r) == k {
+						bank = append(bank, r)
+					}
+				}
+				if got := bankList(c, writes, k); !slices.Equal(got, bank) {
+					t.Fatalf("step %d: bank %d's list (writes=%v) has %d requests out of order or missing; want %d", step, k, writes, len(got), len(bank))
+				}
+			}
+			byOlder := slices.Clone(exp)
+			slices.SortFunc(byOlder, func(a, b *Request) int {
+				if Older(a, b) {
+					return -1
+				}
+				if Older(b, a) {
+					return 1
+				}
+				return 0
+			})
+			if !slices.Equal(byOlder, exp) {
+				t.Fatalf("step %d: Older orders the queued requests (writes=%v) differently from arrival, domain and queue order", step, writes)
 			}
 		}
 		if c.PendingReads() != len(want(c.ReadQ)) || c.PendingWrites() != len(want(c.WriteQ)) {
@@ -291,10 +315,20 @@ func TestAgeViewMatchesStableSort(t *testing.T) {
 	}
 }
 
+// bankList collects bank k's queued requests of one class by walking its
+// list.
+func bankList(c *Controller, writes bool, k int) []*Request {
+	var out []*Request
+	for r := c.BankHead(writes, k); r != nil; r = c.BankNext(r) {
+		out = append(out, r)
+	}
+	return out
+}
+
 // TestRequestRecyclingNeverAliases checks the request free list against
 // seeded enqueue/issue/complete/remove/pop traffic, including
 // prefetch-buffer hits. After every step no request on the free list may
-// still be reachable from a per-domain queue, an age view or the completion
+// still be reachable from a per-domain queue, a bank view or the completion
 // heap, none may be on the list twice, and every one must be zeroed.
 func TestRequestRecyclingNeverAliases(t *testing.T) {
 	const domains = 4
@@ -361,11 +395,13 @@ func TestRequestRecyclingNeverAliases(t *testing.T) {
 				live[r] = "WriteQ"
 			}
 		}
-		for _, r := range c.ByAge(false) {
-			live[r] = "ByAge(false)"
-		}
-		for _, r := range c.ByAge(true) {
-			live[r] = "ByAge(true)"
+		for k := 0; k < c.P.TotalBanks(); k++ {
+			for _, r := range bankList(c, false, k) {
+				live[r] = "a read bank list"
+			}
+			for _, r := range bankList(c, true, k) {
+				live[r] = "a write bank list"
+			}
 		}
 		for _, e := range c.completions {
 			live[e.req] = "the completion heap"
@@ -393,5 +429,55 @@ func TestRequestRecyclingNeverAliases(t *testing.T) {
 	}
 	if reused == 0 || pfHits == 0 || delivered == 0 {
 		t.Fatalf("sequence never reused a request (%d), hit the prefetch buffer (%d) or delivered a read (%d)", reused, pfHits, delivered)
+	}
+}
+
+// TestRequestSize pins the request at 96 bytes: the enqueue number lives
+// in the padding after Write, so the free list and the completion heap
+// carry no more memory than before it.
+func TestRequestSize(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got != 96 {
+		t.Fatalf("unsafe.Sizeof(Request{}) = %d, want 96", got)
+	}
+}
+
+// TestCompletedReadsSumsDomains checks the controller's delivered-read
+// count against the per-domain counts it stands for, across reads,
+// writes, prefetch fills and prefetch-buffer hits.
+func TestCompletedReadsSumsDomains(t *testing.T) {
+	c := NewController(dram.DDR3_1600(), Config{Domains: 3, ReadCap: 4, WriteCap: 4, PrefetchBufCap: 8}, nopSched{})
+	c.EnablePrefetch(func(int) *prefetch.Sandbox { return prefetch.New(c.P) })
+	rng := rand.New(rand.NewPCG(9, 4))
+	for step := 0; step < 5000; step++ {
+		d := rng.IntN(3)
+		a := addr(rng.IntN(2), rng.IntN(8), rng.IntN(16))
+		switch rng.IntN(4) {
+		case 0:
+			c.EnqueueRead(d, a, nil)
+		case 1:
+			c.EnqueueWrite(d, a)
+		case 2:
+			c.CompleteAt(c.NewRequest(Request{Domain: d, Prefetch: true, Addr: a}), c.Cycle)
+			c.EnqueueRead(d, a, nil)
+		default:
+			if q := c.ReadQ[d]; len(q) > 0 {
+				r := q[rng.IntN(len(q))]
+				if err := c.RemoveRead(r); err != nil {
+					t.Fatal(err)
+				}
+				c.CompleteAt(r, c.Cycle+int64(rng.IntN(4)))
+			}
+		}
+		c.Tick()
+		var sum int64
+		for d := range c.Dom {
+			sum += c.Dom[d].Reads
+		}
+		if got := c.CompletedReads(); got != sum {
+			t.Fatalf("step %d: CompletedReads = %d, domains sum to %d", step, got, sum)
+		}
+	}
+	if c.CompletedReads() == 0 {
+		t.Fatal("no read delivered")
 	}
 }

@@ -6,6 +6,7 @@ package sched
 
 import (
 	"math"
+	"math/bits"
 
 	"fsmem/internal/dram"
 	"fsmem/internal/mem"
@@ -15,62 +16,78 @@ import (
 // row-hit-first command selection, read-over-write priority, and
 // watermark-based write draining. It freely mixes requests from all
 // domains, which is precisely the behavior that leaks timing information.
+//
+// It is event-driven: a tick probes only the candidate commands whose
+// bound has passed, and NextEvent names the earliest bound (see
+// NextEvent).
 type Baseline struct {
-	p dram.Params
+	ranks, banks int // the channel's geometry
 
 	// Write-drain watermarks as fractions of total write-buffer capacity.
 	hi, lo int
 
 	draining bool
 
-	// Refresh state (per rank), active when RefreshEnabled.
+	// Refresh state (per rank), active when RefreshEnabled. refreshAt is a
+	// lower bound on the next cycle the refresh path can issue, and
+	// refreshPending says a deadline has passed (see tickRefresh).
 	RefreshEnabled  bool
 	refreshDeadline []int64
+	refreshAt       int64
+	refreshPending  bool
 
-	// Per-bank scratch, indexed rank*BanksPerRank+bank. blocked holds, for
-	// one tick, the probe kinds known to fail at the bank and whether serve
-	// has listed the bank in cands; it is cleared once per tick, and so is
-	// its tail rankBlocked, which holds per rank the kinds a rank-wide
-	// constraint rejected. wantsOpen marks banks whose open row some queued
-	// request targets, as of Controller.Gen demandGen.
-	blocked     []uint8
-	rankBlocked []uint8
-	wantsOpen   []bool
-	demandGen   uint64
+	// The wake. A candidate is a command FR-FCFS would probe at a bank: a
+	// CAS for the bank's oldest row hit of a class, or an ACT (closed bank)
+	// or PRE (open bank no queued request hits) for its oldest other
+	// request. Per bank (rank*BanksPerRank+bank), kinds holds the probe
+	// kinds it has a candidate of, as bits, and bankAt a lower bound on the
+	// first cycle any of them may issue. cands holds the same kinds as one
+	// bitset of banks per probe kind, words long. serveAt is the earliest
+	// bankAt unless dirty is set.
+	kinds   []uint8
+	bankAt  []int64
+	cands   []uint64
+	words   int
+	serveAt int64
+	dirty   bool
 
-	// cands lists, oldest first, the ByAge position of each bank's oldest
-	// request that is not a row hit: the ACT candidate of a closed bank and
-	// the PRE candidate of an open one. A bank is never both, so one list
-	// serves both passes.
-	cands []int32
-
-	wake wake
+	// gen is Controller.Gen after the last change the wake accounts for;
+	// a change it missed, or synced unset, forces a rebuild.
+	gen    uint64
+	synced bool
 }
 
-// Bits of Baseline.blocked: a failed probe of each kind (a read and a
-// write CAS are different kinds), and a bank listed in cands this tick.
+// Probe kinds: a read or write CAS, an ACT, a PRE. They index the
+// candidate bitsets.
 const (
-	blockedRead uint8 = 1 << iota
-	blockedWrite
-	blockedACT
-	blockedPRE
-	listed
+	probeRead = iota
+	probeWrite
+	probeACT
+	probePRE
+	probeKinds
 )
+
+// probeCmd is the DRAM command of each probe kind.
+var probeCmd = [probeKinds]dram.Kind{dram.KindRead, dram.KindWrite, dram.KindActivate, dram.KindPrecharge}
+
+// never is the bound of a bank with nothing to issue.
+const never = math.MaxInt64
 
 // NewBaseline builds the baseline policy for the given parameters and
 // per-domain controller configuration.
 func NewBaseline(p dram.Params, cfg mem.Config) *Baseline {
 	total := cfg.WriteCap * cfg.Domains
+	words := (p.TotalBanks() + 63) / 64
 	b := &Baseline{
-		p:  p,
-		hi: total * 3 / 4,
-		lo: total / 4,
+		ranks:  p.RanksPerChan,
+		banks:  p.BanksPerRank,
+		hi:     total * 3 / 4,
+		lo:     total / 4,
+		kinds:  make([]uint8, p.TotalBanks()),
+		bankAt: make([]int64, p.TotalBanks()),
+		cands:  make([]uint64, probeKinds*words),
+		words:  words,
 	}
-	b.blocked = make([]uint8, p.TotalBanks()+p.RanksPerChan)
-	b.rankBlocked = b.blocked[p.TotalBanks():]
-	b.wantsOpen = make([]bool, p.TotalBanks())
-	b.demandGen = math.MaxUint64 // no demand marked yet
-	b.cands = make([]int32, 0, p.TotalBanks())
 	b.refreshDeadline = make([]int64, p.RanksPerChan)
 	for r := range b.refreshDeadline {
 		b.refreshDeadline[r] = int64(p.TREFI)
@@ -81,23 +98,30 @@ func NewBaseline(p dram.Params, cfg mem.Config) *Baseline {
 // Name implements mem.Scheduler.
 func (b *Baseline) Name() string { return "baseline" }
 
-// NextEvent implements mem.EventSource: the wake the last tick recorded
-// while the controller's Gen is unchanged, else now. A tick that records a
-// wake has already settled the drain latch, which moves only when the
-// write count does.
-func (b *Baseline) NextEvent(c *mem.Controller) int64 { return b.wake.next(c) }
-
-// Tick issues at most one command according to FR-FCFS priorities. A tick
-// that issues nothing records a wake: the earliest of its failed probes'
-// ReadyAt bounds and, with refresh on, the next refresh deadline.
-func (b *Baseline) Tick(c *mem.Controller) {
-	b.wake.start()
-	b.wake.finish(c, b.tick(c))
+// NextEvent implements mem.EventSource. It is the earliest bank bound and,
+// with refresh on, the refresh path's bound; it is the current cycle
+// while the next tick would move the drain latch, which the dense loop
+// updates on every cycle and ObsMetrics reports. The answer stays valid
+// across enqueues (Enqueued folds in each new candidate) and across the
+// Baseline's own commands (each recomputes the bounds it can move). A
+// change the Baseline did not make, such as an injector's replay, a
+// dropped or delayed command or a derate, shows in Controller.Gen and
+// rebuilds the wake from the queues and the channel.
+func (b *Baseline) NextEvent(c *mem.Controller) int64 {
+	b.sync(c)
+	if pw := c.PendingWrites(); pw >= b.hi && !b.draining || pw <= b.lo && b.draining {
+		return c.Cycle
+	}
+	return max(c.Cycle, min(b.serveAt, b.refreshAt))
 }
 
-func (b *Baseline) tick(c *mem.Controller) bool {
-	if b.RefreshEnabled && b.tickRefresh(c) {
-		return true
+// Tick issues at most one command according to FR-FCFS priorities. Only
+// candidates whose bound has passed are probed.
+func (b *Baseline) Tick(c *mem.Controller) {
+	b.sync(c)
+	if b.RefreshEnabled && c.Cycle >= b.refreshAt && b.tickRefresh(c) {
+		b.synced = false // a PRE or REF of the refresh path: rebuild
+		return
 	}
 
 	pw := c.PendingWrites()
@@ -107,15 +131,39 @@ func (b *Baseline) tick(c *mem.Controller) bool {
 	if pw <= b.lo {
 		b.draining = false
 	}
-
-	if pw == 0 && c.PendingReads() == 0 {
-		return false
+	if c.Cycle < b.serveAt {
+		return
 	}
-	clear(b.blocked)
 	if b.draining || c.PendingReads() == 0 {
-		return b.serve(c, true) || b.serve(c, false)
+		_ = b.serve(c, true) || b.serve(c, false)
+	} else {
+		_ = b.serve(c, false) || b.serve(c, true)
 	}
-	return b.serve(c, false) || b.serve(c, true)
+}
+
+// Enqueued implements mem.QueueObserver: a request that gives its bank a
+// new candidate kind, or hits the open row of a bank waiting to
+// precharge, updates the bank's kinds and bound.
+func (b *Baseline) Enqueued(c *mem.Controller, r *mem.Request) {
+	if !b.synced || c.Gen() != b.gen+1 {
+		b.synced = false
+		return
+	}
+	b.gen = c.Gen()
+	kinds := b.kinds[r.Addr.Rank*b.banks+r.Addr.Bank]
+	want := kinds
+	switch open := c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank); {
+	case open == dram.ClosedRow:
+		want = 1 << probeACT
+	case r.Addr.Row == open:
+		want = kinds&^(1<<probePRE) | 1<<casKind(r.Write)
+	case kinds == 0:
+		want = 1 << probePRE
+	}
+	if want != kinds {
+		b.setKinds(r.Addr.Rank*b.banks+r.Addr.Bank, want)
+		b.bound(c, r.Addr.Rank, r.Addr.Bank)
+	}
 }
 
 // serve attempts one command for the given request class. Priority order:
@@ -123,141 +171,258 @@ func (b *Baseline) tick(c *mem.Controller) bool {
 //  2. activate for the oldest request to a closed bank,
 //  3. precharge for a bank whose oldest request is a row conflict and no
 //     queued request still wants the open row.
-//
-// Channel.Ready depends only on a command's kind, rank, bank and the
-// cycle, never on its row, column or domain, and nothing changes within a
-// tick until a command issues. So once a probe of one kind fails for a
-// bank, every later probe of that kind to the bank in the same tick would
-// fail too, with the same ReadyAt bound: blocked skips them. A rejection
-// on a rank-wide constraint blocks the kind on every bank of the rank: the
-// same constraint rejects those probes up to the bound already folded.
-// Passes 2 and 3 try only each bank's oldest request that is not a row
-// hit, so the row-hit pass lists those in cands and the later passes visit
-// banks instead of requests. A bank the tick's first serve listed is
-// skipped by the second: when the first returns, that bank's ACT or PRE
-// has failed or is unwanted, and the second would skip it anyway.
 func (b *Baseline) serve(c *mem.Controller, writes bool) bool {
-	reqs := c.ByAge(writes)
-	if len(reqs) == 0 {
-		return false
-	}
-	cas := blockedRead
-	if writes {
-		cas = blockedWrite
-	}
+	return b.pass(c, writes, casKind(writes)) || b.pass(c, writes, probeACT) || b.pass(c, writes, probePRE)
+}
 
-	// 1. Row hits, oldest first; list every other bank's oldest request.
-	b.cands = b.cands[:0]
-	for i, r := range reqs {
-		k := b.bankIndex(r)
-		if c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) != r.Addr.Row {
-			if b.blocked[k]&listed == 0 {
-				b.blocked[k] |= listed
-				b.cands = append(b.cands, int32(i))
-			}
-			continue
+// pass probes, oldest first, the class's candidates of one probe kind
+// whose bank bound has passed, until one issues. A failed probe means the
+// bound was loose, and its bank is re-derived.
+func (b *Baseline) pass(c *mem.Controller, writes bool, kind int) bool {
+	var last *mem.Request
+	for {
+		r := b.oldest(c, writes, kind, last)
+		if r == nil {
+			return false
 		}
-		if b.isBlocked(r, k, cas) {
-			continue
-		}
-		if b.issueCAS(c, r, writes) {
+		if b.probe(c, r, writes, kind) {
+			b.issued(c, r.Addr.Rank, r.Addr.Bank, kind)
 			return true
 		}
-		b.block(r, k, cas)
+		b.touch(c, r.Addr.Rank, r.Addr.Bank)
+		last = r
 	}
-	// 2. Activates for closed banks, oldest first.
-	for _, i := range b.cands {
-		r := reqs[i]
-		k := b.bankIndex(r)
-		if b.isBlocked(r, k, blockedACT) || c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) != dram.ClosedRow {
+}
+
+// oldest returns the oldest candidate of the class and probe kind younger
+// than after, among the banks whose bound has passed.
+func (b *Baseline) oldest(c *mem.Controller, writes bool, kind int, after *mem.Request) *mem.Request {
+	var best *mem.Request
+	set := b.set(kind)
+	for k := nextBit(set, 0); k >= 0; k = nextBit(set, k+1) {
+		if b.bankAt[k] > c.Cycle {
 			continue
 		}
+		r := b.candidate(c, k, writes, kind)
+		if r == nil || after != nil && !mem.Older(after, r) {
+			continue
+		}
+		if best == nil || mem.Older(r, best) {
+			best = r
+		}
+	}
+	return best
+}
+
+// candidate returns bank k's request of the class that a probe of the
+// kind serves: its oldest row hit for a CAS, its oldest request for an ACT
+// or PRE (which the bank's kinds make a non-hit), or nil.
+func (b *Baseline) candidate(c *mem.Controller, k int, writes bool, kind int) *mem.Request {
+	r := c.BankHead(writes, k)
+	if r == nil || kind == probeACT || kind == probePRE {
+		return r
+	}
+	return hit(c, r)
+}
+
+// probe tries the probe kind's command for r, applying its bookkeeping
+// when it issues.
+func (b *Baseline) probe(c *mem.Controller, r *mem.Request, writes bool, kind int) bool {
+	switch kind {
+	case probeACT:
 		cmd := dram.Command{Kind: dram.KindActivate, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Row: r.Addr.Row, Domain: r.Domain}
-		if b.wake.try(c, cmd) {
-			c.RecordFirstCommand(r)
-			r.Acted = true
-			return true
+		if ok, _, _ := c.TryIssue(cmd); !ok {
+			return false
 		}
-		b.block(r, k, blockedACT)
-	}
-	// 3. Precharge row conflicts with no remaining hits to the open row.
-	for _, i := range b.cands {
-		r := reqs[i]
-		k := b.bankIndex(r)
-		if b.isBlocked(r, k, blockedPRE) || c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) == dram.ClosedRow {
-			continue
-		}
-		b.markOpenRowDemand(c)
-		if b.wantsOpen[k] {
-			continue
-		}
+		c.RecordFirstCommand(r)
+		r.Acted = true
+		return true
+	case probePRE:
 		cmd := dram.Command{Kind: dram.KindPrecharge, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Domain: r.Domain}
-		if b.wake.try(c, cmd) {
-			return true
+		ok, _, _ := c.TryIssue(cmd)
+		return ok
+	}
+	return b.issueCAS(c, r, writes)
+}
+
+// issued updates the wake after the Baseline's own command of the probe
+// kind to a bank. The bank is re-derived. An ACT moves its rank's tRRD
+// and tFAW (and its bank group's tRRD_L), so every ACT candidate of the
+// rank is re-bounded; a CAS moves its rank's tCCD and tWTR and the data
+// bus of every rank, so every CAS candidate is. A PRE moves nothing
+// outside its bank. The other bounds can only have tightened.
+func (b *Baseline) issued(c *mem.Controller, rank, bank, kind int) {
+	b.touch(c, rank, bank)
+	switch kind {
+	case probeACT:
+		set := b.set(probeACT)
+		for k := nextBit(set, rank*b.banks); k >= 0 && k < (rank+1)*b.banks; k = nextBit(set, k+1) {
+			b.bound(c, rank, k-rank*b.banks)
 		}
-		b.block(r, k, blockedPRE)
+	case probeRead, probeWrite:
+		reads, writes := b.set(probeRead), b.set(probeWrite)
+		for w := range reads {
+			for m := reads[w] | writes[w]; m != 0; m &= m - 1 {
+				k := w<<6 + bits.TrailingZeros64(m)
+				b.bound(c, k/b.banks, k%b.banks)
+			}
+		}
 	}
-	return false
+	if b.refreshPending {
+		b.refreshAt = min(b.refreshAt, c.Cycle+1)
+	}
+	b.gen = c.Gen()
 }
 
-// isBlocked reports whether a probe of the kind to r's bank k already
-// failed this tick, at the bank or rank-wide.
-func (b *Baseline) isBlocked(r *mem.Request, k int, kind uint8) bool {
-	return (b.blocked[k]|b.rankBlocked[r.Addr.Rank])&kind != 0
+// touch re-derives a bank's candidate kinds, from its queued requests and
+// open row, and its bound.
+func (b *Baseline) touch(c *mem.Controller, rank, bank int) {
+	k := rank*b.banks + bank
+	var kinds uint8
+	reads, writes := c.BankHead(false, k), c.BankHead(true, k)
+	switch {
+	case reads == nil && writes == nil:
+	case c.Chan.OpenRow(rank, bank) == dram.ClosedRow:
+		kinds = 1 << probeACT
+	default:
+		if hit(c, reads) != nil {
+			kinds |= 1 << probeRead
+		}
+		if hit(c, writes) != nil {
+			kinds |= 1 << probeWrite
+		}
+		if kinds == 0 {
+			kinds = 1 << probePRE
+		}
+	}
+	b.setKinds(k, kinds)
+	b.bound(c, rank, bank)
 }
 
-// block memoizes the failed probe of the kind to r's bank k for the rest
-// of the tick: at its rank when the probe met a rank-wide constraint, else
-// at the bank.
-func (b *Baseline) block(r *mem.Request, k int, kind uint8) {
-	if b.wake.rankWide {
-		b.rankBlocked[r.Addr.Rank] |= kind
+// setKinds records bank k's candidate kinds in kinds and the bitsets.
+func (b *Baseline) setKinds(k int, kinds uint8) {
+	old := b.kinds[k]
+	b.kinds[k] = kinds
+	for diff := kinds ^ old; diff != 0; diff &= diff - 1 {
+		b.cands[bits.TrailingZeros8(diff)*b.words+k>>6] ^= 1 << (k & 63)
+	}
+}
+
+// bound recomputes a bank's bound from the channel: for each candidate,
+// the latest of its bank-scoped clear cycle and its rank-wide one with the
+// data bus searched from now. The data bus may still be busy at the bank
+// bound when it is the later; the failed probe then re-derives the bank.
+func (b *Baseline) bound(c *mem.Controller, rank, bank int) {
+	k := rank*b.banks + bank
+	at := int64(never)
+	for kinds := b.kinds[k]; kinds != 0; kinds &= kinds - 1 {
+		bk, rk := c.Chan.Bounds(dram.Command{Kind: probeCmd[bits.TrailingZeros8(kinds)], Rank: rank, Bank: bank}, c.Cycle)
+		at = min(at, max(bk, rk))
+	}
+	if at > b.bankAt[k] {
+		b.dirty = true
 	} else {
-		b.blocked[k] |= kind
+		b.serveAt = min(b.serveAt, at)
 	}
+	b.bankAt[k] = at
 }
 
-// bankIndex locates a request's bank in the per-bank scratch slices.
-func (b *Baseline) bankIndex(r *mem.Request) int {
-	return r.Addr.Rank*b.p.BanksPerRank + r.Addr.Bank
+// set returns the bitset of banks with a candidate of the probe kind.
+func (b *Baseline) set(kind int) []uint64 { return b.cands[kind*b.words : (kind+1)*b.words] }
+
+// nextBit returns the first set bit of set at or after i, or -1.
+func nextBit(set []uint64, i int) int {
+	for w := i >> 6; w < len(set); w++ {
+		m := set[w]
+		if w == i>>6 {
+			m &= ^uint64(0) << (i & 63)
+		}
+		if m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	return -1
 }
 
-// markOpenRowDemand sets wantsOpen for every bank whose open row a queued
-// read or write targets, in one pass over both request classes. The marks
-// read only the queues and the open rows, so they are rebuilt only when
-// Controller.Gen has moved since the last pass.
-func (b *Baseline) markOpenRowDemand(c *mem.Controller) {
-	g := c.Gen()
-	if g == b.demandGen {
+// hit returns the first request from r on in r's bank list that hits
+// the bank's open row, or nil.
+func hit(c *mem.Controller, r *mem.Request) *mem.Request {
+	if r == nil {
+		return nil
+	}
+	open := c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank)
+	for ; r != nil; r = c.BankNext(r) {
+		if r.Addr.Row == open {
+			return r
+		}
+	}
+	return nil
+}
+
+// sync brings the wake up to date: a rebuild after a change it missed,
+// then serveAt if a bound rose.
+func (b *Baseline) sync(c *mem.Controller) {
+	if b.synced && !b.dirty && c.Gen() == b.gen {
 		return
 	}
-	b.demandGen = g
-	clear(b.wantsOpen)
-	for _, reqs := range [2][]*mem.Request{c.ByAge(false), c.ByAge(true)} {
-		for _, r := range reqs {
-			if c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) == r.Addr.Row {
-				b.wantsOpen[b.bankIndex(r)] = true
-			}
+	if !b.synced || c.Gen() != b.gen {
+		b.rebuild(c)
+	}
+	b.serveAt = never
+	for w := 0; w < b.words; w++ {
+		var m uint64
+		for kind := range probeKinds {
+			m |= b.cands[kind*b.words+w]
+		}
+		for ; m != 0; m &= m - 1 {
+			b.serveAt = min(b.serveAt, b.bankAt[w<<6+bits.TrailingZeros64(m)])
 		}
 	}
+	b.dirty = false
+}
+
+// rebuild derives the wake from the queues and the channel alone, and has
+// the refresh path re-derive its bound on the next tick.
+func (b *Baseline) rebuild(c *mem.Controller) {
+	clear(b.cands)
+	clear(b.kinds)
+	for k := range b.bankAt {
+		b.bankAt[k] = never
+		if c.BankHead(false, k) != nil || c.BankHead(true, k) != nil {
+			b.touch(c, k/b.banks, k%b.banks)
+		}
+	}
+	b.refreshAt = never
+	if b.RefreshEnabled {
+		b.refreshAt = c.Cycle
+	}
+	b.gen, b.synced = c.Gen(), true
+}
+
+// casKind is the probe kind of a CAS for the class.
+func casKind(writes bool) int {
+	if writes {
+		return probeWrite
+	}
+	return probeRead
 }
 
 func (b *Baseline) issueCAS(c *mem.Controller, r *mem.Request, write bool) bool {
 	kind := dram.KindRead
-	dataStart := b.p.ReadDataStart()
+	dataStart := c.P.ReadDataStart()
 	if write {
 		kind = dram.KindWrite
-		dataStart = b.p.WriteDataStart()
+		dataStart = c.P.WriteDataStart()
 	}
 	cmd := dram.Command{Kind: kind, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Col: r.Addr.Col, Domain: r.Domain}
-	if !b.wake.try(c, cmd) {
+	if ok, _, _ := c.TryIssue(cmd); !ok {
 		return false
 	}
 	c.RecordFirstCommand(r)
 	if !r.Acted {
 		c.Dom[r.Domain].RowHits++
 	}
-	r.DataEnd = c.Cycle + int64(dataStart) + int64(b.p.TBURST)
+	r.DataEnd = c.Cycle + int64(dataStart) + int64(c.P.TBURST)
 	var err error
 	if write {
 		err = c.RemoveWrite(r)
@@ -273,31 +438,39 @@ func (b *Baseline) issueCAS(c *mem.Controller, r *mem.Request, write bool) bool 
 
 // tickRefresh manages per-rank refresh: when a deadline passes, open banks
 // are precharged and REF issued; returns true if it used the command bus.
-// A deadline still ahead goes into the wake, and so does the bound of a
-// blocked PRE or REF.
+// It leaves in refreshAt the earliest deadline still ahead and the bound of
+// a blocked PRE or REF.
 func (b *Baseline) tickRefresh(c *mem.Controller) bool {
+	b.refreshAt, b.refreshPending = never, false
 	for rank := range b.refreshDeadline {
 		if c.Cycle < b.refreshDeadline[rank] {
-			b.wake.fold(b.refreshDeadline[rank])
+			b.refreshAt = min(b.refreshAt, b.refreshDeadline[rank])
 			continue
 		}
+		b.refreshPending = true
 		// Close any open bank first.
-		for bank := 0; bank < b.p.BanksPerRank; bank++ {
+		for bank := 0; bank < b.banks; bank++ {
 			if c.Chan.OpenRow(rank, bank) != dram.ClosedRow {
-				cmd := dram.Command{Kind: dram.KindPrecharge, Rank: rank, Bank: bank, Domain: dram.NoDomain}
-				if b.wake.try(c, cmd) {
-					return true
-				}
-				return false // blocked; retry at the wake
+				return b.tryRefresh(c, dram.Command{Kind: dram.KindPrecharge, Rank: rank, Bank: bank, Domain: dram.NoDomain})
 			}
 		}
-		cmd := dram.Command{Kind: dram.KindRefresh, Rank: rank, Domain: dram.NoDomain}
-		if b.wake.try(c, cmd) {
-			b.refreshDeadline[rank] += int64(b.p.TREFI)
+		if b.tryRefresh(c, dram.Command{Kind: dram.KindRefresh, Rank: rank, Domain: dram.NoDomain}) {
+			b.refreshDeadline[rank] += int64(c.P.TREFI)
 			return true
 		}
 		return false
 	}
+	return false
+}
+
+// tryRefresh probes a command of the refresh path, folding the bound of a
+// blocked one into refreshAt.
+func (b *Baseline) tryRefresh(c *mem.Controller, cmd dram.Command) bool {
+	if ok, _, _ := c.TryIssue(cmd); ok {
+		return true
+	}
+	bank, rank := c.Chan.Bounds(cmd, c.Cycle)
+	b.refreshAt = min(b.refreshAt, max(bank, rank))
 	return false
 }
 

@@ -16,10 +16,6 @@ import (
 type wake struct {
 	at  int64  // the recorded bound; at most the tick's own cycle after an issue
 	gen uint64 // Controller.Gen when the bound was recorded
-
-	// rankWide reports whether the last failed probe met a rank-wide
-	// constraint (see Controller.TryIssue).
-	rankWide bool
 }
 
 // start opens a tick with no bound yet.
@@ -28,13 +24,12 @@ func (w *wake) start() { w.at = math.MaxInt64 }
 // fold lowers the tick's bound to at.
 func (w *wake) fold(at int64) { w.at = min(w.at, at) }
 
-// try probes cmd with Controller.TryIssue, folds a failed probe's bound
-// and notes its scope in rankWide.
+// try probes cmd with Controller.TryIssue and folds a failed probe's
+// bound.
 func (w *wake) try(c *mem.Controller, cmd dram.Command) bool {
-	ok, at, wide := c.TryIssue(cmd)
+	ok, at, _ := c.TryIssue(cmd)
 	if !ok {
 		w.fold(at)
-		w.rankWide = wide
 	}
 	return ok
 }

@@ -859,9 +859,7 @@ func (l *lane) pumpSpikes() {
 func (l *lane) reads() int64 {
 	var n int64
 	for _, ch := range l.chans {
-		for d := range ch.ctl.Dom {
-			n += ch.ctl.Dom[d].Reads
-		}
+		n += ch.ctl.CompletedReads()
 	}
 	return n
 }
