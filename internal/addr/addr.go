@@ -80,34 +80,49 @@ func SpaceFor(kind PartitionKind, domain, numDomains int, p dram.Params) (Space,
 	if domain < 0 || domain >= numDomains {
 		return Space{}, fmt.Errorf("addr: domain %d out of range [0,%d)", domain, numDomains)
 	}
+	if err := CheckPartition(kind, numDomains, p); err != nil {
+		return Space{}, err
+	}
 	switch kind {
 	case PartitionNone, PartitionChannel:
 		// Channel partitioning separates domains across channels; within its
 		// own channel a domain sees everything.
 		return Space{Ranks: seq(p.RanksPerChan), Banks: seq(p.BanksPerRank)}, nil
 	case PartitionRank:
-		if numDomains > p.RanksPerChan {
-			return Space{}, fmt.Errorf("addr: rank partitioning needs domains (%d) <= ranks (%d)", numDomains, p.RanksPerChan)
-		}
 		per := p.RanksPerChan / numDomains
 		ranks := make([]int, 0, per)
 		for r := domain * per; r < (domain+1)*per; r++ {
 			ranks = append(ranks, r)
 		}
 		return Space{Ranks: ranks, Banks: seq(p.BanksPerRank)}, nil
-	case PartitionBank:
-		if numDomains > p.BanksPerRank {
-			return Space{}, fmt.Errorf("addr: bank partitioning needs domains (%d) <= banks per rank (%d)", numDomains, p.BanksPerRank)
-		}
+	default: // PartitionBank
 		per := p.BanksPerRank / numDomains
 		banks := make([]int, 0, per)
 		for b := domain * per; b < (domain+1)*per; b++ {
 			banks = append(banks, b)
 		}
 		return Space{Ranks: seq(p.RanksPerChan), Banks: banks}, nil
-	default:
-		return Space{}, fmt.Errorf("addr: unknown partition kind %v", kind)
 	}
+}
+
+// CheckPartition is SpaceFor's capacity rule: rank partitioning needs a
+// rank per domain and bank partitioning a bank per domain in each rank.
+func CheckPartition(kind PartitionKind, numDomains int, p dram.Params) error {
+	switch kind {
+	case PartitionNone, PartitionChannel:
+		return nil
+	case PartitionRank:
+		if numDomains > p.RanksPerChan {
+			return fmt.Errorf("addr: rank partitioning needs domains (%d) <= ranks (%d)", numDomains, p.RanksPerChan)
+		}
+		return nil
+	case PartitionBank:
+		if numDomains > p.BanksPerRank {
+			return fmt.Errorf("addr: bank partitioning needs domains (%d) <= banks per rank (%d)", numDomains, p.BanksPerRank)
+		}
+		return nil
+	}
+	return fmt.Errorf("addr: unknown partition kind %v", kind)
 }
 
 // Disjoint reports whether two spaces can never map to the same bank.

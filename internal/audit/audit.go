@@ -36,6 +36,7 @@ import (
 	"fsmem/internal/parallel"
 	"fsmem/internal/sim"
 	"fsmem/internal/trace"
+	"fsmem/internal/workload"
 )
 
 // Campaign defaults, sized so a full 8-scheduler audit stays interactive
@@ -151,15 +152,16 @@ func (o Options) withDefaults() Options {
 }
 
 // Check fills the campaign defaults into the options and applies the
-// audit's acceptance rules, returning the options Run would run or the
-// config error it would fail with. Run calls it, and so does any layer
-// that accepts an audit before running it (the daemon at submission).
-func (o Options) Check() (Options, error) {
+// audit's acceptance rules for scheduler k, returning the options Run
+// would run or the config error it would fail with. Run calls it, and so
+// does any layer that accepts an audit before running it (the daemon at
+// submission).
+func (o Options) Check(k sim.SchedulerKind) (Options, error) {
 	o = o.withDefaults()
-	return o, o.validate()
+	return o, o.validate(k)
 }
 
-func (o Options) validate() error {
+func (o Options) validate(k sim.SchedulerKind) error {
 	switch {
 	case o.Domains < 2:
 		return fsmerr.New(fsmerr.CodeConfig, "audit.Run", "need a receiver and at least one sender domain, got %d", o.Domains)
@@ -179,7 +181,13 @@ func (o Options) validate() error {
 			return fsmerr.New(fsmerr.CodeConfig, "audit.Run", "unknown fault plan %q", o.FaultPlan)
 		}
 	}
-	return sim.CheckFabric(o.Channels, o.Routing, o.Domains)
+	if err := sim.CheckFabric(o.Channels, o.Routing, o.Domains); err != nil {
+		return err
+	}
+	// Every evaluation runs the DefaultConfig of its mix on this fabric.
+	cfg := sim.DefaultConfig(workload.Mix{}, k)
+	cfg.Channels, cfg.Routing = o.Channels, o.Routing
+	return sim.CheckScheduler(cfg, o.Domains)
 }
 
 // Message builds the balanced, seed-shuffled bit string every evaluation
@@ -241,7 +249,7 @@ func rank(results []outcome) []outcome {
 // Run executes a full audit campaign against one scheduler and returns
 // its certificate.
 func Run(ctx context.Context, k sim.SchedulerKind, o Options) (*LeakageCertificate, error) {
-	o, err := o.Check()
+	o, err := o.Check(k)
 	if err != nil {
 		return nil, err
 	}

@@ -187,5 +187,8 @@ func (e Experiment) ToSimConfig() (sim.Config, error) {
 		RowBufferBoost:  e.EnergyOpts.RowBufferBoost,
 		PowerDown:       e.EnergyOpts.PowerDown,
 	}
+	if err := sim.CheckScheduler(cfg, len(mix.Profiles)); err != nil {
+		return sim.Config{}, err
+	}
 	return cfg, nil
 }

@@ -199,11 +199,48 @@ type Config struct {
 	StartCycle int64
 }
 
+// Check states NewFS's acceptance rules for a configuration, short of
+// solving the slot spacing: at least one domain, one weight per domain and
+// a positive total, no weights under reordered bank partitioning, refresh
+// only under rank partitioning, and a slot count triple alternation can
+// rotate through all three bank groups.
+func (cfg Config) Check() error {
+	if cfg.Domains <= 0 {
+		return fmt.Errorf("core: FS needs at least one domain, got %d", cfg.Domains)
+	}
+	slots := cfg.Domains
+	if cfg.Weights != nil {
+		if len(cfg.Weights) != cfg.Domains {
+			return fmt.Errorf("core: %d weights for %d domains", len(cfg.Weights), cfg.Domains)
+		}
+		if cfg.Variant == FSReorderedBank {
+			return fmt.Errorf("core: weighted slots are not supported under reordered bank partitioning (one transaction per domain per interval by construction)")
+		}
+		slots = 0
+		for _, w := range cfg.Weights {
+			slots += max(w, 0)
+		}
+		if slots == 0 {
+			return fmt.Errorf("core: weights sum to zero")
+		}
+	}
+	if cfg.RefreshEnabled && cfg.Variant != FSRankPart {
+		return fmt.Errorf("core: refresh-aware scheduling is only implemented for rank partitioning")
+	}
+	if cfg.Variant == FSNoPartTriple && slots%3 == 0 {
+		// With a slot count divisible by 3 the slot-indexed bank-group
+		// rotation assigns every one of a domain's slots the same group
+		// forever, cutting it off from two thirds of its address space.
+		return fmt.Errorf("core: triple alternation requires a slot count not divisible by 3, got %d", slots)
+	}
+	return nil
+}
+
 // NewFS builds a Fixed Service scheduler. The slot spacing comes from the
 // constraint solver unless overridden.
 func NewFS(p dram.Params, cfg Config) (*FS, error) {
-	if cfg.Domains <= 0 {
-		return nil, fmt.Errorf("core: FS needs at least one domain, got %d", cfg.Domains)
+	if err := cfg.Check(); err != nil {
+		return nil, err
 	}
 	f := &FS{
 		p:       p,
@@ -220,12 +257,6 @@ func NewFS(p dram.Params, cfg Config) (*FS, error) {
 			f.slotDomains = append(f.slotDomains, d)
 		}
 	} else {
-		if len(cfg.Weights) != cfg.Domains {
-			return nil, fmt.Errorf("core: %d weights for %d domains", len(cfg.Weights), cfg.Domains)
-		}
-		if cfg.Variant == FSReorderedBank {
-			return nil, fmt.Errorf("core: weighted slots are not supported under reordered bank partitioning (one transaction per domain per interval by construction)")
-		}
 		// Round-robin layout: domains with remaining weight are appended in
 		// rounds, spreading a domain's slots as far apart as possible.
 		remaining := append([]int(nil), cfg.Weights...)
@@ -242,20 +273,8 @@ func NewFS(p dram.Params, cfg Config) (*FS, error) {
 				break
 			}
 		}
-		if len(f.slotDomains) == 0 {
-			return nil, fmt.Errorf("core: weights sum to zero")
-		}
-	}
-	if cfg.RefreshEnabled && cfg.Variant != FSRankPart {
-		return nil, fmt.Errorf("core: refresh-aware scheduling is only implemented for rank partitioning")
 	}
 	f.refreshEnabled = cfg.RefreshEnabled
-	if cfg.Variant == FSNoPartTriple && len(f.slotDomains)%3 == 0 {
-		// With a slot count divisible by 3 the slot-indexed bank-group
-		// rotation assigns every one of a domain's slots the same group
-		// forever, cutting it off from two thirds of its address space.
-		return nil, fmt.Errorf("core: triple alternation requires a slot count not divisible by 3, got %d", len(f.slotDomains))
-	}
 	l := cfg.L
 	if l == 0 {
 		// Triple alternation's whole point is that consecutive slots are

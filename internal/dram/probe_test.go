@@ -243,3 +243,106 @@ func TestReadyAtIsALowerBound(t *testing.T) {
 		})
 	}
 }
+
+// TestBoundsArePreciseLowerBounds pins the bounds the Baseline's wake is
+// built on, with a forward scan of Ready as the oracle. A random legal
+// command stream (DDR3 and DDR4, with and without a derate) walks the
+// channel through varied states, and at each step every kind is bounded on
+// a random target from a random cycle. Each bound is at least that cycle.
+// The combined bound (rank of Bounds from the bank bound: the data bus
+// searched from the latest of all other rules) is the first cycle from
+// there that accepts the command: Ready is false on every cycle from the
+// one after the last command, or from the starting cycle if later, up to
+// it, and true on it. A state rejection (NeverReady) stays rejected for
+// longer than any timing rule lasts.
+func TestBoundsArePreciseLowerBounds(t *testing.T) {
+	ddr3 := DDR3_1600()
+	ddr3.RanksPerChan = 2
+	ddr4 := DDR4_2400()
+	ddr4.RanksPerChan = 2
+	derate := Derate{TRCD: 2, TRP: 3, TRAS: 1, TRC: 2, TRTP: 1, TWR: 4, TFAW: 2, TRRD: 1, TCCD: 1, TWTR: 2}
+	cases := []struct {
+		name   string
+		p      Params
+		derate bool
+	}{
+		{"ddr3", ddr3, false},
+		{"ddr3-derated", ddr3, true},
+		{"ddr4", ddr4, false},
+		{"ddr4-derated", ddr4, true},
+	}
+	kinds := []Kind{KindActivate, KindRead, KindReadAP, KindWrite, KindWriteAP,
+		KindPrecharge, KindRefresh, KindPowerDown, KindPowerUp}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.p
+			window := int64(p.TRFC + p.TRC + p.TFAW + 64)
+			var finite, never, dataBus int
+			for seed := uint64(1); seed <= 6; seed++ {
+				rng := rand.New(rand.NewPCG(seed, 0xb0))
+				ch := NewChannel(p)
+				if tc.derate {
+					ch.SetDerate(-1, derate)
+				}
+				randomCmd := func(k Kind) Command {
+					return Command{Kind: k, Rank: rng.IntN(p.RanksPerChan), Bank: rng.IntN(p.BanksPerRank), Row: rng.IntN(8)}
+				}
+				cycle, last := int64(0), int64(-1)
+				for step := 0; step < 400; step++ {
+					for _, k := range kinds {
+						cmd := randomCmd(k)
+						for try := 0; try < 8 && k != KindActivate && k < KindRefresh &&
+							ch.OpenRow(cmd.Rank, cmd.Bank) == ClosedRow; try++ {
+							cmd = randomCmd(k)
+						}
+						from := cycle + int64(rng.IntN(8)) - 4
+						bank, rank := ch.Bounds(cmd, from)
+						if bank < from || rank < from {
+							t.Fatalf("seed %d: Bounds(%v, %d) = %d, %d, below the starting cycle", seed, cmd, from, bank, rank)
+						}
+						_, bound := ch.Bounds(cmd, max(bank, rank))
+						bound = max(bound, bank)
+						if ab, ar := ch.Bounds(cmd, from); ab != bank || ar != rank {
+							t.Fatalf("seed %d: Bounds(%v, %d) is not repeatable", seed, cmd, from)
+						}
+						end := bound
+						if bound == NeverReady {
+							never++
+							end = max(from, last+1) + window
+						} else {
+							finite++
+							var te *TimingError
+							if c := bound - 1; c > last && c >= from && errors.As(ch.CanIssue(cmd, c), &te) &&
+								strings.HasPrefix(te.Constraint, "data bus") {
+								dataBus++ // the data bus is the last rule to clear
+							}
+						}
+						for c := max(from, last+1); c < end; c++ {
+							if ch.Ready(cmd, c) {
+								t.Fatalf("seed %d: %v legal at %d, before its bound %d (bank %d, rank %d from %d): %v",
+									seed, cmd, c, bound, bank, rank, from, ch.CanIssue(cmd, bound))
+							}
+						}
+						if bound != NeverReady && !ch.Ready(cmd, bound) {
+							t.Fatalf("seed %d: %v not legal at its bound %d: %v", seed, cmd, bound, ch.CanIssue(cmd, bound))
+						}
+					}
+					k := kinds[rng.IntN(6)]
+					if rng.IntN(40) == 0 {
+						k = kinds[6+rng.IntN(3)]
+					}
+					if cmd := randomCmd(k); ch.Ready(cmd, cycle) {
+						if err := ch.Issue(cmd, cycle); err != nil {
+							t.Fatalf("ready command refused: %v", err)
+						}
+						last = cycle
+					}
+					cycle += int64(rng.IntN(6))
+				}
+			}
+			if finite < 1000 || never < 1000 || dataBus < 20 {
+				t.Fatalf("bounds too uniform: %d finite (%d set by the data bus), %d never", finite, dataBus, never)
+			}
+		})
+	}
+}

@@ -127,13 +127,24 @@ type CompareParams struct {
 }
 
 // Check returns the config error Compare fails with for p, or nil: the
-// attacker needs a domain of its own, and the fabric shape must be one
-// sim accepts.
+// attacker needs a domain of its own, and the fabric shape and every
+// scheduler's capacity must be ones sim accepts.
 func (p CompareParams) Check() error {
 	if p.Domains < 1 {
 		return fsmerr.New(fsmerr.CodeConfig, "leakage.Compare", "need at least the attacker's domain, got %d domains", p.Domains)
 	}
-	return sim.CheckFabric(p.Channels, p.Routing, p.Domains)
+	if err := sim.CheckFabric(p.Channels, p.Routing, p.Domains); err != nil {
+		return err
+	}
+	for _, k := range p.Schedulers {
+		// Every profile runs the DefaultConfig of its mix on this fabric.
+		cfg := sim.DefaultConfig(workload.Mix{}, k)
+		cfg.Channels, cfg.Routing = p.Channels, p.Routing
+		if err := sim.CheckScheduler(cfg, p.Domains); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Compare runs the Figure 4 experiment: every scheduler against an idle

@@ -8,6 +8,7 @@ import (
 
 	fsaddr "fsmem/internal/addr"
 	"fsmem/internal/dram"
+	"fsmem/internal/fault"
 	"fsmem/internal/mem"
 	"fsmem/internal/workload"
 )
@@ -144,16 +145,20 @@ func recordIssues(c *mem.Controller) *[]issuedCmd {
 
 // TestBaselineMatchesReference drives the optimized Baseline and the
 // reference policy with one seeded random enqueue stream and requires
-// identical command streams and per-domain statistics. The optimized
-// controller runs the skipping Step, so a wake that is late on any cycle
-// shows up as a missing command; the reference ticks on every cycle. The
-// stream puts several domains' requests on the same cycle in shuffled
-// domain order (arrival ties), alternates write-heavy and read-only phases
-// so the drain latch crosses both watermarks, and draws rows from a small
-// set so row hits, conflicts and shared open rows are all common. The deep
-// cases use the benchmark's shape, 8 domains with 32-entry queues on 8
-// ranks, where the rank-wide probe memo and the per-bank candidate list
-// skip the most.
+// identical command streams, per-domain statistics and, at the end, the
+// same ObsMetrics, which pin the drain latch. The optimized controller
+// runs the skipping Step, so a wake that is late on any cycle shows up as
+// a missing command; the reference ticks on every cycle. The stream puts
+// several domains' requests on the same cycle in shuffled domain order
+// (arrival ties), alternates write-heavy and read-only phases so the drain
+// latch crosses both watermarks, and draws rows from a small set so row
+// hits, conflicts and shared open rows are all common. The deep cases use
+// the benchmark's shape, 8 domains with 32-entry queues on 8 ranks, where
+// the most candidates wait at once. The fault cases give both controllers
+// an injector from one plan that drops, delays and duplicates commands of
+// every kind, and derate both channels mid-run and then restore them: each
+// is a channel change the optimized policy did not make. The drain latch
+// must also agree on every cycle.
 func TestBaselineMatchesReference(t *testing.T) {
 	ddr3 := func(ranks int) dram.Params {
 		p := dram.DDR3_1600()
@@ -169,15 +174,20 @@ func TestBaselineMatchesReference(t *testing.T) {
 		p       dram.Params
 		cfg     mem.Config
 		refresh bool
+		faults  bool
 	}{
-		{"ddr3-1rank", ddr3(1), small, false},
-		{"ddr3-2rank", ddr3(2), small, false},
-		{"ddr3-2rank-refresh", ddr3(2), small, true},
-		{"ddr3-8rank-refresh", ddr3(8), small, true},
-		{"ddr4-2rank-bankgroups", ddr4, small, false},
-		{"ddr4-2rank-bankgroups-refresh", ddr4, small, true},
-		{"ddr3-8rank-deep", ddr3(8), deep, false},
-		{"ddr3-8rank-deep-refresh", ddr3(8), deep, true},
+		{"ddr3-1rank", ddr3(1), small, false, false},
+		{"ddr3-2rank", ddr3(2), small, false, false},
+		{"ddr3-2rank-refresh", ddr3(2), small, true, false},
+		{"ddr3-8rank-refresh", ddr3(8), small, true, false},
+		{"ddr4-2rank-bankgroups", ddr4, small, false, false},
+		{"ddr4-2rank-bankgroups-refresh", ddr4, small, true, false},
+		{"ddr3-8rank-deep", ddr3(8), deep, false, false},
+		{"ddr3-8rank-deep-refresh", ddr3(8), deep, true, false},
+		{"ddr3-2rank-faults", ddr3(2), small, false, true},
+		{"ddr3-8rank-refresh-faults", ddr3(8), small, true, true},
+		{"ddr4-2rank-bankgroups-faults", ddr4, small, false, true},
+		{"ddr3-8rank-deep-refresh-faults", ddr3(8), deep, true, true},
 	}
 	for _, tc := range cases {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -185,13 +195,40 @@ func TestBaselineMatchesReference(t *testing.T) {
 				if testing.Short() && seed > 1 && tc.cfg != small {
 					t.Skip("deep queues run one seed under -short")
 				}
-				diffAgainstReference(t, tc.p, tc.cfg, tc.refresh, seed)
+				diffAgainstReference(t, tc.p, tc.cfg, tc.refresh, tc.faults, seed)
 			})
 		}
 	}
 }
 
-func diffAgainstReference(t *testing.T, p dram.Params, cfg mem.Config, refresh bool, seed uint64) {
+// referenceFaults is the command-fault plan of the fault cases: every
+// 400 cycles the next command of one kind is dropped, delayed or
+// duplicated, cycling through the kinds and actions.
+func referenceFaults() *fault.Plan {
+	kinds := []dram.Kind{dram.KindActivate, dram.KindRead, dram.KindWrite, dram.KindPrecharge, dram.KindRefresh}
+	actions := []fault.Action{fault.ActionDrop, fault.ActionDelay, fault.ActionDuplicate}
+	plan := &fault.Plan{Name: "reference"}
+	for i := 0; i < 45; i++ {
+		plan.Commands = append(plan.Commands, fault.CommandFault{
+			AtCycle: int64(150 + 400*i),
+			Kinds:   []dram.Kind{kinds[i%len(kinds)]},
+			Action:  actions[i%len(actions)],
+			Delay:   int64(1 + i%9),
+		})
+	}
+	return plan
+}
+
+// metrics collects a policy's ObsMetrics in emission order.
+func metrics(src interface {
+	ObsMetrics(func(string, float64))
+}) []string {
+	var out []string
+	src.ObsMetrics(func(name string, v float64) { out = append(out, fmt.Sprintf("%s=%g", name, v)) })
+	return out
+}
+
+func diffAgainstReference(t *testing.T, p dram.Params, cfg mem.Config, refresh, faults bool, seed uint64) {
 	const cycles = 3 * 6240
 	domains := cfg.Domains
 	fast := NewBaseline(p, cfg)
@@ -200,6 +237,13 @@ func diffAgainstReference(t *testing.T, p dram.Params, cfg mem.Config, refresh b
 	fc := mem.NewController(p, cfg, fast)
 	rc := mem.NewController(p, cfg, ref)
 	fastCmds, refCmds := recordIssues(fc), recordIssues(rc)
+	var fastInj, refInj *fault.Injector
+	if faults {
+		plan := referenceFaults()
+		fastInj, refInj = fault.NewInjector(plan, p), fault.NewInjector(plan, p)
+		fc.AttachInjector(fastInj)
+		rc.AttachInjector(refInj)
+	}
 
 	rng := rand.New(rand.NewPCG(seed, 0x5eed))
 	order := make([]int, domains)
@@ -243,8 +287,21 @@ func diffAgainstReference(t *testing.T, p dram.Params, cfg mem.Config, refresh b
 		} else if pw <= fast.lo && sawHigh {
 			sawLow = true
 		}
+		if faults && (cyc == cycles/3 || cyc == 2*cycles/3) {
+			// Lengthen every timing, then restore it: the second derate
+			// loosens bounds the optimized policy computed under the first.
+			var d dram.Derate
+			if cyc == cycles/3 {
+				d = dram.Derate{TRCD: 2, TRP: 3, TRAS: 4, TRC: 4, TRTP: 2, TWR: 3, TFAW: 4, TRRD: 2, TCCD: 1, TWTR: 2}
+			}
+			fc.Chan.SetDerate(-1, d)
+			rc.Chan.SetDerate(-1, d)
+		}
 		fc.Step()
 		rc.Tick()
+		if fast.draining != ref.draining {
+			t.Fatalf("cycle %d: drain latch %v, reference %v", cyc, fast.draining, ref.draining)
+		}
 		if len(*fastCmds) != len(*refCmds) {
 			n := min(len(*fastCmds), len(*refCmds))
 			t.Fatalf("cycle %d: issued %d commands vs reference %d; tails %v vs %v",
@@ -260,6 +317,17 @@ func diffAgainstReference(t *testing.T, p dram.Params, cfg mem.Config, refresh b
 	}
 	if !reflect.DeepEqual(fc.Dom, rc.Dom) {
 		t.Fatalf("domain stats differ:\n%+v\nreference\n%+v", fc.Dom, rc.Dom)
+	}
+	if got, want := metrics(fast), metrics(ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ObsMetrics %v, reference %v", got, want)
+	}
+	if faults {
+		if fastInj.Stats != refInj.Stats {
+			t.Fatalf("injector counts %+v, reference %+v", fastInj.Stats, refInj.Stats)
+		}
+		if s := fastInj.Stats; s.Drops == 0 || s.Delays == 0 || s.Duplicates == 0 {
+			t.Fatalf("the plan did not drop, delay and duplicate: %+v", s)
+		}
 	}
 	if !sawHigh || !sawLow {
 		t.Fatalf("write drain never crossed both watermarks (high %v, low %v)", sawHigh, sawLow)

@@ -88,22 +88,30 @@ type TP struct {
 // NewTP builds a TP scheduler with the given turn length in bus cycles
 // (use mode.MinTurnLength for the paper's best configuration).
 func NewTP(p dram.Params, mode TPMode, domains int, turnLength int64) (*TP, error) {
-	if domains <= 0 {
-		return nil, fmt.Errorf("sched: TP needs at least one domain, got %d", domains)
-	}
-	res := mode.Reserve(p)
-	if turnLength < res {
-		return nil, fmt.Errorf("sched: turn length %d shorter than reserve %d", turnLength, res)
+	if err := CheckTP(p, mode, domains, turnLength); err != nil {
+		return nil, err
 	}
 	return &TP{
 		p:          p,
 		mode:       mode,
 		domains:    domains,
 		TurnLength: turnLength,
-		Res:        res,
+		Res:        mode.Reserve(p),
 		Intra:      mode.IntraSpacing(p),
 		lastAct:    dram.NeverCycle,
 	}, nil
+}
+
+// CheckTP states NewTP's acceptance rules: at least one domain, and a turn
+// no shorter than the mode's reserve.
+func CheckTP(p dram.Params, mode TPMode, domains int, turnLength int64) error {
+	if domains <= 0 {
+		return fmt.Errorf("sched: TP needs at least one domain, got %d", domains)
+	}
+	if res := mode.Reserve(p); turnLength < res {
+		return fmt.Errorf("sched: turn length %d shorter than reserve %d", turnLength, res)
+	}
+	return nil
 }
 
 // Name implements mem.Scheduler.

@@ -530,6 +530,9 @@ func (c *ChaosRequest) resolve() (sim.Config, []*fault.Plan, error) {
 		cfg.TargetReads = 0
 		cfg.MaxBusCycles = c.Cycles
 	}
+	if err := sim.CheckScheduler(cfg, len(mix.Profiles)); err != nil {
+		return sim.Config{}, nil, err
+	}
 	return cfg, fault.CampaignPlans(c.Cores, c.Seed), nil
 }
 
@@ -561,7 +564,7 @@ func (a *AuditRequest) resolve() (sim.SchedulerKind, audit.Options, error) {
 		Domains: a.Cores, Bits: a.Bits, WindowBusCycles: a.Window, Seed: a.Seed, Seeds: a.Seeds,
 		Permutations: a.Permutations, Rounds: a.Rounds, FaultPlan: a.Fault, FaultSeed: a.FaultSeed,
 		Channels: a.Channels, Routing: routing,
-	}.Check()
+	}.Check(k)
 	if err != nil {
 		return 0, audit.Options{}, err
 	}

@@ -131,6 +131,15 @@ func TestNormalizeRejectsBadRequests(t *testing.T) {
 		"audit cores":            {Kind: KindAudit, Audit: &AuditRequest{Scheduler: "fs_rp", Cores: 1}},
 		"audit permutations":     {Kind: KindAudit, Audit: &AuditRequest{Scheduler: "fs_rp", Permutations: 5}},
 		"audit uneven colored":   {Kind: KindAudit, Audit: &AuditRequest{Scheduler: "fs_rp", Cores: 6, Channels: 4}},
+		// Each payload below exceeds what its scheduler serves, a limit sim
+		// states once (CheckScheduler) and every entry point applies.
+		"simulate fs_rp ranks":   {Kind: KindSimulate, Simulate: &config.Experiment{Workload: "mcf", Cores: 16, Scheduler: "fs_rp", Reads: 500}},
+		"audit fs_rp ranks":      {Kind: KindAudit, Audit: &AuditRequest{Scheduler: "fs_rp", Cores: 16}},
+		"chaos fs_rp ranks":      {Kind: KindChaos, Chaos: &ChaosRequest{Scheduler: "fs_rp", Cores: 16}},
+		"leakage fs_rp ranks":    {Kind: KindLeakage, Leakage: &LeakageRequest{Scheduler: "fs_rp", Cores: 16}},
+		"simulate triple slots":  {Kind: KindSimulate, Simulate: &config.Experiment{Workload: "mcf", Cores: 6, Scheduler: "fs_np_optimized"}},
+		"simulate fs_bp refresh": {Kind: KindSimulate, Simulate: &config.Experiment{Workload: "mcf", Cores: 8, Scheduler: "fs_bp", Refresh: true}},
+		"simulate weights count": {Kind: KindSimulate, Simulate: &config.Experiment{Workload: "mcf", Cores: 4, Scheduler: "fs_rp", SLAWeights: []int{1, 2}}},
 	}
 	for name, req := range cases {
 		req := req
@@ -142,6 +151,21 @@ func TestNormalizeRejectsBadRequests(t *testing.T) {
 		_, _, err := NewTable("", 1, 1).Submit(req, func(*Admission) (*Job, bool, error) { return nil, false, admitted })
 		if fsmerr.CodeOf(err) != fsmerr.CodeConfig {
 			t.Errorf("%s: submission answered %v, want a config error", name, err)
+		}
+	}
+}
+
+// TestNormalizeAcceptsPerChannelCapacity checks that the scheduler limits
+// apply per channel: 16 domains exceed the 8 ranks rank partitioning
+// splits on one channel, but two colored channels hold 8 domains each.
+func TestNormalizeAcceptsPerChannelCapacity(t *testing.T) {
+	for name, req := range map[string]JobRequest{
+		"simulate": {Kind: KindSimulate, Simulate: &config.Experiment{Workload: "mcf", Cores: 16, Scheduler: "fs_rp", Reads: 500, Channels: 2, Routing: "colored"}},
+		"audit":    {Kind: KindAudit, Audit: &AuditRequest{Scheduler: "fs_rp", Cores: 16, Channels: 2}},
+		"leakage":  {Kind: KindLeakage, Leakage: &LeakageRequest{Scheduler: "fs_rp", Cores: 16, Channels: 2}},
+	} {
+		if _, err := req.normalize(); err != nil {
+			t.Errorf("%s: normalize refused fs_rp at 16 domains on 2 colored channels: %v", name, err)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fsmem/internal/addr"
+	"fsmem/internal/dram"
 	"fsmem/internal/fsmerr"
 	"fsmem/internal/workload"
 )
@@ -346,5 +347,87 @@ func TestCheckFabric(t *testing.T) {
 		if err != nil && fsmerr.CodeOf(err) != fsmerr.CodeConfig {
 			t.Errorf("CheckFabric(%d, %v, %d) = %v, want a CodeConfig error", c.channels, c.routing, c.domains, err)
 		}
+	}
+}
+
+// TestCheckSchedulerMatchesNew holds CheckScheduler to the constructors it
+// states the rules of: over every scheduler, both DRAM parts, domain
+// counts around the rank and bank budgets and the triple-alternation
+// period, three fabrics, refresh and three weight vectors, it must reject
+// exactly the configurations New fails to build, with a config error.
+// Among them are rank partitioning at 16 domains (rejected on one channel,
+// accepted on two colored ones), triple alternation at 6 slots, bank
+// partitioning with refresh, and 2 weights for 4 domains.
+func TestCheckSchedulerMatchesNew(t *testing.T) {
+	mix, err := workload.Rate("mcf", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ddr4 := dram.DDR4_2400()
+	ddr4.RanksPerChan = 2
+	fabrics := []struct {
+		channels int
+		routing  addr.Routing
+	}{{1, addr.RouteColored}, {2, addr.RouteColored}, {2, addr.RouteInterleaved}}
+	var rejected, accepted int
+	for _, p := range []dram.Params{dram.DDR3_1600(), ddr4} {
+		for k := Baseline; k <= FSNoPartTriple; k++ {
+			for _, domains := range []int{1, 2, 3, 4, 6, 8, 9, 16} {
+				for _, f := range fabrics {
+					if CheckFabric(f.channels, f.routing, domains) != nil {
+						continue
+					}
+					perDomain := make([]int, domains)
+					for d := range perDomain {
+						perDomain[d] = 1 + d%2
+					}
+					for _, refresh := range []bool{false, true} {
+						for _, weights := range [][]int{nil, {1, 2}, perDomain} {
+							cfg := DefaultConfig(workload.Mix{Name: "mcf", Profiles: mix.Profiles[:domains]}, k)
+							cfg.DRAM, cfg.Channels, cfg.Routing = p, f.channels, f.routing
+							cfg.RefreshEnabled, cfg.SLAWeights = refresh, weights
+							checkErr := CheckScheduler(cfg, domains)
+							_, newErr := New(cfg)
+							if (checkErr == nil) != (newErr == nil) {
+								t.Fatalf("%v, %d domains, %d channels %v, refresh %v, weights %v: CheckScheduler %v, New %v",
+									k, domains, f.channels, f.routing, refresh, weights, checkErr, newErr)
+							}
+							if checkErr != nil {
+								if fsmerr.CodeOf(checkErr) != fsmerr.CodeConfig {
+									t.Fatalf("CheckScheduler = %v, want a CodeConfig error", checkErr)
+								}
+								rejected++
+							} else {
+								accepted++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		k        SchedulerKind
+		domains  int
+		channels int
+		refresh  bool
+		weights  []int
+		ok       bool
+	}{
+		{FSRankPart, 16, 1, false, nil, false},
+		{FSRankPart, 16, 2, false, nil, true},
+		{FSNoPartTriple, 6, 1, false, nil, false},
+		{FSBankPart, 8, 1, true, nil, false},
+		{FSRankPart, 4, 1, false, []int{1, 2}, false},
+	} {
+		cfg := DefaultConfig(workload.Mix{}, c.k)
+		cfg.Channels, cfg.RefreshEnabled, cfg.SLAWeights = c.channels, c.refresh, c.weights
+		if err := CheckScheduler(cfg, c.domains); (err == nil) != c.ok {
+			t.Errorf("CheckScheduler(%v at %d domains on %d channels, refresh %v, weights %v) = %v, want ok=%v",
+				c.k, c.domains, c.channels, c.refresh, c.weights, err, c.ok)
+		}
+	}
+	if rejected < 100 || accepted < 100 {
+		t.Fatalf("too few cases on one side: %d rejected, %d accepted", rejected, accepted)
 	}
 }

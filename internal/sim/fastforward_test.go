@@ -11,6 +11,7 @@ import (
 	"fsmem/internal/fault"
 	"fsmem/internal/mem"
 	"fsmem/internal/obs"
+	"fsmem/internal/sched"
 	"fsmem/internal/stats"
 	"fsmem/internal/workload"
 )
@@ -523,5 +524,53 @@ func TestDenseEnvOverride(t *testing.T) {
 	s.Run()
 	if jumps, _ := s.FastForward(); jumps != 0 {
 		t.Errorf("FSMEM_DENSE set but the kernel still jumped %d times", jumps)
+	}
+}
+
+// tickCounter wraps the Baseline to count the ticks the controller runs;
+// every other method is the Baseline's own.
+type tickCounter struct {
+	*sched.Baseline
+	ticks int64
+}
+
+func (t *tickCounter) Tick(c *mem.Controller) {
+	t.ticks++
+	t.Baseline.Tick(c)
+}
+
+// TestBaselineTicksPerCommand bounds how often the event-driven Baseline
+// ticks: on milc×8 on one channel a tick runs only when some candidate's
+// bound has passed, so ticks stay within 1.25 per issued command. The run
+// must still be the unwrapped run, byte for byte.
+func TestBaselineTicksPerCommand(t *testing.T) {
+	mix, err := workload.Rate("milc", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(mix, Baseline)
+	cfg.TargetReads = 20_000
+	if testing.Short() {
+		cfg.TargetReads = 5_000
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := s.Controller()
+	counter := &tickCounter{Baseline: ctl.Scheduler().(*sched.Baseline)}
+	ctl.SetScheduler(counter)
+	res := s.Run()
+	cmds := ctl.Chan.Counters.CmdBusBusy
+	t.Logf("%d ticks for %d commands (%.3f per command)", counter.ticks, cmds, float64(counter.ticks)/float64(cmds))
+	if float64(counter.ticks) > 1.25*float64(cmds) {
+		t.Errorf("%d ticks for %d commands, want at most 1.25 per command", counter.ticks, cmds)
+	}
+	want, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Error("counting ticks changed the run")
 	}
 }

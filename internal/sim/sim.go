@@ -349,6 +349,9 @@ func New(cfg Config) (*System, error) {
 	if err := CheckFabric(cfg.Channels, cfg.Routing, domains); err != nil {
 		return nil, err
 	}
+	if err := CheckScheduler(cfg, domains); err != nil {
+		return nil, err
+	}
 	n := max(cfg.Channels, 1)
 	interleaved := n > 1 && cfg.Routing != addr.RouteColored
 	// Blocked channel c owns domains [c*per, (c+1)*per); an interleaved
@@ -552,6 +555,45 @@ func CheckFabric(channels int, routing addr.Routing, domains int) error {
 	case channels > 1 && routing == addr.RouteColored && domains%channels != 0:
 		return fsmerr.New(fsmerr.CodeConfig, "sim.CheckFabric",
 			"%d domains do not split evenly over %d colored channels", domains, channels)
+	}
+	return nil
+}
+
+// CheckScheduler is the one acceptance rule for what a scheduler serves:
+// the rules its constructor and the partition spaces apply
+// (sched.CheckTP, core.Config.Check, addr.CheckPartition), stated without
+// building anything, for the domains each channel's scheduler serves:
+// domains/Channels under colored routing, every domain otherwise. It reads
+// cfg's scheduler, DRAM parameters, fabric, SLA weights, refresh and TP
+// turn length, and takes the domain count apart, so a layer that has no
+// workload mix yet can apply it. The fabric must have passed CheckFabric.
+// New applies it, and so does every layer that accepts a simulation
+// before it builds one (config files, audit and leakage options, daemon
+// jobs).
+func CheckScheduler(cfg Config, domains int) error {
+	if cfg.Channels > 1 && cfg.Routing == addr.RouteColored {
+		domains /= cfg.Channels
+	}
+	var err error
+	switch k := cfg.Scheduler; {
+	case k == TPBank || k == TPNone:
+		mode := sched.TPBankPartitioned
+		if k == TPNone {
+			mode = sched.TPNoPartitioning
+		}
+		turn := cfg.TPTurnLength
+		if turn == 0 {
+			turn = mode.MinTurnLength(cfg.DRAM)
+		}
+		err = sched.CheckTP(cfg.DRAM, mode, domains, turn)
+	case k.IsFS():
+		err = core.Config{Variant: k.FSVariant(), Domains: domains, Weights: cfg.SLAWeights, RefreshEnabled: cfg.RefreshEnabled}.Check()
+	}
+	if err == nil {
+		err = addr.CheckPartition(cfg.Scheduler.Partition(), domains, cfg.DRAM)
+	}
+	if err != nil {
+		return fsmerr.Wrap(fsmerr.CodeConfig, "sim.CheckScheduler", err)
 	}
 	return nil
 }
