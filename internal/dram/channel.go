@@ -206,68 +206,6 @@ var errNotReady = errors.New("dram: command not ready (probe)")
 // to the same clear cycle, so a scheduler may skip those probes.
 var errRankBusy = errors.New("dram: rank not ready (probe)")
 
-// rule names a timing rule; its String is the constraint a TimingError
-// reports. Two names take the bank number (verdict.arg).
-type rule uint8
-
-const (
-	ruleCmdBus rule = iota
-	rulePoweredDown
-	ruleTXP
-	ruleTRFC
-	ruleBankOpen
-	ruleTRP
-	ruleTRC
-	ruleTRRD
-	ruleTRRDL
-	ruleTFAW
-	ruleReadClosed
-	ruleWriteClosed
-	ruleTRCD
-	ruleTCCD
-	ruleTWTR
-	ruleTCCDL
-	ruleTWTRL
-	rulePrechargeClosed
-	ruleTRAS
-	ruleTRTP
-	ruleTWR
-	ruleRefreshOpen
-	ruleTRPRefresh
-	rulePowerDownOpen
-	rulePowerDownRefresh
-	rulePowerUpUp
-)
-
-var ruleNames = [...]string{
-	ruleCmdBus:           "command bus (one command per cycle, in order)",
-	rulePoweredDown:      "rank powered down",
-	ruleTXP:              "tXP (power-up exit)",
-	ruleTRFC:             "tRFC (refresh in progress)",
-	ruleBankOpen:         "bank already open (needs PRE)",
-	ruleTRP:              "tRP",
-	ruleTRC:              "tRC",
-	ruleTRRD:             "tRRD",
-	ruleTRRDL:            "tRRD_L (same bank group)",
-	ruleTFAW:             "tFAW",
-	ruleReadClosed:       "read to closed bank",
-	ruleWriteClosed:      "write to closed bank",
-	ruleTRCD:             "tRCD",
-	ruleTCCD:             "tCCD",
-	ruleTWTR:             "tWTR",
-	ruleTCCDL:            "tCCD_L (same bank group)",
-	ruleTWTRL:            "tWTR_L (same bank group)",
-	rulePrechargeClosed:  "precharge to closed bank",
-	ruleTRAS:             "tRAS",
-	ruleTRTP:             "tRTP",
-	ruleTWR:              "tWR",
-	ruleRefreshOpen:      "refresh with bank %d open",
-	ruleTRPRefresh:       "tRP before refresh",
-	rulePowerDownOpen:    "power-down with bank %d open",
-	rulePowerDownRefresh: "power-down during refresh",
-	rulePowerUpUp:        "power-up of powered-up rank",
-}
-
 // verdict collects a command's timing rules as rules states them, each
 // once: the latest clear cycle of its bank-scoped and of its rank-wide
 // rules, and the first rule, in rules' order, that rejects the probed
@@ -275,56 +213,55 @@ var ruleNames = [...]string{
 // rejection clears at NeverReady. Each rule rejects a contiguous run of
 // cycles ending at its clear cycle, so the first rejecting rule's clear
 // cycle is a lower bound on the first legal cycle, and so is each scope's
-// latest clear cycle. A probe (canIssue) stops at the first rejection; a
-// bound (Bounds) reads every rule.
+// latest clear cycle.
 type verdict struct {
-	cycle      int64 // the probed cycle
-	probe      bool  // stop at the first rejection
-	bank, rank int64 // latest clear cycle per scope so far, of the rules that reject cycle
-	at         int64 // the first rejecting rule's clear cycle; cycle while none rejects
-	wide       bool  // that rule is rank-wide
-	rule       rule  // that rule
-	arg        int32 // the bank a ruleRefreshOpen or rulePowerDownOpen names
+	cycle      int64  // the probed cycle
+	bank, rank int64  // latest clear cycle per scope so far, of the rules that reject cycle
+	at         int64  // the first rejecting rule's clear cycle; cycle while none rejects
+	wide       bool   // that rule is rank-wide
+	rule       string // its name, a format taking the bank when arg > 0
+	arg        int    // one more than the bank an open-bank rule names
 }
 
-// reset readies v to probe (probe set) or bound cmd's rules at cycle.
-// Fields are set one by one: a struct copy would read back the narrow
-// stores of the literal as wide loads, which the store buffer cannot
-// forward.
-func (v *verdict) reset(cycle int64, probe bool) {
-	v.cycle, v.probe, v.at = cycle, probe, cycle
+// reset readies v to collect the rules at cycle. Fields are set one by
+// one: a struct copy would read back the narrow stores of the literal as
+// wide loads, which the store buffer cannot forward.
+func (v *verdict) reset(cycle int64) {
+	v.cycle, v.at = cycle, cycle
 	v.bank, v.rank = NeverCycle, NeverCycle
 }
 
-// bankRule records a bank-scoped rule that rejects the probed cycle: bank
-// state, tRP, tRC, tRCD, tRAS, tRTP, tWR or a bank-group _L timing. It
-// reports whether a probe may stop.
-func (v *verdict) bankRule(r rule, clear int64) bool {
+// bankRule records a bank-scoped rule if it rejects the probed cycle:
+// bank state, tRP, tRC, tRCD, tRAS, tRTP, tWR or a bank-group _L timing.
+func (v *verdict) bankRule(r string, clear int64) {
+	if clear <= v.cycle {
+		return
+	}
 	if v.at == v.cycle {
 		v.at, v.wide, v.rule = clear, false, r
 	}
 	v.bank = max(v.bank, clear)
-	return v.probe
 }
 
-// rankRule records a rank-wide rule that rejects the probed cycle: the
-// command bus, rank power state, tXP, tRFC, tRRD, tFAW, tCCD or tWTR. It
-// reports whether a probe may stop.
-func (v *verdict) rankRule(r rule, clear int64) bool {
+// rankRule records a rank-wide rule if it rejects the probed cycle: the
+// command bus, rank power state, tXP, tRFC, tRRD, tFAW, tCCD or tWTR.
+func (v *verdict) rankRule(r string, clear int64) {
+	if clear <= v.cycle {
+		return
+	}
 	if v.at == v.cycle {
 		v.at, v.wide, v.rule = clear, true, r
 	}
 	v.rank = max(v.rank, clear)
-	return v.probe
 }
 
 // openBank records the state rejection of a rank-level command (REF, PD)
-// while bank b of the rank is open. It reports whether a probe may stop.
-func (v *verdict) openBank(r rule, b int) bool {
+// while bank b of the rank is open.
+func (v *verdict) openBank(r string, b int) {
 	if v.at == v.cycle {
-		v.arg = int32(b)
+		v.arg = b + 1
 	}
-	return v.bankRule(r, NeverReady)
+	v.bankRule(r, NeverReady)
 }
 
 // reject turns a rejecting verdict into canIssue's result: the clear cycle
@@ -337,9 +274,9 @@ func (v *verdict) reject(cmd Command, explain bool) (int64, error) {
 		}
 		return v.at, errNotReady
 	}
-	rule := ruleNames[v.rule]
-	if v.rule == ruleRefreshOpen || v.rule == rulePowerDownOpen {
-		rule = fmt.Sprintf(rule, v.arg)
+	rule := v.rule
+	if v.arg > 0 {
+		rule = fmt.Sprintf(rule, v.arg-1)
 	}
 	return v.at, &TimingError{Cmd: cmd, Cycle: v.cycle, Constraint: rule, ReadyAt: v.at}
 }
@@ -387,11 +324,11 @@ func (ch *Channel) ReadyAt(cmd Command, cycle int64) int64 {
 // scheduled, so a cycle free of bursts says nothing of the cycles after
 // it.
 func (ch *Channel) Bounds(cmd Command, from int64) (bank, rank int64) {
-	if ch.checkTarget(cmd) != nil {
+	if !ch.valid(cmd) {
 		return NeverReady, NeverReady
 	}
 	var v verdict
-	v.reset(from, false)
+	v.reset(from)
 	ch.rules(cmd, &v)
 	bank, rank = max(v.bank, from), max(v.rank, from)
 	if lat, ok := ch.dataLatency(cmd.Kind); ok && rank < NeverReady {
@@ -410,16 +347,14 @@ func (ch *Channel) Bounds(cmd Command, from int64) (bank, rank int64) {
 // derate. A ReadyAt bound holds for as long as Gen stays the same.
 func (ch *Channel) Gen() uint64 { return ch.gen }
 
-// checkTarget rejects a command whose rank, bank or kind does not exist.
-// Only the rank-level commands (REF, PD, PU) carry no bank.
-func (ch *Channel) checkTarget(cmd Command) error {
-	if uint(cmd.Rank) >= uint(len(ch.ranks)) || cmd.Kind > KindPowerUp ||
-		cmd.Kind < KindRefresh && uint(cmd.Bank) >= uint(ch.P.BanksPerRank) {
-		return ch.targetError(cmd)
-	}
-	return nil
+// valid reports whether cmd's rank, bank and kind exist. Only the
+// rank-level commands (REF, PD, PU) carry no bank.
+func (ch *Channel) valid(cmd Command) bool {
+	return uint(cmd.Rank) < uint(len(ch.ranks)) && cmd.Kind <= KindPowerUp &&
+		(cmd.Kind >= KindRefresh || uint(cmd.Bank) < uint(ch.P.BanksPerRank))
 }
 
+// targetError says why valid rejects cmd.
 func (ch *Channel) targetError(cmd Command) error {
 	switch {
 	case cmd.Rank < 0 || cmd.Rank >= len(ch.ranks):
@@ -450,11 +385,11 @@ func (ch *Channel) dataLatency(k Kind) (int64, bool) {
 // for the rest. The data bus is checked last, once every other rule
 // passes.
 func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) (int64, error) {
-	if err := ch.checkTarget(cmd); err != nil {
-		return NeverReady, err
+	if !ch.valid(cmd) {
+		return NeverReady, ch.targetError(cmd)
 	}
 	var v verdict
-	v.reset(cycle, true)
+	v.reset(cycle)
 	ch.rules(cmd, &v)
 	if v.at > cycle {
 		return v.reject(cmd, explain)
@@ -467,22 +402,18 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) (int64, erro
 
 // rules states every timing rule of cmd once, in the order canIssue
 // reports them, and records into v each rule that rejects the probed
-// cycle, with its scope and clear cycle; it returns early once a probe may
-// stop. cmd's target must have passed checkTarget.
+// cycle, with its scope and clear cycle. cmd must be valid.
 func (ch *Channel) rules(cmd Command, v *verdict) {
-	cycle := v.cycle
-	if at := ch.lastCmdCycle + 1; at > cycle && v.rankRule(ruleCmdBus, at) {
-		return
-	}
+	v.rankRule("command bus (one command per cycle, in order)", ch.lastCmdCycle+1)
 	rk := &ch.ranks[cmd.Rank]
-	if rk.poweredDown && cmd.Kind != KindPowerUp && v.rankRule(rulePoweredDown, NeverReady) {
-		return
+	if rk.poweredDown && cmd.Kind != KindPowerUp {
+		v.rankRule("rank powered down", NeverReady)
 	}
-	if at := rk.powerUpReady; at > cycle && !rk.poweredDown && cmd.Kind != KindPowerDown && v.rankRule(ruleTXP, at) {
-		return
+	if !rk.poweredDown && cmd.Kind != KindPowerDown {
+		v.rankRule("tXP (power-up exit)", rk.powerUpReady)
 	}
-	if at := rk.refreshUntil; at > cycle && cmd.Kind != KindPowerDown && cmd.Kind != KindPowerUp && v.rankRule(ruleTRFC, at) {
-		return
+	if cmd.Kind != KindPowerDown && cmd.Kind != KindPowerUp {
+		v.rankRule("tRFC (refresh in progress)", rk.refreshUntil)
 	}
 
 	p := &ch.P
@@ -490,101 +421,71 @@ func (ch *Channel) rules(cmd Command, v *verdict) {
 	switch cmd.Kind {
 	case KindActivate:
 		bk := ch.bank(cmd)
-		if bk.openRow != ClosedRow && v.bankRule(ruleBankOpen, NeverReady) {
-			return
+		if bk.openRow != ClosedRow {
+			v.bankRule("bank already open (needs PRE)", NeverReady)
 		}
-		if at := bk.prechargeStart + int64(p.TRP+der.TRP); bk.prechargeStart != NeverCycle && at > cycle && v.bankRule(ruleTRP, at) {
-			return
+		if bk.prechargeStart != NeverCycle {
+			v.bankRule("tRP", bk.prechargeStart+int64(p.TRP+der.TRP))
 		}
-		if at := bk.lastAct + int64(p.TRC+der.TRC); at > cycle && v.bankRule(ruleTRC, at) {
-			return
-		}
-		if at := rk.actHist[0] + int64(p.RRDOther()+der.TRRD); at > cycle && v.rankRule(ruleTRRD, at) {
-			return
-		}
-		if at := rk.groups[p.BankGroup(cmd.Bank)].lastAct + int64(p.RRDSame()+der.TRRD); at > cycle && v.bankRule(ruleTRRDL, at) {
-			return
-		}
-		if at := rk.actHist[3] + int64(p.TFAW+der.TFAW); rk.actHist[3] != NeverCycle && at > cycle && v.rankRule(ruleTFAW, at) {
-			return
+		v.bankRule("tRC", bk.lastAct+int64(p.TRC+der.TRC))
+		v.rankRule("tRRD", rk.actHist[0]+int64(p.RRDOther()+der.TRRD))
+		v.bankRule("tRRD_L (same bank group)", rk.groups[p.BankGroup(cmd.Bank)].lastAct+int64(p.RRDSame()+der.TRRD))
+		if rk.actHist[3] != NeverCycle {
+			v.rankRule("tFAW", rk.actHist[3]+int64(p.TFAW+der.TFAW))
 		}
 
 	case KindRead, KindReadAP:
 		bk := ch.bank(cmd)
-		if bk.openRow == ClosedRow && v.bankRule(ruleReadClosed, NeverReady) {
-			return
+		if bk.openRow == ClosedRow {
+			v.bankRule("read to closed bank", NeverReady)
 		}
-		if at := bk.lastAct + int64(p.TRCD+der.TRCD); at > cycle && v.bankRule(ruleTRCD, at) {
-			return
-		}
-		if at := rk.lastCAS + int64(p.CCDOther()+der.TCCD); at > cycle && v.rankRule(ruleTCCD, at) {
-			return
-		}
-		if at := rk.lastWriteDataEnd + int64(p.WTROther()+der.TWTR); at > cycle && v.rankRule(ruleTWTR, at) {
-			return
-		}
+		v.bankRule("tRCD", bk.lastAct+int64(p.TRCD+der.TRCD))
+		v.rankRule("tCCD", rk.lastCAS+int64(p.CCDOther()+der.TCCD))
+		v.rankRule("tWTR", rk.lastWriteDataEnd+int64(p.WTROther()+der.TWTR))
 		g := &rk.groups[p.BankGroup(cmd.Bank)]
-		if at := g.lastCAS + int64(p.CCDSame()+der.TCCD); at > cycle && v.bankRule(ruleTCCDL, at) {
-			return
-		}
-		if at := g.lastWriteDataEnd + int64(p.WTRSame()+der.TWTR); at > cycle && v.bankRule(ruleTWTRL, at) {
-			return
-		}
+		v.bankRule("tCCD_L (same bank group)", g.lastCAS+int64(p.CCDSame()+der.TCCD))
+		v.bankRule("tWTR_L (same bank group)", g.lastWriteDataEnd+int64(p.WTRSame()+der.TWTR))
 
 	case KindWrite, KindWriteAP:
 		bk := ch.bank(cmd)
-		if bk.openRow == ClosedRow && v.bankRule(ruleWriteClosed, NeverReady) {
-			return
+		if bk.openRow == ClosedRow {
+			v.bankRule("write to closed bank", NeverReady)
 		}
-		if at := bk.lastAct + int64(p.TRCD+der.TRCD); at > cycle && v.bankRule(ruleTRCD, at) {
-			return
-		}
-		if at := rk.lastCAS + int64(p.CCDOther()+der.TCCD); at > cycle && v.rankRule(ruleTCCD, at) {
-			return
-		}
-		if at := rk.groups[p.BankGroup(cmd.Bank)].lastCAS + int64(p.CCDSame()+der.TCCD); at > cycle && v.bankRule(ruleTCCDL, at) {
-			return
-		}
+		v.bankRule("tRCD", bk.lastAct+int64(p.TRCD+der.TRCD))
+		v.rankRule("tCCD", rk.lastCAS+int64(p.CCDOther()+der.TCCD))
+		v.bankRule("tCCD_L (same bank group)", rk.groups[p.BankGroup(cmd.Bank)].lastCAS+int64(p.CCDSame()+der.TCCD))
 
 	case KindPrecharge:
 		bk := ch.bank(cmd)
-		if bk.openRow == ClosedRow && v.bankRule(rulePrechargeClosed, NeverReady) {
-			return
+		if bk.openRow == ClosedRow {
+			v.bankRule("precharge to closed bank", NeverReady)
 		}
-		if at := bk.lastAct + int64(p.TRAS+der.TRAS); at > cycle && v.bankRule(ruleTRAS, at) {
-			return
-		}
-		if at := bk.lastReadCAS + int64(p.TRTP+der.TRTP); at > cycle && v.bankRule(ruleTRTP, at) {
-			return
-		}
-		if at := bk.writeDataEnd + int64(p.TWR+der.TWR); at > cycle && v.bankRule(ruleTWR, at) {
-			return
-		}
+		v.bankRule("tRAS", bk.lastAct+int64(p.TRAS+der.TRAS))
+		v.bankRule("tRTP", bk.lastReadCAS+int64(p.TRTP+der.TRTP))
+		v.bankRule("tWR", bk.writeDataEnd+int64(p.TWR+der.TWR))
 
 	case KindRefresh:
 		for b := range rk.banks {
 			bk := &rk.banks[b]
-			if bk.openRow != ClosedRow && v.openBank(ruleRefreshOpen, b) {
-				return
+			if bk.openRow != ClosedRow {
+				v.openBank("refresh with bank %d open", b)
 			}
-			if at := bk.prechargeStart + int64(p.TRP+der.TRP); bk.prechargeStart != NeverCycle && at > cycle && v.bankRule(ruleTRPRefresh, at) {
-				return
+			if bk.prechargeStart != NeverCycle {
+				v.bankRule("tRP before refresh", bk.prechargeStart+int64(p.TRP+der.TRP))
 			}
 		}
 
 	case KindPowerDown:
 		for b := range rk.banks {
-			if rk.banks[b].openRow != ClosedRow && v.openBank(rulePowerDownOpen, b) {
-				return
+			if rk.banks[b].openRow != ClosedRow {
+				v.openBank("power-down with bank %d open", b)
 			}
 		}
-		if at := rk.refreshUntil; at > cycle && v.rankRule(rulePowerDownRefresh, at) {
-			return
-		}
+		v.rankRule("power-down during refresh", rk.refreshUntil)
 
 	case KindPowerUp:
-		if !rk.poweredDown && v.rankRule(rulePowerUpUp, NeverReady) {
-			return
+		if !rk.poweredDown {
+			v.rankRule("power-up of powered-up rank", NeverReady)
 		}
 	}
 }

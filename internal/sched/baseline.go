@@ -21,7 +21,7 @@ import (
 // bound has passed, and NextEvent names the earliest bound (see
 // NextEvent).
 type Baseline struct {
-	ranks, banks int // the channel's geometry
+	banks int // banks per rank
 
 	// Write-drain watermarks as fractions of total write-buffer capacity.
 	hi, lo int
@@ -41,20 +41,19 @@ type Baseline struct {
 	// or PRE (open bank no queued request hits) for its oldest other
 	// request. Per bank (rank*BanksPerRank+bank), kinds holds the probe
 	// kinds it has a candidate of, as bits, and bankAt a lower bound on the
-	// first cycle any of them may issue. cands holds the same kinds as one
+	// first cycle any of them may issue. byKind holds the same kinds as one
 	// bitset of banks per probe kind, words long. serveAt is the earliest
 	// bankAt unless dirty is set.
 	kinds   []uint8
 	bankAt  []int64
-	cands   []uint64
+	byKind  []uint64
 	words   int
 	serveAt int64
 	dirty   bool
 
-	// gen is Controller.Gen after the last change the wake accounts for;
-	// a change it missed, or synced unset, forces a rebuild.
-	gen    uint64
-	synced bool
+	// gen is Controller.Gen after the last change the wake accounts for; a
+	// change it missed, or gen set to unsynced, forces a rebuild.
+	gen uint64
 }
 
 // Probe kinds: a read or write CAS, an ACT, a PRE. They index the
@@ -70,8 +69,10 @@ const (
 // probeCmd is the DRAM command of each probe kind.
 var probeCmd = [probeKinds]dram.Kind{dram.KindRead, dram.KindWrite, dram.KindActivate, dram.KindPrecharge}
 
-// never is the bound of a bank with nothing to issue.
-const never = math.MaxInt64
+const (
+	never    = math.MaxInt64  // the bound of a bank with nothing to issue
+	unsynced = math.MaxUint64 // a gen no controller reaches: rebuild
+)
 
 // NewBaseline builds the baseline policy for the given parameters and
 // per-domain controller configuration.
@@ -79,14 +80,14 @@ func NewBaseline(p dram.Params, cfg mem.Config) *Baseline {
 	total := cfg.WriteCap * cfg.Domains
 	words := (p.TotalBanks() + 63) / 64
 	b := &Baseline{
-		ranks:  p.RanksPerChan,
 		banks:  p.BanksPerRank,
 		hi:     total * 3 / 4,
 		lo:     total / 4,
 		kinds:  make([]uint8, p.TotalBanks()),
 		bankAt: make([]int64, p.TotalBanks()),
-		cands:  make([]uint64, probeKinds*words),
+		byKind: make([]uint64, probeKinds*words),
 		words:  words,
+		gen:    unsynced,
 	}
 	b.refreshDeadline = make([]int64, p.RanksPerChan)
 	for r := range b.refreshDeadline {
@@ -103,10 +104,11 @@ func (b *Baseline) Name() string { return "baseline" }
 // while the next tick would move the drain latch, which the dense loop
 // updates on every cycle and ObsMetrics reports. The answer stays valid
 // across enqueues (Enqueued folds in each new candidate) and across the
-// Baseline's own commands (each recomputes the bounds it can move). A
-// change the Baseline did not make, such as an injector's replay, a
-// dropped or delayed command or a derate, shows in Controller.Gen and
-// rebuilds the wake from the queues and the channel.
+// Baseline's own commands (each recomputes the bounds it can move, from
+// the channel, so a command an injector dropped or delayed leaves them
+// right). A change the Baseline did not make, such as an injector's replay
+// or a derate, shows in Controller.Gen and rebuilds the wake from the
+// queues and the channel.
 func (b *Baseline) NextEvent(c *mem.Controller) int64 {
 	b.sync(c)
 	if pw := c.PendingWrites(); pw >= b.hi && !b.draining || pw <= b.lo && b.draining {
@@ -120,7 +122,7 @@ func (b *Baseline) NextEvent(c *mem.Controller) int64 {
 func (b *Baseline) Tick(c *mem.Controller) {
 	b.sync(c)
 	if b.RefreshEnabled && c.Cycle >= b.refreshAt && b.tickRefresh(c) {
-		b.synced = false // a PRE or REF of the refresh path: rebuild
+		b.gen = unsynced // a PRE or REF of the refresh path: rebuild
 		return
 	}
 
@@ -143,15 +145,15 @@ func (b *Baseline) Tick(c *mem.Controller) {
 
 // Enqueued implements mem.QueueObserver: a request that gives its bank a
 // new candidate kind, or hits the open row of a bank waiting to
-// precharge, updates the bank's kinds and bound.
+// precharge, updates the bank's kinds and makes the bank due now.
 func (b *Baseline) Enqueued(c *mem.Controller, r *mem.Request) {
-	if !b.synced || c.Gen() != b.gen+1 {
-		b.synced = false
+	if c.Gen() != b.gen+1 {
+		b.gen = unsynced
 		return
 	}
 	b.gen = c.Gen()
-	kinds := b.kinds[r.Addr.Rank*b.banks+r.Addr.Bank]
-	want := kinds
+	k := r.Addr.Rank*b.banks + r.Addr.Bank
+	kinds, want := b.kinds[k], b.kinds[k]
 	switch open := c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank); {
 	case open == dram.ClosedRow:
 		want = 1 << probeACT
@@ -161,8 +163,11 @@ func (b *Baseline) Enqueued(c *mem.Controller, r *mem.Request) {
 		want = 1 << probePRE
 	}
 	if want != kinds {
-		b.setKinds(r.Addr.Rank*b.banks+r.Addr.Bank, want)
-		b.bound(c, r.Addr.Rank, r.Addr.Bank)
+		// The first probe tells whether the new candidate may issue now; a
+		// failed one derives its bound.
+		b.setKinds(k, want)
+		b.bankAt[k] = c.Cycle
+		b.serveAt = min(b.serveAt, c.Cycle)
 	}
 }
 
@@ -304,7 +309,7 @@ func (b *Baseline) setKinds(k int, kinds uint8) {
 	old := b.kinds[k]
 	b.kinds[k] = kinds
 	for diff := kinds ^ old; diff != 0; diff &= diff - 1 {
-		b.cands[bits.TrailingZeros8(diff)*b.words+k>>6] ^= 1 << (k & 63)
+		b.byKind[bits.TrailingZeros8(diff)*b.words+k>>6] ^= 1 << (k & 63)
 	}
 }
 
@@ -328,7 +333,7 @@ func (b *Baseline) bound(c *mem.Controller, rank, bank int) {
 }
 
 // set returns the bitset of banks with a candidate of the probe kind.
-func (b *Baseline) set(kind int) []uint64 { return b.cands[kind*b.words : (kind+1)*b.words] }
+func (b *Baseline) set(kind int) []uint64 { return b.byKind[kind*b.words : (kind+1)*b.words] }
 
 // nextBit returns the first set bit of set at or after i, or -1.
 func nextBit(set []uint64, i int) int {
@@ -362,17 +367,20 @@ func hit(c *mem.Controller, r *mem.Request) *mem.Request {
 // sync brings the wake up to date: a rebuild after a change it missed,
 // then serveAt if a bound rose.
 func (b *Baseline) sync(c *mem.Controller) {
-	if b.synced && !b.dirty && c.Gen() == b.gen {
-		return
+	if b.dirty || c.Gen() != b.gen {
+		b.resync(c)
 	}
-	if !b.synced || c.Gen() != b.gen {
+}
+
+func (b *Baseline) resync(c *mem.Controller) {
+	if c.Gen() != b.gen {
 		b.rebuild(c)
 	}
 	b.serveAt = never
 	for w := 0; w < b.words; w++ {
 		var m uint64
 		for kind := range probeKinds {
-			m |= b.cands[kind*b.words+w]
+			m |= b.byKind[kind*b.words+w]
 		}
 		for ; m != 0; m &= m - 1 {
 			b.serveAt = min(b.serveAt, b.bankAt[w<<6+bits.TrailingZeros64(m)])
@@ -384,7 +392,7 @@ func (b *Baseline) sync(c *mem.Controller) {
 // rebuild derives the wake from the queues and the channel alone, and has
 // the refresh path re-derive its bound on the next tick.
 func (b *Baseline) rebuild(c *mem.Controller) {
-	clear(b.cands)
+	clear(b.byKind)
 	clear(b.kinds)
 	for k := range b.bankAt {
 		b.bankAt[k] = never
@@ -396,7 +404,7 @@ func (b *Baseline) rebuild(c *mem.Controller) {
 	if b.RefreshEnabled {
 		b.refreshAt = c.Cycle
 	}
-	b.gen, b.synced = c.Gen(), true
+	b.gen = c.Gen()
 }
 
 // casKind is the probe kind of a CAS for the class.
