@@ -339,9 +339,8 @@ func Older(a, b *Request) bool {
 // bankView holds one class's queued requests as one list per bank, oldest
 // first. slots holds every queued request of the class, each at its
 // Request.slot, and the lists link slots through Request.prev and next;
-// head and tail hold each bank's first and last slot, or noSlot. The slots
-// take over the memory the age-ordered view of all queued requests used,
-// and the heads and tails one pair of slot numbers per bank.
+// head and tail hold each bank's first and last slot, or noSlot. It costs
+// one pointer per queue entry of the class and two slot numbers per bank.
 type bankView struct {
 	slots      []*Request
 	head, tail []uint16
