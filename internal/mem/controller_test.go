@@ -458,7 +458,8 @@ func TestCompletedReadsSumsDomains(t *testing.T) {
 			c.EnqueueWrite(d, a)
 		case 2:
 			c.CompleteAt(c.NewRequest(Request{Domain: d, Prefetch: true, Addr: a}), c.Cycle)
-			c.EnqueueRead(d, a, nil)
+			c.Tick()
+			c.EnqueueRead(d, a, nil) // a prefetch-buffer hit
 		default:
 			if q := c.ReadQ[d]; len(q) > 0 {
 				r := q[rng.IntN(len(q))]
@@ -477,7 +478,11 @@ func TestCompletedReadsSumsDomains(t *testing.T) {
 			t.Fatalf("step %d: CompletedReads = %d, domains sum to %d", step, got, sum)
 		}
 	}
-	if c.CompletedReads() == 0 {
-		t.Fatal("no read delivered")
+	var hits int64
+	for d := range c.Dom {
+		hits += c.Dom[d].UsefulPrefetches
+	}
+	if c.CompletedReads() == 0 || hits == 0 {
+		t.Fatalf("sequence delivered %d reads and %d prefetch-buffer hits", c.CompletedReads(), hits)
 	}
 }
