@@ -192,7 +192,7 @@ func (ch *Channel) PowerDownCycles(rank int) int64 {
 	return c
 }
 
-func (ch *Channel) bank(cmd Command) *bankState { return &ch.ranks[cmd.Rank].banks[cmd.Bank] }
+func (ch *Channel) bank(rank, bank int) *bankState { return &ch.ranks[rank].banks[bank] }
 
 // errNotReady is the shared rejection value of the allocation-free probe
 // path: schedulers that poll legality every cycle and back off on failure
@@ -200,27 +200,20 @@ func (ch *Channel) bank(cmd Command) *bankState { return &ch.ranks[cmd.Rank].ban
 // would allocate on every failed probe of the hot loop.
 var errNotReady = errors.New("dram: command not ready (probe)")
 
-// errRankBusy is errNotReady for a rank-wide constraint: one that reads no
-// state of the target bank or its bank group. The same kind of command to
-// any bank of the rank is rejected on the same cycle and on every cycle up
-// to the same clear cycle, so a scheduler may skip those probes.
-var errRankBusy = errors.New("dram: rank not ready (probe)")
-
 // verdict collects a command's timing rules as rules states them, each
-// once: the latest clear cycle of its bank-scoped and of its rank-wide
-// rules, and the first rule, in rules' order, that rejects the probed
-// cycle. A rule's clear cycle is the first cycle it allows; a state
-// rejection clears at NeverReady. Each rule rejects a contiguous run of
-// cycles ending at its clear cycle, so the first rejecting rule's clear
-// cycle is a lower bound on the first legal cycle, and so is each scope's
-// latest clear cycle.
+// once: per timing scope (see Scopes) the latest clear cycle of its rules,
+// and the first rule, in rules' order, that rejects the probed cycle. A
+// rule's clear cycle is the first cycle it allows; a state rejection
+// clears at NeverReady. Each rule rejects a contiguous run of cycles
+// ending at its clear cycle, so the first rejecting rule's clear cycle is
+// a lower bound on the first legal cycle, and so is each scope's latest
+// clear cycle.
 type verdict struct {
-	cycle      int64  // the probed cycle
-	bank, rank int64  // latest clear cycle per scope so far, of the rules that reject cycle
-	at         int64  // the first rejecting rule's clear cycle; cycle while none rejects
-	wide       bool   // that rule is rank-wide
-	rule       string // its name, a format taking the bank when arg > 0
-	arg        int    // one more than the bank an open-bank rule names
+	cycle             int64  // the probed cycle
+	bank, group, rank int64  // latest clear cycle per scope so far, of the rules that reject cycle
+	at                int64  // the first rejecting rule's clear cycle; cycle while none rejects
+	rule              string // its name, a format taking the bank when arg > 0
+	arg               int    // one more than the bank an open-bank rule names
 }
 
 // reset readies v to collect the rules at cycle. Fields are set one by
@@ -228,31 +221,46 @@ type verdict struct {
 // wide loads, which the store buffer cannot forward.
 func (v *verdict) reset(cycle int64) {
 	v.cycle, v.at = cycle, cycle
-	v.bank, v.rank = NeverCycle, NeverCycle
+	v.bank, v.group, v.rank = NeverCycle, NeverCycle, NeverCycle
 }
 
-// bankRule records a bank-scoped rule if it rejects the probed cycle:
-// bank state, tRP, tRC, tRCD, tRAS, tRTP, tWR or a bank-group _L timing.
+// rejects reports whether a rule that clears at clear rejects the probed
+// cycle, and records the first rule that does.
+func (v *verdict) rejects(r string, clear int64) bool {
+	if clear <= v.cycle {
+		return false
+	}
+	if v.at == v.cycle {
+		v.at, v.rule = clear, r
+	}
+	return true
+}
+
+// busRule records the command-bus rule, which belongs to the channel's
+// scope (see BusBound).
+func (v *verdict) busRule(r string, clear int64) { v.rejects(r, clear) }
+
+// bankRule records a bank-scoped rule: bank state, tRP, tRC, tRCD, tRAS,
+// tRTP or tWR.
 func (v *verdict) bankRule(r string, clear int64) {
-	if clear <= v.cycle {
-		return
+	if v.rejects(r, clear) {
+		v.bank = max(v.bank, clear)
 	}
-	if v.at == v.cycle {
-		v.at, v.wide, v.rule = clear, false, r
-	}
-	v.bank = max(v.bank, clear)
 }
 
-// rankRule records a rank-wide rule if it rejects the probed cycle: the
-// command bus, rank power state, tXP, tRFC, tRRD, tFAW, tCCD or tWTR.
+// groupRule records a bank-group rule: tRRD_L, tCCD_L or tWTR_L.
+func (v *verdict) groupRule(r string, clear int64) {
+	if v.rejects(r, clear) {
+		v.group = max(v.group, clear)
+	}
+}
+
+// rankRule records a rank-wide rule: rank power state, tXP, tRFC, tRRD,
+// tFAW, tCCD or tWTR.
 func (v *verdict) rankRule(r string, clear int64) {
-	if clear <= v.cycle {
-		return
+	if v.rejects(r, clear) {
+		v.rank = max(v.rank, clear)
 	}
-	if v.at == v.cycle {
-		v.at, v.wide, v.rule = clear, true, r
-	}
-	v.rank = max(v.rank, clear)
 }
 
 // openBank records the state rejection of a rank-level command (REF, PD)
@@ -265,13 +273,9 @@ func (v *verdict) openBank(r string, b int) {
 }
 
 // reject turns a rejecting verdict into canIssue's result: the clear cycle
-// with a TimingError when explain is set, else the probe sentinel of the
-// rule's scope.
+// with a TimingError when explain is set, else the probe sentinel.
 func (v *verdict) reject(cmd Command, explain bool) (int64, error) {
 	if !explain {
-		if v.wide {
-			return v.at, errRankBusy
-		}
 		return v.at, errNotReady
 	}
 	rule := v.rule
@@ -308,50 +312,88 @@ func (ch *Channel) ReadyAt(cmd Command, cycle int64) int64 {
 
 // Bounds returns two lower bounds on the first cycle at or after from
 // that accepts cmd, read from the same rules canIssue applies. bank is the
-// latest clear cycle of its bank-scoped rules. rank is the latest clear
-// cycle of its rank-wide rules and, for a column command, the first cycle
-// from there on which its burst fits the data bus. Both are at least from;
-// a state rejection or an invalid target gives NeverReady. The tightest
-// bound for one command is rank of Bounds(cmd, bank): its data bus
-// searched from the latest of all its other rules.
+// latest clear cycle of its bank and bank-group rules. rank is the latest
+// clear cycle of its rank-wide rules and, from there, of the channel's
+// buses (BusBound). Both are at least from; a state rejection or an
+// invalid target gives NeverReady. The tightest bound for one command is
+// rank of Bounds(cmd, bank): its buses searched from the latest of all its
+// other rules.
 //
-// The bounds hold while the channel state stays unchanged (Gen), and each
-// scope's only while no command reaches its bank or rank: a later command
-// can only tighten them, except a command to the bank itself (ACT, PRE),
-// REF, PD and PU on the rank, and a derate. The data bus is searched from
-// the latest of the other rules because its free cycles are not
-// upward-closed: a write's burst can fit ahead of a read burst already
-// scheduled, so a cycle free of bursts says nothing of the cycles after
-// it.
+// The bounds hold while the channel state stays unchanged (Gen). Scopes
+// says which commands move which part.
 func (ch *Channel) Bounds(cmd Command, from int64) (bank, rank int64) {
-	if !ch.valid(cmd) {
-		return NeverReady, NeverReady
+	s := ch.Scopes(cmd.Kind, cmd.Rank, cmd.Bank)
+	return max(from, s.Bank, s.Group), ch.BusBound(cmd.Kind, cmd.Rank, max(from, s.Rank))
+}
+
+// Scopes is a command's timing rules split by the state they read: the
+// latest clear cycle of the rules of each scope, NeverCycle when the scope
+// states none and NeverReady for a state rejection. The channel's buses
+// are the fourth scope (BusBound).
+type Scopes struct {
+	// Bank is the bank's own state and timings: its open row, tRP, tRC,
+	// tRCD, tRAS, tRTP and tWR (every bank's of the rank for REF and PD).
+	// Only a command to the bank, or a REF to its rank, moves it.
+	Bank int64
+	// Group is the DDR4 bank-group timings, tRRD_L, tCCD_L and tWTR_L,
+	// stated only when Params.BankGroups > 1. Only an ACT or CAS to a bank
+	// of the group moves it.
+	Group int64
+	// Rank is the rank-wide rules: power state, tXP, tRFC, tRRD, tFAW,
+	// tCCD and tWTR. It is the same for every bank of the rank, and only a
+	// command to the rank moves it.
+	Rank int64
+}
+
+// Scopes returns the scopes of a command of kind k to the rank and bank
+// (any bank for REF, PD and PU), read from the same rules canIssue
+// applies. Besides the commands each scope names, a derate moves them
+// all. An invalid target gives NeverReady in every scope.
+func (ch *Channel) Scopes(k Kind, rank, bank int) Scopes {
+	if !ch.valid(k, rank, bank) {
+		return Scopes{NeverReady, NeverReady, NeverReady}
 	}
 	var v verdict
-	v.reset(from)
-	ch.rules(cmd, &v)
-	bank, rank = max(v.bank, from), max(v.rank, from)
-	if lat, ok := ch.dataLatency(cmd.Kind); ok && rank < NeverReady {
+	v.reset(NeverCycle)
+	ch.rules(k, rank, bank, &v)
+	return Scopes{Bank: v.bank, Group: v.group, Rank: v.rank}
+}
+
+// BusBound returns the first cycle at or after from on which the
+// channel's buses accept a command of kind k to the rank: the command bus
+// and, for a column command, the data bus for its burst. It reads no rank
+// or bank state, only the rank a burst belongs to. Every command moves
+// the command bus, and every CAS the data bus. The data bus is searched
+// from from because its free cycles are not upward-closed: a write's
+// burst can fit ahead of a read burst already scheduled, so a cycle free
+// of bursts says nothing of the cycles after it.
+func (ch *Channel) BusBound(k Kind, rank int, from int64) int64 {
+	at := max(from, ch.busFree())
+	if lat, ok := ch.dataLatency(k); ok && at < NeverReady {
 		for {
-			at, _ := ch.dataConflict(cmd.Rank, rank, rank+lat)
-			if at == rank {
+			next, _ := ch.dataConflict(rank, at, at+lat)
+			if next == at {
 				break
 			}
-			rank = at
+			at = next
 		}
 	}
-	return bank, rank
+	return at
 }
+
+// busFree is the first cycle the command bus is free: one command per
+// cycle, in order.
+func (ch *Channel) busFree() int64 { return ch.lastCmdCycle + 1 }
 
 // Gen counts the channel's state changes: every applied command and every
 // derate. A ReadyAt bound holds for as long as Gen stays the same.
 func (ch *Channel) Gen() uint64 { return ch.gen }
 
-// valid reports whether cmd's rank, bank and kind exist. Only the
+// valid reports whether the kind, rank and bank exist. Only the
 // rank-level commands (REF, PD, PU) carry no bank.
-func (ch *Channel) valid(cmd Command) bool {
-	return uint(cmd.Rank) < uint(len(ch.ranks)) && cmd.Kind <= KindPowerUp &&
-		(cmd.Kind >= KindRefresh || uint(cmd.Bank) < uint(ch.P.BanksPerRank))
+func (ch *Channel) valid(k Kind, rank, bank int) bool {
+	return uint(rank) < uint(len(ch.ranks)) && k <= KindPowerUp &&
+		(k >= KindRefresh || uint(bank) < uint(ch.P.BanksPerRank))
 }
 
 // targetError says why valid rejects cmd.
@@ -381,16 +423,15 @@ func (ch *Channel) dataLatency(k Kind) (int64, bool) {
 // canIssue is the shared check body. It returns cycle and nil when cmd may
 // issue, and otherwise the first rejecting rule's clear cycle and an
 // error; explain selects between detailed TimingError construction and the
-// shared probe sentinels, errRankBusy for a rank-wide rule and errNotReady
-// for the rest. The data bus is checked last, once every other rule
-// passes.
+// shared probe sentinel. The data bus is checked last, once every other
+// rule passes.
 func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) (int64, error) {
-	if !ch.valid(cmd) {
+	if !ch.valid(cmd.Kind, cmd.Rank, cmd.Bank) {
 		return NeverReady, ch.targetError(cmd)
 	}
 	var v verdict
 	v.reset(cycle)
-	ch.rules(cmd, &v)
+	ch.rules(cmd.Kind, cmd.Rank, cmd.Bank, &v)
 	if v.at > cycle {
 		return v.reject(cmd, explain)
 	}
@@ -400,27 +441,33 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) (int64, erro
 	return cycle, nil
 }
 
-// rules states every timing rule of cmd once, in the order canIssue
-// reports them, and records into v each rule that rejects the probed
-// cycle, with its scope and clear cycle. cmd must be valid.
-func (ch *Channel) rules(cmd Command, v *verdict) {
-	v.rankRule("command bus (one command per cycle, in order)", ch.lastCmdCycle+1)
-	rk := &ch.ranks[cmd.Rank]
-	if rk.poweredDown && cmd.Kind != KindPowerUp {
+// rules states every timing rule of a command of kind k to the rank and
+// bank once, in the order canIssue reports them, and records into v each
+// rule that rejects the probed cycle, with its scope and clear cycle. The
+// target must be valid. The command comes as fields: copying a Command
+// stores its kind as one byte and reads it back in a wide load, which the
+// store buffer cannot forward.
+func (ch *Channel) rules(k Kind, rank, bank int, v *verdict) {
+	v.busRule("command bus (one command per cycle, in order)", ch.busFree())
+	rk := &ch.ranks[rank]
+	if rk.poweredDown && k != KindPowerUp {
 		v.rankRule("rank powered down", NeverReady)
 	}
-	if !rk.poweredDown && cmd.Kind != KindPowerDown {
+	if !rk.poweredDown && k != KindPowerDown {
 		v.rankRule("tXP (power-up exit)", rk.powerUpReady)
 	}
-	if cmd.Kind != KindPowerDown && cmd.Kind != KindPowerUp {
+	if k != KindPowerDown && k != KindPowerUp {
 		v.rankRule("tRFC (refresh in progress)", rk.refreshUntil)
 	}
 
+	// The bank-group rules are stated only with bank groups on: without
+	// them each restates the rank rule before it with the same clear cycle.
 	p := &ch.P
-	der := ch.der(cmd.Rank)
-	switch cmd.Kind {
+	der := ch.der(rank)
+	groups := p.BankGroups > 1
+	switch k {
 	case KindActivate:
-		bk := ch.bank(cmd)
+		bk := ch.bank(rank, bank)
 		if bk.openRow != ClosedRow {
 			v.bankRule("bank already open (needs PRE)", NeverReady)
 		}
@@ -429,34 +476,40 @@ func (ch *Channel) rules(cmd Command, v *verdict) {
 		}
 		v.bankRule("tRC", bk.lastAct+int64(p.TRC+der.TRC))
 		v.rankRule("tRRD", rk.actHist[0]+int64(p.RRDOther()+der.TRRD))
-		v.bankRule("tRRD_L (same bank group)", rk.groups[p.BankGroup(cmd.Bank)].lastAct+int64(p.RRDSame()+der.TRRD))
+		if groups {
+			v.groupRule("tRRD_L (same bank group)", rk.groups[p.BankGroup(bank)].lastAct+int64(p.RRDSame()+der.TRRD))
+		}
 		if rk.actHist[3] != NeverCycle {
 			v.rankRule("tFAW", rk.actHist[3]+int64(p.TFAW+der.TFAW))
 		}
 
 	case KindRead, KindReadAP:
-		bk := ch.bank(cmd)
+		bk := ch.bank(rank, bank)
 		if bk.openRow == ClosedRow {
 			v.bankRule("read to closed bank", NeverReady)
 		}
 		v.bankRule("tRCD", bk.lastAct+int64(p.TRCD+der.TRCD))
 		v.rankRule("tCCD", rk.lastCAS+int64(p.CCDOther()+der.TCCD))
 		v.rankRule("tWTR", rk.lastWriteDataEnd+int64(p.WTROther()+der.TWTR))
-		g := &rk.groups[p.BankGroup(cmd.Bank)]
-		v.bankRule("tCCD_L (same bank group)", g.lastCAS+int64(p.CCDSame()+der.TCCD))
-		v.bankRule("tWTR_L (same bank group)", g.lastWriteDataEnd+int64(p.WTRSame()+der.TWTR))
+		if groups {
+			g := &rk.groups[p.BankGroup(bank)]
+			v.groupRule("tCCD_L (same bank group)", g.lastCAS+int64(p.CCDSame()+der.TCCD))
+			v.groupRule("tWTR_L (same bank group)", g.lastWriteDataEnd+int64(p.WTRSame()+der.TWTR))
+		}
 
 	case KindWrite, KindWriteAP:
-		bk := ch.bank(cmd)
+		bk := ch.bank(rank, bank)
 		if bk.openRow == ClosedRow {
 			v.bankRule("write to closed bank", NeverReady)
 		}
 		v.bankRule("tRCD", bk.lastAct+int64(p.TRCD+der.TRCD))
 		v.rankRule("tCCD", rk.lastCAS+int64(p.CCDOther()+der.TCCD))
-		v.bankRule("tCCD_L (same bank group)", rk.groups[p.BankGroup(cmd.Bank)].lastCAS+int64(p.CCDSame()+der.TCCD))
+		if groups {
+			v.groupRule("tCCD_L (same bank group)", rk.groups[p.BankGroup(bank)].lastCAS+int64(p.CCDSame()+der.TCCD))
+		}
 
 	case KindPrecharge:
-		bk := ch.bank(cmd)
+		bk := ch.bank(rank, bank)
 		if bk.openRow == ClosedRow {
 			v.bankRule("precharge to closed bank", NeverReady)
 		}
@@ -498,8 +551,7 @@ func (ch *Channel) rules(cmd Command, v *verdict) {
 // cycle. Each conflicting burst blocks every cycle up to its own clear
 // cycle, so the bound is the latest of them. It returns that bound and the
 // index of the burst that sets it, or cycle and -1 when no burst
-// conflicts. The rule is rank-wide: it reads the command's rank and kind,
-// never its bank.
+// conflicts. It reads the command's rank and kind, never its bank.
 func (ch *Channel) dataConflict(rank int, cycle, dataStart int64) (int64, int) {
 	p := &ch.P
 	end := dataStart + int64(p.TBURST)
@@ -525,7 +577,7 @@ func (ch *Channel) checkDataBus(cmd Command, cycle, dataStart int64, explain boo
 		return cycle, nil
 	}
 	if !explain {
-		return readyAt, errRankBusy
+		return readyAt, errNotReady
 	}
 	s := ch.dataOcc[last]
 	return readyAt, &TimingError{Cmd: cmd, Cycle: cycle,
@@ -552,16 +604,14 @@ func (ch *Channel) IssueEx(cmd Command, cycle int64, suppressed bool) error {
 // TryIssue is IssueEx for schedulers that probe legality and back off on a
 // rejection, in one pass of the checks and without allocating. When cmd
 // may issue at cycle it applies it and returns cycle. Otherwise it changes
-// nothing and returns ReadyAt's bound, with rankWide set when the
-// rejecting constraint holds for the whole rank: the same kind of command
-// to any of the rank's banks is then not legal before that bound either.
-func (ch *Channel) TryIssue(cmd Command, cycle int64, suppressed bool) (readyAt int64, rankWide bool) {
+// nothing and returns ReadyAt's bound.
+func (ch *Channel) TryIssue(cmd Command, cycle int64, suppressed bool) (readyAt int64) {
 	at, err := ch.canIssue(cmd, cycle, false)
 	if err != nil {
-		return at, err == errRankBusy
+		return at
 	}
 	ch.apply(cmd, cycle, suppressed)
-	return cycle, false
+	return cycle
 }
 
 // apply updates the channel state for a command canIssue accepted.
@@ -577,7 +627,7 @@ func (ch *Channel) apply(cmd Command, cycle int64, suppressed bool) {
 
 	switch cmd.Kind {
 	case KindActivate:
-		bk := ch.bank(cmd)
+		bk := ch.bank(cmd.Rank, cmd.Bank)
 		bk.openRow = cmd.Row
 		bk.lastAct = cycle
 		bk.prechargeStart = NeverCycle
@@ -591,7 +641,7 @@ func (ch *Channel) apply(cmd Command, cycle int64, suppressed bool) {
 		}
 
 	case KindRead, KindReadAP:
-		bk := ch.bank(cmd)
+		bk := ch.bank(cmd.Rank, cmd.Bank)
 		bk.lastReadCAS = cycle
 		rk.lastCAS = cycle
 		rk.groups[p.BankGroup(cmd.Bank)].lastCAS = cycle
@@ -618,7 +668,7 @@ func (ch *Channel) apply(cmd Command, cycle int64, suppressed bool) {
 		}
 
 	case KindWrite, KindWriteAP:
-		bk := ch.bank(cmd)
+		bk := ch.bank(cmd.Rank, cmd.Bank)
 		rk.lastCAS = cycle
 		rk.groups[p.BankGroup(cmd.Bank)].lastCAS = cycle
 		dataEnd := cycle + int64(p.TCWD) + int64(p.TBURST)
@@ -648,7 +698,7 @@ func (ch *Channel) apply(cmd Command, cycle int64, suppressed bool) {
 		}
 
 	case KindPrecharge:
-		bk := ch.bank(cmd)
+		bk := ch.bank(cmd.Rank, cmd.Bank)
 		bk.prechargeStart = cycle
 		bk.openRow = ClosedRow
 		if suppressed {

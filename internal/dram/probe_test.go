@@ -7,17 +7,20 @@ import (
 	"testing"
 )
 
-// TestReadyIgnoresRowColDomain pins the two invariants the Baseline
-// scheduler's probe memo relies on. Whether a command may issue depends
+// TestReadyIgnoresRowColDomain pins the invariants the Baseline
+// scheduler's scoped wake relies on. Whether a command may issue depends
 // only on its kind, rank, bank and the cycle, never on its row, column or
-// domain. And a probe rejected on a rank-wide constraint (errRankBusy)
-// speaks for every bank of its rank: the same kind to any of them is not
-// legal on any cycle from the probe up to the bound. A random legal
+// domain. A command's rank scope (Scopes.Rank) is the same for every bank
+// of its rank. And a command reaches only its own scopes: one to another
+// bank leaves a bank's own scope unchanged, one outside a bank group its
+// group scope, and one to another rank the rank scope. A random legal
 // command stream (every kind, DDR3 and DDR4, with and without a derate)
 // walks the channel through varied states; at each step every kind is
 // probed on a random target with several row, column and domain variants,
-// which must all get the same verdict, and a rank-wide rejection is
-// checked on every bank of the rank.
+// which must all get the same verdict, the scopes of every bank-level kind
+// are compared across the banks of each rank, and the scopes before and
+// after the step's command are compared for every target it does not
+// reach.
 func TestReadyIgnoresRowColDomain(t *testing.T) {
 	ddr4 := DDR4_2400()
 	ddr4.RanksPerChan = 2
@@ -29,16 +32,18 @@ func TestReadyIgnoresRowColDomain(t *testing.T) {
 		{"ddr3", DDR3_1600(), false},
 		{"ddr3-derated", DDR3_1600(), true},
 		{"ddr4", ddr4, false},
+		{"ddr4-derated", ddr4, true},
 	}
 	kinds := []Kind{KindActivate, KindRead, KindReadAP, KindWrite, KindWriteAP,
 		KindPrecharge, KindRefresh, KindPowerDown, KindPowerUp}
+	bankKinds := kinds[:6]
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := tc.p
 			rng := rand.New(rand.NewPCG(7, uint64(len(tc.name))))
 			ch := NewChannel(p)
 			if tc.derate {
-				ch.SetDerate(0, Derate{TRCD: 2, TRP: 3, TWR: 4, TCCD: 1, TWTR: 2})
+				ch.SetDerate(0, Derate{TRCD: 2, TRP: 3, TWR: 4, TCCD: 1, TWTR: 2, TRRD: 1})
 			}
 			randomCmd := func(k Kind) Command {
 				return Command{
@@ -50,12 +55,22 @@ func TestReadyIgnoresRowColDomain(t *testing.T) {
 					Domain: rng.IntN(9) - 1,
 				}
 			}
-			// The forward scan after a rank-wide rejection stops after
-			// window cycles, which covers every bound but tRFC's and
-			// NeverReady.
-			const window = 64
+			// scopes holds every bank-level kind's scopes on every bank,
+			// indexed [(kind*ranks+rank)*banks+bank].
+			snapshot := func(dst []Scopes) []Scopes {
+				dst = dst[:0]
+				for _, k := range bankKinds {
+					for r := 0; r < p.RanksPerChan; r++ {
+						for b := 0; b < p.BanksPerRank; b++ {
+							dst = append(dst, ch.Scopes(k, r, b))
+						}
+					}
+				}
+				return dst
+			}
+			var before, after []Scopes
 			cycle := int64(0)
-			accepted, ready, rankWide := 0, 0, 0
+			accepted, ready, moved := 0, 0, [3]int{}
 			for step := 0; step < 20000; step++ {
 				cycle += int64(1 + rng.IntN(6))
 				for _, k := range kinds {
@@ -72,20 +87,13 @@ func TestReadyIgnoresRowColDomain(t *testing.T) {
 								step, cycle, probe, want, alt, got)
 						}
 					}
-					at, err := ch.canIssue(probe, cycle, false)
-					if err != errRankBusy {
-						continue
-					}
-					rankWide++
-					for b := 0; b < p.BanksPerRank; b++ {
-						alt := probe
-						alt.Bank = b
-						for c := cycle; c < min(at, cycle+window); c++ {
-							if ch.Ready(alt, c) {
-								t.Fatalf("step %d cycle %d: %v rejected rank-wide until %d (%v), but %v is legal at %d",
-									step, cycle, probe, at, ch.CanIssue(probe, cycle), alt, c)
-							}
-						}
+				}
+				before = snapshot(before)
+				for i, s := range before {
+					if first := before[i-i%p.BanksPerRank]; s.Rank != first.Rank {
+						kind, rank, bank := bankKinds[i/p.TotalBanks()], i/p.BanksPerRank%p.RanksPerChan, i%p.BanksPerRank
+						t.Fatalf("step %d: %v to rank %d bank %d has rank scope %d, bank 0 has %d",
+							step, kind, rank, bank, s.Rank, first.Rank)
 					}
 				}
 				// Advance the state with one random command, weighted towards
@@ -95,16 +103,35 @@ func TestReadyIgnoresRowColDomain(t *testing.T) {
 				if rng.IntN(40) == 0 {
 					k = kinds[6+rng.IntN(3)]
 				}
-				if cmd := randomCmd(k); ch.Ready(cmd, cycle) {
-					if err := ch.Issue(cmd, cycle); err != nil {
-						t.Fatalf("ready command refused: %v", err)
+				cmd := randomCmd(k)
+				if !ch.Ready(cmd, cycle) {
+					continue
+				}
+				if err := ch.Issue(cmd, cycle); err != nil {
+					t.Fatalf("ready command refused: %v", err)
+				}
+				accepted++
+				after = snapshot(after)
+				for i := range before {
+					kind, rank, bank := bankKinds[i/p.TotalBanks()], i/p.BanksPerRank%p.RanksPerChan, i%p.BanksPerRank
+					b, a := before[i], after[i]
+					sameRank := rank == cmd.Rank
+					sameGroup := sameRank && (k >= KindRefresh || p.BankGroup(bank) == p.BankGroup(cmd.Bank))
+					sameBank := sameRank && (k >= KindRefresh || bank == cmd.Bank)
+					for s, pair := range [3][2]int64{{b.Bank, a.Bank}, {b.Group, a.Group}, {b.Rank, a.Rank}} {
+						if pair[0] != pair[1] {
+							moved[s]++
+						}
+						if reaches := [3]bool{sameBank, sameGroup, sameRank}[s]; pair[0] != pair[1] && !reaches {
+							t.Fatalf("step %d: %v at %d moved the %s scope of %v to rank %d bank %d: %d -> %d",
+								step, cmd, cycle, [3]string{"bank", "group", "rank"}[s], kind, rank, bank, pair[0], pair[1])
+						}
 					}
-					accepted++
 				}
 			}
-			if accepted < 1000 || ready < 1000 || rankWide < 1000 {
-				t.Fatalf("stream too quiet: %d commands applied, %d ready probes, %d rank-wide rejections",
-					accepted, ready, rankWide)
+			if accepted < 1000 || ready < 1000 || moved[0] < 1000 || moved[2] < 1000 || p.BankGroups > 1 && moved[1] < 1000 {
+				t.Fatalf("stream too quiet: %d commands applied, %d ready probes, bank/group/rank scopes moved %v times",
+					accepted, ready, moved)
 			}
 		})
 	}
@@ -121,7 +148,7 @@ func TestReadyIgnoresRowColDomain(t *testing.T) {
 // The explained rejection (CanIssue) carries the same bound. A twin
 // channel takes the same command stream through the single-pass TryIssue
 // instead of Ready and IssueEx: after every step it must have reached the
-// same verdict, bound and scope and hold the same Gen and Counters.
+// same verdict and bound and hold the same Gen and Counters.
 func TestReadyAtIsALowerBound(t *testing.T) {
 	ddr3 := DDR3_1600()
 	ddr3.RanksPerChan = 2
@@ -215,7 +242,7 @@ func TestReadyAtIsALowerBound(t *testing.T) {
 						k = kinds[6+rng.IntN(3)]
 					}
 					cmd, suppressed := randomCmd(k), step%5 == 0
-					at, err := ch.canIssue(cmd, cycle, false)
+					at, _ := ch.canIssue(cmd, cycle, false)
 					if ch.Ready(cmd, cycle) {
 						gen := ch.Gen()
 						if err := ch.IssueEx(cmd, cycle, suppressed); err != nil {
@@ -225,9 +252,9 @@ func TestReadyAtIsALowerBound(t *testing.T) {
 							t.Fatalf("issuing %v left Gen at %d", cmd, gen)
 						}
 					}
-					if twinAt, wide := twin.TryIssue(cmd, cycle, suppressed); twinAt != at || wide != (err == errRankBusy) {
-						t.Fatalf("seed %d cycle %d: TryIssue(%v) = %d, rank-wide %v; Ready+IssueEx saw %d, %v",
-							seed, cycle, cmd, twinAt, wide, at, err)
+					if twinAt := twin.TryIssue(cmd, cycle, suppressed); twinAt != at {
+						t.Fatalf("seed %d cycle %d: TryIssue(%v) = %d; Ready+IssueEx saw %d",
+							seed, cycle, cmd, twinAt, at)
 					}
 					if twin.Gen() != ch.Gen() || twin.Counters != ch.Counters {
 						t.Fatalf("seed %d cycle %d: after %v the twin holds Gen %d, %+v; the channel %d, %+v",

@@ -631,22 +631,19 @@ func (c *Controller) AdvanceIdle(n int64) {
 // it checks and applies cmd in one pass (dram.Channel.TryIssue). A failed
 // probe also returns the channel's ReadyAt bound, before which the same
 // probe fails again unless Gen changes (dram.NeverReady when only a state
-// change can help), and rankWide when the rejecting constraint holds for
-// the whole rank, so that the same kind of probe to any of the rank's
-// banks fails until the bound too. Under an injector rankWide is always
-// false.
-func (c *Controller) TryIssue(cmd dram.Command) (issued bool, readyAt int64, rankWide bool) {
+// change can help).
+func (c *Controller) TryIssue(cmd dram.Command) (issued bool, readyAt int64) {
 	if c.inj != nil {
 		if at := c.Chan.ReadyAt(cmd, c.Cycle); at > c.Cycle {
-			return false, at, false
+			return false, at
 		}
-		return c.inject(cmd, false) == nil, c.Cycle, false
+		return c.inject(cmd, false) == nil, c.Cycle
 	}
-	if at, wide := c.Chan.TryIssue(cmd, c.Cycle, false); at > c.Cycle {
-		return false, at, wide
+	if at := c.Chan.TryIssue(cmd, c.Cycle, false); at > c.Cycle {
+		return false, at
 	}
 	c.applied(cmd, false)
-	return true, c.Cycle, false
+	return true, c.Cycle
 }
 
 func (c *Controller) finish(req *Request) {

@@ -21,43 +21,68 @@ import (
 // bound has passed, and NextEvent names the earliest bound (see
 // NextEvent).
 type Baseline struct {
-	banks int // banks per rank
+	// The wake's summary, which every NextEvent and tick reads; the fields
+	// come first to share a cache line. kindAt holds per probe kind the
+	// earliest bound of a candidate (bound), the current cycle for a due
+	// bank's, except for the kinds in dirty, whose bounds rose since, and
+	// serveAt the earliest of them. gen is Controller.Gen after the last
+	// change the wake accounts for; a change it missed, or gen set to
+	// unsynced, forces a rebuild.
+	serveAt int64
+	kindAt  [probeKinds]int64
+	gen     uint64
+	dirty   uint8
 
-	// Write-drain watermarks as fractions of total write-buffer capacity.
-	hi, lo int
-
+	// The drain latch, and the write-drain watermarks as fractions of total
+	// write-buffer capacity.
 	draining bool
+	hi, lo   int
 
 	// Refresh state (per rank), active when RefreshEnabled. refreshAt is a
 	// lower bound on the next cycle the refresh path can issue, and
 	// refreshPending says a deadline has passed (see tickRefresh).
 	RefreshEnabled  bool
-	refreshDeadline []int64
-	refreshAt       int64
 	refreshPending  bool
+	refreshAt       int64
+	refreshDeadline []int64
 
-	// The wake. A candidate is a command FR-FCFS would probe at a bank: a
-	// CAS for the bank's oldest row hit of a class, or an ACT (closed bank)
-	// or PRE (open bank no queued request hits) for its oldest other
-	// request. Per bank (rank*BanksPerRank+bank), kinds holds the probe
-	// kinds it has a candidate of, as bits, and bankAt a lower bound on the
-	// first cycle any of them may issue. byKind holds the same kinds as one
-	// bitset of banks per probe kind, words long. serveAt is the earliest
-	// bankAt unless dirty is set.
-	kinds   []uint8
-	bankAt  []int64
-	byKind  []uint64
-	words   int
-	serveAt int64
-	dirty   bool
+	banks int // banks per rank
+	shift int // log2(banks) when banks is a power of two, else -1 (see rank)
 
-	// gen is Controller.Gen after the last change the wake accounts for; a
-	// change it missed, or gen set to unsynced, forces a rebuild.
-	gen uint64
+	// The candidates. A candidate is a command FR-FCFS would probe at a
+	// bank: a CAS for the bank's oldest row hit of a class, or an ACT
+	// (closed bank) or PRE (open bank no queued request hits) for its
+	// oldest other request. Per bank (rank*BanksPerRank+bank), kinds holds
+	// the probe kinds it has a candidate of, as bits, and byKind the same
+	// kinds as one bitset of banks per probe kind, words long; held holds
+	// per probe kind the bitset of ranks with such a candidate, rankWords
+	// long. due is the bitset of banks an enqueue gave a new candidate
+	// kind: their scopes are not derived, and the next tick probes them.
+	kinds     []uint8
+	byKind    []uint64
+	words     int
+	held      []uint64
+	rankWords int
+	due       []uint64
+
+	// The scopes (dram.Scopes). Per bank, bankAt is the clear cycle of the
+	// bank's own rules, the earliest over its candidate kinds (a read and a
+	// write to an open bank read the same ones). Per rank and probe kind,
+	// rankAt is the rank's bound: the clear cycle of its rank-wide rules,
+	// and for a CAS the first cycle from there and from the current cycle
+	// on which the buses accept it (dram.Channel.BusBound). With DDR4 bank
+	// groups, groupAt holds per bank group (rank*BankGroups+group) and
+	// probe kind the clear cycle of the group's rules; it is nil without
+	// them, where no rule reads a group. A candidate's bound is the latest
+	// of the three (bound).
+	bankAt   []int64
+	rankAt   []int64
+	groupAt  []int64
+	perGroup int // banks per bank group
 }
 
 // Probe kinds: a read or write CAS, an ACT, a PRE. They index the
-// candidate bitsets.
+// candidate bitsets and the scopes.
 const (
 	probeRead = iota
 	probeWrite
@@ -69,6 +94,9 @@ const (
 // probeCmd is the DRAM command of each probe kind.
 var probeCmd = [probeKinds]dram.Kind{dram.KindRead, dram.KindWrite, dram.KindActivate, dram.KindPrecharge}
 
+// casKinds are the probe kinds of a CAS.
+const casKinds = 1<<probeRead | 1<<probeWrite
+
 const (
 	never    = math.MaxInt64  // the bound of a bank with nothing to issue
 	unsynced = math.MaxUint64 // a gen no controller reaches: rebuild
@@ -79,15 +107,29 @@ const (
 func NewBaseline(p dram.Params, cfg mem.Config) *Baseline {
 	total := cfg.WriteCap * cfg.Domains
 	words := (p.TotalBanks() + 63) / 64
+	rankWords := (p.RanksPerChan + 63) / 64
 	b := &Baseline{
-		banks:  p.BanksPerRank,
-		hi:     total * 3 / 4,
-		lo:     total / 4,
-		kinds:  make([]uint8, p.TotalBanks()),
-		bankAt: make([]int64, p.TotalBanks()),
-		byKind: make([]uint64, probeKinds*words),
-		words:  words,
-		gen:    unsynced,
+		banks:     p.BanksPerRank,
+		shift:     -1,
+		hi:        total * 3 / 4,
+		lo:        total / 4,
+		kinds:     make([]uint8, p.TotalBanks()),
+		byKind:    make([]uint64, probeKinds*words),
+		words:     words,
+		held:      make([]uint64, probeKinds*rankWords),
+		rankWords: rankWords,
+		due:       make([]uint64, words),
+		bankAt:    make([]int64, p.TotalBanks()),
+		rankAt:    make([]int64, probeKinds*p.RanksPerChan),
+		perGroup:  p.BanksPerRank,
+		gen:       unsynced,
+	}
+	if p.BanksPerRank&(p.BanksPerRank-1) == 0 {
+		b.shift = bits.TrailingZeros(uint(p.BanksPerRank))
+	}
+	if p.BankGroups > 1 {
+		b.groupAt = make([]int64, probeKinds*p.BankGroups*p.RanksPerChan)
+		b.perGroup = p.BanksPerRank / p.BankGroups
 	}
 	b.refreshDeadline = make([]int64, p.RanksPerChan)
 	for r := range b.refreshDeadline {
@@ -99,18 +141,20 @@ func NewBaseline(p dram.Params, cfg mem.Config) *Baseline {
 // Name implements mem.Scheduler.
 func (b *Baseline) Name() string { return "baseline" }
 
-// NextEvent implements mem.EventSource. It is the earliest bank bound and,
-// with refresh on, the refresh path's bound; it is the current cycle
+// NextEvent implements mem.EventSource. It is the earliest candidate bound
+// and, with refresh on, the refresh path's bound; it is the current cycle
 // while the next tick would move the drain latch, which the dense loop
 // updates on every cycle and ObsMetrics reports. The answer stays valid
 // across enqueues (Enqueued folds in each new candidate) and across the
-// Baseline's own commands (each recomputes the bounds it can move, from
-// the channel, so a command an injector dropped or delayed leaves them
-// right). A change the Baseline did not make, such as an injector's replay
-// or a derate, shows in Controller.Gen and rebuilds the wake from the
-// queues and the channel.
+// Baseline's own commands (each re-derives the scopes it moves, from the
+// channel, so a command an injector dropped or delayed leaves them right).
+// A change the Baseline did not make, such as an injector's replay or a
+// derate, shows in Controller.Gen and rebuilds the wake from the queues
+// and the channel.
 func (b *Baseline) NextEvent(c *mem.Controller) int64 {
-	b.sync(c)
+	if b.stale(c) {
+		b.resync(c)
+	}
 	if pw := c.PendingWrites(); pw >= b.hi && !b.draining || pw <= b.lo && b.draining {
 		return c.Cycle
 	}
@@ -120,7 +164,9 @@ func (b *Baseline) NextEvent(c *mem.Controller) int64 {
 // Tick issues at most one command according to FR-FCFS priorities. Only
 // candidates whose bound has passed are probed.
 func (b *Baseline) Tick(c *mem.Controller) {
-	b.sync(c)
+	if b.stale(c) {
+		b.resync(c)
+	}
 	if b.RefreshEnabled && c.Cycle >= b.refreshAt && b.tickRefresh(c) {
 		b.gen = unsynced // a PRE or REF of the refresh path: rebuild
 		return
@@ -164,9 +210,15 @@ func (b *Baseline) Enqueued(c *mem.Controller, r *mem.Request) {
 	}
 	if want != kinds {
 		// The first probe tells whether the new candidate may issue now; a
-		// failed one derives its bound.
+		// failed one derives the bank's scopes. A kind the bank loses may
+		// have held its kind's earliest bound.
+		b.dirty |= kinds &^ want
 		b.setKinds(k, want)
-		b.bankAt[k] = c.Cycle
+		b.due[k>>6] |= 1 << (k & 63)
+		for m := want; m != 0; m &= m - 1 {
+			kind := bits.TrailingZeros8(m)
+			b.kindAt[kind] = min(b.kindAt[kind], c.Cycle)
+		}
 		b.serveAt = min(b.serveAt, c.Cycle)
 	}
 }
@@ -181,7 +233,7 @@ func (b *Baseline) serve(c *mem.Controller, writes bool) bool {
 }
 
 // pass probes, oldest first, the class's candidates of one probe kind
-// whose bank bound has passed, until one issues. A failed probe means the
+// whose bound has passed, until one issues. A failed probe means the
 // bound was loose, and its bank is re-derived.
 func (b *Baseline) pass(c *mem.Controller, writes bool, kind int) bool {
 	var last *mem.Request
@@ -190,22 +242,27 @@ func (b *Baseline) pass(c *mem.Controller, writes bool, kind int) bool {
 		if r == nil {
 			return false
 		}
+		k := r.Addr.Rank*b.banks + r.Addr.Bank
 		if b.probe(c, r, writes, kind) {
-			b.issued(c, r.Addr.Rank, r.Addr.Bank, kind)
+			b.issued(c, k, kind)
 			return true
 		}
-		b.touch(c, r.Addr.Rank, r.Addr.Bank)
+		b.touch(c, k, true)
 		last = r
 	}
 }
 
 // oldest returns the oldest candidate of the class and probe kind younger
-// than after, among the banks whose bound has passed.
+// than after, among the banks that are due or whose bound has passed.
 func (b *Baseline) oldest(c *mem.Controller, writes bool, kind int, after *mem.Request) *mem.Request {
+	now := c.Cycle
+	if b.kindAt[kind] > now {
+		return nil
+	}
 	var best *mem.Request
 	set := b.set(kind)
 	for k := nextBit(set, 0); k >= 0; k = nextBit(set, k+1) {
-		if b.bankAt[k] > c.Cycle {
+		if b.due[k>>6]&(1<<(k&63)) == 0 && b.bound(k, kind) > now {
 			continue
 		}
 		r := b.candidate(c, k, writes, kind)
@@ -236,7 +293,7 @@ func (b *Baseline) probe(c *mem.Controller, r *mem.Request, writes bool, kind in
 	switch kind {
 	case probeACT:
 		cmd := dram.Command{Kind: dram.KindActivate, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Row: r.Addr.Row, Domain: r.Domain}
-		if ok, _, _ := c.TryIssue(cmd); !ok {
+		if ok, _ := c.TryIssue(cmd); !ok {
 			return false
 		}
 		c.RecordFirstCommand(r)
@@ -244,34 +301,45 @@ func (b *Baseline) probe(c *mem.Controller, r *mem.Request, writes bool, kind in
 		return true
 	case probePRE:
 		cmd := dram.Command{Kind: dram.KindPrecharge, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Domain: r.Domain}
-		ok, _, _ := c.TryIssue(cmd)
+		ok, _ := c.TryIssue(cmd)
 		return ok
 	}
 	return b.issueCAS(c, r, writes)
 }
 
 // issued updates the wake after the Baseline's own command of the probe
-// kind to a bank. The bank is re-derived. An ACT moves its rank's tRRD
-// and tFAW (and its bank group's tRRD_L), so every ACT candidate of the
-// rank is re-bounded; a CAS moves its rank's tCCD and tWTR and the data
-// bus of every rank, so every CAS candidate is. A PRE moves nothing
-// outside its bank. The other bounds can only have tightened.
-func (b *Baseline) issued(c *mem.Controller, rank, bank, kind int) {
-	b.touch(c, rank, bank)
+// kind to bank k, re-deriving only the scopes the command moved. The bank
+// is re-derived. An ACT moves its rank's and bank group's ACT rules (tRRD,
+// tFAW, tRRD_L), and a CAS their CAS rules (tCCD, tWTR and the _L
+// timings); one pass at the bank re-derives them for each kind the rank
+// has candidates of. A CAS also adds a burst to the data bus, so every
+// rank's CAS bounds are searched again (searchBuses), and the passes before
+// leave that search to it. No command moves another bank's own rules, and
+// the command bus it moves is free again on the next cycle. Banks an
+// enqueue made due are derived too, so that they wait for their bounds.
+func (b *Baseline) issued(c *mem.Controller, k, kind int) {
+	var moved uint8
 	switch kind {
 	case probeACT:
-		set := b.set(probeACT)
-		for k := nextBit(set, rank*b.banks); k >= 0 && k < (rank+1)*b.banks; k = nextBit(set, k+1) {
-			b.bound(c, rank, k-rank*b.banks)
-		}
+		moved = 1 << probeACT
 	case probeRead, probeWrite:
-		reads, writes := b.set(probeRead), b.set(probeWrite)
-		for w := range reads {
-			for m := reads[w] | writes[w]; m != 0; m &= m - 1 {
-				k := w<<6 + bits.TrailingZeros64(m)
-				b.bound(c, k/b.banks, k%b.banks)
-			}
+		moved = casKinds
+	}
+	cas := moved == casKinds
+	done := b.touch(c, k, !cas)
+	r := b.rank(k)
+	for m := moved &^ done; m != 0; m &= m - 1 {
+		if other := bits.TrailingZeros8(m); b.holds(r, other) {
+			b.derive(c, k, other, false)
 		}
+	}
+	for w, m := range b.due {
+		for ; m != 0; m &= m - 1 {
+			b.touch(c, w<<6+bits.TrailingZeros64(m), !cas)
+		}
+	}
+	if cas {
+		b.searchBuses(c)
 	}
 	if b.refreshPending {
 		b.refreshAt = min(b.refreshAt, c.Cycle+1)
@@ -279,10 +347,11 @@ func (b *Baseline) issued(c *mem.Controller, rank, bank, kind int) {
 	b.gen = c.Gen()
 }
 
-// touch re-derives a bank's candidate kinds, from its queued requests and
-// open row, and its bound.
-func (b *Baseline) touch(c *mem.Controller, rank, bank int) {
-	k := rank*b.banks + bank
+// touch re-derives bank k's candidate kinds, from its queued requests and
+// open row, and the scopes of each (derive), and returns the kinds.
+func (b *Baseline) touch(c *mem.Controller, k int, search bool) uint8 {
+	rank := b.rank(k)
+	bank := k - rank*b.banks
 	var kinds uint8
 	reads, writes := c.BankHead(false, k), c.BankHead(true, k)
 	switch {
@@ -300,40 +369,110 @@ func (b *Baseline) touch(c *mem.Controller, rank, bank int) {
 			kinds = 1 << probePRE
 		}
 	}
+	b.dirty |= b.kinds[k] | kinds
 	b.setKinds(k, kinds)
-	b.bound(c, rank, bank)
+	b.due[k>>6] &^= 1 << (k & 63)
+	own := int64(never)
+	for m := kinds; m != 0; m &= m - 1 {
+		own = min(own, b.derive(c, k, bits.TrailingZeros8(m), search))
+	}
+	b.bankAt[k] = own
+	return kinds
+}
+
+// derive reads, in one pass of the channel's rules, the scopes of the
+// probe kind's command to bank k. It keeps the bank group's and the rank's,
+// the latter for a CAS with the buses searched from the current cycle
+// unless search is off (a search of every pair follows), and returns the
+// bank's own.
+func (b *Baseline) derive(c *mem.Controller, k, kind int, search bool) int64 {
+	r := b.rank(k)
+	s := c.Chan.Scopes(probeCmd[kind], r, k-r*b.banks)
+	if b.groupAt != nil {
+		b.groupAt[b.group(k)*probeKinds+kind] = s.Group
+	}
+	i := r*probeKinds + kind
+	b.rankAt[i] = s.Rank
+	if search && casKinds&(1<<kind) != 0 {
+		b.rankAt[i] = c.Chan.BusBound(probeCmd[kind], r, max(s.Rank, c.Cycle))
+	}
+	b.dirty |= 1 << kind
+	return s.Bank
+}
+
+// searchBuses searches the buses again after a CAS, whose burst may
+// conflict with any rank's, once per rank and CAS kind with candidates.
+// Each search starts from the pair's bound: every cycle from the pair's
+// rank-wide clear cycle up to it was busy on the data bus when a candidate
+// derived it, and still is, since bursts only accrue and the rank's rules
+// only move later between rebuilds.
+func (b *Baseline) searchBuses(c *mem.Controller) {
+	now := c.Cycle
+	for kind := probeRead; kind <= probeWrite; kind++ {
+		for w, m := range b.ranks(kind) {
+			for ; m != 0; m &= m - 1 {
+				i := (w<<6+bits.TrailingZeros64(m))*probeKinds + kind
+				b.rankAt[i] = c.Chan.BusBound(probeCmd[kind], i/probeKinds, max(b.rankAt[i], now))
+			}
+		}
+	}
+	b.dirty |= casKinds
+}
+
+// bound returns the bound of bank k's candidate of the probe kind: the
+// latest clear cycle over its bank's, its bank group's and its rank's
+// scopes. It is a lower bound on the first cycle the candidate may issue,
+// and, right after the Baseline's own command, the one Channel.Bounds
+// gives from that cycle.
+func (b *Baseline) bound(k, kind int) int64 {
+	at := max(b.bankAt[k], b.rankAt[b.rank(k)*probeKinds+kind])
+	if b.groupAt != nil {
+		at = max(at, b.groupAt[b.group(k)*probeKinds+kind])
+	}
+	return at
+}
+
+// rank returns bank k's rank.
+func (b *Baseline) rank(k int) int {
+	if b.shift >= 0 {
+		return k >> b.shift
+	}
+	return k / b.banks
+}
+
+// group returns bank k's bank group, counted across ranks.
+func (b *Baseline) group(k int) int { return k / b.perGroup }
+
+// holds reports whether some bank of the rank has a candidate of the
+// probe kind.
+func (b *Baseline) holds(rank, kind int) bool {
+	return b.ranks(kind)[rank>>6]&(1<<(rank&63)) != 0
 }
 
 // setKinds records bank k's candidate kinds in kinds and the bitsets.
 func (b *Baseline) setKinds(k int, kinds uint8) {
 	old := b.kinds[k]
 	b.kinds[k] = kinds
+	r := b.rank(k)
 	for diff := kinds ^ old; diff != 0; diff &= diff - 1 {
-		b.byKind[bits.TrailingZeros8(diff)*b.words+k>>6] ^= 1 << (k & 63)
+		kind := bits.TrailingZeros8(diff)
+		b.byKind[kind*b.words+k>>6] ^= 1 << (k & 63)
+		held := &b.held[kind*b.rankWords+r>>6]
+		if kinds&(1<<kind) != 0 {
+			*held |= 1 << (r & 63)
+		} else if next := nextBit(b.set(kind), r*b.banks); next < 0 || next >= (r+1)*b.banks {
+			*held &^= 1 << (r & 63)
+		}
 	}
-}
-
-// bound recomputes a bank's bound from the channel: for each candidate,
-// the latest of its bank-scoped clear cycle and its rank-wide one with the
-// data bus searched from now. The data bus may still be busy at the bank
-// bound when it is the later; the failed probe then re-derives the bank.
-func (b *Baseline) bound(c *mem.Controller, rank, bank int) {
-	k := rank*b.banks + bank
-	at := int64(never)
-	for kinds := b.kinds[k]; kinds != 0; kinds &= kinds - 1 {
-		bk, rk := c.Chan.Bounds(dram.Command{Kind: probeCmd[bits.TrailingZeros8(kinds)], Rank: rank, Bank: bank}, c.Cycle)
-		at = min(at, max(bk, rk))
-	}
-	if at > b.bankAt[k] {
-		b.dirty = true
-	} else {
-		b.serveAt = min(b.serveAt, at)
-	}
-	b.bankAt[k] = at
 }
 
 // set returns the bitset of banks with a candidate of the probe kind.
 func (b *Baseline) set(kind int) []uint64 { return b.byKind[kind*b.words : (kind+1)*b.words] }
+
+// ranks returns the bitset of ranks with a candidate of the probe kind.
+func (b *Baseline) ranks(kind int) []uint64 {
+	return b.held[kind*b.rankWords : (kind+1)*b.rankWords]
+}
 
 // nextBit returns the first set bit of set at or after i, or -1.
 func nextBit(set []uint64, i int) int {
@@ -364,46 +503,53 @@ func hit(c *mem.Controller, r *mem.Request) *mem.Request {
 	return nil
 }
 
-// sync brings the wake up to date: a rebuild after a change it missed,
-// then serveAt if a bound rose.
-func (b *Baseline) sync(c *mem.Controller) {
-	if b.dirty || c.Gen() != b.gen {
-		b.resync(c)
-	}
-}
+// stale reports whether the wake missed a change or has kinds whose bounds
+// rose. It is kept apart from resync so that it inlines.
+func (b *Baseline) stale(c *mem.Controller) bool { return b.dirty != 0 || c.Gen() != b.gen }
 
+// resync brings the wake up to date: a rebuild after a change it missed,
+// then kindAt for the kinds whose bounds rose, and serveAt.
 func (b *Baseline) resync(c *mem.Controller) {
 	if c.Gen() != b.gen {
 		b.rebuild(c)
 	}
-	b.serveAt = never
-	for w := 0; w < b.words; w++ {
-		var m uint64
-		for kind := range probeKinds {
-			m |= b.byKind[kind*b.words+w]
+	// A bound the clock has reached is as good as the earliest.
+	for ; b.dirty != 0; b.dirty &= b.dirty - 1 {
+		kind := bits.TrailingZeros8(b.dirty)
+		at := int64(never)
+		for w, m := range b.set(kind) {
+			if m&b.due[w] != 0 {
+				at = c.Cycle
+			}
+			for m &^= b.due[w]; m != 0 && at > c.Cycle; m &= m - 1 {
+				at = min(at, b.bound(w<<6+bits.TrailingZeros64(m), kind))
+			}
 		}
-		for ; m != 0; m &= m - 1 {
-			b.serveAt = min(b.serveAt, b.bankAt[w<<6+bits.TrailingZeros64(m)])
-		}
+		b.kindAt[kind] = at
 	}
-	b.dirty = false
+	b.serveAt = min(b.kindAt[0], b.kindAt[1], b.kindAt[2], b.kindAt[3])
 }
 
 // rebuild derives the wake from the queues and the channel alone, and has
-// the refresh path re-derive its bound on the next tick.
+// the refresh path re-derive its bound on the next tick. The scopes of
+// banks, groups and ranks without candidates keep their stale values: a
+// scope is read only for a candidate that derived it, and re-derived from
+// then on whenever the Baseline's own command moves it.
 func (b *Baseline) rebuild(c *mem.Controller) {
 	clear(b.byKind)
 	clear(b.kinds)
-	for k := range b.bankAt {
-		b.bankAt[k] = never
+	clear(b.held)
+	clear(b.due)
+	for k := range b.kinds {
 		if c.BankHead(false, k) != nil || c.BankHead(true, k) != nil {
-			b.touch(c, k/b.banks, k%b.banks)
+			b.touch(c, k, true)
 		}
 	}
 	b.refreshAt = never
 	if b.RefreshEnabled {
 		b.refreshAt = c.Cycle
 	}
+	b.dirty = 1<<probeKinds - 1
 	b.gen = c.Gen()
 }
 
@@ -423,7 +569,7 @@ func (b *Baseline) issueCAS(c *mem.Controller, r *mem.Request, write bool) bool 
 		dataStart = c.P.WriteDataStart()
 	}
 	cmd := dram.Command{Kind: kind, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Col: r.Addr.Col, Domain: r.Domain}
-	if ok, _, _ := c.TryIssue(cmd); !ok {
+	if ok, _ := c.TryIssue(cmd); !ok {
 		return false
 	}
 	c.RecordFirstCommand(r)
@@ -474,7 +620,7 @@ func (b *Baseline) tickRefresh(c *mem.Controller) bool {
 // tryRefresh probes a command of the refresh path, folding the bound of a
 // blocked one into refreshAt.
 func (b *Baseline) tryRefresh(c *mem.Controller, cmd dram.Command) bool {
-	if ok, _, _ := c.TryIssue(cmd); ok {
+	if ok, _ := c.TryIssue(cmd); ok {
 		return true
 	}
 	bank, rank := c.Chan.Bounds(cmd, c.Cycle)

@@ -1,9 +1,12 @@
 package sched
 
 import (
+	"math/bits"
+	"math/rand/v2"
 	"testing"
 
 	"fsmem/internal/dram"
+	"fsmem/internal/fault"
 	"fsmem/internal/mem"
 )
 
@@ -247,5 +250,162 @@ func TestTPNoPartitioningIsTimingLegal(t *testing.T) {
 	}
 	if served != 16 {
 		t.Fatalf("served %d of 16 same-bank reads", served)
+	}
+}
+
+// scopeCheck is the Baseline with a check after every tick: each candidate
+// bank's bound from the scopes against the combined bound Channel.Bounds
+// gives from the tick's cycle, the minimum over the bank's kinds of the
+// later of its bank and rank bounds. Both are compared from the next
+// cycle, the first a later tick can act on. Right after the Baseline's own
+// command, which re-derives every scope the command moved, they must be
+// equal; after any other tick the scopes must not be later. A bank an
+// enqueue made due has no scopes yet and is skipped, and so is a tick
+// after which the wake rebuilds. The earliest bound the wake keeps per
+// probe kind must be the earliest over the kind's candidates, the tick's
+// cycle for a due bank, unless the kind is marked for re-derivation, and
+// the earliest it keeps overall the earliest of those.
+type scopeCheck struct {
+	*Baseline
+	t                      *testing.T
+	exact, lower, compared int
+	tight                  int // banks whose exact bound lies beyond the next cycle
+}
+
+func (s *scopeCheck) Tick(c *mem.Controller) {
+	gen := c.Gen()
+	s.Baseline.Tick(c)
+	if s.gen != c.Gen() {
+		return
+	}
+	own := c.Gen() != gen
+	if own {
+		s.exact++
+	} else {
+		s.lower++
+	}
+	next := c.Cycle + 1
+	for k, kinds := range s.kinds {
+		if kinds == 0 || s.due[k>>6]&(1<<(k&63)) != 0 {
+			continue
+		}
+		got, want := int64(never), int64(never)
+		for m := kinds; m != 0; m &= m - 1 {
+			kind := bits.TrailingZeros8(m)
+			cmd := dram.Command{Kind: probeCmd[kind], Rank: k / s.Baseline.banks, Bank: k % s.Baseline.banks}
+			bank, rank := c.Chan.Bounds(cmd, c.Cycle)
+			got, want = min(got, s.bound(k, kind)), min(want, max(bank, rank))
+		}
+		got, want = max(got, next), max(want, next)
+		if got > want || own && got != want {
+			s.t.Fatalf("cycle %d: bank %d (kinds %04b) bound %d from its scopes, %d from Channel.Bounds (own command %v)",
+				c.Cycle, k, kinds, got, want, own)
+		}
+		s.compared++
+		if own && want > next {
+			s.tight++
+		}
+	}
+	for kind := range probeKinds {
+		if s.dirty&(1<<kind) != 0 {
+			continue
+		}
+		want := int64(never)
+		for k := nextBit(s.set(kind), 0); k >= 0; k = nextBit(s.set(kind), k+1) {
+			if s.due[k>>6]&(1<<(k&63)) != 0 {
+				want = min(want, c.Cycle)
+			} else {
+				want = min(want, s.bound(k, kind))
+			}
+		}
+		if max(s.kindAt[kind], next) != max(want, next) {
+			s.t.Fatalf("cycle %d: earliest %v bound %d kept, %d over the candidates",
+				c.Cycle, probeCmd[kind], s.kindAt[kind], want)
+		}
+	}
+	if earliest := min(s.kindAt[0], s.kindAt[1], s.kindAt[2], s.kindAt[3]); s.dirty == 0 && max(s.serveAt, next) != max(earliest, next) {
+		s.t.Fatalf("cycle %d: earliest bound %d kept, %d over the kinds", c.Cycle, s.serveAt, earliest)
+	}
+}
+
+// TestBaselineScopesMatchBounds drives the Baseline through the skipping
+// Controller.Step on seeded random queues and checks its scoped wake after
+// every tick (scopeCheck): DDR3 on 2 and 8 ranks, DDR4 with bank groups, a
+// derated channel, refresh, and an injector that drops, delays and
+// duplicates commands while both channel timings are derated and restored
+// mid-run.
+func TestBaselineScopesMatchBounds(t *testing.T) {
+	ddr3 := func(ranks int) dram.Params {
+		p := dram.DDR3_1600()
+		p.RanksPerChan = ranks
+		return p
+	}
+	ddr4 := dram.DDR4_2400()
+	ddr4.RanksPerChan = 2
+	small := mem.Config{Domains: 4, ReadCap: 8, WriteCap: 8}
+	deep := mem.Config{Domains: 8, ReadCap: 32, WriteCap: 32}
+	derate := dram.Derate{TRCD: 2, TRP: 3, TRAS: 4, TRC: 4, TRTP: 2, TWR: 3, TFAW: 4, TRRD: 2, TCCD: 1, TWTR: 2}
+	cases := []struct {
+		name            string
+		p               dram.Params
+		cfg             mem.Config
+		refresh, faults bool
+		derate          bool
+	}{
+		{"ddr3-2rank", ddr3(2), small, false, false, false},
+		{"ddr3-8rank-deep", ddr3(8), deep, false, false, false},
+		{"ddr3-2rank-derated", ddr3(2), small, false, false, true},
+		{"ddr3-8rank-refresh", ddr3(8), small, true, false, false},
+		{"ddr4-2rank-bankgroups", ddr4, small, false, false, false},
+		{"ddr4-2rank-bankgroups-derated", ddr4, small, false, false, true},
+		{"ddr3-8rank-deep-refresh-faults", ddr3(8), deep, true, true, false},
+		{"ddr4-2rank-bankgroups-refresh-faults", ddr4, small, true, true, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const cycles = 3 * 6240
+			chk := &scopeCheck{Baseline: NewBaseline(tc.p, tc.cfg), t: t}
+			chk.RefreshEnabled = tc.refresh
+			c := mem.NewController(tc.p, tc.cfg, chk)
+			if tc.derate {
+				c.Chan.SetDerate(-1, derate)
+			}
+			if tc.faults {
+				c.AttachInjector(fault.NewInjector(referenceFaults(), tc.p))
+			}
+			rng := rand.New(rand.NewPCG(uint64(len(tc.name)), 0x5c09e))
+			for cyc := 0; cyc < cycles; cyc++ {
+				// Write-heavy and read-only phases of 1500 cycles, with
+				// arrivals thinned to the queues' capacity so both drain.
+				writeHeavy := (cyc/1500)%2 == 0
+				every := 3
+				if !writeHeavy {
+					every = tc.cfg.Domains * tc.cfg.ReadCap / 8
+				}
+				if cyc%1500 < 1200 && rng.IntN(every) == 0 {
+					d := rng.IntN(tc.cfg.Domains)
+					a := dram.Address{Rank: rng.IntN(tc.p.RanksPerChan), Bank: rng.IntN(tc.p.BanksPerRank), Row: rng.IntN(4), Col: rng.IntN(tc.p.ColsPerRow)}
+					if writeHeavy && rng.IntN(4) != 0 {
+						c.EnqueueWrite(d, a)
+					} else {
+						c.EnqueueRead(d, a, nil)
+					}
+				}
+				if tc.faults && (cyc == cycles/3 || cyc == 2*cycles/3) {
+					var d dram.Derate
+					if cyc == cycles/3 {
+						d = derate
+					}
+					c.Chan.SetDerate(-1, d)
+				}
+				c.Step()
+			}
+			t.Logf("%d ticks after own commands, %d others; %d bank bounds compared, %d beyond the next cycle",
+				chk.exact, chk.lower, chk.compared, chk.tight)
+			if chk.exact < cycles/20 || chk.lower == 0 || chk.tight < chk.exact {
+				t.Fatalf("the stream exercised too little: %d own-command ticks, %d others, %d bounds beyond the next cycle",
+					chk.exact, chk.lower, chk.tight)
+			}
+		})
 	}
 }

@@ -27,7 +27,7 @@ func (w *wake) fold(at int64) { w.at = min(w.at, at) }
 // try probes cmd with Controller.TryIssue and folds a failed probe's
 // bound.
 func (w *wake) try(c *mem.Controller, cmd dram.Command) bool {
-	ok, at, _ := c.TryIssue(cmd)
+	ok, at := c.TryIssue(cmd)
 	if !ok {
 		w.fold(at)
 	}
