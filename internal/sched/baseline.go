@@ -47,23 +47,19 @@ type Baseline struct {
 	refreshDeadline []int64
 
 	banks int // banks per rank
-	shift int // log2(banks) when banks is a power of two, else -1 (see rank)
 
 	// The candidates. A candidate is a command FR-FCFS would probe at a
 	// bank: a CAS for the bank's oldest row hit of a class, or an ACT
 	// (closed bank) or PRE (open bank no queued request hits) for its
 	// oldest other request. Per bank (rank*BanksPerRank+bank), kinds holds
 	// the probe kinds it has a candidate of, as bits, and byKind the same
-	// kinds as one bitset of banks per probe kind, words long; held holds
-	// per probe kind the bitset of ranks with such a candidate, rankWords
-	// long. due is the bitset of banks an enqueue gave a new candidate
-	// kind: their scopes are not derived, and the next tick probes them.
-	kinds     []uint8
-	byKind    []uint64
-	words     int
-	held      []uint64
-	rankWords int
-	due       []uint64
+	// kinds as one bitset of banks per probe kind, words long. due is the
+	// bitset of banks an enqueue gave a new candidate kind: their scopes
+	// are not derived, and the next tick probes them.
+	kinds  []uint8
+	byKind []uint64
+	words  int
+	due    []uint64
 
 	// The scopes (dram.Scopes). Per bank, bankAt is the clear cycle of the
 	// bank's own rules, the earliest over its candidate kinds (a read and a
@@ -107,25 +103,18 @@ const (
 func NewBaseline(p dram.Params, cfg mem.Config) *Baseline {
 	total := cfg.WriteCap * cfg.Domains
 	words := (p.TotalBanks() + 63) / 64
-	rankWords := (p.RanksPerChan + 63) / 64
 	b := &Baseline{
-		banks:     p.BanksPerRank,
-		shift:     -1,
-		hi:        total * 3 / 4,
-		lo:        total / 4,
-		kinds:     make([]uint8, p.TotalBanks()),
-		byKind:    make([]uint64, probeKinds*words),
-		words:     words,
-		held:      make([]uint64, probeKinds*rankWords),
-		rankWords: rankWords,
-		due:       make([]uint64, words),
-		bankAt:    make([]int64, p.TotalBanks()),
-		rankAt:    make([]int64, probeKinds*p.RanksPerChan),
-		perGroup:  p.BanksPerRank,
-		gen:       unsynced,
-	}
-	if p.BanksPerRank&(p.BanksPerRank-1) == 0 {
-		b.shift = bits.TrailingZeros(uint(p.BanksPerRank))
+		banks:    p.BanksPerRank,
+		hi:       total * 3 / 4,
+		lo:       total / 4,
+		kinds:    make([]uint8, p.TotalBanks()),
+		byKind:   make([]uint64, probeKinds*words),
+		words:    words,
+		due:      make([]uint64, words),
+		bankAt:   make([]int64, p.TotalBanks()),
+		rankAt:   make([]int64, probeKinds*p.RanksPerChan),
+		perGroup: p.BanksPerRank,
+		gen:      unsynced,
 	}
 	if p.BankGroups > 1 {
 		b.groupAt = make([]int64, probeKinds*p.BankGroups*p.RanksPerChan)
@@ -409,11 +398,13 @@ func (b *Baseline) derive(c *mem.Controller, k, kind int, search bool) int64 {
 func (b *Baseline) searchBuses(c *mem.Controller) {
 	now := c.Cycle
 	for kind := probeRead; kind <= probeWrite; kind++ {
-		for w, m := range b.ranks(kind) {
-			for ; m != 0; m &= m - 1 {
-				i := (w<<6+bits.TrailingZeros64(m))*probeKinds + kind
-				b.rankAt[i] = c.Chan.BusBound(probeCmd[kind], i/probeKinds, max(b.rankAt[i], now))
-			}
+		// From each rank's first candidate bank, on to the next rank.
+		set := b.set(kind)
+		for k := nextBit(set, 0); k >= 0; {
+			r := b.rank(k)
+			i := r*probeKinds + kind
+			b.rankAt[i] = c.Chan.BusBound(probeCmd[kind], r, max(b.rankAt[i], now))
+			k = nextBit(set, (r+1)*b.banks)
 		}
 	}
 	b.dirty |= casKinds
@@ -433,12 +424,7 @@ func (b *Baseline) bound(k, kind int) int64 {
 }
 
 // rank returns bank k's rank.
-func (b *Baseline) rank(k int) int {
-	if b.shift >= 0 {
-		return k >> b.shift
-	}
-	return k / b.banks
-}
+func (b *Baseline) rank(k int) int { return k / b.banks }
 
 // group returns bank k's bank group, counted across ranks.
 func (b *Baseline) group(k int) int { return k / b.perGroup }
@@ -446,33 +432,20 @@ func (b *Baseline) group(k int) int { return k / b.perGroup }
 // holds reports whether some bank of the rank has a candidate of the
 // probe kind.
 func (b *Baseline) holds(rank, kind int) bool {
-	return b.ranks(kind)[rank>>6]&(1<<(rank&63)) != 0
+	k := nextBit(b.set(kind), rank*b.banks)
+	return k >= 0 && k < (rank+1)*b.banks
 }
 
-// setKinds records bank k's candidate kinds in kinds and the bitsets.
+// setKinds records bank k's candidate kinds in kinds and byKind.
 func (b *Baseline) setKinds(k int, kinds uint8) {
-	old := b.kinds[k]
-	b.kinds[k] = kinds
-	r := b.rank(k)
-	for diff := kinds ^ old; diff != 0; diff &= diff - 1 {
-		kind := bits.TrailingZeros8(diff)
-		b.byKind[kind*b.words+k>>6] ^= 1 << (k & 63)
-		held := &b.held[kind*b.rankWords+r>>6]
-		if kinds&(1<<kind) != 0 {
-			*held |= 1 << (r & 63)
-		} else if next := nextBit(b.set(kind), r*b.banks); next < 0 || next >= (r+1)*b.banks {
-			*held &^= 1 << (r & 63)
-		}
+	for diff := kinds ^ b.kinds[k]; diff != 0; diff &= diff - 1 {
+		b.byKind[bits.TrailingZeros8(diff)*b.words+k>>6] ^= 1 << (k & 63)
 	}
+	b.kinds[k] = kinds
 }
 
 // set returns the bitset of banks with a candidate of the probe kind.
 func (b *Baseline) set(kind int) []uint64 { return b.byKind[kind*b.words : (kind+1)*b.words] }
-
-// ranks returns the bitset of ranks with a candidate of the probe kind.
-func (b *Baseline) ranks(kind int) []uint64 {
-	return b.held[kind*b.rankWords : (kind+1)*b.rankWords]
-}
 
 // nextBit returns the first set bit of set at or after i, or -1.
 func nextBit(set []uint64, i int) int {
@@ -538,7 +511,6 @@ func (b *Baseline) resync(c *mem.Controller) {
 func (b *Baseline) rebuild(c *mem.Controller) {
 	clear(b.byKind)
 	clear(b.kinds)
-	clear(b.held)
 	clear(b.due)
 	for k := range b.kinds {
 		if c.BankHead(false, k) != nil || c.BankHead(true, k) != nil {
