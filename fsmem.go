@@ -354,8 +354,6 @@ const (
 	ErrTiming     = fsmerr.CodeTiming
 	ErrSchedule   = fsmerr.CodeSchedule
 	ErrQueue      = fsmerr.CodeQueue
-	ErrDrain      = fsmerr.CodeDrain
-	ErrTruncated  = fsmerr.CodeTruncated
 	ErrExperiment = fsmerr.CodeExperiment
 	ErrFault      = fsmerr.CodeFault
 	ErrCanceled   = fsmerr.CodeCanceled

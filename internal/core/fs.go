@@ -161,10 +161,6 @@ type FS struct {
 
 	nextSlot     int64 // next global slot to plan (slot-grid variants)
 	nextInterval int64 // next interval to plan (reordered variant)
-
-	// quiescing stops new slot planning so the pipeline can drain for an
-	// SLA reconfiguration (§5.1).
-	quiescing bool
 }
 
 type plannedCmd struct {
@@ -193,10 +189,6 @@ type Config struct {
 	// used to quiesce and refresh it, so the schedule stays behavior-
 	// independent.
 	RefreshEnabled bool
-	// StartCycle places the first slot at or after this bus cycle, so a
-	// freshly built engine can take over a controller mid-run (the §5.1
-	// SLA-change drain-and-swap).
-	StartCycle int64
 }
 
 // Check states NewFS's acceptance rules for a configuration, short of
@@ -338,13 +330,8 @@ func NewFS(p dram.Params, cfg Config) (*FS, error) {
 		}
 	}
 
-	if f.variant == FSReorderedBank {
-		f.anchor0 = 0
-		if cfg.StartCycle > 0 {
-			f.nextInterval = (cfg.StartCycle + f.q - 1) / f.q
-		}
-	} else {
-		f.anchor0 = int64(-f.off.MinOffset()) + cfg.StartCycle
+	if f.variant != FSReorderedBank {
+		f.anchor0 = int64(-f.off.MinOffset())
 	}
 	f.Stats.PowerDownCycles = make([]int64, p.RanksPerChan)
 	f.refreshDeadline = make([]int64, p.RanksPerChan)
@@ -352,7 +339,7 @@ func NewFS(p dram.Params, cfg Config) (*FS, error) {
 	for r := range f.refreshDeadline {
 		// Stagger rank refreshes across the tREFI window like a real
 		// controller, so at most one rank is quiesced at a time.
-		f.refreshDeadline[r] = cfg.StartCycle + int64(p.TREFI) + int64(r)*int64(p.TREFI)/int64(p.RanksPerChan)
+		f.refreshDeadline[r] = int64(p.TREFI) + int64(r)*int64(p.TREFI)/int64(p.RanksPerChan)
 		f.refreshUntil[r] = dram.NeverCycle
 	}
 	return f, nil
@@ -360,21 +347,6 @@ func NewFS(p dram.Params, cfg Config) (*FS, error) {
 
 // Name implements mem.Scheduler.
 func (f *FS) Name() string { return f.variant.String() }
-
-// Idle reports whether the engine has no planned commands outstanding —
-// the drain condition before an SLA reconfiguration may swap engines.
-func (f *FS) Idle() bool { return len(f.pending) == 0 }
-
-// BeginDrain stops planning new slots. The slot grid keeps advancing
-// silently, so already-planned transactions complete and the pipeline
-// empties — the CPU-pipeline-drain analogue of §5.1.
-func (f *FS) BeginDrain() { f.quiescing = true }
-
-// CancelDrain resumes slot planning after a drain whose follow-up (e.g. an
-// SLA reconfiguration) failed: the slot grid kept advancing while
-// quiescing, so planning can restart on the same schedule with no gap in
-// the static command stream.
-func (f *FS) CancelDrain() { f.quiescing = false }
 
 // L returns the slot spacing in use.
 func (f *FS) L() int { return f.l }
@@ -407,7 +379,7 @@ func (f *FS) Tick(c *mem.Controller) {
 	}
 }
 
-// NextEvent implements mem.EventSource. The FS schedule is static and
+// NextEvent implements mem.Scheduler. The FS schedule is static and
 // precomputed, so the next tick that can do anything is exactly the earlier
 // of the next planning boundary (interval start for reordered BP, slot
 // select cycle for the grid variants) and the next planned command's issue
@@ -430,19 +402,15 @@ func (f *FS) NextEvent(c *mem.Controller) int64 {
 }
 
 func (f *FS) issue(c *mem.Controller, pc plannedCmd) {
-	var err error
-	if pc.suppressed {
-		err = c.IssueSuppressed(pc.cmd)
-	} else {
-		err = c.Issue(pc.cmd)
-	}
-	if err != nil {
+	if ok, _ := c.Issue(pc.cmd, pc.suppressed); !ok {
 		// The static pipeline is proven conflict-free; a rejection here
 		// means the proof's premises stopped holding (a fault, or a bug).
 		// Hiding it would undermine the security argument, so it is
-		// reported to the runtime monitor; the transaction still completes
-		// so cores are not deadlocked waiting for data.
+		// reported to the runtime monitor, with the channel's explanation
+		// of the refusal; the transaction still completes so cores are not
+		// deadlocked waiting for data.
 		f.Violations++
+		err := c.Chan.CanIssue(pc.cmd, c.Cycle)
 		c.ReportViolation(fsmerr.At(fsmerr.CodeTiming, "core.fs", pc.cycle, pc.cmd, err))
 	}
 	if pc.req != nil {
@@ -495,9 +463,6 @@ func (f *FS) slotBankGroup(s int64) int {
 // planSlot selects and schedules one transaction for the slot-grid
 // variants (FS_RP, FS_BP, FS_NP, FS_NP_Optimized).
 func (f *FS) planSlot(c *mem.Controller, s int64) {
-	if f.quiescing {
-		return
-	}
 	anchor := f.anchor0 + s*int64(f.l)
 	domain := f.slotDomain(s)
 	group := f.slotBankGroup(s)
@@ -588,13 +553,7 @@ func (f *FS) selectRequest(c *mem.Controller, domain int, elig func(a dram.Addre
 	for _, q := range qs {
 		for _, r := range q {
 			if elig(r.Addr, r.Write) {
-				var err error
-				if r.Write {
-					err = c.RemoveWrite(r)
-				} else {
-					err = c.RemoveRead(r)
-				}
-				if err != nil {
+				if err := c.Remove(r); err != nil {
 					c.ReportViolation(err)
 					continue
 				}
@@ -762,9 +721,6 @@ func (f *FS) scheduleTransaction(c *mem.Controller, req *mem.Request, anchor, re
 // the interval start; reads are scheduled before writes on a 6-cycle data
 // grid, and read results are released together at the interval end.
 func (f *FS) planReorderedInterval(c *mem.Controller, interval int64) {
-	if f.quiescing {
-		return
-	}
 	base := interval * f.q
 	slotSpacing := f.reorderSpacing        // solved data-slot spacing (6 on DDR3)
 	dataLead := int64(f.p.TRCD + f.p.TCAS) // first read ACT lands at base

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"fsmem/internal/addr"
 	"fsmem/internal/dram"
 	"fsmem/internal/fault"
+	"fsmem/internal/fsmerr"
 	"fsmem/internal/mem"
 )
 
@@ -17,7 +19,9 @@ import (
 // Equation 1 (6 equals the ACT-read/ACT-write command-offset difference) —
 // and requires the engine to report the resulting command-bus collision as
 // a structured violation, both on its own counter and through the runtime
-// monitor.
+// monitor. Each stored violation must carry the channel's explanation of
+// the refusal: a timing error wrapping the channel's TimingError for the
+// planned command at its planned cycle, ready only after it.
 func TestInfeasibleSpacingIsCaught(t *testing.T) {
 	p := paperParams()
 	if ok, _ := Feasible(6, FixedData, addr.PartitionRank, p); ok {
@@ -53,6 +57,21 @@ func TestInfeasibleSpacingIsCaught(t *testing.T) {
 	}
 	if rep.Ok() {
 		t.Fatal("monitor report for a broken schedule must not be clean")
+	}
+	if len(rep.Violations) == 0 {
+		t.Fatal("monitor stored no violation")
+	}
+	for i, v := range rep.Violations {
+		var te *dram.TimingError
+		switch {
+		case v.Code != fsmerr.CodeTiming || v.Cmd == nil:
+			t.Fatalf("violation %d: %v, want a timing error naming its command", i, v)
+		case !errors.As(v, &te):
+			t.Fatalf("violation %d: %v wraps no channel TimingError", i, v)
+		case te.Cmd != *v.Cmd || te.Cycle != v.Cycle || te.ReadyAt <= te.Cycle:
+			t.Fatalf("violation %d: %v explains %v at cycle %d ready at %d, want the planned command at cycle %d ready later",
+				i, v, te.Cmd, te.Cycle, te.ReadyAt, v.Cycle)
+		}
 	}
 }
 

@@ -14,23 +14,10 @@ import (
 // short and long timings coincide and the cross-group constraint set is
 // the bank-partitioned one.
 
-// FeasibleRotation reports whether slot spacing l is conflict-free for a
-// G-way group rotation with no spatial partitioning: pairs at distance
-// d % G != 0 are bank-group-disjoint (short timings), pairs at multiples
-// of G may reuse the same bank and need full precharge recovery.
-func FeasibleRotation(l, groups int, a Anchor, p dram.Params) (bool, string) {
-	if groups < 2 {
-		return false, "rotation needs at least 2 groups"
-	}
-	o := OffsetsFor(a, p)
-	if v := gridConflict(l, &o, &p, groups, otherRank|sameBank, otherRank|otherGroup); v.what != noConflict {
-		return false, v.String()
-	}
-	return true, ""
-}
-
-// MinLRotation computes the smallest slot spacing for a G-way rotation.
-// For DDR3 at G=3 this recovers the paper's triple-alternation l=15; for
+// MinLRotation computes the smallest slot spacing for a G-way group
+// rotation with no spatial partitioning: pairs of slots a multiple of G
+// apart may reuse the same bank and need full precharge recovery, and the
+// other pairs are bank-group-disjoint (short timings). For DDR3 at G=3 this recovers the paper's triple-alternation l=15; for
 // DDR4's native bank groups the short cross-group timings shrink it
 // further — a new design point the paper's framework admits.
 func MinLRotation(groups int, a Anchor, p dram.Params) (int, error) {

@@ -31,11 +31,6 @@ const (
 	// CodeQueue: controller queue bookkeeping failed (e.g. removing a
 	// request that is not queued).
 	CodeQueue Code = "queue"
-	// CodeDrain: a controller drain (SLA reconfiguration) did not complete.
-	CodeDrain Code = "drain"
-	// CodeTruncated: a run stopped on the max-cycle watchdog before
-	// reaching its target.
-	CodeTruncated Code = "truncated"
 	// CodeExperiment: a figure or ablation could not be regenerated.
 	CodeExperiment Code = "experiment"
 	// CodeFault: an injected fault could not be applied as planned.

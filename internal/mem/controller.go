@@ -44,11 +44,16 @@ type Request struct {
 }
 
 // Scheduler is a memory scheduling policy. Tick is called once per DRAM bus
-// cycle and may issue at most one command on the channel's command bus via
-// the controller helpers.
+// cycle and may issue at most one command on the channel's command bus
+// (Issue). NextEvent bounds the scheduler's next state change for the
+// fast-forward kernel: the earliest future bus cycle at which its Tick
+// could do anything (issue a command, mutate queues, emit a trace event).
+// Returning the current cycle is always safe; returning a later cycle
+// asserts every Tick before it is a no-op, so Step may skip those ticks.
 type Scheduler interface {
 	Name() string
 	Tick(c *Controller)
+	NextEvent(c *Controller) int64
 }
 
 // QueueObserver is implemented by schedulers that track the queues
@@ -57,17 +62,6 @@ type Scheduler interface {
 // counts every enqueue, so a scheduler can tell whether it saw them all.
 type QueueObserver interface {
 	Enqueued(c *Controller, r *Request)
-}
-
-// EventSource is implemented by schedulers that can bound their next state
-// change for the fast-forward kernel: NextEvent returns the earliest future
-// bus cycle at which the scheduler's Tick could do anything (issue a
-// command, mutate queues, emit a trace event). Returning the current cycle
-// is always safe; returning a later cycle asserts every Tick before it is a
-// no-op, so Step may skip those ticks. Schedulers that do not implement it
-// force dense stepping.
-type EventSource interface {
-	NextEvent(c *Controller) int64
 }
 
 type completion struct {
@@ -167,12 +161,11 @@ type Controller struct {
 	Retired        obs.Counter
 
 	sched       Scheduler
-	events      EventSource   // sched's horizon; nil when it has none
 	observer    QueueObserver // sched's enqueue hook; nil when it has none
 	completions completionHeap
 
-	// qgen counts enqueues, pops and removals on the queues (see Gen), and
-	// seq numbers the enqueues.
+	// qgen counts enqueues and removals on the queues (see Gen), and seq
+	// numbers the enqueues.
 	qgen uint64
 	seq  uint32
 
@@ -207,8 +200,8 @@ func NewController(p dram.Params, cfg Config, sched Scheduler) *Controller {
 	}
 	c.ReadQ = make([][]*Request, cfg.Domains)
 	c.WriteQ = make([][]*Request, cfg.Domains)
-	// Queues are sized to their caps up front, and pops and removes delete
-	// in place (slices.Delete), so an enqueue never reallocates.
+	// Queues are sized to their caps up front, and removals delete in
+	// place (slices.Delete), so an enqueue never reallocates.
 	for d := range c.ReadQ {
 		c.ReadQ[d] = make([]*Request, 0, cfg.ReadCap)
 		c.WriteQ[d] = make([]*Request, 0, cfg.WriteCap)
@@ -221,18 +214,16 @@ func NewController(p dram.Params, cfg Config, sched Scheduler) *Controller {
 // Scheduler returns the active scheduling policy.
 func (c *Controller) Scheduler() Scheduler { return c.sched }
 
-// SetScheduler swaps the scheduling policy. The caller must have drained
-// the controller first (see sim.System.Reconfigure): swapping with work in
-// flight would hand the new policy requests whose commands are half
-// issued.
+// SetScheduler installs the scheduling policy. A controller serves one
+// policy for its whole run; tests call it again before the first tick to
+// wrap the policy NewController installed.
 func (c *Controller) SetScheduler(s Scheduler) {
 	c.sched = s
-	c.events, _ = s.(EventSource)
 	c.observer, _ = s.(QueueObserver)
 }
 
 // Gen counts changes to the state a scheduler decision reads: every
-// enqueue, pop and removal on the queues, plus the channel's own Gen
+// enqueue and removal on the queues, plus the channel's own Gen
 // (applied commands, derates). A bound a scheduler derived from failed
 // probes holds for as long as Gen is unchanged.
 func (c *Controller) Gen() uint64 { return c.qgen + c.Chan.Gen() }
@@ -477,67 +468,55 @@ func (c *Controller) ReportViolation(err error) {
 	}
 }
 
-// Issue places a command on the channel at the current cycle.
-func (c *Controller) Issue(cmd dram.Command) error {
-	return c.issue(cmd, false)
-}
-
-// IssueSuppressed places a command whose timing footprint is modeled but
-// whose DRAM operation is elided (FS energy optimizations).
-func (c *Controller) IssueSuppressed(cmd dram.Command) error {
-	return c.issue(cmd, true)
-}
-
-func (c *Controller) issue(cmd dram.Command, suppressed bool) error {
-	if c.inj != nil {
-		// FR-FCFS-style schedulers probe with Issue and treat an error as
-		// back-off, so only a command that would legally issue counts as
-		// scheduler intent or is eligible for perturbation.
-		if err := c.Chan.CanIssue(cmd, c.Cycle); err != nil {
-			return err
-		}
-		return c.inject(cmd, suppressed)
+// Issue puts cmd on the bus at the current cycle if the channel accepts
+// it there, reporting whether it did; a suppressed command's timing
+// footprint is modeled but its DRAM operation elided (FS energy
+// optimizations). It is the one way a scheduler issues. A refused command
+// changes nothing, and readyAt is the channel's ReadyAt bound, before
+// which the same command is refused again unless Gen changes
+// (dram.NeverReady when only a state change can help). With a fault
+// injector, the accepted command is the scheduler's intent: the injector
+// may drop or delay it, which the scheduler cannot see (issued is still
+// true), or duplicate it.
+func (c *Controller) Issue(cmd dram.Command, suppressed bool) (issued bool, readyAt int64) {
+	// Without an injector the channel checks and applies cmd in one pass;
+	// with one, cmd is only checked until the injector has decided.
+	var at int64
+	if c.inj == nil {
+		at = c.Chan.TryIssue(cmd, c.Cycle, suppressed)
+	} else {
+		at = c.Chan.ReadyAt(cmd, c.Cycle)
 	}
-	if err := c.Chan.IssueEx(cmd, c.Cycle, suppressed); err != nil {
-		return err
+	if at > c.Cycle {
+		return false, at
+	}
+	if c.mon != nil {
+		c.mon.Intended(cmd, c.Cycle)
+	}
+	if c.inj != nil {
+		switch d, replay := c.inj.Decide(cmd, c.Cycle); d {
+		case fault.Drop:
+			return true, c.Cycle
+		case fault.Delay:
+			c.inj.AddReplay(cmd, replay)
+			return true, c.Cycle
+		case fault.Duplicate:
+			c.inj.AddReplay(cmd, replay)
+		}
+		// Deciding changes no channel state, so cmd is still legal.
+		c.Chan.TryIssue(cmd, c.Cycle, suppressed)
 	}
 	c.applied(cmd, suppressed)
-	return nil
+	return true, c.Cycle
 }
 
-// applied reports a command the channel just accepted without an injector
-// in the way: the scheduler intended it and it reached the bus.
+// applied reports a command the channel just accepted to the tracer and
+// the monitor.
 func (c *Controller) applied(cmd dram.Command, suppressed bool) {
 	c.Obs.Command(cmd, c.Cycle, suppressed)
 	if c.mon != nil {
-		c.mon.Intended(cmd, c.Cycle)
 		c.mon.Applied(cmd, c.Cycle, suppressed)
 	}
-}
-
-// inject hands a legal command to the fault injector, which may drop,
-// delay or duplicate it, and applies it unless the injector held it back.
-func (c *Controller) inject(cmd dram.Command, suppressed bool) error {
-	if c.mon != nil {
-		c.mon.Intended(cmd, c.Cycle)
-	}
-	switch d, replay := c.inj.Decide(cmd, c.Cycle); d {
-	case fault.Drop:
-		return nil // the scheduler believes it issued
-	case fault.Delay:
-		c.inj.AddReplay(cmd, replay)
-		return nil
-	case fault.Duplicate:
-		c.inj.AddReplay(cmd, replay)
-	}
-	if err := c.Chan.IssueEx(cmd, c.Cycle, suppressed); err != nil {
-		return err
-	}
-	c.Obs.Command(cmd, c.Cycle, suppressed)
-	if c.mon != nil {
-		c.mon.Applied(cmd, c.Cycle, suppressed)
-	}
-	return nil
 }
 
 // CompleteAt schedules the request's completion bookkeeping (and its core
@@ -569,8 +548,8 @@ func (c *Controller) RecordFirstCommand(req *Request) {
 func (c *Controller) Tick() { c.tick(false) }
 
 // Step is Tick for the event-driven loop: it skips the policy's Tick on a
-// cycle before the policy's NextEvent, which the EventSource contract
-// makes a no-op. Completions and injector replays still run every cycle.
+// cycle before the policy's NextEvent, which the Scheduler contract makes
+// a no-op. Completions and injector replays still run every cycle.
 func (c *Controller) Step() { c.tick(true) }
 
 func (c *Controller) tick(skip bool) {
@@ -579,19 +558,16 @@ func (c *Controller) tick(skip bool) {
 	}
 	if c.inj != nil {
 		for _, tc := range c.inj.Due(c.Cycle) {
-			if err := c.Chan.Issue(tc.Cmd, c.Cycle); err != nil {
+			if at := c.Chan.TryIssue(tc.Cmd, c.Cycle, false); at > c.Cycle {
 				// The model cannot apply an illegal command; the original's
 				// disappearance is still caught by the schedule check.
 				c.inj.Stats.ReplayRejects++
 				continue
 			}
-			c.Obs.Command(tc.Cmd, c.Cycle, false)
-			if c.mon != nil {
-				c.mon.Applied(tc.Cmd, c.Cycle, false)
-			}
+			c.applied(tc.Cmd, false)
 		}
 	}
-	if !skip || c.events == nil || c.events.NextEvent(c) <= c.Cycle {
+	if !skip || c.sched.NextEvent(c) <= c.Cycle {
 		c.sched.Tick(c)
 	}
 	c.Cycle++
@@ -600,13 +576,9 @@ func (c *Controller) tick(skip bool) {
 // NextEvent returns the earliest future bus cycle at which this
 // controller's state can change without external input: the scheduler's own
 // horizon, capped by the earliest pending completion and the earliest
-// injector replay/extra. Returns the current cycle (no skip possible) when
-// the scheduler does not implement EventSource.
+// injector replay/extra.
 func (c *Controller) NextEvent() int64 {
-	if c.events == nil {
-		return c.Cycle
-	}
-	h := c.events.NextEvent(c)
+	h := c.sched.NextEvent(c)
 	if len(c.completions) > 0 && c.completions[0].cycle < h {
 		h = c.completions[0].cycle
 	}
@@ -623,27 +595,6 @@ func (c *Controller) NextEvent() int64 {
 // activity). It is the fast-forward counterpart of n Tick calls.
 func (c *Controller) AdvanceIdle(n int64) {
 	c.Cycle += n
-}
-
-// TryIssue issues cmd if the channel would accept it right now, reporting
-// whether it did. It is the allocation-free probe for FR-FCFS-style
-// schedulers that treat timing rejections as back-off; without an injector
-// it checks and applies cmd in one pass (dram.Channel.TryIssue). A failed
-// probe also returns the channel's ReadyAt bound, before which the same
-// probe fails again unless Gen changes (dram.NeverReady when only a state
-// change can help).
-func (c *Controller) TryIssue(cmd dram.Command) (issued bool, readyAt int64) {
-	if c.inj != nil {
-		if at := c.Chan.ReadyAt(cmd, c.Cycle); at > c.Cycle {
-			return false, at
-		}
-		return c.inject(cmd, false) == nil, c.Cycle
-	}
-	if at := c.Chan.TryIssue(cmd, c.Cycle, false); at > c.Cycle {
-		return false, at
-	}
-	c.applied(cmd, false)
-	return true, c.Cycle
 }
 
 func (c *Controller) finish(req *Request) {
@@ -692,53 +643,13 @@ func (c *Controller) finish(req *Request) {
 	c.free = append(c.free, req)
 }
 
-// PopRead removes and returns the oldest read of the domain, or nil.
-func (c *Controller) PopRead(domain int) *Request {
-	q := c.ReadQ[domain]
-	if len(q) == 0 {
-		return nil
+// Remove deletes the request from its domain's read queue, or write queue
+// for a write, returning a CodeQueue error if it is not there.
+func (c *Controller) Remove(req *Request) error {
+	qs, v, op := c.ReadQ, &c.bankReads, "mem.RemoveRead"
+	if req.Write {
+		qs, v, op = c.WriteQ, &c.bankWrites, "mem.RemoveWrite"
 	}
-	r := q[0]
-	c.ReadQ[domain] = slices.Delete(q, 0, 1)
-	c.bankReads.remove(c.bankOf(r), r)
-	c.qgen++
-	return r
-}
-
-// PopWrite removes and returns the oldest write of the domain, or nil.
-func (c *Controller) PopWrite(domain int) *Request {
-	q := c.WriteQ[domain]
-	if len(q) == 0 {
-		return nil
-	}
-	w := q[0]
-	c.WriteQ[domain] = slices.Delete(q, 0, 1)
-	c.bankWrites.remove(c.bankOf(w), w)
-	c.qgen++
-	return w
-}
-
-// RemoveRead deletes the request from its domain's read queue, returning a
-// CodeQueue error if it is not there.
-func (c *Controller) RemoveRead(req *Request) error {
-	if err := c.removeFrom(c.ReadQ, req, "mem.RemoveRead"); err != nil {
-		return err
-	}
-	c.bankReads.remove(c.bankOf(req), req)
-	return nil
-}
-
-// RemoveWrite deletes the request from its domain's write queue, returning
-// a CodeQueue error if it is not there.
-func (c *Controller) RemoveWrite(req *Request) error {
-	if err := c.removeFrom(c.WriteQ, req, "mem.RemoveWrite"); err != nil {
-		return err
-	}
-	c.bankWrites.remove(c.bankOf(req), req)
-	return nil
-}
-
-func (c *Controller) removeFrom(qs [][]*Request, req *Request, op string) error {
 	if req.Domain < 0 || req.Domain >= len(qs) {
 		e := fsmerr.New(fsmerr.CodeQueue, op, "domain %d out of range [0,%d)", req.Domain, len(qs))
 		e.Cycle = c.Cycle
@@ -748,6 +659,7 @@ func (c *Controller) removeFrom(qs [][]*Request, req *Request, op string) error 
 	for i, r := range q {
 		if r == req {
 			qs[req.Domain] = slices.Delete(q, i, i+1)
+			v.remove(c.bankOf(req), req)
 			c.qgen++
 			return nil
 		}
@@ -766,11 +678,6 @@ func (c *Controller) PendingWrites() int { return len(c.bankWrites.slots) }
 // CompletedReads returns the demand reads the controller has delivered:
 // the sum of Dom[*].Reads, kept as one count.
 func (c *Controller) CompletedReads() int64 { return c.reads }
-
-// Drained reports whether no work remains anywhere in the controller.
-func (c *Controller) Drained() bool {
-	return c.PendingReads() == 0 && c.PendingWrites() == 0 && len(c.completions) == 0
-}
 
 // ObsMetrics contributes the controller-shell counters to an obs.Registry
 // snapshot (structural obs.MetricSource; see DESIGN.md §9).

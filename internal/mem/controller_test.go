@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"errors"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -15,8 +16,9 @@ import (
 // nopSched issues nothing; tests drive the controller directly.
 type nopSched struct{}
 
-func (nopSched) Name() string     { return "nop" }
-func (nopSched) Tick(*Controller) {}
+func (nopSched) Name() string                  { return "nop" }
+func (nopSched) Tick(*Controller)              {}
+func (nopSched) NextEvent(c *Controller) int64 { return c.Cycle }
 
 func newCtl(domains int) *Controller {
 	return NewController(dram.DDR3_1600(), DefaultConfig(domains), nopSched{})
@@ -91,42 +93,43 @@ func TestFinishClassifiesRequests(t *testing.T) {
 	}
 }
 
+// TestPopAndRemove removes queued requests of both classes, the oldest
+// and a later one, and checks that a request that is not queued, or names
+// a domain out of range, is refused with a CodeQueue error naming its
+// class.
 func TestPopAndRemove(t *testing.T) {
 	c := newCtl(1)
 	c.EnqueueRead(0, addr(0, 0, 1), nil)
 	c.EnqueueRead(0, addr(0, 0, 2), nil)
-	r := c.PopRead(0)
-	if r == nil || r.Addr.Row != 1 {
-		t.Fatalf("PopRead = %+v", r)
+	c.EnqueueRead(0, addr(0, 0, 3), nil)
+	if r := c.ReadQ[0][0]; c.Remove(r) != nil || r.Addr.Row != 1 {
+		t.Fatalf("removing the oldest read %+v failed", r)
 	}
-	r2 := c.ReadQ[0][0]
-	if err := c.RemoveRead(r2); err != nil {
-		t.Fatalf("RemoveRead: %v", err)
+	r := c.ReadQ[0][1]
+	if err := c.Remove(r); err != nil {
+		t.Fatalf("Remove: %v", err)
 	}
-	if c.PendingReads() != 0 {
+	if c.PendingReads() != 1 || c.ReadQ[0][0].Addr.Row != 2 {
 		t.Fatal("remove failed")
 	}
-	if c.PopRead(0) != nil {
-		t.Fatal("pop from empty queue should be nil")
+	if err := c.Remove(r); err == nil {
+		t.Fatal("removing a request twice should return an error")
 	}
 	c.EnqueueWrite(0, addr(0, 0, 3))
-	w := c.PopWrite(0)
-	if w == nil || !w.Write {
-		t.Fatalf("PopWrite = %+v", w)
-	}
-	if c.PopWrite(0) != nil {
-		t.Fatal("pop from empty write queue should be nil")
+	if err := c.Remove(c.WriteQ[0][0]); err != nil || c.PendingWrites() != 0 || c.PendingReads() != 1 {
+		t.Fatalf("Remove(write) = %v with %d writes and %d reads left", err, c.PendingWrites(), c.PendingReads())
 	}
 
-	if err := c.RemoveRead(&Request{Domain: 0}); err == nil {
-		t.Error("removing a foreign request should return an error")
-	} else if fsmerr.CodeOf(err) != fsmerr.CodeQueue {
-		t.Errorf("foreign remove: code = %q, want %q", fsmerr.CodeOf(err), fsmerr.CodeQueue)
+	var e *fsmerr.Error
+	if err := c.Remove(&Request{Domain: 0}); !errors.As(err, &e) {
+		t.Errorf("removing a foreign request returned %v, want an fsmerr.Error", err)
+	} else if e.Code != fsmerr.CodeQueue || e.Op != "mem.RemoveRead" {
+		t.Errorf("foreign remove: code %q op %q, want %q and mem.RemoveRead", e.Code, e.Op, fsmerr.CodeQueue)
 	}
-	if err := c.RemoveWrite(&Request{Domain: 99}); err == nil {
-		t.Error("removing with an out-of-range domain should return an error")
-	} else if fsmerr.CodeOf(err) != fsmerr.CodeQueue {
-		t.Errorf("out-of-range remove: code = %q, want %q", fsmerr.CodeOf(err), fsmerr.CodeQueue)
+	if err := c.Remove(&Request{Domain: 99, Write: true}); !errors.As(err, &e) {
+		t.Errorf("removing with an out-of-range domain returned %v, want an fsmerr.Error", err)
+	} else if e.Code != fsmerr.CodeQueue || e.Op != "mem.RemoveWrite" {
+		t.Errorf("out-of-range remove: code %q op %q, want %q and mem.RemoveWrite", e.Code, e.Op, fsmerr.CodeQueue)
 	}
 }
 
@@ -201,22 +204,11 @@ func TestPrefetchBufferEviction(t *testing.T) {
 	}
 }
 
-func TestDrained(t *testing.T) {
-	c := newCtl(1)
-	if !c.Drained() {
-		t.Fatal("fresh controller should be drained")
-	}
-	c.EnqueueRead(0, addr(0, 0, 1), nil)
-	if c.Drained() {
-		t.Fatal("queued read should block drained")
-	}
-}
-
 // TestBankViewMatchesQueues checks the incrementally kept bank views
 // against their definition: after every step of a random sequence of
 // enqueues (several domains per cycle, in shuffled domain order), full-queue
-// rejects, prefetch-buffer hits that never enqueue, pops and removes
-// (including failed removes), each bank's list must hold its requests in
+// rejects, prefetch-buffer hits that never enqueue, removals of the oldest
+// and of any request (including failed removals), each bank's list must hold its requests in
 // the order of a stable sort by Arrive of the per-domain queues concatenated in
 // domain order, and Older must sort all queued requests into that order.
 func TestBankViewMatchesQueues(t *testing.T) {
@@ -255,21 +247,25 @@ func TestBankViewMatchesQueues(t *testing.T) {
 			c.EnqueueRead(d, a, nil)
 			pfHits += c.Dom[d].UsefulPrefetches - before
 		case op == 6:
-			if rng.IntN(2) == 0 {
-				c.PopRead(d)
-			} else {
-				c.PopWrite(d)
+			q := c.ReadQ[d]
+			if rng.IntN(2) != 0 {
+				q = c.WriteQ[d]
 			}
-		case op == 7:
-			qs, remove := c.ReadQ, c.RemoveRead
-			if rng.IntN(2) == 0 {
-				qs, remove = c.WriteQ, c.RemoveWrite
-			}
-			if q := qs[d]; len(q) > 0 {
-				if err := remove(q[rng.IntN(len(q))]); err != nil {
+			if len(q) > 0 {
+				if err := c.Remove(q[0]); err != nil {
 					t.Fatal(err)
 				}
-			} else if err := remove(&Request{Domain: d}); err == nil {
+			}
+		case op == 7:
+			qs, write := c.ReadQ, false
+			if rng.IntN(2) == 0 {
+				qs, write = c.WriteQ, true
+			}
+			if q := qs[d]; len(q) > 0 {
+				if err := c.Remove(q[rng.IntN(len(q))]); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := c.Remove(&Request{Domain: d, Write: write}); err == nil {
 				t.Fatal("removing a request that is not queued succeeded")
 			}
 		default:
@@ -326,7 +322,7 @@ func bankList(c *Controller, writes bool, k int) []*Request {
 }
 
 // TestRequestRecyclingNeverAliases checks the request free list against
-// seeded enqueue/issue/complete/remove/pop traffic, including
+// seeded enqueue/issue/complete/remove traffic, including
 // prefetch-buffer hits. After every step no request on the free list may
 // still be reachable from a per-domain queue, a bank view or the completion
 // heap, none may be on the list twice, and every one must be zeroed.
@@ -336,11 +332,11 @@ func TestRequestRecyclingNeverAliases(t *testing.T) {
 	c.EnablePrefetch(func(int) *prefetch.Sandbox { return prefetch.New(c.P) })
 	rng := rand.New(rand.NewPCG(5, 17))
 	randAddr := func() dram.Address { return addr(rng.IntN(2), rng.IntN(8), rng.IntN(16)) }
-	pick := func(d int) (q []*Request, remove func(*Request) error) {
+	pick := func(d int) []*Request {
 		if rng.IntN(2) == 0 {
-			return c.ReadQ[d], c.RemoveRead
+			return c.ReadQ[d]
 		}
-		return c.WriteQ[d], c.RemoveWrite
+		return c.WriteQ[d]
 	}
 	recycled := map[*Request]bool{}
 	var reused, pfHits, delivered int
@@ -354,9 +350,9 @@ func TestRequestRecyclingNeverAliases(t *testing.T) {
 		case op < 6:
 			// Issue: a scheduler takes a queued request and schedules its
 			// completion.
-			if q, remove := pick(d); len(q) > 0 {
+			if q := pick(d); len(q) > 0 {
 				r := q[rng.IntN(len(q))]
-				if err := remove(r); err != nil {
+				if err := c.Remove(r); err != nil {
 					t.Fatal(err)
 				}
 				c.CompleteAt(r, c.Cycle+int64(rng.IntN(8)))
@@ -370,15 +366,16 @@ func TestRequestRecyclingNeverAliases(t *testing.T) {
 			c.EnqueueRead(d, a, func() { delivered++ })
 			pfHits += int(c.Dom[d].UsefulPrefetches - before)
 		case op == 7:
-			// Popped or removed without completing: never recycled.
-			if rng.IntN(2) == 0 {
-				c.PopRead(d)
-			} else {
-				c.PopWrite(d)
+			// Removed without completing, oldest first or any: never
+			// recycled.
+			if q := pick(d); len(q) > 0 {
+				if err := c.Remove(q[0]); err != nil {
+					t.Fatal(err)
+				}
 			}
 		case op == 8:
-			if q, remove := pick(d); len(q) > 0 {
-				if err := remove(q[rng.IntN(len(q))]); err != nil {
+			if q := pick(d); len(q) > 0 {
+				if err := c.Remove(q[rng.IntN(len(q))]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -463,7 +460,7 @@ func TestCompletedReadsSumsDomains(t *testing.T) {
 		default:
 			if q := c.ReadQ[d]; len(q) > 0 {
 				r := q[rng.IntN(len(q))]
-				if err := c.RemoveRead(r); err != nil {
+				if err := c.Remove(r); err != nil {
 					t.Fatal(err)
 				}
 				c.CompleteAt(r, c.Cycle+int64(rng.IntN(4)))

@@ -18,9 +18,10 @@ import (
 //	{"c":40,"k":"cmd","dom":0,"cmd":"ACT","rank":0,"bank":1,"row":17,"col":0,"arg":0,"sup":0,"w":0}
 //
 // The Chrome exporter emits the same events in the trace_event JSON-array
-// format, loadable in Perfetto / chrome://tracing: commands and slot events
-// as 1-cycle slices, delivered reads as latency-long slices, reconfiguration
-// as instants. Cycle numbers are mapped 1:1 onto microseconds.
+// format, loadable in Perfetto / chrome://tracing: commands as 1-cycle
+// slices, delivered reads as latency-long slices, slot substitutions and
+// rejected enqueues as instants. Cycle numbers are mapped 1:1 onto
+// microseconds.
 
 // jsonlEvent is the parse shape of one exported line (reader side only; the
 // writer formats by hand).
@@ -184,9 +185,6 @@ func WriteChrome(w io.Writer, t *Tracer) error {
 		case EvDummySlot:
 			err = emit(`{"name":"slot:%s","cat":"fs","ph":"i","ts":%d,"pid":0,"tid":%d,"s":"t"}`,
 				slotSubName(e.Arg), e.Cycle, e.Domain)
-		case EvReconfigure:
-			err = emit(`{"name":"reconfigure:%s","cat":"ctl","ph":"i","ts":%d,"pid":0,"tid":0,"s":"g"}`,
-				reconfigPhaseName(e.Arg), e.Cycle)
 		case EvQueueFull:
 			err = emit(`{"name":"queue-full","cat":"mem","ph":"i","ts":%d,"pid":1,"tid":%d,"s":"t"}`,
 				e.Cycle, e.Domain)
@@ -215,18 +213,6 @@ func slotSubName(arg int64) string {
 		return "skip"
 	case SlotRefresh:
 		return "refresh"
-	}
-	return "?"
-}
-
-func reconfigPhaseName(arg int64) string {
-	switch arg {
-	case ReconfigBegin:
-		return "begin"
-	case ReconfigDrained:
-		return "drained"
-	case ReconfigDone:
-		return "done"
 	}
 	return "?"
 }
@@ -295,8 +281,6 @@ func Timeline(w io.Writer, events []Event) error {
 				q = "write buffer"
 			}
 			desc = fmt.Sprintf("enqueue rejected: %s full", q)
-		case EvReconfigure:
-			desc = fmt.Sprintf("reconfigure %s", reconfigPhaseName(e.Arg))
 		default:
 			desc = fmt.Sprintf("event kind %d", e.Kind)
 		}

@@ -26,7 +26,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.Complete(EvDeliver, 0, dram.Address{}, 4, 2)
 	tr.DummySlot(0, 5, SlotDummy)
 	tr.QueueFull(0, 6, true)
-	tr.Reconfigure(7, ReconfigBegin)
 	if tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer accumulated state")
 	}
@@ -61,7 +60,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	tr.Complete(EvDeliver, 1, dram.Address{Rank: 0, Bank: 5, Row: 6, Col: 7}, 44, 22)
 	tr.DummySlot(0, 45, SlotRefresh)
 	tr.QueueFull(1, 46, false)
-	tr.Reconfigure(47, ReconfigDone)
 
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, tr); err != nil {
@@ -118,7 +116,6 @@ func TestChromeExportIsValidJSON(t *testing.T) {
 	tr.Command(dram.Command{Kind: dram.KindActivate, Rank: 1, Row: 3}, 10, true)
 	tr.Complete(EvDeliver, 0, dram.Address{Bank: 2}, 20, 10)
 	tr.DummySlot(1, 30, SlotPowerDown)
-	tr.Reconfigure(40, ReconfigBegin)
 	tr.QueueFull(0, 50, true)
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, tr); err != nil {
@@ -128,8 +125,8 @@ func TestChromeExportIsValidJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("chrome export is not a JSON array: %v\n%s", err, buf.String())
 	}
-	if len(events) != 5 {
-		t.Fatalf("chrome export has %d events, want 5", len(events))
+	if len(events) != 4 {
+		t.Fatalf("chrome export has %d events, want 4", len(events))
 	}
 	for _, e := range events {
 		for _, key := range []string{"name", "ph", "ts", "pid", "tid"} {

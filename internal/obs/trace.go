@@ -7,8 +7,7 @@ type EventKind uint8
 
 // The event taxonomy. Command events mirror the DRAM bus; span events mark
 // the per-domain request lifecycle (enqueue -> first command -> delivery);
-// the remaining kinds record FS slot substitutions and controller-visible
-// control-plane transitions.
+// the remaining kinds record FS slot substitutions and rejected enqueues.
 const (
 	// EvCmd is one command on the channel's command bus (Cmd/Rank/Bank/
 	// Row/Col from the command; FlagSuppressed marks energy-elided ops).
@@ -34,9 +33,6 @@ const (
 	// EvQueueFull is a rejected enqueue (Arg 0 = read queue, 1 = write
 	// buffer).
 	EvQueueFull
-	// EvReconfigure marks SLA reconfiguration phases; Arg is a
-	// Reconfig* phase constant.
-	EvReconfigure
 )
 
 var eventNames = [...]string{
@@ -49,7 +45,6 @@ var eventNames = [...]string{
 	EvPrefetchFill: "pfill",
 	EvDummySlot:    "slot",
 	EvQueueFull:    "qfull",
-	EvReconfigure:  "reconf",
 }
 
 // String names the kind as it appears in exports.
@@ -66,13 +61,6 @@ const (
 	SlotPowerDown = 1 // the slot's rank set powered down instead (energy opt. 3)
 	SlotSkip      = 2 // transient hazard: the slot idled, grid unchanged
 	SlotRefresh   = 3 // the slot carried a refresh for one of the domain's ranks
-)
-
-// EvReconfigure phase codes (Event.Arg).
-const (
-	ReconfigBegin   = 0 // drain requested, cores stalled
-	ReconfigDrained = 1 // controller and pipeline fully quiesced
-	ReconfigDone    = 2 // new FS engine installed
 )
 
 // Event flags.
@@ -299,12 +287,4 @@ func (t *Tracer) QueueFull(domain int, cycle int64, write bool) {
 		arg = 1
 	}
 	t.record(Event{Cycle: cycle, Kind: EvQueueFull, Arg: arg, Domain: int16(domain)})
-}
-
-// Reconfigure records an SLA reconfiguration phase (a Reconfig* code).
-func (t *Tracer) Reconfigure(cycle int64, phase int64) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Cycle: cycle, Kind: EvReconfigure, Arg: phase, Domain: -1})
 }

@@ -130,7 +130,7 @@ func NewBaseline(p dram.Params, cfg mem.Config) *Baseline {
 // Name implements mem.Scheduler.
 func (b *Baseline) Name() string { return "baseline" }
 
-// NextEvent implements mem.EventSource. It is the earliest candidate bound
+// NextEvent implements mem.Scheduler. It is the earliest candidate bound
 // and, with refresh on, the refresh path's bound; it is the current cycle
 // while the next tick would move the drain latch, which the dense loop
 // updates on every cycle and ObsMetrics reports. The answer stays valid
@@ -282,7 +282,7 @@ func (b *Baseline) probe(c *mem.Controller, r *mem.Request, writes bool, kind in
 	switch kind {
 	case probeACT:
 		cmd := dram.Command{Kind: dram.KindActivate, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Row: r.Addr.Row, Domain: r.Domain}
-		if ok, _ := c.TryIssue(cmd); !ok {
+		if ok, _ := c.Issue(cmd, false); !ok {
 			return false
 		}
 		c.RecordFirstCommand(r)
@@ -290,7 +290,7 @@ func (b *Baseline) probe(c *mem.Controller, r *mem.Request, writes bool, kind in
 		return true
 	case probePRE:
 		cmd := dram.Command{Kind: dram.KindPrecharge, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Domain: r.Domain}
-		ok, _ := c.TryIssue(cmd)
+		ok, _ := c.Issue(cmd, false)
 		return ok
 	}
 	return b.issueCAS(c, r, writes)
@@ -541,7 +541,7 @@ func (b *Baseline) issueCAS(c *mem.Controller, r *mem.Request, write bool) bool 
 		dataStart = c.P.WriteDataStart()
 	}
 	cmd := dram.Command{Kind: kind, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Col: r.Addr.Col, Domain: r.Domain}
-	if ok, _ := c.TryIssue(cmd); !ok {
+	if ok, _ := c.Issue(cmd, false); !ok {
 		return false
 	}
 	c.RecordFirstCommand(r)
@@ -549,13 +549,7 @@ func (b *Baseline) issueCAS(c *mem.Controller, r *mem.Request, write bool) bool 
 		c.Dom[r.Domain].RowHits++
 	}
 	r.DataEnd = c.Cycle + int64(dataStart) + int64(c.P.TBURST)
-	var err error
-	if write {
-		err = c.RemoveWrite(r)
-	} else {
-		err = c.RemoveRead(r)
-	}
-	if err != nil {
+	if err := c.Remove(r); err != nil {
 		c.ReportViolation(err)
 	}
 	c.CompleteAt(r, r.DataEnd)
@@ -592,7 +586,7 @@ func (b *Baseline) tickRefresh(c *mem.Controller) bool {
 // tryRefresh probes a command of the refresh path, folding the bound of a
 // blocked one into refreshAt.
 func (b *Baseline) tryRefresh(c *mem.Controller, cmd dram.Command) bool {
-	if ok, _ := c.TryIssue(cmd); ok {
+	if ok, _ := c.Issue(cmd, false); ok {
 		return true
 	}
 	bank, rank := c.Chan.Bounds(cmd, c.Cycle)

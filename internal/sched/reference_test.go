@@ -14,19 +14,38 @@ import (
 )
 
 // refBaseline is the Baseline policy as it was before the incremental age
-// view and the per-bank probe memo: every serve call re-gathers and
+// view, the per-bank probe memo and the wake: every tick re-gathers and
 // insertion-sorts all queues, probes every candidate, and rescans every
-// queue for each row-conflict candidate. It shares Baseline's state,
-// refresh and CAS paths, which that change left untouched, and serves as
-// the oracle the optimized policy must match command for command.
+// queue for each row-conflict candidate. It keeps its own watermarks,
+// drain latch and refresh deadlines and its own CAS and refresh paths,
+// sharing no code with Baseline, and serves as the oracle the optimized
+// policy must match command for command. It ticks on every cycle.
 type refBaseline struct {
-	*Baseline
-	scratch []*mem.Request
+	hi, lo          int
+	draining        bool
+	RefreshEnabled  bool
+	refreshDeadline []int64
+	banks           int
+	scratch         []*mem.Request
 }
 
 func newRefBaseline(p dram.Params, cfg mem.Config) *refBaseline {
-	return &refBaseline{Baseline: NewBaseline(p, cfg)}
+	total := cfg.WriteCap * cfg.Domains
+	b := &refBaseline{
+		hi:              total * 3 / 4,
+		lo:              total / 4,
+		refreshDeadline: make([]int64, p.RanksPerChan),
+		banks:           p.BanksPerRank,
+	}
+	for r := range b.refreshDeadline {
+		b.refreshDeadline[r] = int64(p.TREFI)
+	}
+	return b
 }
+
+func (b *refBaseline) Name() string { return "baseline-reference" }
+
+func (b *refBaseline) NextEvent(c *mem.Controller) int64 { return c.Cycle }
 
 func (b *refBaseline) Tick(c *mem.Controller) {
 	if b.RefreshEnabled && b.tickRefresh(c) {
@@ -71,7 +90,7 @@ func (b *refBaseline) serve(c *mem.Controller, writes bool) bool {
 	for _, r := range reqs {
 		if c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) == dram.ClosedRow {
 			cmd := dram.Command{Kind: dram.KindActivate, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Row: r.Addr.Row, Domain: r.Domain}
-			if ok, _ := c.TryIssue(cmd); ok {
+			if ok, _ := c.Issue(cmd, false); ok {
 				c.RecordFirstCommand(r)
 				r.Acted = true
 				return true
@@ -88,7 +107,7 @@ func (b *refBaseline) serve(c *mem.Controller, writes bool) bool {
 			continue
 		}
 		cmd := dram.Command{Kind: dram.KindPrecharge, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Domain: r.Domain}
-		if ok, _ := c.TryIssue(cmd); ok {
+		if ok, _ := c.Issue(cmd, false); ok {
 			return true
 		}
 	}
@@ -126,6 +145,60 @@ func (b *refBaseline) anyWantsRow(c *mem.Controller, rank, bank, row int) bool {
 		}
 	}
 	return false
+}
+
+func (b *refBaseline) issueCAS(c *mem.Controller, r *mem.Request, write bool) bool {
+	kind, dataStart := dram.KindRead, c.P.ReadDataStart()
+	if write {
+		kind, dataStart = dram.KindWrite, c.P.WriteDataStart()
+	}
+	cmd := dram.Command{Kind: kind, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Col: r.Addr.Col, Domain: r.Domain}
+	if ok, _ := c.Issue(cmd, false); !ok {
+		return false
+	}
+	c.RecordFirstCommand(r)
+	if !r.Acted {
+		c.Dom[r.Domain].RowHits++
+	}
+	r.DataEnd = c.Cycle + int64(dataStart) + int64(c.P.TBURST)
+	if err := c.Remove(r); err != nil {
+		c.ReportViolation(err)
+	}
+	c.CompleteAt(r, r.DataEnd)
+	return true
+}
+
+// tickRefresh refreshes the first rank past its deadline: it precharges
+// the rank's open banks in bank order, then issues REF. It returns true
+// if it used the command bus.
+func (b *refBaseline) tickRefresh(c *mem.Controller) bool {
+	for rank := range b.refreshDeadline {
+		if c.Cycle < b.refreshDeadline[rank] {
+			continue
+		}
+		for bank := 0; bank < b.banks; bank++ {
+			if c.Chan.OpenRow(rank, bank) != dram.ClosedRow {
+				ok, _ := c.Issue(dram.Command{Kind: dram.KindPrecharge, Rank: rank, Bank: bank, Domain: dram.NoDomain}, false)
+				return ok
+			}
+		}
+		ok, _ := c.Issue(dram.Command{Kind: dram.KindRefresh, Rank: rank, Domain: dram.NoDomain}, false)
+		if ok {
+			b.refreshDeadline[rank] += int64(c.P.TREFI)
+		}
+		return ok
+	}
+	return false
+}
+
+func (b *refBaseline) ObsMetrics(emit func(name string, value float64)) {
+	emit("drain_high_watermark", float64(b.hi))
+	emit("drain_low_watermark", float64(b.lo))
+	draining := 0.0
+	if b.draining {
+		draining = 1
+	}
+	emit("draining", draining)
 }
 
 // issuedCmd is one command as the channel accepted it.

@@ -117,7 +117,7 @@ func CheckTP(p dram.Params, mode TPMode, domains int, turnLength int64) error {
 // Name implements mem.Scheduler.
 func (t *TP) Name() string { return fmt.Sprintf("tp-%s-%d", t.mode, t.TurnLength) }
 
-// NextEvent implements mem.EventSource: the wake the last tick recorded
+// NextEvent implements mem.Scheduler: the wake the last tick recorded
 // while the controller's Gen is unchanged, else now.
 func (t *TP) NextEvent(c *mem.Controller) int64 { return t.wake.next(c) }
 
@@ -170,13 +170,7 @@ func (t *TP) tick(c *mem.Controller) bool {
 	c.RecordFirstCommand(req)
 	req.Acted = true
 	t.lastAct, t.lastActTurn = c.Cycle, turn
-	var err error
-	if req.Write {
-		err = c.RemoveWrite(req)
-	} else {
-		err = c.RemoveRead(req)
-	}
-	if err != nil {
+	if err := c.Remove(req); err != nil {
 		c.ReportViolation(err)
 	}
 	t.started = append(t.started, req)

@@ -12,7 +12,7 @@ import (
 // ReadyAt and any deadline the policy keeps itself. No tick before that
 // cycle can issue while the controller's Gen stays the same, because the
 // tick would make the same probes and each would fail again. Any enqueue,
-// pop, removal, applied command or derate changes Gen and expires the wake.
+// removal, applied command or derate changes Gen and expires the wake.
 type wake struct {
 	at  int64  // the recorded bound; at most the tick's own cycle after an issue
 	gen uint64 // Controller.Gen when the bound was recorded
@@ -24,10 +24,10 @@ func (w *wake) start() { w.at = math.MaxInt64 }
 // fold lowers the tick's bound to at.
 func (w *wake) fold(at int64) { w.at = min(w.at, at) }
 
-// try probes cmd with Controller.TryIssue and folds a failed probe's
+// try issues cmd with Controller.Issue and folds a refused command's
 // bound.
 func (w *wake) try(c *mem.Controller, cmd dram.Command) bool {
-	ok, at := c.TryIssue(cmd)
+	ok, at := c.Issue(cmd, false)
 	if !ok {
 		w.fold(at)
 	}

@@ -667,103 +667,9 @@ func (s *System) DomainInstructions(domain int) int64 {
 	return l.chans[0].ctl.Dom[d].Instructions
 }
 
-// Reconfigure performs the §5.1 SLA change: it drains the memory
-// controller "similar to a CPU pipeline drain on a context-switch" (cores
-// are stalled, queued transactions finish under the old schedule), then
-// swaps in a fresh Fixed Service engine with the new slot weights. Only
-// FS policies on a single channel can be reconfigured, and the spatial
-// partitioning (page coloring) is unchanged.
-func (s *System) Reconfigure(weights []int) error {
-	if len(s.chans) > 1 {
-		return fsmerr.New(fsmerr.CodeConfig, "sim.Reconfigure",
-			"SLA reconfiguration is not supported on a multi-channel fabric")
-	}
-	ch := s.chans[0]
-	ctl := ch.ctl
-	if ch.fs == nil {
-		return fsmerr.New(fsmerr.CodeConfig, "sim.Reconfigure",
-			"only Fixed Service schedulers support SLA reconfiguration (running %s)", ctl.Scheduler().Name())
-	}
-	newCfg := core.Config{
-		Variant:        s.cfg.Scheduler.FSVariant(),
-		Domains:        len(s.cfg.Mix.Profiles),
-		Seed:           s.cfg.Seed + 1,
-		Energy:         s.cfg.Energy,
-		Weights:        weights,
-		RefreshEnabled: s.cfg.RefreshEnabled,
-	}
-	// Validate the new schedule BEFORE draining: a rejected reconfiguration
-	// must leave the running schedule untouched, and the drain quiesces the
-	// old engine. (A dry construction is cheap — the solver is closed-form.)
-	if _, err := core.NewFS(s.cfg.DRAM, newCfg); err != nil {
-		return fsmerr.Wrap(fsmerr.CodeConfig, "sim.Reconfigure", err)
-	}
-	// The drain ticks the controller alone; the lane's clock follows it.
-	defer func() { s.lanes[0].rebase(ctl.Cycle) }()
-	// Drain in two phases: first let queued demand transactions finish
-	// under the old schedule (cores stalled), then quiesce slot planning so
-	// the pipeline itself empties.
-	ctl.Obs.Reconfigure(ctl.Cycle, obs.ReconfigBegin)
-	deadline := ctl.Cycle + 4_000_000
-	for ctl.PendingReads() > 0 || ctl.PendingWrites() > 0 {
-		ctl.Tick()
-		if ctl.Cycle > deadline {
-			e := fsmerr.New(fsmerr.CodeDrain, "sim.Reconfigure",
-				"drain phase 1 did not complete by cycle %d (%d reads, %d writes pending)",
-				deadline, ctl.PendingReads(), ctl.PendingWrites())
-			e.Cycle = ctl.Cycle
-			return e
-		}
-	}
-	ch.fs.BeginDrain()
-	for !(ctl.Drained() && ch.fs.Idle()) {
-		ctl.Tick()
-		if ctl.Cycle > deadline {
-			ch.fs.CancelDrain()
-			e := fsmerr.New(fsmerr.CodeDrain, "sim.Reconfigure",
-				"drain phase 2 did not complete by cycle %d", deadline)
-			e.Cycle = ctl.Cycle
-			return e
-		}
-	}
-	ctl.Obs.Reconfigure(ctl.Cycle, obs.ReconfigDrained)
-	newCfg.StartCycle = ctl.Cycle + 1
-	fs, err := core.NewFS(s.cfg.DRAM, newCfg)
-	if err != nil {
-		// Pre-validation makes this unreachable, but if it ever fires the
-		// old schedule must resume rather than stay quiesced forever.
-		ch.fs.CancelDrain()
-		return fsmerr.Wrap(fsmerr.CodeConfig, "sim.Reconfigure", err)
-	}
-	ch.fs = fs
-	ctl.SetScheduler(fs)
-	s.cfg.SLAWeights = weights
-	ctl.Obs.Reconfigure(ctl.Cycle, obs.ReconfigDone)
-	return nil
-}
-
-// rebase moves the lane's clock to cycle after its controller ran alone
-// (the Reconfigure drain) with the cores stalled: each core is brought up
-// to the old clock, shifted to the new one without running the cycles in
-// between, and replanned, since completions during the drain may have
-// unblocked it.
-func (l *lane) rebase(cycle int64) {
-	l.sync(l.cores...)
-	l.clock = cycle
-	if l.dense {
-		return
-	}
-	for _, c := range l.cores {
-		c.at = cycle * l.cpb
-		c.plan()
-	}
-	l.coreNext = l.earliestCore()
-}
-
 // Step advances the system by one DRAM bus cycle: every lane steps once,
 // serially, in channel order, so callers that sample state between steps
-// (Figure 4's profiles, Reconfigure, the tests) see every lane at the same
-// cycle.
+// (Figure 4's profiles, the tests) see every lane at the same cycle.
 func (s *System) Step() {
 	for _, l := range s.lanes {
 		l.step()
