@@ -127,6 +127,9 @@ func run(schedName, wl string, cores int, seed uint64, cycles int64, workers int
 					continue
 				}
 				fmt.Printf("  detail %s: injected %+v\n", o.Plan, o.Injected)
+				for _, v := range o.Violations {
+					fmt.Printf("    %v\n", v)
+				}
 			}
 		}
 	}

@@ -108,7 +108,10 @@ type Options struct {
 // Metrics holds live campaign counters, safe for concurrent update. It
 // implements obs.MetricSource structurally via ObsMetrics.
 type Metrics struct {
-	AttacksEvaluated  atomic.Int64
+	AttacksEvaluated atomic.Int64
+	// WindowsSimulated counts the covert-channel windows simulated: one
+	// per bit value an evaluation's message sends (see
+	// leakage.RunChannel), not one per message bit.
 	WindowsSimulated  atomic.Int64
 	MonitorViolations atomic.Int64
 	CertifyRuns       atomic.Int64
@@ -282,7 +285,7 @@ func Run(ctx context.Context, k sim.SchedulerKind, o Options) (*LeakageCertifica
 						return leakage.ChannelRun{}, err
 					}
 					if m := o.Metrics; m != nil {
-						m.WindowsSimulated.Add(int64(len(msg)))
+						m.WindowsSimulated.Add(int64(run.Simulated))
 						m.MonitorViolations.Add(int64(run.MonitorViolations))
 					}
 					if o.Progress != nil {

@@ -3,7 +3,9 @@ package audit
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -26,8 +28,11 @@ func fastOpts() Options {
 }
 
 // The determinism contract the whole integration rests on: same options,
-// any worker count, byte-identical certificate.
+// any worker count, byte-identical certificate — and the bytes themselves
+// are pinned, so a change to what the campaign measures cannot pass by
+// moving every worker count alike.
 func TestCertificateByteIdentityAcrossWorkers(t *testing.T) {
+	const pinned = "ca20a7c50782ca38c8a86fee4f6940a4111c348e27436ecaa3307cf27a2a1df6"
 	var want []byte
 	for _, j := range []int{1, 4, 8} {
 		o := fastOpts()
@@ -45,6 +50,9 @@ func TestCertificateByteIdentityAcrossWorkers(t *testing.T) {
 		} else if !bytes.Equal(b, want) {
 			t.Fatalf("j=%d: certificate differs from j=1:\n%s\nvs\n%s", j, b, want)
 		}
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(want)); got != pinned {
+		t.Errorf("FS_NP certificate drifted:\n got %s\nwant %s\n%s", got, pinned, want)
 	}
 }
 
@@ -64,6 +72,13 @@ func TestBaselineCertifiesLeaky(t *testing.T) {
 	}
 	if cert.MonitorViolations != 0 {
 		t.Errorf("clean baseline audit saw %d monitor violations", cert.MonitorViolations)
+	}
+	b, err := MarshalCertificate(cert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(b)), "86f8e30292aec01d8b1eed3633eac5f86db6ca783e5163675e526640283cd82d"; got != want {
+		t.Errorf("Baseline certificate drifted:\n got %s\nwant %s\n%s", got, want, b)
 	}
 }
 
@@ -251,6 +266,11 @@ func TestMetricsAccumulate(t *testing.T) {
 		t.Errorf("metrics did not accumulate: %+v", map[string]int64{
 			"attacks": m.AttacksEvaluated.Load(), "windows": m.WindowsSimulated.Load(), "certify": m.CertifyRuns.Load()})
 	}
+	// Every evaluation sends the balanced message, so it simulates one
+	// window per bit value, whatever the message length.
+	if got, want := m.WindowsSimulated.Load(), 2*(m.AttacksEvaluated.Load()+m.CertifyRuns.Load()); got != want {
+		t.Errorf("windows simulated = %d, want %d: two per evaluation", got, want)
+	}
 	if progress == 0 {
 		t.Error("progress callback never fired")
 	}
@@ -258,9 +278,12 @@ func TestMetricsAccumulate(t *testing.T) {
 
 // TestRunStopsPromptlyOnCancel: canceling a campaign stops the covert
 // windows in flight, so Run returns CodeCanceled within one simulation
-// poll rather than after every running attack's whole message.
+// poll rather than after every running attack's windows. An evaluation
+// simulates one window per bit value, so the window is what keeps the
+// campaign running long past the cancellation (about 8 s uncanceled on a
+// 2-vCPU host).
 func TestRunStopsPromptlyOnCancel(t *testing.T) {
-	o := Options{Domains: 4, Bits: 256, WindowBusCycles: 400_000, Workers: 2, Seed: 42}
+	o := Options{Domains: 4, Bits: 256, WindowBusCycles: 4_000_000, Workers: 2, Seed: 42}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	canceledAt := make(chan time.Time, 1)

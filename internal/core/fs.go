@@ -429,9 +429,11 @@ func (f *FS) insertPending(pc plannedCmd) {
 }
 
 // slotSelectCycle is when slot s must choose its transaction: the cycle of
-// its earliest possible command.
+// its earliest possible command, anchor0 + s·l + MinOffset. NewFS sets
+// anchor0 to −MinOffset for every slot-grid variant (the only callers), so
+// the sum is s·l and no tick rescans the offsets for it.
 func (f *FS) slotSelectCycle(s int64) int64 {
-	return f.anchor0 + s*int64(f.l) + int64(f.off.MinOffset())
+	return s * int64(f.l)
 }
 
 // slotDomain maps a global slot to its security domain.

@@ -360,16 +360,21 @@ type ChannelRun struct {
 	// nonzero count means the runs cannot certify anything: the premises
 	// of the non-interference argument did not hold while measuring.
 	MonitorViolations int
+	// Simulated counts the windows simulated: one per bit value sent.
+	Simulated int
 }
 
 // RunChannel runs the parameterized covert channel: domain 0 times a fixed
 // probe loop per window while every other domain replays the On profile
 // for a 1 bit and the Off profile for a 0 bit; the receiver thresholds its
 // window observable halfway between the fastest and slowest windows (the
-// calibration a real attacker would do). One simulation per window, all
-// with the same seed, so the sender's modulation is the only varying
-// input — exactly a sender flipping load phases. A canceled ctx stops the
-// window in flight and returns a CodeCanceled error.
+// calibration a real attacker would do). Every window runs from cycle 0
+// under the same seed, so the sender's modulation is the only varying
+// input — exactly a sender flipping load phases — and a window's
+// simulation is a function of its bit (windowConfig): each bit value is
+// simulated once, at its first use, and its windows share that run's
+// observable and monitor verdict. A canceled ctx stops the window in
+// flight and returns a CodeCanceled error.
 func RunChannel(ctx context.Context, k sim.SchedulerKind, message []bool, p ChannelParams) (ChannelRun, error) {
 	if p.WindowBusCycles <= 0 {
 		return ChannelRun{}, fsmerr.New(fsmerr.CodeConfig, "leakage.RunChannel",
@@ -384,32 +389,31 @@ func RunChannel(ctx context.Context, k sim.SchedulerKind, message []bool, p Chan
 	}
 
 	run := ChannelRun{Durations: make([]float64, len(message))}
+	// windows[1] is the 1 bit's simulated window, windows[0] the 0 bit's.
+	var windows [2]struct {
+		simulated  bool
+		observable float64
+		violations int
+	}
 	for i, bit := range message {
-		victim := p.Off
+		w := &windows[0]
 		if bit {
-			victim = p.On
+			w = &windows[1]
 		}
-		mix := workload.Mix{Name: "covert", Profiles: make([]workload.Profile, p.Domains)}
-		mix.Profiles[0] = p.Probe
-		for d := 1; d < p.Domains; d++ {
-			mix.Profiles[d] = victim
+		if !w.simulated {
+			res, err := sim.SimulateContext(ctx, windowConfig(k, p, bit))
+			if err != nil {
+				return ChannelRun{}, err
+			}
+			// Receiver observable: its own progress in the fixed window.
+			w.simulated, w.observable = true, float64(res.Run.Domains[0].Instructions)
+			if m := res.Monitor; m != nil {
+				w.violations = m.TimingViolations + m.ScheduleViolations + m.SchedulerViolations
+			}
+			run.Simulated++
 		}
-		cfg := sim.DefaultConfig(mix, k)
-		cfg.Seed = p.Seed
-		cfg.TargetReads = 0
-		cfg.MaxBusCycles = p.WindowBusCycles
-		cfg.Fault = p.Fault
-		cfg.Channels = p.Channels
-		cfg.Routing = p.Routing
-		res, err := sim.SimulateContext(ctx, cfg)
-		if err != nil {
-			return ChannelRun{}, err
-		}
-		// Receiver observable: its own progress in the fixed window.
-		run.Durations[i] = float64(res.Run.Domains[0].Instructions)
-		if m := res.Monitor; m != nil {
-			run.MonitorViolations += m.TimingViolations + m.ScheduleViolations + m.SchedulerViolations
-		}
+		run.Durations[i] = w.observable
+		run.MonitorViolations += w.violations
 	}
 
 	// Threshold halfway between the fastest and slowest windows. A
@@ -447,6 +451,28 @@ func RunChannel(ctx context.Context, k sim.SchedulerKind, message []bool, p Chan
 		BitErrorRate: float64(errors) / float64(len(message)),
 	}
 	return run, nil
+}
+
+// windowConfig is the config of a window sending bit: the probe in
+// domain 0 and the bit's sender profile in every other domain.
+func windowConfig(k sim.SchedulerKind, p ChannelParams, bit bool) sim.Config {
+	victim := p.Off
+	if bit {
+		victim = p.On
+	}
+	mix := workload.Mix{Name: "covert", Profiles: make([]workload.Profile, p.Domains)}
+	mix.Profiles[0] = p.Probe
+	for d := 1; d < p.Domains; d++ {
+		mix.Profiles[d] = victim
+	}
+	cfg := sim.DefaultConfig(mix, k)
+	cfg.Seed = p.Seed
+	cfg.TargetReads = 0
+	cfg.MaxBusCycles = p.WindowBusCycles
+	cfg.Fault = p.Fault
+	cfg.Channels = p.Channels
+	cfg.Routing = p.Routing
+	return cfg
 }
 
 // CovertLoads returns the classic covert channel's workloads: the

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fsmem/internal/addr"
+	"fsmem/internal/fault"
 	"fsmem/internal/fsmerr"
 	"fsmem/internal/sim"
 	"fsmem/internal/workload"
@@ -115,9 +116,6 @@ func TestMutualInformationEstimator(t *testing.T) {
 }
 
 func TestCovertChannel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("covert channel runs many windows")
-	}
 	message := []bool{true, false, true, true, false, false, true, false, true, false, false, true}
 	base, err := CovertChannel(sim.Baseline, 8, message, 40_000, 7)
 	if err != nil {
@@ -133,6 +131,63 @@ func TestCovertChannel(t *testing.T) {
 	}
 	if fsres.BitErrorRate < 0.3 {
 		t.Errorf("FS covert channel BER %.2f: FS should reduce the channel to chance", fsres.BitErrorRate)
+	}
+}
+
+// TestRunChannelWindowsMatchTheirOwnSimulation pins RunChannel's window
+// reuse: every window's observable equals the receiver's progress in a
+// simulation of that window's own config, and the monitor's count sums
+// over every window, also under a fault plan that fires mid-window.
+func TestRunChannelWindowsMatchTheirOwnSimulation(t *testing.T) {
+	probe, burst, quiet := CovertLoads()
+	message := []bool{true, false, false, true, true, false}
+	dropACT, ok := fault.PlanByName("drop-act", 4, 7) // fires at cycle 2,000
+	if !ok {
+		t.Fatal("no drop-act plan")
+	}
+	cases := []struct {
+		name  string
+		sched sim.SchedulerKind
+		plan  *fault.Plan
+	}{
+		{"Baseline", sim.Baseline, nil},
+		{"FS_RP", sim.FSRankPart, nil},
+		{"FS_RP/drop-act", sim.FSRankPart, dropACT},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			p := ChannelParams{Domains: 4, Probe: probe, On: burst, Off: quiet,
+				WindowBusCycles: 4_000, Seed: 11, Fault: c.plan}
+			run, err := RunChannel(context.Background(), c.sched, message, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run.Simulated != 2 {
+				t.Errorf("simulated %d windows, want one per bit value", run.Simulated)
+			}
+			violations := 0
+			for i, bit := range message {
+				res, err := sim.Simulate(windowConfig(c.sched, p, bit))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := float64(res.Run.Domains[0].Instructions); run.Durations[i] != want {
+					t.Errorf("window %d (bit %v): observable %v, its own simulation reads %v", i, bit, run.Durations[i], want)
+				}
+				m := res.Monitor
+				violations += m.TimingViolations + m.ScheduleViolations + m.SchedulerViolations
+			}
+			if run.MonitorViolations != violations {
+				t.Errorf("monitor violations %d, the windows' own runs sum to %d", run.MonitorViolations, violations)
+			}
+			if c.plan != nil && violations == 0 {
+				t.Error("drop-act raised no monitor violation")
+			}
+			if c.sched == sim.Baseline && run.Durations[0] == run.Durations[1] {
+				t.Error("the Baseline's windows read alike for both bits, so the check cannot tell their runs apart")
+			}
+		})
 	}
 }
 

@@ -34,6 +34,10 @@ type FaultOutcome struct {
 	ScheduleViolations  int
 	SchedulerViolations int
 	Injected            fault.Counts
+	// Violations holds the violations the monitor stored verbatim (the
+	// first of those counted above) for reports that print their texts.
+	// Serialized outcomes carry only the counts.
+	Violations []*fsmerr.Error `json:"-"`
 
 	// ChangedDomains lists non-target domains whose read-delivery trace —
 	// the core-observable timing — diverged from the reference run. A
@@ -158,6 +162,7 @@ func RunCampaignContext(ctx context.Context, cfg Config, plans []*fault.Plan, wo
 			ScheduleViolations:  rep.ScheduleViolations,
 			SchedulerViolations: rep.SchedulerViolations,
 			Injected:            rep.Injected,
+			Violations:          rep.Violations,
 		}
 		// Exclude intentionally perturbed domains from the leak verdict:
 		// load-fault targets and the direct victims of command faults. Their
