@@ -279,11 +279,12 @@ func TestMetricsAccumulate(t *testing.T) {
 // TestRunStopsPromptlyOnCancel: canceling a campaign stops the covert
 // windows in flight, so Run returns CodeCanceled within one simulation
 // poll rather than after every running attack's windows. An evaluation
-// simulates one window per bit value, so the window is what keeps the
-// campaign running long past the cancellation (about 8 s uncanceled on a
-// 2-vCPU host).
+// simulates one window per bit value, so the window is long enough that one
+// simulation alone outlasts the 1 s bound (about 3.6 s on a 2-vCPU host):
+// a window that ignored the cancellation would fail the test, while a
+// working one costs only the 200 ms before the cancel.
 func TestRunStopsPromptlyOnCancel(t *testing.T) {
-	o := Options{Domains: 4, Bits: 256, WindowBusCycles: 4_000_000, Workers: 2, Seed: 42}
+	o := Options{Domains: 4, Bits: 256, WindowBusCycles: 100_000_000, Workers: 2, Seed: 42}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	canceledAt := make(chan time.Time, 1)
