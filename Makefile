@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race fmt staticcheck bench bench-baseline benchdiff chaos audit sweep cover fuzz trace clean
+.PHONY: tier1 build vet test race fmt staticcheck bench bench-baseline benchdiff bench-check chaos audit sweep cover fuzz trace clean
 
 # COVER_FLOOR is the statement-coverage percentage `make cover` enforces;
 # FUZZTIME bounds each `make fuzz` target run.
@@ -59,6 +59,12 @@ benchdiff:
 		-ratio-max BenchmarkBaselineTickQ64:BenchmarkBaselineTickQ64Reference:0.15 \
 		-ratio-max BenchmarkStepFSRPMilc8:BenchmarkStepFSRPMilc8Dense:0.75 \
 		-ratio-max BenchmarkStepBaselineMilc8:BenchmarkStepBaselineMilc8Dense:0.80
+
+# bench-check runs every fsbench workload for one second: each checks its
+# outputs against the seed-42 golden and a dense re-run, and the target
+# fails on any drift. Only fsbench pins output bytes across commits.
+bench-check:
+	bash bench/run.sh --seconds 1
 
 # chaos runs the fault-injection campaign against every scheduler; it exits
 # non-zero if any Fixed Service variant lets a fault through undetected.

@@ -11,9 +11,9 @@ import (
 const NeverCycle = int64(-1) << 60
 
 // NeverReady is the ready-at cycle of a command that no amount of waiting
-// makes legal: a state rejection such as an ACT to an open bank, a CAS to
-// a closed one or any command to a powered-down rank. Only another command
-// (or a derate) can change the verdict.
+// makes legal: a state rejection such as an ACT to an open bank or a CAS
+// to a closed one. Only another command (or a derate) can change the
+// verdict.
 const NeverReady = int64(math.MaxInt64)
 
 // ClosedRow marks a bank with no open row.
@@ -49,10 +49,6 @@ type rankState struct {
 	lastCAS          int64
 	lastWriteDataEnd int64
 	refreshUntil     int64 // rank busy with refresh until this cycle (exclusive)
-	poweredDown      bool
-	powerDownStart   int64
-	powerUpReady     int64
-	pdCycles         int64 // accumulated powered-down cycles
 
 	// Per-bank-group state for DDR4 long timings (length BankGroups, or 1).
 	groups []groupState
@@ -77,7 +73,11 @@ type Counters struct {
 	SuppressedPrecharges                              int64
 	CmdBusBusy                                        int64
 	DataBusBusy                                       int64
-	PowerDowns, PowerUps                              int64
+	// PowerDowns and PowerUps are always zero: no controller issues a
+	// power-down command, and core.FS accounts for rank power-down
+	// analytically (FSStats.PowerDownCycles). They stay because a run's
+	// serialized Result and its power_downs/power_ups metrics carry them.
+	PowerDowns, PowerUps int64
 }
 
 // Add accumulates another channel's counters into c — every field, so a
@@ -126,7 +126,6 @@ type Channel struct {
 	derate       []Derate // per-rank additive timing margins (nil = nominal)
 	lastCmdCycle int64
 	dataOcc      []dataSlot // live data-bus bursts, past and scheduled (see recordData)
-	now          int64      // latest cycle seen (for power-down accounting)
 	gen          uint64     // state changes so far (see Gen)
 
 	Counters Counters
@@ -154,7 +153,6 @@ func NewChannel(p Params) *Channel {
 		rk.lastCAS = NeverCycle
 		rk.lastWriteDataEnd = NeverCycle
 		rk.refreshUntil = NeverCycle
-		rk.powerUpReady = NeverCycle
 		for i := range rk.actHist {
 			rk.actHist[i] = NeverCycle
 		}
@@ -177,20 +175,6 @@ func NewChannel(p Params) *Channel {
 
 // OpenRow returns the row currently open in the bank, or ClosedRow.
 func (ch *Channel) OpenRow(rank, bank int) int { return ch.ranks[rank].banks[bank].openRow }
-
-// PoweredDown reports whether the rank is in a power-down state.
-func (ch *Channel) PoweredDown(rank int) bool { return ch.ranks[rank].poweredDown }
-
-// PowerDownCycles returns the accumulated powered-down cycles for the rank,
-// counting an ongoing power-down up to the most recent command cycle seen.
-func (ch *Channel) PowerDownCycles(rank int) int64 {
-	rk := &ch.ranks[rank]
-	c := rk.pdCycles
-	if rk.poweredDown && ch.now > rk.powerDownStart {
-		c += ch.now - rk.powerDownStart
-	}
-	return c
-}
 
 func (ch *Channel) bank(rank, bank int) *bankState { return &ch.ranks[rank].banks[bank] }
 
@@ -255,16 +239,15 @@ func (v *verdict) groupRule(r string, clear int64) {
 	}
 }
 
-// rankRule records a rank-wide rule: rank power state, tXP, tRFC, tRRD,
-// tFAW, tCCD or tWTR.
+// rankRule records a rank-wide rule: tRFC, tRRD, tFAW, tCCD or tWTR.
 func (v *verdict) rankRule(r string, clear int64) {
 	if v.rejects(r, clear) {
 		v.rank = max(v.rank, clear)
 	}
 }
 
-// openBank records the state rejection of a rank-level command (REF, PD)
-// while bank b of the rank is open.
+// openBank records the state rejection of a REF while bank b of the rank
+// is open.
 func (v *verdict) openBank(r string, b int) {
 	if v.at == v.cycle {
 		v.arg = b + 1
@@ -332,23 +315,23 @@ func (ch *Channel) Bounds(cmd Command, from int64) (bank, rank int64) {
 // are the fourth scope (BusBound).
 type Scopes struct {
 	// Bank is the bank's own state and timings: its open row, tRP, tRC,
-	// tRCD, tRAS, tRTP and tWR (every bank's of the rank for REF and PD).
-	// Only a command to the bank, or a REF to its rank, moves it.
+	// tRCD, tRAS, tRTP and tWR (every bank's of the rank for REF). Only a
+	// command to the bank, or a REF to its rank, moves it.
 	Bank int64
 	// Group is the DDR4 bank-group timings, tRRD_L, tCCD_L and tWTR_L,
 	// stated only when Params.BankGroups > 1. Only an ACT or CAS to a bank
 	// of the group moves it.
 	Group int64
-	// Rank is the rank-wide rules: power state, tXP, tRFC, tRRD, tFAW,
-	// tCCD and tWTR. It is the same for every bank of the rank, and only a
-	// command to the rank moves it.
+	// Rank is the rank-wide rules: tRFC, tRRD, tFAW, tCCD and tWTR. It is
+	// the same for every bank of the rank, and only a command to the rank
+	// moves it.
 	Rank int64
 }
 
 // Scopes returns the scopes of a command of kind k to the rank and bank
-// (any bank for REF, PD and PU), read from the same rules canIssue
-// applies. Besides the commands each scope names, a derate moves them
-// all. An invalid target gives NeverReady in every scope.
+// (any bank for REF), read from the same rules canIssue applies. Besides
+// the commands each scope names, a derate moves them all. An invalid
+// target gives NeverReady in every scope.
 func (ch *Channel) Scopes(k Kind, rank, bank int) Scopes {
 	if !ch.valid(k, rank, bank) {
 		return Scopes{NeverReady, NeverReady, NeverReady}
@@ -389,11 +372,11 @@ func (ch *Channel) busFree() int64 { return ch.lastCmdCycle + 1 }
 // derate. A ReadyAt bound holds for as long as Gen stays the same.
 func (ch *Channel) Gen() uint64 { return ch.gen }
 
-// valid reports whether the kind, rank and bank exist. Only the
-// rank-level commands (REF, PD, PU) carry no bank.
+// valid reports whether the kind, rank and bank exist. Only REF carries
+// no bank.
 func (ch *Channel) valid(k Kind, rank, bank int) bool {
-	return uint(rank) < uint(len(ch.ranks)) && k <= KindPowerUp &&
-		(k >= KindRefresh || uint(bank) < uint(ch.P.BanksPerRank))
+	return uint(rank) < uint(len(ch.ranks)) && k <= KindRefresh &&
+		(k == KindRefresh || uint(bank) < uint(ch.P.BanksPerRank))
 }
 
 // targetError says why valid rejects cmd.
@@ -401,7 +384,7 @@ func (ch *Channel) targetError(cmd Command) error {
 	switch {
 	case cmd.Rank < 0 || cmd.Rank >= len(ch.ranks):
 		return fmt.Errorf("dram: rank %d out of range [0,%d)", cmd.Rank, len(ch.ranks))
-	case cmd.Kind > KindPowerUp:
+	case cmd.Kind > KindRefresh:
 		return fmt.Errorf("dram: unknown command kind %v", cmd.Kind)
 	}
 	return fmt.Errorf("dram: bank %d out of range [0,%d)", cmd.Bank, ch.P.BanksPerRank)
@@ -450,15 +433,7 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) (int64, erro
 func (ch *Channel) rules(k Kind, rank, bank int, v *verdict) {
 	v.busRule("command bus (one command per cycle, in order)", ch.busFree())
 	rk := &ch.ranks[rank]
-	if rk.poweredDown && k != KindPowerUp {
-		v.rankRule("rank powered down", NeverReady)
-	}
-	if !rk.poweredDown && k != KindPowerDown {
-		v.rankRule("tXP (power-up exit)", rk.powerUpReady)
-	}
-	if k != KindPowerDown && k != KindPowerUp {
-		v.rankRule("tRFC (refresh in progress)", rk.refreshUntil)
-	}
+	v.rankRule("tRFC (refresh in progress)", rk.refreshUntil)
 
 	// The bank-group rules are stated only with bank groups on: without
 	// them each restates the rank rule before it with the same clear cycle.
@@ -526,19 +501,6 @@ func (ch *Channel) rules(k Kind, rank, bank int, v *verdict) {
 			if bk.prechargeStart != NeverCycle {
 				v.bankRule("tRP before refresh", bk.prechargeStart+int64(p.TRP+der.TRP))
 			}
-		}
-
-	case KindPowerDown:
-		for b := range rk.banks {
-			if rk.banks[b].openRow != ClosedRow {
-				v.openBank("power-down with bank %d open", b)
-			}
-		}
-		v.rankRule("power-down during refresh", rk.refreshUntil)
-
-	case KindPowerUp:
-		if !rk.poweredDown {
-			v.rankRule("power-up of powered-up rank", NeverReady)
 		}
 	}
 }
@@ -620,9 +582,6 @@ func (ch *Channel) apply(cmd Command, cycle int64, suppressed bool) {
 	rk := &ch.ranks[cmd.Rank]
 	ch.gen++
 	ch.lastCmdCycle = cycle
-	if cycle > ch.now {
-		ch.now = cycle
-	}
 	ch.Counters.CmdBusBusy++
 
 	switch cmd.Kind {
@@ -714,17 +673,6 @@ func (ch *Channel) apply(cmd Command, cycle int64, suppressed bool) {
 			rk.banks[b].prechargeStart = rk.refreshUntil - int64(p.TRP)
 		}
 		ch.Counters.Refreshes++
-
-	case KindPowerDown:
-		rk.poweredDown = true
-		rk.powerDownStart = cycle
-		ch.Counters.PowerDowns++
-
-	case KindPowerUp:
-		rk.poweredDown = false
-		rk.pdCycles += cycle - rk.powerDownStart
-		rk.powerUpReady = cycle + int64(p.TXP)
-		ch.Counters.PowerUps++
 	}
 
 	if ch.OnIssue != nil {

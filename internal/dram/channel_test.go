@@ -315,29 +315,6 @@ func TestRefresh(t *testing.T) {
 	mustIssue(t, ch2, act(1, 0, 1), 1)
 }
 
-func TestPowerDownUp(t *testing.T) {
-	p := testParams()
-	ch := NewChannel(p)
-	mustIssue(t, ch, Command{Kind: KindPowerDown, Rank: 0}, 10)
-	if !ch.PoweredDown(0) {
-		t.Fatal("rank 0 should be powered down")
-	}
-	wantReject(t, ch, act(0, 0, 1), 20, "powered down")
-	mustIssue(t, ch, Command{Kind: KindPowerUp, Rank: 0}, 50)
-	if ch.PoweredDown(0) {
-		t.Fatal("rank 0 should be powered up")
-	}
-	if got := ch.PowerDownCycles(0); got != 40 {
-		t.Errorf("PowerDownCycles = %d, want 40", got)
-	}
-	wantReject(t, ch, act(0, 0, 1), 50+int64(p.TXP)-1, "tXP")
-	mustIssue(t, ch, act(0, 0, 1), 50+int64(p.TXP))
-	// Power-down of a rank with an open bank is illegal.
-	wantReject(t, ch, Command{Kind: KindPowerDown, Rank: 0}, 200, "open")
-	// Power-up of a powered-up rank is illegal.
-	wantReject(t, ch, Command{Kind: KindPowerUp, Rank: 0}, 200, "powered-up")
-}
-
 func TestSuppressedIssueKeepsTimingButSplitsCounters(t *testing.T) {
 	p := testParams()
 	ch := NewChannel(p)

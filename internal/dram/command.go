@@ -17,8 +17,6 @@ const (
 	KindWriteAP
 	KindPrecharge
 	KindRefresh
-	KindPowerDown
-	KindPowerUp
 )
 
 var kindNames = [...]string{
@@ -29,8 +27,6 @@ var kindNames = [...]string{
 	KindWriteAP:   "WRAP",
 	KindPrecharge: "PRE",
 	KindRefresh:   "REF",
-	KindPowerDown: "PDN",
-	KindPowerUp:   "PUP",
 }
 
 // String returns the conventional mnemonic for the command kind.
@@ -70,12 +66,11 @@ func (a Address) String() string {
 }
 
 // NoDomain marks a command that serves no particular security domain
-// (refresh, power management, injected faults).
+// (refresh, injected faults).
 const NoDomain = -1
 
 // Command is one entry on a channel's command bus.
-// Refresh, PowerDown and PowerUp address a whole rank; Bank/Row/Col are
-// ignored for them.
+// Refresh addresses a whole rank; Bank/Row/Col are ignored for it.
 //
 // Domain attributes the command to the security domain it serves; it has
 // no effect on timing and exists for the runtime non-interference monitor,
@@ -94,7 +89,7 @@ type Command struct {
 // String formats the command with its target.
 func (c Command) String() string {
 	switch c.Kind {
-	case KindRefresh, KindPowerDown, KindPowerUp:
+	case KindRefresh:
 		return fmt.Sprintf("%s r%d", c.Kind, c.Rank)
 	case KindActivate:
 		return fmt.Sprintf("%s r%d/b%d/row%d", c.Kind, c.Rank, c.Bank, c.Row)

@@ -1,6 +1,8 @@
 // Package dram implements a cycle-accurate DDR3 device and channel model:
 // banks, ranks, command/data buses, the full JEDEC timing-constraint set
-// used by the paper (Table 1), refresh, and power-down states.
+// used by the paper (Table 1) and refresh. Its commands are the seven the
+// controllers issue; rank power-down is accounted for by core.FS, which
+// reads only tXP from here.
 //
 // All times are expressed in DRAM bus cycles (800 MHz for DDR3-1600).
 // The model is scheduler-agnostic: schedulers ask CanIssue/Issue, and an

@@ -35,7 +35,7 @@ func TestReadyIgnoresRowColDomain(t *testing.T) {
 		{"ddr4-derated", ddr4, true},
 	}
 	kinds := []Kind{KindActivate, KindRead, KindReadAP, KindWrite, KindWriteAP,
-		KindPrecharge, KindRefresh, KindPowerDown, KindPowerUp}
+		KindPrecharge, KindRefresh}
 	bankKinds := kinds[:6]
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,11 +97,11 @@ func TestReadyIgnoresRowColDomain(t *testing.T) {
 					}
 				}
 				// Advance the state with one random command, weighted towards
-				// the bank commands so rows open and close often; refresh and
-				// power management are rarer but present.
+				// the bank commands so rows open and close often; refresh is
+				// rarer but present.
 				k := kinds[rng.IntN(6)]
 				if rng.IntN(40) == 0 {
-					k = kinds[6+rng.IntN(3)]
+					k = KindRefresh
 				}
 				cmd := randomCmd(k)
 				if !ch.Ready(cmd, cycle) {
@@ -166,7 +166,7 @@ func TestReadyAtIsALowerBound(t *testing.T) {
 		{"ddr4-derated", ddr4, true},
 	}
 	kinds := []Kind{KindActivate, KindRead, KindReadAP, KindWrite, KindWriteAP,
-		KindPrecharge, KindRefresh, KindPowerDown, KindPowerUp}
+		KindPrecharge, KindRefresh}
 	const (
 		seeds = 10
 		steps = 500 // len(kinds) probes each
@@ -234,12 +234,12 @@ func TestReadyAtIsALowerBound(t *testing.T) {
 						}
 					}
 					// Advance the state with one random command, weighted
-					// towards the bank commands; refresh and power management
-					// are rarer. A zero advance probes the next step on the
-					// cycle a command just issued (the command-bus bound).
+					// towards the bank commands; refresh is rarer. A zero
+					// advance probes the next step on the cycle a command just
+					// issued (the command-bus bound).
 					k := kinds[rng.IntN(6)]
 					if rng.IntN(40) == 0 {
-						k = kinds[6+rng.IntN(3)]
+						k = KindRefresh
 					}
 					cmd, suppressed := randomCmd(k), step%5 == 0
 					at, _ := ch.canIssue(cmd, cycle, false)
@@ -299,7 +299,7 @@ func TestBoundsArePreciseLowerBounds(t *testing.T) {
 		{"ddr4-derated", ddr4, true},
 	}
 	kinds := []Kind{KindActivate, KindRead, KindReadAP, KindWrite, KindWriteAP,
-		KindPrecharge, KindRefresh, KindPowerDown, KindPowerUp}
+		KindPrecharge, KindRefresh}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := tc.p
@@ -356,7 +356,7 @@ func TestBoundsArePreciseLowerBounds(t *testing.T) {
 					}
 					k := kinds[rng.IntN(6)]
 					if rng.IntN(40) == 0 {
-						k = kinds[6+rng.IntN(3)]
+						k = KindRefresh
 					}
 					if cmd := randomCmd(k); ch.Ready(cmd, cycle) {
 						if err := ch.Issue(cmd, cycle); err != nil {

@@ -15,6 +15,7 @@ type ReferenceChecker struct {
 	P Params
 
 	history []refEvent
+	derate  map[int]Derate // per-rank additive timing margins (absent = nominal)
 }
 
 type refEvent struct {
@@ -25,6 +26,21 @@ type refEvent struct {
 // NewReferenceChecker builds an empty reference validator.
 func NewReferenceChecker(p Params) *ReferenceChecker {
 	return &ReferenceChecker{P: p}
+}
+
+// SetDerate installs additive timing margins for one rank, or for every
+// rank when rank is -1. The margins are static: they hold over the whole
+// history, as Channel.SetDerate's do when installed before the first
+// command.
+func (r *ReferenceChecker) SetDerate(rank int, d Derate) {
+	if r.derate == nil {
+		r.derate = map[int]Derate{}
+	}
+	for i := 0; i < r.P.RanksPerChan; i++ {
+		if rank < 0 || i == rank {
+			r.derate[i] = d
+		}
+	}
 }
 
 // dataInterval returns the [start, end) data-bus occupancy of a CAS event.
@@ -69,6 +85,8 @@ func (r *ReferenceChecker) rowOpenAt(rank, bank int, cycle int64) (int, bool) {
 
 // prechargeStart derives when the bank's most recent precharge began.
 func (r *ReferenceChecker) prechargeStart(rank, bank int, before int64) (int64, bool) {
+	d := r.derate[rank]
+	tRAS := int64(r.P.TRAS + d.TRAS)
 	start := int64(NeverCycle)
 	found := false
 	var lastAct int64 = NeverCycle
@@ -83,15 +101,15 @@ func (r *ReferenceChecker) prechargeStart(rank, bank int, before int64) (int64, 
 		case e.cmd.Kind == KindPrecharge && e.cmd.Bank == bank:
 			start, found = e.cycle, true
 		case e.cmd.Kind == KindReadAP && e.cmd.Bank == bank:
-			s := e.cycle + int64(r.P.TRTP)
-			if lastAct != NeverCycle && lastAct+int64(r.P.TRAS) > s {
-				s = lastAct + int64(r.P.TRAS)
+			s := e.cycle + int64(r.P.TRTP+d.TRTP)
+			if lastAct != NeverCycle && lastAct+tRAS > s {
+				s = lastAct + tRAS
 			}
 			start, found = s, true
 		case e.cmd.Kind == KindWriteAP && e.cmd.Bank == bank:
-			s := e.cycle + int64(r.P.TCWD) + int64(r.P.TBURST) + int64(r.P.TWR)
-			if lastAct != NeverCycle && lastAct+int64(r.P.TRAS) > s {
-				s = lastAct + int64(r.P.TRAS)
+			s := e.cycle + int64(r.P.TCWD) + int64(r.P.TBURST) + int64(r.P.TWR+d.TWR)
+			if lastAct != NeverCycle && lastAct+tRAS > s {
+				s = lastAct + tRAS
 			}
 			start, found = s, true
 		case e.cmd.Kind == KindRefresh:
@@ -102,11 +120,11 @@ func (r *ReferenceChecker) prechargeStart(rank, bank int, before int64) (int64, 
 }
 
 // Check validates one command against the whole history; nil means legal.
-// It covers the constraint set the simulator's schedulers exercise (it
-// does not model power-down, which the FS engine accounts for outside the
-// command stream).
+// It states the rules of every command kind the channel models, under the
+// installed derates.
 func (r *ReferenceChecker) Check(cmd Command, cycle int64) error {
 	p := r.P
+	d := r.derate[cmd.Rank]
 	fail := func(what string) error {
 		return fmt.Errorf("reference: %v at %d violates %s", cmd, cycle, what)
 	}
@@ -130,7 +148,7 @@ func (r *ReferenceChecker) Check(cmd Command, cycle int64) error {
 		if _, open := r.rowOpenAt(cmd.Rank, cmd.Bank, cycle+1); open {
 			return fail("bank open")
 		}
-		if s, ok := r.prechargeStart(cmd.Rank, cmd.Bank, cycle); ok && cycle < s+int64(p.TRP) {
+		if s, ok := r.prechargeStart(cmd.Rank, cmd.Bank, cycle); ok && cycle < s+int64(p.TRP+d.TRP) {
 			return fail("tRP")
 		}
 		acts := []int64{}
@@ -138,13 +156,13 @@ func (r *ReferenceChecker) Check(cmd Command, cycle int64) error {
 			if e.cmd.Kind != KindActivate || e.cmd.Rank != cmd.Rank {
 				continue
 			}
-			if e.cmd.Bank == cmd.Bank && cycle < e.cycle+int64(p.TRC) {
+			if e.cmd.Bank == cmd.Bank && cycle < e.cycle+int64(p.TRC+d.TRC) {
 				return fail("tRC")
 			}
-			if cycle < e.cycle+int64(p.RRDOther()) {
+			if cycle < e.cycle+int64(p.RRDOther()+d.TRRD) {
 				return fail("tRRD")
 			}
-			if p.BankGroup(e.cmd.Bank) == p.BankGroup(cmd.Bank) && cycle < e.cycle+int64(p.RRDSame()) {
+			if p.BankGroup(e.cmd.Bank) == p.BankGroup(cmd.Bank) && cycle < e.cycle+int64(p.RRDSame()+d.TRRD) {
 				return fail("tRRD_L")
 			}
 			acts = append(acts, e.cycle)
@@ -152,7 +170,7 @@ func (r *ReferenceChecker) Check(cmd Command, cycle int64) error {
 		// tFAW: the new ACT plus any 4 prior within the window.
 		inWindow := 0
 		for _, a := range acts {
-			if a > cycle-int64(p.TFAW) {
+			if a > cycle-int64(p.TFAW+d.TFAW) {
 				inWindow++
 			}
 		}
@@ -173,25 +191,25 @@ func (r *ReferenceChecker) Check(cmd Command, cycle int64) error {
 				act = e.cycle
 			}
 		}
-		if cycle < act+int64(p.TRCD) {
+		if cycle < act+int64(p.TRCD+d.TRCD) {
 			return fail("tRCD")
 		}
 		for _, e := range r.history {
 			if !e.cmd.Kind.IsCAS() || e.cmd.Rank != cmd.Rank {
 				continue
 			}
-			if cycle < e.cycle+int64(p.CCDOther()) {
+			if cycle < e.cycle+int64(p.CCDOther()+d.TCCD) {
 				return fail("tCCD")
 			}
-			if p.BankGroup(e.cmd.Bank) == p.BankGroup(cmd.Bank) && cycle < e.cycle+int64(p.CCDSame()) {
+			if p.BankGroup(e.cmd.Bank) == p.BankGroup(cmd.Bank) && cycle < e.cycle+int64(p.CCDSame()+d.TCCD) {
 				return fail("tCCD_L")
 			}
 			if cmd.Kind.IsRead() && e.cmd.Kind.IsWrite() {
 				end := e.cycle + int64(p.TCWD) + int64(p.TBURST)
-				if cycle < end+int64(p.WTROther()) {
+				if cycle < end+int64(p.WTROther()+d.TWTR) {
 					return fail("tWTR")
 				}
-				if p.BankGroup(e.cmd.Bank) == p.BankGroup(cmd.Bank) && cycle < end+int64(p.WTRSame()) {
+				if p.BankGroup(e.cmd.Bank) == p.BankGroup(cmd.Bank) && cycle < end+int64(p.WTRSame()+d.TWTR) {
 					return fail("tWTR_L")
 				}
 			}
@@ -221,11 +239,11 @@ func (r *ReferenceChecker) Check(cmd Command, cycle int64) error {
 				continue
 			}
 			switch {
-			case e.cmd.Kind == KindActivate && cycle < e.cycle+int64(p.TRAS):
+			case e.cmd.Kind == KindActivate && cycle < e.cycle+int64(p.TRAS+d.TRAS):
 				return fail("tRAS")
-			case e.cmd.Kind.IsRead() && cycle < e.cycle+int64(p.TRTP):
+			case e.cmd.Kind.IsRead() && cycle < e.cycle+int64(p.TRTP+d.TRTP):
 				return fail("tRTP")
-			case e.cmd.Kind.IsWrite() && cycle < e.cycle+int64(p.TCWD)+int64(p.TBURST)+int64(p.TWR):
+			case e.cmd.Kind.IsWrite() && cycle < e.cycle+int64(p.TCWD)+int64(p.TBURST)+int64(p.TWR+d.TWR):
 				return fail("tWR")
 			}
 		}
@@ -235,7 +253,7 @@ func (r *ReferenceChecker) Check(cmd Command, cycle int64) error {
 			if _, open := r.rowOpenAt(cmd.Rank, b, cycle+1); open {
 				return fail("bank open before refresh")
 			}
-			if s, ok := r.prechargeStart(cmd.Rank, b, cycle); ok && cycle < s+int64(p.TRP) {
+			if s, ok := r.prechargeStart(cmd.Rank, b, cycle); ok && cycle < s+int64(p.TRP+d.TRP) {
 				return fail("tRP before refresh")
 			}
 		}

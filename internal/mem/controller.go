@@ -32,7 +32,7 @@ type Request struct {
 	DataEnd  int64 // bus cycle its data burst completes (-1 until known)
 
 	Dummy    bool // injected by FS shaping, carries no data
-	Prefetch bool // injected into an FS dummy slot or by the baseline
+	Prefetch bool // injected into an FS dummy slot (core.FS.selectRequest)
 	Acted    bool // an ACT was issued for this request (false on a row hit)
 
 	// prev and next link the request's bank list in the bank view, by slot

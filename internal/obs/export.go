@@ -57,7 +57,7 @@ var kindByName = func() map[string]EventKind {
 
 var cmdByName = func() map[string]dram.Kind {
 	m := map[string]dram.Kind{}
-	for k := dram.KindActivate; k <= dram.KindPowerUp; k++ {
+	for k := dram.KindActivate; k <= dram.KindRefresh; k++ {
 		m[k.String()] = k
 	}
 	return m
@@ -248,7 +248,7 @@ func Timeline(w io.Writer, events []Event) error {
 				sup = " (suppressed)"
 			}
 			switch e.Cmd {
-			case dram.KindRefresh, dram.KindPowerDown, dram.KindPowerUp:
+			case dram.KindRefresh:
 				desc = fmt.Sprintf("%-4s r%d%s", e.Cmd, e.Rank, sup)
 			case dram.KindActivate:
 				desc = fmt.Sprintf("%-4s r%d/b%d/row%d%s", e.Cmd, e.Rank, e.Bank, e.Row, sup)

@@ -67,9 +67,3 @@ func (r *RNG) Geometric(mean float64) int {
 	}
 	return n
 }
-
-// Split derives an independent generator from this one, for giving each
-// domain or component its own stream without correlation.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xa5a5a5a55a5a5a5a)
-}

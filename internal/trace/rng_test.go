@@ -81,14 +81,6 @@ func TestGeometricMean(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := NewRNG(5)
-	s := r.Split()
-	if r.Uint64() == s.Uint64() {
-		t.Error("split stream mirrors parent")
-	}
-}
-
 func TestSliceStreamWrapsAndEmptyIsIdle(t *testing.T) {
 	s := &SliceStream{Refs: []Ref{{Gap: 1}, {Gap: 2}}}
 	if s.Next().Gap != 1 || s.Next().Gap != 2 || s.Next().Gap != 1 {

@@ -39,8 +39,7 @@ func (s *SliceStream) Next() Ref {
 }
 
 // IdleStream never issues a memory reference: an endless run of non-memory
-// instructions. It models the paper's "synthetic threads that make no
-// memory accesses" (Figure 4).
+// instructions, for driving a core that must never touch memory.
 type IdleStream struct{}
 
 // Next returns a reference that is effectively never reached.
