@@ -1,6 +1,7 @@
 // Command sweep regenerates the paper's evaluation figures (Section 7) as
 // text tables: performance (Figures 3, 5, 6, 10), prefetching (Figure 7),
-// and energy (Figures 8, 9). Figure 4 is produced by cmd/leakage.
+// energy (Figures 8, 9), and Figure 4's divergence summary (cmd/leakage
+// prints its full execution-profile series).
 //
 // Usage:
 //
@@ -16,12 +17,17 @@
 // or the order they are printed in. The -trace-out export shares the same
 // guarantee (cells are emitted in sorted key order).
 //
+// A failed figure does not stop the rest: every healthy table is printed,
+// the ablations run after a failed -fig all, and -trace-out is written,
+// before sweep exits 1 with every error.
+//
 // Profiling: -cpuprofile, -memprofile, and -exectrace write the standard
 // Go profiles for the whole sweep (inspect with `go tool pprof` /
 // `go tool trace`).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -60,15 +66,20 @@ func main() {
 		}
 		return t.Format()
 	}
-	show := func(t experiments.Table, err error) {
-		fail(err)
+	var errs []error
+	show := func(t experiments.Table, err error) bool {
+		if err != nil {
+			errs = append(errs, err)
+			return false
+		}
 		fmt.Println(render(t))
+		return true
 	}
 	showAll := func(tables []experiments.Table, err error) {
 		for _, t := range tables {
 			fmt.Println(render(t))
 		}
-		fail(err)
+		errs = append(errs, err)
 	}
 
 	route, err := addr.RoutingByName(*routing)
@@ -94,7 +105,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown -fig %q (options: %v, all)\n", *fig, experiments.Names())
 			os.Exit(2)
 		}
-		show(f.Run(r))
+		if !show(f.Run(r)) {
+			break
+		}
 		switch {
 		case *fig == "4":
 			fmt.Println("run cmd/leakage for the full execution-profile series")
@@ -103,12 +116,20 @@ func main() {
 		}
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		fail(err)
-		err = r.ExportTraces(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		fail(err)
+		errs = append(errs, exportTraces(r, *traceOut))
 	}
+	fail(errors.Join(errs...))
+}
+
+// exportTraces writes every memoized cell's command trace to path.
+func exportTraces(r *experiments.Runner, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = r.ExportTraces(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

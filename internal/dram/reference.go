@@ -129,6 +129,15 @@ func (r *ReferenceChecker) Check(cmd Command, cycle int64) error {
 		return fmt.Errorf("reference: %v at %d violates %s", cmd, cycle, what)
 	}
 
+	// Target: a rank of the channel and, for every kind but REF (which
+	// names a whole rank), a bank of that rank.
+	if cmd.Rank < 0 || cmd.Rank >= p.RanksPerChan {
+		return fmt.Errorf("reference: %v at %d targets rank %d outside [0,%d)", cmd, cycle, cmd.Rank, p.RanksPerChan)
+	}
+	if cmd.Kind != KindRefresh && (cmd.Bank < 0 || cmd.Bank >= p.BanksPerRank) {
+		return fmt.Errorf("reference: %v at %d targets bank %d outside [0,%d)", cmd, cycle, cmd.Bank, p.BanksPerRank)
+	}
+
 	// Command bus: strictly increasing cycles.
 	for _, e := range r.history {
 		if e.cycle >= cycle {

@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -171,6 +173,40 @@ func TestDifferentialBoundaries(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReferenceRefusesMissingTargets: on a fresh channel, a rank outside
+// the channel and, for every kind but REF, a bank outside the rank are
+// refused by both implementations, the reference naming the target; the
+// last rank and bank that exist are accepted by both.
+func TestReferenceRefusesMissingTargets(t *testing.T) {
+	for _, p := range []Params{DDR3_1600(), DDR4_2400()} {
+		lastRank, lastBank := p.RanksPerChan-1, p.BanksPerRank-1
+		for _, tc := range []struct {
+			cmd  Command
+			want string // the reference's reason; empty = accepted
+		}{
+			{Command{Kind: KindActivate, Rank: 99, Bank: 0}, "targets rank 99 outside"},
+			{Command{Kind: KindActivate, Rank: 0, Bank: 99}, "targets bank 99 outside"},
+			{Command{Kind: KindRefresh, Rank: -1}, "targets rank -1 outside"},
+			{Command{Kind: KindPrecharge, Rank: 0, Bank: -1}, "targets bank -1 outside"},
+			{Command{Kind: KindRead, Rank: p.RanksPerChan, Bank: 0}, fmt.Sprintf("targets rank %d outside", p.RanksPerChan)},
+			{Command{Kind: KindActivate, Rank: lastRank, Bank: lastBank}, ""},
+			{Command{Kind: KindRefresh, Rank: lastRank}, ""},
+		} {
+			chErr := NewChannel(p).CanIssue(tc.cmd, 5)
+			refErr := NewReferenceChecker(p).Check(tc.cmd, 5)
+			if (chErr == nil) != (tc.want == "") {
+				t.Errorf("%d banks: channel verdict on %v: %v", p.BanksPerRank, tc.cmd, chErr)
+			}
+			switch {
+			case tc.want == "" && refErr != nil:
+				t.Errorf("%d banks: reference refuses %v: %v", p.BanksPerRank, tc.cmd, refErr)
+			case tc.want != "" && (refErr == nil || !strings.Contains(refErr.Error(), tc.want)):
+				t.Errorf("%d banks: reference verdict on %v: %v, want %q", p.BanksPerRank, tc.cmd, refErr, tc.want)
+			}
+		}
 	}
 }
 

@@ -7,10 +7,12 @@
 // (workload mix x scheduler x configuration mutation). Each figure lists
 // its grid once, as a []Spec in the order its table reads the cells, and
 // Runner.Grid simulates every cell not yet memoized on the runner's worker
-// pool (internal/parallel) and returns the results in spec order. The
-// table is built from that slice, so its values, row order, and error
-// text are byte-identical for every worker count, including Workers=1
-// (the serial path is the same code with a one-wide pool).
+// pool (internal/parallel) and returns the results in spec order. Cells
+// memoize by the simulation they run, so one regeneration simulates each
+// distinct configuration once. The table is built from that slice, so its
+// values, row order, and error text are byte-identical for every worker
+// count, including Workers=1 (the serial path is the same code with a
+// one-wide pool).
 package experiments
 
 import (
@@ -122,8 +124,8 @@ type Settings struct {
 	Observe *obs.Options
 
 	// OnCell, when non-nil, is invoked once per grid cell the runner
-	// actually simulates (cache hits never fire it), with the cell's
-	// canonical memo key. Calls come from whichever pool worker computed
+	// actually simulates (cache hits never fire it), with MemoKey of the
+	// config that ran it. Calls come from whichever pool worker computed
 	// the cell, so the callback must be safe for concurrent use. It is a
 	// progress hook only: it must not mutate the runner, and it never
 	// affects what any cell computes (the daemon's SSE job-progress
@@ -148,15 +150,20 @@ type runKey struct {
 
 // cellValue is one memoized grid cell: the simulation result or the error
 // it failed with (errors memoize too, so a failed cell reports the same
-// failure to every figure that lists it).
+// failure to every figure that lists it), and the key of the config that
+// ran it, which labels its exported trace.
 type cellValue struct {
 	res sim.Result
 	err error
+	ran runKey
 }
 
 // Runner executes and memoizes simulation runs (every figure normalizes
 // against the same baseline runs). The memo cache is safe for the
-// concurrent cell fills Grid performs.
+// concurrent cell fills Grid performs. Runners derived for another core
+// count (Figure10) share their parent's cache and mutex, so one
+// regeneration has one memo; its key holds the core count, so core counts
+// never collide.
 type Runner struct {
 	S Settings
 
@@ -165,13 +172,13 @@ type Runner struct {
 	// cells are never memoized.
 	Ctx context.Context
 
-	mu    sync.Mutex
+	mu    *sync.Mutex
 	cache map[runKey]cellValue
 }
 
-// NewRunner builds a runner.
+// NewRunner builds a runner with an empty memo.
 func NewRunner(s Settings) *Runner {
-	return &Runner{S: s, cache: map[runKey]cellValue{}}
+	return &Runner{S: s, mu: new(sync.Mutex), cache: map[runKey]cellValue{}}
 }
 
 func (r *Runner) ctx() context.Context {
@@ -213,17 +220,21 @@ func keyOf(cfg sim.Config) runKey {
 }
 
 // MemoKey returns the canonical memo-key string for a fully-expanded
-// simulation config: the same normalization the runner's cell cache uses,
-// extended with the per-runner fields (seed and run budget) a long-lived
-// daemon must distinguish. Two configs with equal MemoKeys produce
-// byte-identical results, so the string is safe to use as a
-// content-addressed cache key and as the basis of deterministic job IDs.
+// simulation config: keyOf's normalization, extended with the per-runner
+// fields (seed and run budget) a long-lived daemon must distinguish. Two
+// configs with equal MemoKeys produce byte-identical results, so the
+// string is safe to use as a content-addressed cache key and as the basis
+// of deterministic job IDs. It keeps the config's own TP turn (0 stays 0)
+// where the runner's memo resolves it, because daemon job IDs and cache
+// keys are derived from it and must not move.
 func MemoKey(cfg sim.Config) string {
 	return fmt.Sprintf("%+v|seed=%d|reads=%d|maxcycles=%d",
 		keyOf(cfg), cfg.Seed, cfg.TargetReads, cfg.MaxBusCycles)
 }
 
 // configFor expands a spec into its full simulation config and memo key.
+// A TP cell's memo key holds the turn it runs (sim.TPTurn), so a zero turn
+// and its mode's minimum are one simulation.
 func (r *Runner) configFor(sp Spec) (sim.Config, runKey) {
 	cfg := sim.DefaultConfig(sp.Mix, sp.Kind)
 	cfg.Seed = r.S.Seed
@@ -234,7 +245,11 @@ func (r *Runner) configFor(sp Spec) (sim.Config, runKey) {
 	if sp.Mutate != nil {
 		sp.Mutate(&cfg)
 	}
-	return cfg, keyOf(cfg)
+	key := keyOf(cfg)
+	if _, turn, ok := sim.TPTurn(cfg); ok {
+		key.turn = turn
+	}
+	return cfg, key
 }
 
 func (r *Runner) lookup(key runKey) (cellValue, bool) {
@@ -252,11 +267,12 @@ func (r *Runner) store(key runKey, v cellValue) {
 
 // Grid simulates every spec not yet memoized on the runner's worker pool
 // and returns each spec's result in spec order. A spec listed twice, or
-// memoized by an earlier figure, runs once. Failed cells memoize their
-// error, and Grid returns the first failed spec's error in spec order, so
-// a figure that lists its cells in the order it reads them reports the
-// failure a serial loop would hit first. Cancellation and a panicking
-// cell return at once; a canceled cell is never memoized.
+// memoized by an earlier figure, runs once, and so do a TP spec at its
+// mode's minimum turn and one that leaves the turn 0. Failed cells
+// memoize their error, and Grid returns the first failed spec's error in
+// spec order, so a figure that lists its cells in the order it reads them
+// reports the failure a serial loop would hit first. Cancellation and a
+// panicking cell return at once; a canceled cell is never memoized.
 func (r *Runner) Grid(specs []Spec) ([]sim.Result, error) {
 	keys := make([]runKey, len(specs))
 	queued := map[runKey]bool{}
@@ -287,7 +303,7 @@ func (r *Runner) Grid(specs []Spec) ([]sim.Result, error) {
 				if r.S.OnCell != nil {
 					r.S.OnCell(MemoKey(cfg))
 				}
-				r.store(key, cellValue{res: res, err: err})
+				r.store(key, cellValue{res: res, err: err, ran: keyOf(cfg)})
 				return struct{}{}, nil
 			},
 		})
@@ -309,8 +325,10 @@ func (r *Runner) Grid(specs []Spec) ([]sim.Result, error) {
 func (r *Runner) suite() ([]workload.Mix, error) { return workload.EvaluationSuite(r.S.Cores) }
 
 // ExportTraces writes the command traces of every successfully memoized
-// cell as concatenated JSONL documents, each preceded by a cell-label
-// line. Cells are emitted in sorted key order, so the output bytes are
+// cell, Figure 10's at every core count included, as concatenated JSONL
+// documents, each preceded by a line labeling it with the key of the
+// config that ran it (a TP cell keeps that config's turn, 0 included).
+// Cells are emitted in sorted label order, so the output bytes are
 // independent of the worker count and fill order that populated the cache
 // — the determinism CI job diffs this output across -j values.
 func (r *Runner) ExportTraces(w io.Writer) error {
@@ -320,8 +338,8 @@ func (r *Runner) ExportTraces(w io.Writer) error {
 		v     cellValue
 	}
 	cells := make([]cell, 0, len(r.cache))
-	for k, v := range r.cache {
-		cells = append(cells, cell{label: fmt.Sprintf("%+v", k), v: v})
+	for _, v := range r.cache {
+		cells = append(cells, cell{label: fmt.Sprintf("%+v", v.ran), v: v})
 	}
 	r.mu.Unlock()
 	sort.Slice(cells, func(i, j int) bool { return cells[i].label < cells[j].label })
@@ -667,8 +685,9 @@ func Figure9(r *Runner) (Table, error) {
 
 // Figure10 regenerates the scalability study: FS_RP, FS_Reordered_BP, and
 // TP_BP at 8, 4, and 2 cores (normalized per core count). Each core count
-// gets its own sub-runner (different suites), inheriting the parent's
-// worker pool and cancellation context.
+// runs its own suite on a runner derived from r: the same worker pool,
+// cancellation context and memo, so the cells other figures ran at that
+// core count are not simulated again.
 func Figure10(r *Runner) (Table, error) {
 	t := Table{
 		ID:      "Figure 10",
@@ -678,10 +697,8 @@ func Figure10(r *Runner) (Table, error) {
 	}
 	cols := each([]sim.SchedulerKind{sim.FSRankPart, sim.FSReorderedBank, sim.TPBank}, nil)
 	for _, cores := range []int{8, 4, 2} {
-		subSettings := r.S
-		subSettings.Cores = cores
-		sub := NewRunner(subSettings)
-		sub.Ctx = r.Ctx
+		sub := *r // the same context, worker pool and memo
+		sub.S.Cores = cores
 		suite, err := sub.suite()
 		if err != nil {
 			return Table{}, err
@@ -816,9 +833,9 @@ func capture(r *Runner, f Figure) (t Table, err error) {
 // runAll runs figures in order. Figures that fail are skipped and their
 // errors joined, so a partial regeneration still returns every healthy
 // table. Figures run sequentially — each one shards its own simulation
-// grid across the runner's worker pool, and later figures reuse the
-// memoized baseline runs of earlier ones — so the table sequence is
-// identical for every worker count.
+// grid across the runner's worker pool, and later figures reuse every cell
+// earlier ones memoized, Figure 10's core counts included — so the table
+// sequence is identical for every worker count.
 func runAll(r *Runner, figs []Figure) ([]Table, error) {
 	var tables []Table
 	var errs []error

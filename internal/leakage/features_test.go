@@ -1,51 +1,29 @@
 package leakage
 
 import (
+	"context"
 	"testing"
 
+	"fsmem/internal/addr"
 	"fsmem/internal/core"
 	"fsmem/internal/sim"
 	"fsmem/internal/workload"
 )
 
-// collectWith runs the Figure 4 profile collection with extra config.
+// collectWith collects a profile through the Figure 4 sampler with extra
+// config: mcf against seven copies of a co-runner of the given intensity,
+// seed 123, 20 milestones.
 func collectWith(t *testing.T, k sim.SchedulerKind, coMPKI float64, mutate func(*sim.Config)) Profile {
 	t.Helper()
 	att, err := workload.ByName("mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := workload.Synthetic("co", coMPKI)
-	mix := workload.Mix{Name: "leakage", Profiles: make([]workload.Profile, 8)}
-	mix.Profiles[0] = att
-	for d := 1; d < 8; d++ {
-		mix.Profiles[d] = co
-	}
-	cfg := sim.DefaultConfig(mix, k)
-	cfg.Seed = 123
-	cfg.TargetReads = 0
-	cfg.MaxBusCycles = 100_000_000
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	sys, err := sim.New(cfg)
+	prof, err := collectProfile(context.Background(), k, att, workload.Synthetic("co", coMPKI), 8,
+		Milestone, 20*Milestone, 123, 0, addr.RouteColored, mutate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := Profile{Scheduler: k.String(), CoRunner: co.Name, Milestone: 10_000}
-	next := int64(10_000)
-	for cycle := int64(0); cycle < cfg.MaxBusCycles; cycle++ {
-		sys.Step()
-		retired := sys.DomainInstructions(0)
-		for retired >= next {
-			prof.CyclesAt = append(prof.CyclesAt, (cycle+1)*4)
-			next += 10_000
-		}
-		if retired >= 200_000 {
-			return prof
-		}
-	}
-	t.Fatal("attacker never finished")
 	return prof
 }
 

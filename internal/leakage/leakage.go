@@ -42,15 +42,17 @@ type Profile struct {
 func CollectProfile(k sim.SchedulerKind, attacker workload.Profile, coRunner workload.Profile,
 	domains int, milestone, totalInstr int64, seed uint64,
 	channels int, routing addr.Routing) (Profile, error) {
-	return collectProfile(context.Background(), k, attacker, coRunner, domains, milestone, totalInstr, seed, channels, routing)
+	return collectProfile(context.Background(), k, attacker, coRunner, domains, milestone, totalInstr, seed, channels, routing, nil)
 }
 
 // collectProfile is CollectProfile under a context, polled every 8192 bus
 // cycles like sim.RunContext's watchdog: a canceled collection returns a
 // canceled-coded error instead of running to its instruction budget.
+// mutate, when non-nil, edits the simulation config before the system is
+// built (the non-interference feature tests turn features on with it).
 func collectProfile(ctx context.Context, k sim.SchedulerKind, attacker workload.Profile, coRunner workload.Profile,
 	domains int, milestone, totalInstr int64, seed uint64,
-	channels int, routing addr.Routing) (Profile, error) {
+	channels int, routing addr.Routing, mutate func(*sim.Config)) (Profile, error) {
 
 	mix := workload.Mix{Name: "leakage", Profiles: make([]workload.Profile, domains)}
 	mix.Profiles[0] = attacker
@@ -63,6 +65,9 @@ func collectProfile(ctx context.Context, k sim.SchedulerKind, attacker workload.
 	cfg.MaxBusCycles = 200_000_000
 	cfg.Channels = channels
 	cfg.Routing = routing
+	if mutate != nil {
+		mutate(&cfg)
+	}
 
 	sys, err := sim.New(cfg)
 	if err != nil {
@@ -163,7 +168,7 @@ func Compare(ctx context.Context, p CompareParams) ([]Comparison, error) {
 				Key: fmt.Sprintf("leakage/%v/%s", k, co.Name),
 				Run: func(ctx context.Context) (Profile, error) {
 					prof, err := collectProfile(ctx, k, p.Attacker, co, p.Domains, Milestone, p.Samples*Milestone,
-						p.Seed, p.Channels, p.Routing)
+						p.Seed, p.Channels, p.Routing, nil)
 					if err == nil && p.OnProfile != nil {
 						p.OnProfile(k, co.Name)
 					}

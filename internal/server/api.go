@@ -7,8 +7,8 @@
 // Design (DESIGN.md §10):
 //
 //   - Job identity is content addressing. A job's ID is a hash of its
-//     canonical payload — for simulations, the same memo-key
-//     normalization internal/experiments uses (experiments.MemoKey) —
+//     canonical payload — for simulations, experiments.MemoKey, the
+//     experiment runner's config key with the request's own TP turn —
 //     so resubmitting an identical request joins the existing job
 //     (singleflight) or answers straight from cache. Identical
 //     concurrent submissions simulate exactly once.

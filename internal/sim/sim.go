@@ -121,7 +121,7 @@ type Config struct {
 	Routing addr.Routing
 
 	// TPTurnLength sets the TP turn in bus cycles (0 = the mode's minimum,
-	// the best configuration per Figure 5).
+	// the best configuration per Figure 5; TPTurn resolves it).
 	TPTurnLength int64
 
 	// Prefetch enables the sandbox prefetcher (Figure 7).
@@ -423,14 +423,7 @@ func newChannel(cfg Config, c, n, domains int, seed uint64) (*simChannel, error)
 		b.RefreshEnabled = cfg.RefreshEnabled
 		policy = b
 	case TPBank, TPNone:
-		mode := sched.TPBankPartitioned
-		if cfg.Scheduler == TPNone {
-			mode = sched.TPNoPartitioning
-		}
-		turn := cfg.TPTurnLength
-		if turn == 0 {
-			turn = mode.MinTurnLength(cfg.DRAM)
-		}
+		mode, turn, _ := TPTurn(cfg)
 		tp, err := sched.NewTP(cfg.DRAM, mode, domains, turn)
 		if err != nil {
 			return nil, fsmerr.Wrap(fsmerr.CodeConfig, "sim.New", err)
@@ -559,6 +552,25 @@ func CheckFabric(channels int, routing addr.Routing, domains int) error {
 	return nil
 }
 
+// TPTurn returns the TP mode cfg's scheduler runs and the turn length, in
+// bus cycles, it runs at: cfg.TPTurnLength, or the mode's minimum when that
+// is 0. ok is false when the scheduler is not TP.
+func TPTurn(cfg Config) (mode sched.TPMode, turn int64, ok bool) {
+	switch cfg.Scheduler {
+	case TPBank:
+		mode = sched.TPBankPartitioned
+	case TPNone:
+		mode = sched.TPNoPartitioning
+	default:
+		return 0, 0, false
+	}
+	turn = cfg.TPTurnLength
+	if turn == 0 {
+		turn = mode.MinTurnLength(cfg.DRAM)
+	}
+	return mode, turn, true
+}
+
 // CheckScheduler is the one acceptance rule for what a scheduler serves:
 // the rules its constructor and the partition spaces apply
 // (sched.CheckTP, core.Config.Check, addr.CheckPartition), stated without
@@ -577,14 +589,7 @@ func CheckScheduler(cfg Config, domains int) error {
 	var err error
 	switch k := cfg.Scheduler; {
 	case k == TPBank || k == TPNone:
-		mode := sched.TPBankPartitioned
-		if k == TPNone {
-			mode = sched.TPNoPartitioning
-		}
-		turn := cfg.TPTurnLength
-		if turn == 0 {
-			turn = mode.MinTurnLength(cfg.DRAM)
-		}
+		mode, turn, _ := TPTurn(cfg)
 		err = sched.CheckTP(cfg.DRAM, mode, domains, turn)
 	case k.IsFS():
 		err = core.Config{Variant: k.FSVariant(), Domains: domains, Weights: cfg.SLAWeights, RefreshEnabled: cfg.RefreshEnabled}.Check()
