@@ -54,12 +54,12 @@ func main() {
 	startProf := obs.ProfileFlags(flag.CommandLine, "audit")
 	flag.Parse()
 
-	stopProf, err := startProf()
+	route, err := fsmem.RoutingByName(*routing)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "audit:", err)
 		os.Exit(2)
 	}
-	route, err := fsmem.RoutingByName(*routing)
+	stopProf, err := startProf()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "audit:", err)
 		os.Exit(2)

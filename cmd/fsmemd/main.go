@@ -102,79 +102,86 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fsmemd:", err)
 		os.Exit(2)
 	}
-
-	if *pidfile != "" {
-		if err := os.WriteFile(*pidfile, []byte(strconv.Itoa(os.Getpid())+"\n"), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "fsmemd:", err)
-			os.Exit(2)
+	var fleet []string
+	for _, w := range strings.Split(*workersList, ",") {
+		if w = strings.TrimSpace(w); w != "" {
+			fleet = append(fleet, w)
 		}
-		defer os.Remove(*pidfile)
+	}
+	code := run(*role, *pidfile, *join, *advertise, cluster.Options{
+		Addr:              *addr,
+		Workers:           fleet,
+		HeartbeatInterval: *heartbeat,
+		FailAfter:         *failAfter,
+		Window:            *window,
+		MaxAttempts:       *maxAttempts,
+		VerifySample:      *verifySample,
+		CacheEntries:      *cache,
+		QueueDepth:        *queue,
+		RequestTimeout:    *reqTimeout,
+		DrainTimeout:      *drainTimeout,
+	}, server.Options{
+		Addr:            *addr,
+		Workers:         *workers,
+		GridShards:      *gridShards,
+		QueueDepth:      *queue,
+		CacheEntries:    *cache,
+		RatePerSec:      *rate,
+		Burst:           *burst,
+		RequestTimeout:  *reqTimeout,
+		DrainTimeout:    *drainTimeout,
+		DataDir:         *dataDir,
+		QuarantineAfter: *quarantineAfter,
+	})
+	stopProf()
+	os.Exit(code)
+}
+
+// run serves as a coordinator (co) or a worker (wo) until drained and
+// returns the exit code; it removes the pidfile it wrote on every path.
+func run(role, pidfile, join, advertise string, co cluster.Options, wo server.Options) int {
+	if pidfile != "" {
+		if err := os.WriteFile(pidfile, []byte(strconv.Itoa(os.Getpid())+"\n"), 0o644); err != nil {
+			fmt.Fprintln(os.Stderr, "fsmemd:", err)
+			return 2
+		}
+		defer os.Remove(pidfile)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
-	switch *role {
+	var err error
+	switch role {
 	case "coordinator":
-		if *addr == "" {
-			*addr = ":8376"
+		if co.Addr == "" {
+			co.Addr = ":8376"
 		}
-		var fleet []string
-		for _, w := range strings.Split(*workersList, ",") {
-			if w = strings.TrimSpace(w); w != "" {
-				fleet = append(fleet, w)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "fsmemd: coordinator listening on %s (%d workers)\n", *addr, len(fleet))
-		err = cluster.Serve(ctx, cluster.Options{
-			Addr:              *addr,
-			Workers:           fleet,
-			HeartbeatInterval: *heartbeat,
-			FailAfter:         *failAfter,
-			Window:            *window,
-			MaxAttempts:       *maxAttempts,
-			VerifySample:      *verifySample,
-			CacheEntries:      *cache,
-			QueueDepth:        *queue,
-			RequestTimeout:    *reqTimeout,
-			DrainTimeout:      *drainTimeout,
-		})
+		fmt.Fprintf(os.Stderr, "fsmemd: coordinator listening on %s (%d workers)\n", co.Addr, len(co.Workers))
+		err = cluster.Serve(ctx, co)
 	case "worker":
-		if *addr == "" {
-			*addr = ":8377"
+		if wo.Addr == "" {
+			wo.Addr = ":8377"
 		}
-		name := *advertise
-		if name == "" && *join != "" {
-			name = advertiseURL(*addr)
+		if advertise == "" && join != "" {
+			advertise = advertiseURL(wo.Addr)
 		}
-		if *join != "" {
-			go register(ctx, *join, name)
+		if join != "" {
+			go register(ctx, join, advertise)
 		}
-		fmt.Fprintf(os.Stderr, "fsmemd: listening on %s\n", *addr)
-		err = server.Serve(ctx, server.Options{
-			Addr:            *addr,
-			Workers:         *workers,
-			GridShards:      *gridShards,
-			QueueDepth:      *queue,
-			CacheEntries:    *cache,
-			RatePerSec:      *rate,
-			Burst:           *burst,
-			RequestTimeout:  *reqTimeout,
-			DrainTimeout:    *drainTimeout,
-			DataDir:         *dataDir,
-			QuarantineAfter: *quarantineAfter,
-			WorkerName:      name,
-		})
+		wo.WorkerName = advertise
+		fmt.Fprintf(os.Stderr, "fsmemd: listening on %s\n", wo.Addr)
+		err = server.Serve(ctx, wo)
 	default:
-		fmt.Fprintf(os.Stderr, "fsmemd: unknown -role %q (worker or coordinator)\n", *role)
-		os.Exit(2)
+		fmt.Fprintf(os.Stderr, "fsmemd: unknown -role %q (worker or coordinator)\n", role)
+		return 2
 	}
-	stopProf()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fsmemd:", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Fprintln(os.Stderr, "fsmemd: drained cleanly")
+	return 0
 }
 
 // advertiseURL derives the URL other nodes should dial from a listen

@@ -106,19 +106,28 @@ func (f runFlags) experiment() (config.Experiment, error) {
 	return e, nil
 }
 
+// outFlags are the flags that pick what memsim does with the experiment:
+// print or save it, record or replay a trace, export what the run observed.
+type outFlags struct {
+	traceIn, traceOut, configIn, configOut, cmdTrace, chromeTrace string
+	traceCount, traceCap                                          int
+	printConfig, metrics                                          bool
+}
+
 func main() {
 	var rf runFlags
+	var of outFlags
 	rf.register(flag.CommandLine)
-	traceIn := flag.String("trace", "", "drive every domain from this post-LLC trace file instead of the synthetic workload")
-	traceOut := flag.String("record-trace", "", "record domain 0's reference stream to this file and exit")
-	traceCount := flag.Int("record-count", 100000, "references to record with -record-trace")
-	printConfig := flag.Bool("print-config", false, "print the Table 1 configuration and exit")
-	configIn := flag.String("config", "", "load the full experiment from this JSON file (overrides other flags)")
-	configOut := flag.String("save-config", "", "write the selected experiment as JSON and exit")
-	cmdTrace := flag.String("cmd-trace", "", "export the DRAM command/event trace as JSONL to this file")
-	chromeTrace := flag.String("chrome-trace", "", "export the command/event trace as Chrome trace_event JSON to this file")
-	traceCap := flag.Int("trace-cap", 0, "trace ring capacity in events (0 = default)")
-	metrics := flag.Bool("metrics", false, "print the end-of-run metrics snapshot")
+	flag.StringVar(&of.traceIn, "trace", "", "drive every domain from this post-LLC trace file instead of the synthetic workload")
+	flag.StringVar(&of.traceOut, "record-trace", "", "record domain 0's reference stream to this file and exit")
+	flag.IntVar(&of.traceCount, "record-count", 100000, "references to record with -record-trace")
+	flag.BoolVar(&of.printConfig, "print-config", false, "print the Table 1 configuration and exit")
+	flag.StringVar(&of.configIn, "config", "", "load the full experiment from this JSON file (overrides other flags)")
+	flag.StringVar(&of.configOut, "save-config", "", "write the selected experiment as JSON and exit")
+	flag.StringVar(&of.cmdTrace, "cmd-trace", "", "export the DRAM command/event trace as JSONL to this file")
+	flag.StringVar(&of.chromeTrace, "chrome-trace", "", "export the command/event trace as Chrome trace_event JSON to this file")
+	flag.IntVar(&of.traceCap, "trace-cap", 0, "trace ring capacity in events (0 = default)")
+	flag.BoolVar(&of.metrics, "metrics", false, "print the end-of-run metrics snapshot")
 	startProf := obs.ProfileFlags(flag.CommandLine, "memsim")
 	flag.Parse()
 
@@ -127,9 +136,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	defer stopProf()
+	code := run(rf, of)
+	stopProf()
+	os.Exit(code)
+}
 
-	if *printConfig {
+// run carries out what the flags select and returns the exit code.
+func run(rf runFlags, o outFlags) int {
+	if o.printConfig {
 		p := fsmem.DDR3x1600()
 		fmt.Printf("DDR3-1600, 1 channel(s), %d ranks/channel, %d banks/rank\n", p.RanksPerChan, p.BanksPerRank)
 		fmt.Printf("tRC=%d tRCD=%d tRAS=%d tRP=%d tRTP=%d tWR=%d\n", p.TRC, p.TRCD, p.TRAS, p.TRP, p.TRTP, p.TWR)
@@ -137,7 +151,7 @@ func main() {
 			p.TFAW, p.TRRD, p.TCCD, p.TWTR, p.TCAS, p.TCWD, p.TBURST, p.TRTRS)
 		fmt.Printf("tREFI=%d tRFC=%d tXP=%d; CPU:bus clock ratio %d\n", p.TREFI, p.TRFC, p.TXP, p.CPUCyclesPerBusCycle)
 		fmt.Printf("workloads: %s\n", strings.Join(fsmem.Workloads(), ", "))
-		return
+		return 0
 	}
 
 	// The experiment is selected once, before any step uses it: the
@@ -146,18 +160,18 @@ func main() {
 	e, err := rf.experiment()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 	cfg, err := e.ToSimConfig()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
-	if *configIn != "" {
-		f, err := os.Open(*configIn)
+	if o.configIn != "" {
+		f, err := os.Open(o.configIn)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		e, err = config.Load(f)
 		f.Close()
@@ -166,56 +180,56 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 	}
 
-	if *configOut != "" {
-		f, err := os.Create(*configOut)
+	if o.configOut != "" {
+		f, err := os.Create(o.configOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		if err := e.Save(f); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
-		fmt.Printf("wrote %s\n", *configOut)
-		return
+		fmt.Printf("wrote %s\n", o.configOut)
+		return 0
 	}
 
-	if *traceOut != "" {
+	if o.traceOut != "" {
 		space, err := addr.SpaceFor(cfg.Scheduler.Partition(), 0, len(cfg.Mix.Profiles), cfg.DRAM)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		gen := workload.NewGenerator(cfg.Mix.Profiles[0], space, cfg.DRAM, cfg.Seed)
-		f, err := os.Create(*traceOut)
+		f, err := os.Create(o.traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
-		if err := trace.WriteTrace(f, trace.Capture(gen, *traceCount)); err != nil {
+		if err := trace.WriteTrace(f, trace.Capture(gen, o.traceCount)); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
-		fmt.Printf("recorded %d references of %s to %s\n", *traceCount, cfg.Mix.Profiles[0].Name, *traceOut)
-		return
+		fmt.Printf("recorded %d references of %s to %s\n", o.traceCount, cfg.Mix.Profiles[0].Name, o.traceOut)
+		return 0
 	}
-	if *traceIn != "" {
-		f, err := os.Open(*traceIn)
+	if o.traceIn != "" {
+		f, err := os.Open(o.traceIn)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		refs, err := trace.ReadTrace(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		// Every domain replays the trace, remapped into its own partition
 		// space (the OS page-coloring step).
@@ -230,37 +244,37 @@ func main() {
 		}
 	}
 
-	if *cmdTrace != "" || *chromeTrace != "" || *metrics {
-		fsmem.Observe(&cfg, fsmem.ObserveOptions{TraceCap: *traceCap})
+	if o.cmdTrace != "" || o.chromeTrace != "" || o.metrics {
+		fsmem.Observe(&cfg, fsmem.ObserveOptions{TraceCap: o.traceCap})
 	}
 
 	res, err := fsmem.Simulate(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	run := res.Run
 
-	export := func(path, format string) {
+	export := func(path, format string) error {
 		if path == "" {
-			return
+			return nil
 		}
 		f, err := os.Create(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		err = fsmem.TraceExport(f, res, format)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
-		if err != nil {
+		return err
+	}
+	for _, e := range []struct{ path, format string }{{o.cmdTrace, "jsonl"}, {o.chromeTrace, "chrome"}} {
+		if err := export(e.path, e.format); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 	}
-	export(*cmdTrace, "jsonl")
-	export(*chromeTrace, "chrome")
 
 	fmt.Printf("scheduler          %s\n", run.Scheduler)
 	fmt.Printf("workload           %s (%d domains)\n", run.Workload, len(run.Domains))
@@ -294,8 +308,9 @@ func main() {
 			d, dom.IPC(), dom.Reads, dom.Writes, dom.Dummies, dom.Prefetches, dom.RowHits, dom.AvgReadLatency())
 	}
 
-	if *metrics {
+	if o.metrics {
 		fmt.Println("\nmetrics:")
 		io.WriteString(os.Stdout, res.Metrics.Format())
 	}
+	return 0
 }

@@ -216,3 +216,20 @@ func TestExitCodes(t *testing.T) {
 		t.Errorf("a failed -config still wrote %s (stat: %v)", out, err)
 	}
 }
+
+// TestFailedRunWritesProfiles: memsim stops its profiles before it exits
+// with an error code, so a failing run leaves complete CPU and heap
+// profiles, not an empty CPU profile and no heap profile.
+func TestFailedRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, heap := filepath.Join(dir, "cpu"), filepath.Join(dir, "heap")
+	// 3 domains do not split over 2 colored channels: a config error.
+	if _, code := memsim(t, "-cores", "3", "-channels", "2", "-reads", "100", "-cpuprofile", cpu, "-memprofile", heap); code != 2 {
+		t.Fatalf("memsim exited %d, want 2", code)
+	}
+	for _, p := range []string{cpu, heap} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s not written (stat: %v)", filepath.Base(p), err)
+		}
+	}
+}

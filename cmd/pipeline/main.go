@@ -40,15 +40,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pipeline:", err)
 		os.Exit(2)
 	}
-	defer stopProf()
+	code := run(*solve, *ddr4, *mode, *domains, *intervals, *pattern)
+	stopProf()
+	os.Exit(code)
+}
 
+// run prints the solver table or draws the mode's pipeline, and returns
+// the exit code.
+func run(solve, ddr4 bool, mode string, domains, intervals int, pattern string) int {
 	p := dram.DDR3_1600()
-	if *ddr4 {
+	if ddr4 {
 		p = dram.DDR4_2400()
 	}
-	if *solve {
-		printSolverTable(p, *ddr4)
-		if *ddr4 {
+	if solve {
+		printSolverTable(p, ddr4)
+		if ddr4 {
 			if l, err := core.MinLRotation(p.BankGroups, core.FixedRAS, p); err == nil {
 				fmt.Printf("%d-way bank-group rotation (no partitioning): l=%d\n", p.BankGroups, l)
 			}
@@ -58,7 +64,7 @@ func main() {
 				fmt.Printf("consecutive transactions: %v\n", plan)
 			}
 		}
-		return
+		return 0
 	}
 
 	variant, ok := map[string]core.Variant{
@@ -67,38 +73,39 @@ func main() {
 		"reordered": core.FSReorderedBank,
 		"np":        core.FSNoPart,
 		"triple":    core.FSNoPartTriple,
-	}[*mode]
+	}[mode]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown -mode %q\n", *mode)
-		os.Exit(2)
+		fmt.Fprintf(os.Stderr, "unknown -mode %q\n", mode)
+		return 2
 	}
 
-	writes := make([]bool, *domains)
+	writes := make([]bool, domains)
 	for i := range writes {
-		writes[i] = (*pattern)[i%len(*pattern)] == 'w'
+		writes[i] = pattern[i%len(pattern)] == 'w'
 	}
-	cfg := core.Config{Variant: variant, Domains: *domains, Seed: 1}
-	cmds, fs, err := core.RecordPipeline(p, cfg, writes, *intervals+2)
+	cfg := core.Config{Variant: variant, Domains: domains, Seed: 1}
+	cmds, fs, err := core.RecordPipeline(p, cfg, writes, intervals+2)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	if errs := core.VerifyPipeline(p, cmds); len(errs) > 0 {
 		fmt.Fprintf(os.Stderr, "PIPELINE NOT CONFLICT-FREE: %v\n", errs[0])
-		os.Exit(1)
+		return 1
 	}
 
-	fmt.Printf("%s: l = %d cycles, Q = %d cycles (%d threads)\n", variant, fs.L(), fs.Q(), *domains)
-	fmt.Printf("peak data-bus utilization: %.1f%%\n", peakUtil(variant, fs, *domains, p)*100)
+	fmt.Printf("%s: l = %d cycles, Q = %d cycles (%d threads)\n", variant, fs.L(), fs.Q(), domains)
+	fmt.Printf("peak data-bus utilization: %.1f%%\n", peakUtil(variant, fs, domains, p)*100)
 	fmt.Printf("verified conflict-free: %d commands, 0 violations\n\n", len(cmds))
 	// Draw a steady-state window (skip the first interval's fill).
 	from := fs.Q()
-	to := from + fs.Q()*int64(*intervals)
+	to := from + fs.Q()*int64(intervals)
 	if to-from > 400 {
 		to = from + 400
 		fmt.Printf("(window truncated to 400 cycles)\n")
 	}
 	fmt.Print(core.RenderDiagram(p, cmds, from, to))
+	return 0
 }
 
 func peakUtil(v core.Variant, fs *core.FS, domains int, p dram.Params) float64 {

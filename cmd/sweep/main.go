@@ -37,31 +37,44 @@ import (
 	"fsmem/internal/obs"
 )
 
+// options are sweep's flags.
+type options struct {
+	fig, routing, traceOut             string
+	reads                              int64
+	cores, workers, channels, traceCap int
+	seed                               uint64
+	detail, csv                        bool
+}
+
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 3,4,5,6,7,8,9,10, s6, ablations, or all")
-	reads := flag.Int64("reads", 20_000, "demand reads per simulation (paper: 1M)")
-	cores := flag.Int("cores", 8, "cores / security domains")
-	seed := flag.Uint64("seed", 42, "random seed")
-	detail := flag.Bool("detail", false, "with -fig 6: also print latency/utilization/dummy statistics")
-	csv := flag.Bool("csv", false, "emit comma-separated values instead of aligned tables")
-	workers := flag.Int("j", 0, "parallel simulation workers (0 = GOMAXPROCS); output is identical for every value")
-	channels := flag.Int("channels", 0, "run the grid through an N-channel fabric (0 = single channel; s6 always uses 4)")
-	routing := flag.String("routing", "colored", "multi-channel routing: colored or interleaved")
-	traceOut := flag.String("trace-out", "", "export every memoized cell's command trace as JSONL to this file")
-	traceCap := flag.Int("trace-cap", 0, "per-run trace ring capacity in events (0 = default)")
+	var o options
+	flag.StringVar(&o.fig, "fig", "all", "figure to regenerate: 3,4,5,6,7,8,9,10, s6, ablations, or all")
+	flag.Int64Var(&o.reads, "reads", 20_000, "demand reads per simulation (paper: 1M)")
+	flag.IntVar(&o.cores, "cores", 8, "cores / security domains")
+	flag.Uint64Var(&o.seed, "seed", 42, "random seed")
+	flag.BoolVar(&o.detail, "detail", false, "with -fig 6: also print latency/utilization/dummy statistics")
+	flag.BoolVar(&o.csv, "csv", false, "emit comma-separated values instead of aligned tables")
+	flag.IntVar(&o.workers, "j", 0, "parallel simulation workers (0 = GOMAXPROCS); output is identical for every value")
+	flag.IntVar(&o.channels, "channels", 0, "run the grid through an N-channel fabric (0 = single channel; s6 always uses 4)")
+	flag.StringVar(&o.routing, "routing", "colored", "multi-channel routing: colored or interleaved")
+	flag.StringVar(&o.traceOut, "trace-out", "", "export every memoized cell's command trace as JSONL to this file")
+	flag.IntVar(&o.traceCap, "trace-cap", 0, "per-run trace ring capacity in events (0 = default)")
 	startProf := obs.ProfileFlags(flag.CommandLine, "sweep")
 	flag.Parse()
-	fail := func(err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	stopProf, err := startProf()
-	fail(err)
-	defer stopProf()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		os.Exit(1)
+	}
+	code := run(o)
+	stopProf()
+	os.Exit(code)
+}
+
+// run regenerates the figures o selects and returns the exit code.
+func run(o options) int {
 	render := func(t experiments.Table) string {
-		if *csv {
+		if o.csv {
 			return t.CSV()
 		}
 		return t.Format()
@@ -82,43 +95,47 @@ func main() {
 		errs = append(errs, err)
 	}
 
-	route, err := addr.RoutingByName(*routing)
+	route, err := addr.RoutingByName(o.routing)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
-	settings := experiments.Settings{Cores: *cores, TargetReads: *reads, Seed: *seed, Workers: *workers,
-		Channels: *channels, Routing: route}
-	if *traceOut != "" {
-		settings.Observe = &obs.Options{TraceCap: *traceCap}
+	settings := experiments.Settings{Cores: o.cores, TargetReads: o.reads, Seed: o.seed, Workers: o.workers,
+		Channels: o.channels, Routing: route}
+	if o.traceOut != "" {
+		settings.Observe = &obs.Options{TraceCap: o.traceCap}
 	}
 	r := experiments.NewRunner(settings)
-	switch *fig {
+	switch o.fig {
 	case "all":
 		showAll(experiments.All(r))
 		showAll(experiments.Ablations(r))
 	case "ablations":
 		showAll(experiments.Ablations(r))
 	default:
-		f, ok := experiments.Lookup(*fig)
+		f, ok := experiments.Lookup(o.fig)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown -fig %q (options: %v, all)\n", *fig, experiments.Names())
-			os.Exit(2)
+			fmt.Fprintf(os.Stderr, "unknown -fig %q (options: %v, all)\n", o.fig, experiments.Names())
+			return 2
 		}
 		if !show(f.Run(r)) {
 			break
 		}
 		switch {
-		case *fig == "4":
+		case o.fig == "4":
 			fmt.Println("run cmd/leakage for the full execution-profile series")
-		case *fig == "6" && *detail:
+		case o.fig == "6" && o.detail:
 			show(experiments.Figure6Detail(r))
 		}
 	}
-	if *traceOut != "" {
-		errs = append(errs, exportTraces(r, *traceOut))
+	if o.traceOut != "" {
+		errs = append(errs, exportTraces(r, o.traceOut))
 	}
-	fail(errors.Join(errs...))
+	if err := errors.Join(errs...); err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
 // exportTraces writes every memoized cell's command trace to path.

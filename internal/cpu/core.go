@@ -25,6 +25,7 @@ type Memory interface {
 type pendingRead struct {
 	idx  int64 // instruction index occupying the ROB slot
 	done bool
+	cb   int32 // the completion callback the read holds (an index into Core.dones)
 }
 
 // Core is one simulated core running one security domain's stream.
@@ -49,11 +50,13 @@ type Core struct {
 	// deleted in place (slices.Delete), never resliced off the front, so
 	// issueRef's append reuses the array instead of reallocating.
 	reads []pendingRead
-	// slotDone holds one completion callback per ROB slot (instruction index
-	// mod ROBSize), built the first time the slot issues a read. Reads in
-	// flight lie inside the ROB window, so no two share a slot, and a
-	// read costs no allocation.
-	slotDone []func()
+	// dones holds the core's completion callbacks and free those no read
+	// in flight holds. A read takes a free one, the pool doubles only when
+	// every existing one is in flight, and a callback frees itself when it
+	// fires. So a core builds fewer than twice its peak reads in flight,
+	// and a read costs no allocation.
+	dones []func()
+	free  []int32
 
 	ref     trace.Ref
 	refAt   int64 // instruction index of the next memory reference
@@ -126,37 +129,51 @@ func (c *Core) issueRef() bool {
 		// a full write queue stalls fetch only.
 		return c.mem.EnqueueWrite(c.ID, c.ref.Addr)
 	}
+	k := c.completion()
 	pos := len(c.reads)
-	c.reads = append(c.reads, pendingRead{idx: c.fetchIdx})
-	if !c.mem.EnqueueRead(c.ID, c.ref.Addr, c.completion(c.fetchIdx)) {
+	c.reads = append(c.reads, pendingRead{idx: c.fetchIdx, cb: k})
+	if !c.mem.EnqueueRead(c.ID, c.ref.Addr, c.dones[k]) {
 		c.reads = c.reads[:pos]
 		return false
 	}
+	c.free = c.free[:len(c.free)-1]
 	return true
 }
 
-// completion returns the callback that marks the read at instruction idx
-// done: the one callback of idx's ROB slot.
-func (c *Core) completion(idx int64) func() {
-	rob := int64(c.ROBSize)
-	if c.slotDone == nil {
-		c.slotDone = make([]func(), rob)
-	}
-	slot := idx % rob
-	if c.slotDone[slot] == nil {
-		c.slotDone[slot] = func() {
-			if c.Sync != nil {
-				c.Sync()
-			}
-			for i := range c.reads {
-				if c.reads[i].idx%rob == slot {
-					c.reads[i].done = true
-					return
-				}
-			}
+// completion returns a free completion callback, the last one freed. When
+// none is free it first builds as many callbacks as the core has (one at
+// first), as a slice doubles: a core builds fewer than twice its peak
+// reads in flight, and a new peak of reads in flight allocates only when
+// it passes a power of two. The caller takes the callback off the free
+// list once its read is accepted.
+func (c *Core) completion() int32 {
+	if len(c.free) == 0 {
+		for range max(len(c.dones), 1) {
+			c.free = append(c.free, c.newCompletion())
 		}
 	}
-	return c.slotDone[slot]
+	return c.free[len(c.free)-1]
+}
+
+// newCompletion builds callback number len(c.dones): it marks its read
+// done and frees itself.
+func (c *Core) newCompletion() int32 {
+	k := int32(len(c.dones))
+	c.dones = append(c.dones, func() {
+		if c.Sync != nil {
+			c.Sync()
+		}
+		// A freed callback may be reissued while its previous read, done
+		// but not yet retired, is still listed: mark the one not done.
+		for i := range c.reads {
+			if r := &c.reads[i]; r.cb == k && !r.done {
+				r.done = true
+				break
+			}
+		}
+		c.free = append(c.free, k)
+	})
+	return k
 }
 
 // OutstandingReads returns the number of reads in flight (ROB pressure).

@@ -234,7 +234,9 @@ func MemoKey(cfg sim.Config) string {
 
 // configFor expands a spec into its full simulation config and memo key.
 // A TP cell's memo key holds the turn it runs (sim.TPTurn), so a zero turn
-// and its mode's minimum are one simulation.
+// and its mode's minimum are one simulation. Only FS fills dummy slots
+// with prefetches, so the key holds Prefetch for FS kinds only: a Baseline
+// or TP cell with the prefetcher on is the simulation without it.
 func (r *Runner) configFor(sp Spec) (sim.Config, runKey) {
 	cfg := sim.DefaultConfig(sp.Mix, sp.Kind)
 	cfg.Seed = r.S.Seed
@@ -249,6 +251,7 @@ func (r *Runner) configFor(sp Spec) (sim.Config, runKey) {
 	if _, turn, ok := sim.TPTurn(cfg); ok {
 		key.turn = turn
 	}
+	key.prefetch = cfg.Prefetch && cfg.Scheduler.IsFS()
 	return cfg, key
 }
 

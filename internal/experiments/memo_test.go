@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -81,6 +82,23 @@ func TestFigure5ReusesMinimumTurnTPCells(t *testing.T) {
 	// 12 mixes x the two longer turns of each mode.
 	if n := len(fired[1]); n != 48 {
 		t.Errorf("Figure 5 simulated %d cells after Figure 3, want 48", n)
+	}
+}
+
+// TestFigure7ReusesBaselineCells: neither the Baseline nor TP issues a
+// prefetch, so Figure 7's Baseline_Prefetch cells are Figure 3's Baseline
+// cells, and after Figure 3 it simulates only FS_RP with prefetching.
+func TestFigure7ReusesBaselineCells(t *testing.T) {
+	_, fired := runLogged(t, Figure3, Figure7)
+	baseline := fmt.Sprintf(" sched:%d ", sim.Baseline)
+	for _, k := range fired[1] {
+		if strings.Contains(k, baseline) {
+			t.Errorf("Figure 7 re-simulated a Baseline cell: %s", k)
+		}
+	}
+	// 12 mixes x FS_RP with prefetching.
+	if n := len(fired[1]); n != 12 {
+		t.Errorf("Figure 7 simulated %d cells after Figure 3, want 12", n)
 	}
 }
 

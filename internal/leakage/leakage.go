@@ -50,10 +50,50 @@ func CollectProfile(k sim.SchedulerKind, attacker workload.Profile, coRunner wor
 // canceled-coded error instead of running to its instruction budget.
 // mutate, when non-nil, edits the simulation config before the system is
 // built (the non-interference feature tests turn features on with it).
+// The attacker's lane runs from one milestone to the next through the
+// event kernel (sim.System.RetireTo); the other lanes never run.
 func collectProfile(ctx context.Context, k sim.SchedulerKind, attacker workload.Profile, coRunner workload.Profile,
 	domains int, milestone, totalInstr int64, seed uint64,
 	channels int, routing addr.Routing, mutate func(*sim.Config)) (Profile, error) {
 
+	cfg := profileConfig(k, attacker, coRunner, domains, seed, channels, routing, mutate)
+	sys, err := sim.New(cfg)
+	if err != nil {
+		return Profile{}, err
+	}
+	prof := Profile{
+		Scheduler: k.String(),
+		CoRunner:  coRunner.Name,
+		Milestone: milestone,
+	}
+	next := milestone
+	cpuPerBus := int64(cfg.DRAM.CPUCyclesPerBusCycle)
+	for {
+		clock, ok := sys.RetireTo(ctx, 0, min(next, totalInstr), cfg.MaxBusCycles)
+		if !ok {
+			if ctx.Err() != nil {
+				return Profile{}, fsmerr.Wrap(fsmerr.CodeCanceled, "leakage.CollectProfile", ctx.Err())
+			}
+			return prof, fmt.Errorf("leakage: attacker retired only %d of %d instructions before the cycle budget",
+				sys.DomainInstructions(0), totalInstr)
+		}
+		retired := sys.DomainInstructions(0)
+		for retired >= next {
+			prof.CyclesAt = append(prof.CyclesAt, clock*cpuPerBus)
+			prof.Instruction = append(prof.Instruction, next)
+			next += milestone
+		}
+		if retired >= totalInstr {
+			return prof, nil
+		}
+	}
+}
+
+// profileConfig is the simulation a profile samples: the attacker as
+// domain 0 against domains-1 copies of coRunner, run on an instruction
+// budget under a 200M-bus-cycle watchdog, then edited by mutate.
+func profileConfig(k sim.SchedulerKind, attacker, coRunner workload.Profile, domains int, seed uint64,
+	channels int, routing addr.Routing, mutate func(*sim.Config)) sim.Config {
 	mix := workload.Mix{Name: "leakage", Profiles: make([]workload.Profile, domains)}
 	mix.Profiles[0] = attacker
 	for d := 1; d < domains; d++ {
@@ -68,35 +108,7 @@ func collectProfile(ctx context.Context, k sim.SchedulerKind, attacker workload.
 	if mutate != nil {
 		mutate(&cfg)
 	}
-
-	sys, err := sim.New(cfg)
-	if err != nil {
-		return Profile{}, err
-	}
-	prof := Profile{
-		Scheduler: k.String(),
-		CoRunner:  coRunner.Name,
-		Milestone: milestone,
-	}
-	next := milestone
-	cpuPerBus := int64(cfg.DRAM.CPUCyclesPerBusCycle)
-	for cycle := int64(0); cycle < cfg.MaxBusCycles; cycle++ {
-		if cycle%8192 == 0 && ctx.Err() != nil {
-			return Profile{}, fsmerr.Wrap(fsmerr.CodeCanceled, "leakage.CollectProfile", ctx.Err())
-		}
-		sys.Step()
-		retired := sys.DomainInstructions(0)
-		for retired >= next {
-			prof.CyclesAt = append(prof.CyclesAt, (cycle+1)*cpuPerBus)
-			prof.Instruction = append(prof.Instruction, next)
-			next += milestone
-		}
-		if retired >= totalInstr {
-			return prof, nil
-		}
-	}
-	return prof, fmt.Errorf("leakage: attacker retired only %d of %d instructions before the cycle budget",
-		sys.DomainInstructions(0), totalInstr)
+	return cfg
 }
 
 // Comparison is one scheduler's Figure 4 result: the attacker's profile

@@ -8,10 +8,10 @@
 //
 //   - Job identity is content addressing. A job's ID is a hash of its
 //     canonical payload — for simulations, experiments.MemoKey, the
-//     experiment runner's config key with the request's own TP turn —
-//     so resubmitting an identical request joins the existing job
-//     (singleflight) or answers straight from cache. Identical
-//     concurrent submissions simulate exactly once.
+//     experiment runner's config key with the request's own TP turn and
+//     prefetch flag — so resubmitting an identical request joins the
+//     existing job (singleflight) or answers straight from cache.
+//     Identical concurrent submissions simulate exactly once.
 //   - Everything a simulation job returns is a pure function of its
 //     config, so cached result documents are byte-identical to what a
 //     direct fsmem.Simulate caller would compute (pinned by tests).

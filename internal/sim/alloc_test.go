@@ -9,8 +9,8 @@ import (
 )
 
 // TestSteadyStateAllocsPerRead pins the simulator's allocation floor: once
-// queues, free lists, heaps and the cores' per-ROB-slot completion
-// callbacks have grown to their working size, one more demand read
+// queues, free lists, heaps and the cores' completion callbacks have
+// grown to their working size, one more demand read
 // allocates nothing. It counts heap allocations (runtime.MemStats.Mallocs)
 // at two read targets and divides the difference by the extra reads
 // completed, so setup cost cancels out; the bound leaves room only for
@@ -60,5 +60,34 @@ func TestSteadyStateAllocsPerRead(t *testing.T) {
 				t.Errorf("%.3f allocs per extra read, want <= %.2f", perRead, maxPerRead)
 			}
 		})
+	}
+}
+
+// TestShortSimulationAllocs bounds what building and running one short
+// simulation allocates: milc×8 under the Baseline to 800 reads. A core
+// builds fewer completion callbacks than twice its peak reads in flight
+// (386 allocations measured); one callback per ROB slot read 732, so the
+// bound fails if per-slot callbacks return.
+func TestShortSimulationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const maxAllocs = 500
+	mix, err := workload.Rate("milc", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(mix, Baseline)
+	cfg.TargetReads = 800
+	allocs := testing.AllocsPerRun(3, func() {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+	})
+	t.Logf("%.0f allocations per simulation", allocs)
+	if allocs > maxAllocs {
+		t.Errorf("%.0f allocations per simulation, want <= %d", allocs, maxAllocs)
 	}
 }

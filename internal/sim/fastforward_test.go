@@ -207,11 +207,10 @@ func TestStepDenseEquivalence(t *testing.T) {
 	diffResults(t, sys[0].Run(), sys[1].Run(), true)
 }
 
-// TestStepDeliversSpikes pins that a system driven by Step (Figure 4's
-// sampler) delivers a fault plan's queue-pressure
-// spikes as Run does: stepping a spiked system for as many bus cycles as
-// a fixed-length Run lasts must give the same Result, spike reads
-// included.
+// TestStepDeliversSpikes pins that a system driven by Step delivers a
+// fault plan's queue-pressure spikes as Run does: stepping a spiked
+// system for as many bus cycles as a fixed-length Run lasts must give the
+// same Result, spike reads included.
 func TestStepDeliversSpikes(t *testing.T) {
 	mix, err := workload.Rate("xalancbmk", 2)
 	if err != nil {

@@ -661,20 +661,60 @@ func (s *System) Channels() int { return len(s.chans) }
 // brought up to its lane's clock. Probes (the leakage harness) use this
 // instead of reaching into Controller().Dom.
 func (s *System) DomainInstructions(domain int) int64 {
+	l, c, st := s.domainCore(domain)
+	l.sync(c)
+	return st.Instructions
+}
+
+// domainCore returns the lane that holds one global security domain, the
+// domain's core and the statistics its retired instructions count into.
+func (s *System) domainCore(domain int) (*lane, *simCore, *stats.Domain) {
 	if s.coreStats != nil {
-		l := s.lanes[0]
-		l.sync(l.cores[domain])
-		return s.coreStats[domain].Instructions
+		return s.lanes[0], s.lanes[0].cores[domain], &s.coreStats[domain]
 	}
 	per := len(s.cfg.Mix.Profiles) / len(s.lanes)
 	l, d := s.lanes[domain/per], domain%per
-	l.sync(l.cores[d])
-	return l.chans[0].ctl.Dom[d].Instructions
+	return l, l.cores[d], &l.chans[0].ctl.Dom[d]
+}
+
+// RetireTo runs the lane that holds domain through the kernel loop, for
+// at least one bus cycle and until the domain has retired at least n
+// instructions, and returns the lane's clock then. ok is false when the
+// clock reaches limit first or ctx is canceled (polled like RunContext).
+// The other lanes do not advance: they share no state with this one.
+//
+// A core retires at most Width instructions per CPU cycle, so from clock
+// X with R retired the count cannot reach n before X + ⌈(n-R)/(Width·cpb)⌉.
+// RetireTo runs the lane to that clock, reads the count again and
+// repeats, so it returns the first clock at which a loop of Step and
+// DomainInstructions would read at least n.
+func (s *System) RetireTo(ctx context.Context, domain int, n, limit int64) (clock int64, ok bool) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	l, c, st := s.domainCore(domain)
+	perBus := int64(c.Width) * l.cpb
+	stop := l.clock + 1
+	for {
+		l.sync(c)
+		if left := n - st.Instructions; left > 0 {
+			stop = max(stop, l.clock+(left+perBus-1)/perBus)
+		} else if l.clock >= stop {
+			return l.clock, true
+		}
+		if l.clock >= limit {
+			return l.clock, false
+		}
+		l.run(ctx, min(stop, limit), 0)
+		if l.reason != "" {
+			return l.clock, false // canceled
+		}
+	}
 }
 
 // Step advances the system by one DRAM bus cycle: every lane steps once,
 // serially, in channel order, so callers that sample state between steps
-// (Figure 4's profiles, the tests) see every lane at the same cycle.
+// (the tests) see every lane at the same cycle.
 func (s *System) Step() {
 	for _, l := range s.lanes {
 		l.step()

@@ -17,13 +17,20 @@ type Histogram struct {
 	max    int64
 }
 
-// NewLatencyHistogram covers 1..65536 bus cycles in power-of-two buckets.
-func NewLatencyHistogram() *Histogram {
+// latencyBounds are the latency histograms' bucket bounds: 16..65536 bus
+// cycles in powers of two. Every latency histogram shares the one slice,
+// which nothing writes after this.
+var latencyBounds = func() []int64 {
 	var bounds []int64
 	for b := int64(16); b <= 65536; b *= 2 {
 		bounds = append(bounds, b)
 	}
-	return NewHistogram(bounds)
+	return bounds
+}()
+
+// NewLatencyHistogram covers 1..65536 bus cycles in power-of-two buckets.
+func NewLatencyHistogram() *Histogram {
+	return &Histogram{bounds: latencyBounds, counts: make([]int64, len(latencyBounds)+1)}
 }
 
 // NewHistogram builds a histogram over the given ascending upper bounds
